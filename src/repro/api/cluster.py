@@ -28,7 +28,7 @@ from repro.net.fabric import Fabric, make_fabric
 from repro.net.remoteop import RemoteOp
 from repro.net.transport import Transport
 from repro.obs import NULL_OBS, Observability
-from repro.sim.kernel import Simulator, make_simulator
+from repro.sim.kernel import Simulator
 from repro.sim.process import SimDriver, Task
 from repro.sim.rng import RngStreams
 from repro.sim.trace import NULL_TRACE, TraceRecorder
@@ -104,7 +104,7 @@ class Cluster:
         if config.nodes < 1:
             raise ValueError("cluster needs at least one node")
         self.config = config
-        self.sim: Simulator = make_simulator(config.kernel)
+        self.sim = Simulator()
         self.trace = trace
         #: Observability bundle (repro.obs): an explicit instance wins,
         #: else ``config.obs`` decides between a live one and NULL_OBS

@@ -361,14 +361,6 @@ class ClusterConfig:
     memory: MemoryConfig = field(default_factory=MemoryConfig)
     svm: SvmConfig = field(default_factory=SvmConfig)
     sched: SchedConfig = field(default_factory=SchedConfig)
-    #: Event-kernel backend: ``"calendar"`` (calendar/bucket timer queue,
-    #: O(1) amortised) or ``"heap"`` (the legacy single binary heap).
-    #: ``None`` defers to the ``REPRO_KERNEL`` environment variable and
-    #: then to ``"calendar"`` — an explicit value here beats the
-    #: environment, so a config can pin a kernel regardless of how CI
-    #: runs it.  Both kernels are bit-for-bit schedule-identical; the
-    #: choice is purely a wall-clock/regression-triage knob.
-    kernel: str | None = None
     #: Per-message transport software overhead at each endpoint (user-mode
     #: protocol processing; dominates small-message cost, per [28]).
     transport_cpu: int = 500 * MICROSECOND

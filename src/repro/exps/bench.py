@@ -54,7 +54,7 @@ from repro.exps.presets import PAGE_BYTES
 from repro.metrics.speedup import run_app
 from repro.obs import CATEGORIES, Observability
 
-__all__ = ["run_bench", "run_perf", "run_perf_ab", "check_perf", "host_metadata", "main"]
+__all__ = ["run_bench", "run_perf", "check_perf", "host_metadata", "main"]
 
 #: Environment override for the --check throughput tolerance (CI knob:
 #: loosen on noisy shared runners without touching the workflow matrix).
@@ -224,26 +224,25 @@ def run_bench() -> dict[str, Any]:
 
 
 def _perf_run_case(
-    factory: Any, nprocs: int, config: ClusterConfig | None, kernel: str | None = None
+    factory: Any, nprocs: int, config: ClusterConfig | None
 ) -> tuple[float, int]:
     """One obs-off wall-clock measurement: (seconds, kernel events)."""
     base = config or ClusterConfig()
     app = factory(nprocs)
-    ivy = Ivy(base.replace(nodes=nprocs, kernel=kernel))
+    ivy = Ivy(base.replace(nodes=nprocs))
     started = time.perf_counter()
     ivy.run(app.main)
     wall = time.perf_counter() - started
     return wall, ivy.cluster.sim.events_executed
 
 
-def run_perf(repeats: int = 3, kernel: str | None = None) -> dict[str, Any]:
+def run_perf(repeats: int = 3) -> dict[str, Any]:
     """Wall-clock throughput of the simulator over the bench suite.
 
     Observability is *off* (the default production configuration and the
     one the hot-path fast paths serve); each case reports its
     best-of-``repeats`` wall time — the minimum is the standard estimator
-    under one-sided scheduler/host noise.  ``kernel`` selects the event
-    kernel (``None`` = config/env default).
+    under one-sided scheduler/host noise.
     """
     runs: dict[str, Any] = {}
     total_events = 0
@@ -252,7 +251,7 @@ def run_perf(repeats: int = 3, kernel: str | None = None) -> dict[str, Any]:
         best = float("inf")
         events = 0
         for _ in range(repeats):
-            wall, events = _perf_run_case(factory, nprocs, config, kernel)
+            wall, events = _perf_run_case(factory, nprocs, config)
             best = min(best, wall)
         runs[name] = {
             "wall_s": round(best, 5),
@@ -274,55 +273,6 @@ def run_perf(repeats: int = 3, kernel: str | None = None) -> dict[str, Any]:
             "events": total_events,
             "wall_s": round(total_wall, 5),
             "events_per_sec": round(total_events / total_wall),
-        },
-    }
-
-
-def run_perf_ab(repeats: int = 5) -> dict[str, Any]:
-    """Interleaved A/B of the two event kernels over the bench suite.
-
-    Repeats alternate heap/calendar *within* each case (heap, calendar,
-    heap, ...) so slow host drift — thermal throttling, a neighbour VM —
-    hits both arms equally instead of biasing whichever ran second.
-    Event counts must match across kernels (they are the same schedule);
-    a mismatch raises rather than reporting a meaningless speedup.
-    """
-    cases: dict[str, Any] = {}
-    totals = {"heap": 0.0, "calendar": 0.0}
-    total_events = 0
-    for name, factory, nprocs, config in _bench_cases():
-        best = {"heap": float("inf"), "calendar": float("inf")}
-        events = {"heap": 0, "calendar": 0}
-        for _ in range(repeats):
-            for kernel in ("heap", "calendar"):
-                wall, events[kernel] = _perf_run_case(factory, nprocs, config, kernel)
-                best[kernel] = min(best[kernel], wall)
-        if events["heap"] != events["calendar"]:
-            raise AssertionError(
-                f"{name}: kernels disagree on event count "
-                f"(heap {events['heap']} != calendar {events['calendar']})"
-            )
-        cases[name] = {
-            "events": events["calendar"],
-            "heap_wall_s": round(best["heap"], 5),
-            "calendar_wall_s": round(best["calendar"], 5),
-            "speedup": round(best["heap"] / best["calendar"], 4),
-        }
-        totals["heap"] += best["heap"]
-        totals["calendar"] += best["calendar"]
-        total_events += events["calendar"]
-    return {
-        "measurement": (
-            "interleaved best-of-N per kernel; identical event counts "
-            "asserted, so 'speedup' is pure dispatch cost"
-        ),
-        "repeats": repeats,
-        "events": total_events,
-        "cases": cases,
-        "aggregate": {
-            "heap_events_per_sec": round(total_events / totals["heap"]),
-            "calendar_events_per_sec": round(total_events / totals["calendar"]),
-            "speedup": round(totals["heap"] / totals["calendar"], 4),
         },
     }
 
@@ -389,15 +339,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument(
-        "--kernel", choices=("calendar", "heap"), default=None,
-        help="event kernel for --perf (default: config/REPRO_KERNEL default)",
-    )
-    parser.add_argument(
-        "--ab", action="store_true",
-        help="with --perf: also measure both kernels interleaved and add "
-        "an 'ab' section (heap vs calendar, identical events asserted)",
-    )
-    parser.add_argument(
         "--check", metavar="BASELINE",
         help="compare against a committed BENCH_perf.json; exit 1 on regression",
     )
@@ -419,7 +360,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.perf:
-        doc = run_perf(repeats=args.repeats, kernel=args.kernel)
+        doc = run_perf(repeats=args.repeats)
         for name, run in doc["runs"].items():
             print(
                 f"{name}: {run['wall_s'] * 1e3:.1f} ms wall, "
@@ -428,14 +369,6 @@ def main(argv: list[str] | None = None) -> int:
         agg = doc["aggregate"]
         print(f"aggregate: {agg['events']} events in {agg['wall_s']:.3f} s "
               f"= {agg['events_per_sec']} ev/s")
-        if args.ab:
-            ab = run_perf_ab(repeats=args.repeats)
-            doc["ab"] = ab
-            print(
-                f"A/B: heap {ab['aggregate']['heap_events_per_sec']} ev/s, "
-                f"calendar {ab['aggregate']['calendar_events_per_sec']} ev/s "
-                f"= {ab['aggregate']['speedup']:.3f}x"
-            )
         if args.check:
             with open(args.check, encoding="utf-8") as fh:
                 baseline = json.load(fh)

@@ -135,14 +135,12 @@ def run_dispatch(
 ) -> dict[str, Any]:
     """Kernel-dispatch flatness: wall-clock events/s per node count.
 
-    The question the calendar queue exists to answer: does the cost of
-    dispatching one event stay flat as the pending-timer population grows
-    with the cluster (every in-flight request parks a 500 ms retransmit
-    timer in the queue)?  One fig5-class switched run per (node count,
-    kernel), interleaved heap/calendar within each repeat, best-of-N.
-    Wall numbers are hardware-bound — this section is a trajectory
-    record like ``BENCH_perf.json``, *not* part of ``--check``'s exact
-    comparison (which only walks ``runs``).
+    Does the cost of dispatching one event stay flat as the pending-timer
+    population grows with the cluster (every in-flight request parks a
+    500 ms retransmit timer in the kernel)?  One fig5-class switched run
+    per node count, best-of-N.  Wall numbers are hardware-bound — this
+    section is a trajectory record like ``BENCH_perf.json``, *not* part
+    of ``--check``'s exact comparison (which only walks ``runs``).
     """
     import time
 
@@ -153,36 +151,25 @@ def run_dispatch(
     for nodes in nodes_list:
         app, app_args, config = scale_fig5(nodes, "switched")
         ctor = APP_REGISTRY[app]
-        best = {"heap": float("inf"), "calendar": float("inf")}
-        events = {"heap": 0, "calendar": 0}
+        best = float("inf")
+        events = 0
         for _ in range(repeats):
-            for kernel in ("heap", "calendar"):
-                cfg = config.replace(kernel=kernel)
-                started = time.perf_counter()
-                result = run_app(
-                    lambda p: ctor(p, **app_args), nodes, config=cfg, check=True
-                )
-                best[kernel] = min(best[kernel], time.perf_counter() - started)
-                events[kernel] = result.events_executed
-        if events["heap"] != events["calendar"]:
-            raise AssertionError(
-                f"n{nodes}: kernels disagree on event count "
-                f"(heap {events['heap']} != calendar {events['calendar']})"
+            started = time.perf_counter()
+            result = run_app(
+                lambda p: ctor(p, **app_args), nodes, config=config, check=True
             )
+            best = min(best, time.perf_counter() - started)
+            events = result.events_executed
         points[f"n{nodes}"] = {
             "nodes": nodes,
-            "events": events["calendar"],
-            "heap_events_per_wall_sec": round(events["heap"] / best["heap"]),
-            "calendar_events_per_wall_sec": round(
-                events["calendar"] / best["calendar"]
-            ),
-            "speedup": round(best["heap"] / best["calendar"], 4),
+            "events": events,
+            "events_per_wall_sec": round(events / best),
         }
     return {
         "measurement": (
-            "fig5-class switched run per node count, interleaved "
-            "heap/calendar best-of-N wall clock; 'events' is exact, "
-            "'*_events_per_wall_sec' is hardware-bound (trajectory record)"
+            "fig5-class switched run per node count, best-of-N wall clock; "
+            "'events' is exact, 'events_per_wall_sec' is hardware-bound "
+            "(trajectory record)"
         ),
         "repeats": repeats,
         "points": points,
@@ -326,8 +313,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--dispatch", action="store_true",
         help="also measure the kernel-dispatch flatness curve (wall-clock "
-        "events/s per node count, heap vs calendar kernel) and write it "
-        "as the 'dispatch' section of --out",
+        "events/s per node count) and write it as the 'dispatch' section "
+        "of --out",
     )
     parser.add_argument(
         "--repeats", type=int, default=3,
@@ -387,11 +374,7 @@ def main(argv: list[str] | None = None) -> int:
         dispatch = run_dispatch(args.nodes, repeats=args.repeats)
         doc["dispatch"] = dispatch
         for name, point in dispatch["points"].items():
-            print(
-                f"dispatch {name}: heap {point['heap_events_per_wall_sec']} ev/s, "
-                f"calendar {point['calendar_events_per_wall_sec']} ev/s "
-                f"= {point['speedup']:.3f}x"
-            )
+            print(f"dispatch {name}: {point['events_per_wall_sec']} ev/s")
     elif args.out:
         # Keep a previously measured dispatch section when rewriting the
         # exact part of the artifact without --dispatch.

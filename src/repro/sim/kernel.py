@@ -1,26 +1,46 @@
 """Event queue and simulated clock.
 
-The simulator is a classic calendar loop: a binary heap of
-``(time, seq, callback, args)`` entries.  ``seq`` is a global monotonic
-counter so that events scheduled at the same tick fire in scheduling
+Every event is a ``(time, seq, handle, callback, args, label)`` tuple.
+``seq`` is a global monotonic counter, and events fire in ``(time,
+seq)`` order: events scheduled at the same tick fire in scheduling
 order — this is what makes every run bit-for-bit reproducible.
 
-Two wall-clock fast paths ride on that invariant without changing it:
+That total order is held in three lanes, each sorted by ``(time, seq)``
+on its own; the run loop fires whichever front is smallest, so the
+result is exactly what a single binary heap would produce.  Which lane
+an event joins is decided from what the kernel observes at
+``schedule`` time, never by the caller:
 
-* **Same-tick FIFO lane.**  A ``schedule(0, ...)`` call made while no
-  :class:`Scheduler` is installed lands in a deque instead of the heap.
-  Because ``seq`` is globally monotonic, everything already queued for
-  the current tick has a *smaller* seq than a freshly scheduled delay-0
-  event, so draining the deque in FIFO order — merged against the heap
-  front by ``(time, seq)`` — fires events in exactly the order the
-  heap-only loop would.  The deque is always empty by the time the
-  clock advances, and :meth:`_run_controlled` flushes it back into the
-  heap so the schedule explorer sees one uniform queue.
-* **``schedule_nocancel``.**  Most events are never cancelled; the
-  nocancel variants skip the per-event :class:`CancelHandle` allocation
-  by sharing one immortal handle.  (Slotted event records were measured
-  *slower* than plain tuples under ``heapq`` — tuple comparison is C,
-  ``__lt__`` dispatch is not — so heap entries stay 6-tuples.)
+* **Heap.**  The general case: a ``heapq`` of entries in any order.
+* **Same-tick FIFO lane.**  A delay-0 event lands in a deque.  Because
+  ``seq`` is globally monotonic, everything already queued for the
+  current tick has a *smaller* seq than a freshly scheduled delay-0
+  event, so the deque is sorted by construction.  It is always empty by
+  the time the clock advances.
+* **Monotone timer lane.**  A cancellable event (``schedule``) whose
+  deadline is ``>=`` the lane's tail is appended to a second deque;
+  any other deadline falls through to the heap, so this deque too is
+  sorted by construction.  Retransmit timers are the traffic: the
+  transport always arms them ``retransmit_timeout`` from now, a
+  per-config constant, so their deadlines arrive already in order and
+  hundreds of parked timers never enter the heap — O(1) arm instead of
+  O(log n).  Nearly all of them are cancelled by a reply long before
+  they are due; tombstones are purged lazily from the front, and a
+  tombstone reaches the lane's front as soon as the timers armed before
+  it are gone, not (as in the heap) only when its own deadline is the
+  earliest left.
+
+The lanes exist only while no :class:`Scheduler` is installed:
+:meth:`Simulator._run_controlled` folds both deques back into the heap
+(entries keep their seqs) and ``schedule`` then pushes straight to the
+heap, so the schedule explorer sees one uniform queue.
+
+One more wall-clock fast path rides on the invariant without changing
+it: **``schedule_nocancel``**.  Most events are never cancelled; the
+nocancel variants skip the per-event :class:`CancelHandle` allocation
+by sharing one immortal handle.  (Slotted event records were measured
+*slower* than plain tuples under ``heapq`` — tuple comparison is C,
+``__lt__`` dispatch is not — so entries stay 6-tuples.)
 
 Same-tick ordering is also the *only* nondeterminism a distributed
 schedule has in this model, which makes it a controlled choice point:
@@ -29,7 +49,7 @@ model checker (`repro.analysis.explore`) pick which of several events
 tied at one tick fires first.  With no scheduler installed the loop is
 untouched — seq order, bit-for-bit identical to the historical behavior.
 
-Global deadlock is *detectable*: if the heap drains while registered
+Global deadlock is *detectable*: if the queue drains while registered
 tasks are still blocked, :meth:`Simulator.run` raises
 :class:`DeadlockError` listing the stuck tasks.  The coherence-protocol
 stress tests rely on this to turn distributed deadlocks into loud,
@@ -39,18 +59,13 @@ shrinkable failures instead of hangs.
 from __future__ import annotations
 
 import heapq
-import os
 from collections import deque
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.sim.calqueue import CalendarQueue
-
 __all__ = [
     "Simulator",
-    "CalendarSimulator",
     "DeadlockError",
     "CancelHandle",
-    "KERNEL_BACKENDS",
     "PendingEvent",
     "Scheduler",
     "make_simulator",
@@ -121,20 +136,24 @@ class Scheduler:
         raise NotImplementedError
 
 
+#: One queued event: ``(when, seq, handle, fn, args, label)``.  ``seq``
+#: is unique, so comparing two entries never reaches the handle.
+_Entry = tuple[int, int, CancelHandle, Callable[..., None], tuple[Any, ...], str | None]
+
+
 class Simulator:
     """A deterministic discrete-event simulator with an integer clock."""
 
     def __init__(self) -> None:
         self.now: int = 0
-        self._heap: list[
-            tuple[int, int, CancelHandle, Callable[..., None], tuple[Any, ...], str | None]
-        ] = []
+        self._heap: list[_Entry] = []
         #: Delay-0 events scheduled while no Scheduler is installed; always
         #: drained before the clock advances (see module docstring).  Same
         #: 6-tuple layout as the heap so entries can be folded back in.
-        self._fifo: deque[
-            tuple[int, int, CancelHandle, Callable[..., None], tuple[Any, ...], str | None]
-        ] = deque()
+        self._fifo: deque[_Entry] = deque()
+        #: Cancellable events whose deadlines arrived in non-decreasing
+        #: order while no Scheduler was installed (see module docstring).
+        self._lane: deque[_Entry] = deque()
         self._seq: int = 0
         #: Number of events executed so far (profiling / regression metric).
         self.events_executed: int = 0
@@ -171,12 +190,18 @@ class Simulator:
         """
         handle = CancelHandle()
         self._seq += 1
-        if delay == 0 and self.scheduler is None:
-            self._fifo.append((self.now, self._seq, handle, fn, args, label))
-        elif delay < 0:
+        if delay < 0:
             raise ValueError(f"negative delay {delay}")
+        when = self.now + delay
+        entry = (when, self._seq, handle, fn, args, label)
+        if self.scheduler is not None:
+            heapq.heappush(self._heap, entry)
+        elif delay == 0:
+            self._fifo.append(entry)
+        elif not self._lane or when >= self._lane[-1][0]:
+            self._lane.append(entry)
         else:
-            heapq.heappush(self._heap, (self.now + delay, self._seq, handle, fn, args, label))
+            heapq.heappush(self._heap, entry)
         return handle
 
     def schedule_nocancel(
@@ -235,51 +260,59 @@ class Simulator:
         :class:`DeadlockError` if the queue drains with blocked tasks, and
         re-raises the first unhandled task exception.
         """
+        if max_events is not None and max_events < 1:
+            raise ValueError(f"max_events must be at least 1, got {max_events}")
         if self.scheduler is not None:
             return self._run_controlled(self.scheduler, until, max_events)
         heap = self._heap
         fifo = self._fifo
+        lane = self._lane
         heappop = heapq.heappop
         budget = max_events if max_events is not None else -1
         while True:
             if self._failure is not None:
                 exc, self._failure = self._failure, None
                 raise exc
-            # Skip cancelled tombstones at both queue fronts before peeking.
+            # Skip cancelled tombstones at every front before peeking.
             while heap and heap[0][2].cancelled:
                 heappop(heap)
+            while lane and lane[0][2].cancelled:
+                lane.popleft()
             while fifo and fifo[0][2].cancelled:
                 fifo.popleft()
-            # Pick the next live event by (time, seq) across both lanes.
-            # FIFO entries are all at the current tick; a heap entry beats
-            # them only if it is also at the current tick with a lower seq.
+            # Pick the next live event by (time, seq) across the lanes:
+            # first the earlier of the heap and timer-lane fronts ...
+            queue: list[_Entry] | deque[_Entry] = heap
+            if lane and not (heap and heap[0] < lane[0]):
+                queue = lane
+            # ... then that against the FIFO, whose entries are all at the
+            # current tick: it beats them only if it is also at the
+            # current tick with a lower seq.
             if fifo:
-                if heap and heap[0][0] == self.now and heap[0][1] < fifo[0][1]:
-                    use_fifo = False
-                    when = heap[0][0]
-                else:
-                    use_fifo = True
-                    when = self.now
-            elif heap:
-                use_fifo = False
-                when = heap[0][0]
+                when = self.now
+                if not (queue and queue[0][0] == when and queue[0][1] < fifo[0][1]):
+                    queue = fifo
+            elif queue:
+                when = queue[0][0]
             else:
                 break
             if until is not None and when > until:
                 # Stop the clock at `until`; pending events stay queued.
                 # Fold the FIFO lane into the heap: entries carry their
                 # true (time, seq), and `now` is about to move away from
-                # the tick the lane's fast merge assumes.
+                # the tick the lane's fast merge assumes.  (The timer
+                # lane assumes nothing about `now` and stays as it is.)
                 while fifo:
                     heapq.heappush(heap, fifo.popleft())
                 self.now = until
                 return until
-            if use_fifo:
+            if queue is fifo:
                 _when, _seq, _handle, fn, args, _label = fifo.popleft()
-                self.now = when
+            elif queue is heap:
+                _when, _seq, _handle, fn, args, _label = heappop(heap)
             else:
-                when, _seq, _handle, fn, args, _label = heappop(heap)
-                self.now = when
+                _when, _seq, _handle, fn, args, _label = lane.popleft()
+            self.now = when
             self.events_executed += 1
             fn(*args)
             if budget > 0:
@@ -308,12 +341,12 @@ class Simulator:
         """
         heap = self._heap
         # Events scheduled before the scheduler was installed may sit in
-        # the delay-0 FIFO lane; fold them into the heap (original seqs)
-        # so the explorer sees one uniform queue.  While a scheduler is
-        # installed, `schedule` never adds to the FIFO.
-        fifo = self._fifo
-        while fifo:
-            heapq.heappush(heap, fifo.popleft())
+        # the delay-0 FIFO or the timer lane; fold them into the heap
+        # (original seqs) so the explorer sees one uniform queue.  While a
+        # scheduler is installed, `schedule` adds to neither.
+        for side in (self._fifo, self._lane):
+            while side:
+                heapq.heappush(heap, side.popleft())
         budget = max_events
         while heap:
             if self._failure is not None:
@@ -362,173 +395,12 @@ class Simulator:
 
     def pending(self) -> int:
         """Number of events still queued (including cancelled tombstones)."""
-        return len(self._heap) + len(self._fifo)
+        return len(self._heap) + len(self._fifo) + len(self._lane)
 
 
-class CalendarSimulator(Simulator):
-    """:class:`Simulator` with the heap timer lane replaced by a
-    :class:`~repro.sim.calqueue.CalendarQueue`.
-
-    Bit-for-bit schedule-compatible with the heap kernel: entries are
-    the same 6-tuples, ``seq`` allocation is identical, the delay-0 FIFO
-    lane and its ``(when, seq)`` merge are unchanged, and the controlled
-    (explorer) path folds the calendar back into ``self._heap`` and runs
-    the *parent's* loop verbatim — so a :class:`Scheduler` sees exactly
-    the one uniform queue it has always seen.  Only the container for
-    delay>0 timers changes; every committed golden fixture pins this.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._cal = CalendarQueue()
-
-    def schedule(
-        self, delay: int, fn: Callable[..., None], *args: Any, label: str | None = None
-    ) -> CancelHandle:
-        handle = CancelHandle()
-        self._seq += 1
-        if delay == 0 and self.scheduler is None:
-            self._fifo.append((self.now, self._seq, handle, fn, args, label))
-        elif delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        elif self.scheduler is None:
-            self._cal.push((self.now + delay, self._seq, handle, fn, args, label))
-        else:
-            # Controlled mode: keep the uniform heap the explorer expects.
-            heapq.heappush(self._heap, (self.now + delay, self._seq, handle, fn, args, label))
-        return handle
-
-    def schedule_nocancel(
-        self, delay: int, fn: Callable[..., None], *args: Any, label: str | None = None
-    ) -> None:
-        self._seq += 1
-        if delay == 0 and self.scheduler is None:
-            self._fifo.append((self.now, self._seq, _NEVER_CANCELLED, fn, args, label))
-        elif delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        elif self.scheduler is None:
-            self._cal.push((self.now + delay, self._seq, _NEVER_CANCELLED, fn, args, label))
-        else:
-            heapq.heappush(
-                self._heap, (self.now + delay, self._seq, _NEVER_CANCELLED, fn, args, label)
-            )
-
-    def run(self, until: int | None = None, max_events: int | None = None) -> int:
-        if self.scheduler is not None:
-            return self._run_controlled(self.scheduler, until, max_events)
-        if self._heap:
-            # Timers parked in the heap by a controlled phase (a scheduler
-            # was installed, ran, and was removed): fold them back into
-            # the calendar.  Heap entries are never in the past, so the
-            # calendar's day invariant holds.
-            cal_push = self._cal.push
-            heap = self._heap
-            while heap:
-                cal_push(heapq.heappop(heap))
-        cal = self._cal
-        fifo = self._fifo
-        budget = max_events if max_events is not None else -1
-        while True:
-            if self._failure is not None:
-                exc, self._failure = self._failure, None
-                raise exc
-            # The calendar purges cancelled tombstones at its front in
-            # peek(); only the FIFO lane needs the explicit skip.
-            while fifo and fifo[0][2].cancelled:
-                fifo.popleft()
-            head = cal.peek()
-            # Pick the next live event by (time, seq) across both lanes —
-            # the same merge as the heap loop.
-            if fifo:
-                if head is not None and head[0] == self.now and head[1] < fifo[0][1]:
-                    use_fifo = False
-                    when = head[0]
-                else:
-                    use_fifo = True
-                    when = self.now
-            elif head is not None:
-                use_fifo = False
-                when = head[0]
-            else:
-                break
-            if until is not None and when > until:
-                # Stop the clock at `until`; pending events stay queued.
-                # FIFO entries carry their true (time, seq), so folding
-                # them into the calendar preserves order.
-                cal_push = cal.push
-                while fifo:
-                    cal_push(fifo.popleft())
-                self.now = until
-                return until
-            if use_fifo:
-                _when, _seq, _handle, fn, args, _label = fifo.popleft()
-                self.now = when
-            else:
-                # pop_front: `head` came from peek() this iteration and
-                # nothing touched the calendar since — no rescan.
-                _when, _seq, _handle, fn, args, _label = cal.pop_front()
-                self.now = when
-            self.events_executed += 1
-            fn(*args)
-            if budget > 0:
-                budget -= 1
-                if budget == 0:
-                    return self.now
-        if self._failure is not None:
-            exc, self._failure = self._failure, None
-            raise exc
-        blocked = [t for t in self._watched if getattr(t, "is_blocked", False)]
-        if blocked and until is None:
-            raise DeadlockError(blocked)
-        return self.now
-
-    def _run_controlled(
-        self, scheduler: Scheduler, until: int | None, max_events: int | None
-    ) -> int:
-        # Fold the calendar into the heap and run the parent loop: the
-        # explorer's semantics (batching, choose(), re-queueing) must be
-        # byte-identical under both kernels, so there is exactly one
-        # implementation of them.
-        if self._cal:
-            self._heap.extend(self._cal.drain())
-            heapq.heapify(self._heap)
-        return super()._run_controlled(scheduler, until, max_events)
-
-    def pending(self) -> int:
-        """Number of events still queued (including cancelled tombstones)."""
-        return len(self._heap) + len(self._fifo) + len(self._cal)
-
-
-#: Known kernel backends -> human summary (``make_simulator`` dispatches
-#: on the name; the summaries feed error messages and docs).
-KERNEL_BACKENDS: dict[str, str] = {
-    "calendar": "calendar/bucket-queue timer lane, O(1) amortised (default)",
-    "heap": "legacy single binary-heap timer lane",
-}
-
-
-def make_simulator(kernel: str | None = None) -> Simulator:
-    """Instantiate the configured event-kernel backend.
-
-    ``kernel=None`` (the :class:`~repro.config.ClusterConfig` default)
-    defers to the ``REPRO_KERNEL`` environment variable, falling back to
-    ``"calendar"`` — so CI can pin a whole test run to the legacy heap
-    kernel without touching any config.  An explicit config value beats
-    the environment.  Unknown names raise a structured
-    :class:`repro.config.ConfigError` with the known backends and, for
-    near-misses, the name the caller probably meant.
-    """
-    if kernel is None:
-        kernel = os.environ.get("REPRO_KERNEL", "calendar")
-    if kernel == "calendar":
-        return CalendarSimulator()
-    if kernel == "heap":
-        return Simulator()
-
-    import difflib
-
-    from repro.config import ConfigError
-
-    known = tuple(sorted(KERNEL_BACKENDS))
-    close = difflib.get_close_matches(str(kernel), known, n=1, cutoff=0.6)
-    raise ConfigError("kernel", kernel, known, suggestion=close[0] if close else None)
+def make_simulator(kernel: None = None) -> Simulator:
+    """``Simulator()``.  Kept only because the frozen ``bench/`` package
+    imports it and calls ``make_simulator()`` / ``make_simulator(None)``;
+    there is one kernel, so nothing is selected and everything else
+    constructs :class:`Simulator` directly."""
+    return Simulator()

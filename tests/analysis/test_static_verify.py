@@ -51,7 +51,6 @@ EXPECTED = {
     "set_iteration.py": {"det-set-iteration"},
     "id_order.py": {"det-id-order"},
     "timeline_wallclock.py": {"det-wallclock"},
-    "calqueue_id_bucket.py": {"det-id-order"},
     "pool_recycle_set.py": {"det-set-iteration"},
 }
 
@@ -79,9 +78,9 @@ def test_determinism_lint_covers_the_fabric_backends():
 
 
 def test_determinism_lint_covers_the_event_kernel_hot_path():
-    """The calendar queue and the message/page pools decide event order
+    """The event kernel and the message/page pools decide event order
     and envelope reuse; both must stay inside the determinism sweep —
-    an id()-keyed bucket or a set-backed free list would be a silent
+    an id()-keyed lane or a set-backed free list would be a silent
     cross-run divergence the goldens only catch after the fact."""
     from repro.analysis.static import facts as facts_mod
     from repro.analysis.static.engine import DETERMINISM_PATHS
@@ -89,7 +88,6 @@ def test_determinism_lint_covers_the_event_kernel_hot_path():
     paths = [str(REPO_ROOT / p) for p in DETERMINISM_PATHS]
     loaded = {Path(m.path).as_posix() for m in facts_mod.load_modules(paths)}
     for tail in (
-        "repro/sim/calqueue.py",
         "repro/sim/kernel.py",
         "repro/net/pool.py",
         "repro/net/packet.py",

@@ -8,9 +8,10 @@ piggybacked load hints.
 
 import pytest
 
+from repro.config import ClusterConfig
 from repro.net.remoteop import Forward, Reply
 from repro.net.transport import TransportError
-from repro.sim.process import Compute
+from repro.sim.process import Compute, TaskFailure
 
 from tests.net.conftest import NetRig
 
@@ -218,22 +219,31 @@ def test_retransmission_recovers_from_frame_loss():
 
 
 def test_unreachable_peer_gives_up_with_transport_error():
-    rig = NetRig(nnodes=2, loss_rate=1.0)
-    rig.config = rig.config.replace(max_retransmits=3)
-    # Rebuild with the tightened budget.
-    rig = NetRig(nnodes=2, loss_rate=1.0)
-    for t in rig.transports:
-        t.config = t.config.replace(max_retransmits=3)
-
+    config = ClusterConfig(nodes=2, max_retransmits=3)
+    rig = NetRig(nnodes=2, config=config, loss_rate=1.0)
     rig.ops[1].register("op", echo_handler)
+    gave_up_at = []
 
     def client():
-        yield from rig.ops[0].request(1, "op", None)
+        try:
+            yield from rig.ops[0].request(1, "op", None)
+        finally:
+            gave_up_at.append(rig.sim.now)
 
-    task = rig.spawn(client())
-    with pytest.raises(Exception) as exc_info:
+    rig.spawn(client())
+    with pytest.raises(TaskFailure) as exc_info:
         rig.run()
-    assert isinstance(exc_info.value.__cause__, TransportError)
+    error = exc_info.value.__cause__
+    assert isinstance(error, TransportError)
+    assert str(error) == "request op from 0 to 1 gave up after 3 retransmits"
+    assert rig.transports[0].stats.retransmits == 3
+    # The first send follows the software send cost; the original and
+    # each of the 3 retransmissions then wait out one full timeout.
+    assert gave_up_at == [config.transport_cpu + 4 * config.retransmit_timeout]
+    # Nothing is left behind: no live timer parked in the kernel, no
+    # pending record, no frame still in flight.
+    assert rig.sim.pending() == 0
+    assert not rig.transports[0]._pending
 
 
 def test_load_hints_piggyback_on_every_message():

@@ -1,8 +1,22 @@
-"""Unit tests for the discrete-event simulation kernel."""
+"""Unit tests for the discrete-event simulation kernel.
+
+The `(when, seq)` total order is the repo's reproducibility invariant —
+every committed golden schedule assumes it — so besides the directed
+cases the kernel's three lanes are checked against a single-``heapq``
+reference model over random programs: the cheap, adversarial version of
+the 42 fixture gates.
+"""
+
+import heapq
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.sim.kernel import DeadlockError, Scheduler, Simulator
+from repro.sim.kernel import CancelHandle, DeadlockError, Scheduler, Simulator
+
+#: The transport's retransmit timeout: the deadline the timer lane is for.
+TIMEOUT = 500_000_000
 
 
 class FirstChoice(Scheduler):
@@ -225,3 +239,260 @@ def test_deadlock_error_lists_every_blocked_task(scheduler):
     assert excinfo.value.blocked == stuck
     for name in ("worker-1", "worker-2", "worker-3"):
         assert name in str(excinfo.value)
+
+
+# ----------------------------------------------------------------------
+# run(max_events=...)
+
+
+@pytest.mark.parametrize("scheduler", [None, FirstChoice()])
+@pytest.mark.parametrize("max_events", [0, -1])
+def test_max_events_below_one_is_rejected(scheduler, max_events):
+    """0 used to mean "unbounded" on the default path and "exactly one
+    event" under a scheduler; both paths now refuse it up front."""
+    sim = Simulator()
+    sim.scheduler = scheduler
+    sim.schedule(1, lambda: None)
+    with pytest.raises(ValueError, match="max_events"):
+        sim.run(max_events=max_events)
+    assert sim.events_executed == 0 and sim.pending() == 1
+
+
+@pytest.mark.parametrize("scheduler", [None, FirstChoice()])
+def test_max_events_stops_after_exactly_that_many(scheduler):
+    sim = Simulator()
+    sim.scheduler = scheduler
+    for delay in (1, 2, 3):
+        sim.schedule(delay, lambda: None)
+    assert sim.run(max_events=2) == 2
+    assert sim.events_executed == 2 and sim.pending() == 1
+
+
+# ----------------------------------------------------------------------
+# the three lanes against a one-heap reference model
+
+
+class HeapReference:
+    """The kernel's contract in ~20 lines: one ``heapq``, pop by
+    ``(when, seq)``, skip cancelled.  No lanes, no fast paths."""
+
+    def __init__(self):
+        self.now = 0
+        self.events_executed = 0
+        self._heap = []
+        self._seq = 0
+
+    def schedule(self, delay, fn, *args):
+        self._seq += 1
+        handle = CancelHandle()
+        heapq.heappush(self._heap, (self.now + delay, self._seq, handle, fn, args))
+        return handle
+
+    schedule_nocancel = schedule
+
+    def schedule_at(self, when, fn, *args):
+        return self.schedule(when - self.now, fn, *args)
+
+    def run(self, until=None):
+        while self._heap:
+            when, _seq, handle, fn, args = self._heap[0]
+            if until is not None and when > until and not handle.cancelled:
+                self.now = until
+                return
+            heapq.heappop(self._heap)
+            if not handle.cancelled:
+                self.now = when
+                self.events_executed += 1
+                fn(*args)
+
+
+# Deltas that make the timer lane matter: the retransmit timeout after a
+# short deadline (lane append), a shorter deadline after a longer one
+# (heap fallback), equal deadlines (ties inside the lane and across
+# lanes), and delay 0 (the FIFO lane).
+DELTAS = st.one_of(
+    st.integers(0, 3000),
+    st.sampled_from(
+        [0, 1, 1_000_000, TIMEOUT - 1, TIMEOUT, TIMEOUT, TIMEOUT + 1, 3 * TIMEOUT]
+    ),
+)
+
+
+@st.composite
+def kernel_programs(draw):
+    """(top_ops, until) — ops may nest two levels into callbacks."""
+
+    def op(depth):
+        kind = draw(
+            st.sampled_from(
+                ["schedule", "schedule", "nocancel", "schedule_at", "cancel"]
+            )
+        )
+        if kind == "cancel":
+            return ("cancel", draw(st.integers(0, 100)))
+        nested = []
+        if depth < 2 and draw(st.booleans()):
+            nested = [op(depth + 1) for _ in range(draw(st.integers(1, 3)))]
+        return (kind, draw(DELTAS), draw(st.integers(0, 10**6)), nested)
+
+    top = [op(0) for _ in range(draw(st.integers(1, 25)))]
+    until = draw(st.one_of(st.none(), DELTAS))
+    return top, until
+
+
+def _interpret(sim, top_ops, until):
+    """Run one program; return the (time, tag) execution log."""
+    log = []
+    handles = []
+
+    def fire(tag, nested):
+        log.append((sim.now, tag))
+        for op in nested:
+            apply_op(op)
+
+    def apply_op(op):
+        if op[0] == "cancel":
+            # Index from the front, the back or the middle of what has
+            # been armed so far: lane front, lane tail and mid-lane.
+            if handles:
+                handles[op[1] % len(handles)].cancel()
+            return
+        kind, delta, tag, nested = op
+        if kind == "schedule":
+            handles.append(sim.schedule(delta, fire, tag, nested))
+        elif kind == "nocancel":
+            sim.schedule_nocancel(delta, fire, tag, nested)
+        else:
+            handles.append(sim.schedule_at(sim.now + delta, fire, tag, nested))
+
+    for op in top_ops:
+        apply_op(op)
+    if until is not None:
+        # Pause mid-run, then keep scheduling: new events may now land
+        # *earlier* than everything parked in the lane.
+        sim.run(until=until)
+        for op in top_ops:
+            apply_op(op)
+    sim.run()
+    return log, sim.now, sim.events_executed
+
+
+@given(kernel_programs())
+@settings(max_examples=200, deadline=None)
+def test_kernel_replays_single_heap_reference_exactly(program):
+    top_ops, until = program
+    sim = Simulator()
+    assert _interpret(sim, top_ops, until) == _interpret(
+        HeapReference(), top_ops, until
+    )
+    assert sim.pending() == 0
+
+
+# ----------------------------------------------------------------------
+# directed regressions: the lane edges, one by one
+
+
+def test_lane_takes_monotone_deadlines_and_heap_takes_the_rest():
+    """Where an event waits is unobservable except through `_lane`; pin
+    it once so a refactor cannot silently send every timer to the heap
+    (correct, but the reason the lane exists would be gone)."""
+    sim = Simulator()
+    order = []
+    sim.schedule(1_000_000, order.append, "1ms")  # lane (empty)
+    sim.schedule(TIMEOUT, order.append, "timeout")  # lane (>= tail)
+    sim.schedule(TIMEOUT, order.append, "timeout-tie")  # lane (== tail)
+    sim.schedule(2_000_000, order.append, "2ms")  # heap (< tail)
+    sim.schedule_nocancel(3 * TIMEOUT, order.append, "nocancel")  # heap
+    assert len(sim._lane) == 3 and len(sim._heap) == 2
+    assert sim.pending() == 5
+    sim.run()
+    assert order == ["1ms", "2ms", "timeout", "timeout-tie", "nocancel"]
+    assert sim.pending() == 0
+
+
+def test_delay_zero_fifo_lane_orders_after_earlier_seq_sibling():
+    sim = Simulator()
+    order = []
+    sim.schedule(5, lambda: sim.schedule(0, order.append, "zero"))
+    sim.schedule(5, order.append, "sibling")
+    sim.run()
+    assert order == ["sibling", "zero"]
+
+
+def test_same_tick_cancel_race_inside_the_lane():
+    """Both timers share a deadline, so both sit in the lane; the first
+    fires and cancels the second, which must be purged, not fired."""
+    sim = Simulator()
+    fired = []
+    handles = {}
+
+    def a():
+        fired.append("a")
+        handles["b"].cancel()
+
+    sim.schedule(TIMEOUT, a)
+    handles["b"] = sim.schedule(TIMEOUT, fired.append, "b")
+    assert len(sim._lane) == 2
+    sim.run()
+    assert fired == ["a"]
+    assert sim.pending() == 0
+
+
+def test_cancel_at_lane_front_and_middle():
+    sim = Simulator()
+    fired = []
+    handles = [sim.schedule(TIMEOUT + i, fired.append, i) for i in range(5)]
+    handles[0].cancel()  # front: purged before the first peek
+    handles[2].cancel()  # middle: purged when it reaches the front
+    sim.run()
+    assert fired == [1, 3, 4]
+    assert sim.now == TIMEOUT + 4
+
+
+def test_until_then_earlier_event_fires_before_the_parked_lane():
+    """After run(until) parks the clock, a new event earlier than the
+    lane's tail falls to the heap and must still fire first."""
+    sim = Simulator()
+    order = []
+    sim.schedule(TIMEOUT, order.append, "late")
+    sim.run(until=1000)
+    sim.schedule(1, order.append, "early")
+    sim.run()
+    assert order == ["early", "late"]
+    assert sim.now == TIMEOUT
+
+
+def test_far_future_timer_cancel_never_fires():
+    """A cancelled timer must not advance the clock to its deadline."""
+    sim = Simulator()
+    fired = []
+    handle = sim.schedule(TIMEOUT, fired.append, "timeout")
+    sim.schedule(10, lambda: handle.cancel())
+    sim.run()
+    assert fired == []
+    assert sim.now == 10
+
+
+def test_scheduler_installed_mid_run_sees_lane_entries_with_original_seqs():
+    """Timers parked in the lane before a scheduler is installed are
+    folded into the one queue the explorer sees, seqs intact, and tie
+    with events scheduled afterwards at the same tick."""
+    seen = []
+
+    class Spy(Scheduler):
+        def choose(self, now, events):
+            seen.append((now, [e.seq for e in events]))
+            return len(events) - 1
+
+    sim = Simulator()
+    order = []
+    sim.schedule(TIMEOUT, order.append, "lane-1")  # seq 1
+    sim.schedule(TIMEOUT, order.append, "lane-2")  # seq 2
+    sim.schedule(10, order.append, "heap")  # seq 3
+    sim.run(until=100)
+    sim.scheduler = Spy()
+    sim.schedule(TIMEOUT - 100, order.append, "controlled")  # seq 4
+    sim.run()
+    assert seen == [(TIMEOUT, [1, 2, 4]), (TIMEOUT, [1, 2])]
+    assert order == ["heap", "controlled", "lane-2", "lane-1"]
+    assert sim.pending() == 0
