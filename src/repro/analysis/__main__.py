@@ -14,8 +14,7 @@
     python -m repro.analysis explore --algorithm dynamic --nodes 2 \
         --pages 1 --workload rw --strategy dfs
 
-    # A/B the hand-coded vs statically certified independence relation
-    # over the exhaustive CI sweeps; gate on the committed baseline.
+    # Re-run the exhaustive CI sweeps; gate on the committed baseline.
     python -m repro.analysis explore-bench --check BENCH_explore.json
 
     # Shrink a violating schedule, then re-execute it.
@@ -113,20 +112,12 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         hint_period=args.hint_period,
         fabric=args.fabric,
     )
-    relation = None
-    if args.relation == "certified":
-        relation = ex.certified_relation(
-            args.algorithm, args.matrix or None
-        )
-    elif args.relation != "handcoded":
-        raise SystemExit(f"unknown relation {args.relation!r}")
     if args.strategy == "dfs":
         result = ex.explore_dfs(
             scenario,
             por=not args.no_por,
             max_schedules=args.max_schedules,
             max_events=args.max_events,
-            relation=relation,
         )
     elif args.strategy == "pct":
         result = ex.explore_pct(
@@ -188,11 +179,10 @@ def _cmd_explore_bench(args: argparse.Namespace) -> int:
 
     bench = eb.run_bench()
     for key, sweep in sorted(bench["sweeps"].items()):
-        hand, cert = sweep["handcoded"], sweep["certified"]
+        cert = sweep["certified"]
         print(
-            f"{key}: handcoded {hand['schedules']} schedules / "
-            f"certified {cert['schedules']} "
-            f"({hand['states']} distinct final states)"
+            f"{key}: {cert['schedules']} schedules "
+            f"({cert['states']} distinct final states)"
         )
     errors = eb.check_bench(bench)
     if args.check:
@@ -207,7 +197,7 @@ def _cmd_explore_bench(args: argparse.Namespace) -> int:
         eb.save_bench(bench, args.out)
         print(f"saved bench results to {args.out}")
     if not errors:
-        verdict = "identical verdicts, certified <= handcoded everywhere"
+        verdict = "no sweep truncated"
         if args.check:
             verdict += ", matches committed baseline"
         print(f"explore-bench ok: {verdict}")
@@ -317,16 +307,6 @@ def main(argv: list[str] | None = None) -> int:
         help="dfs: disable the sleep-set partial-order reduction",
     )
     explore.add_argument(
-        "--relation", default="handcoded",
-        help="dfs independence relation: handcoded | certified "
-        "(statically proven commutativity matrix)",
-    )
-    explore.add_argument(
-        "--matrix", default="",
-        help="certified: load the matrix from this JSON file instead of "
-        "re-running the static analysis",
-    )
-    explore.add_argument(
         "--minimize", type=int, default=0, metavar="N",
         help="delta-debug the first N violating schedules before reporting",
     )
@@ -337,7 +317,7 @@ def main(argv: list[str] | None = None) -> int:
 
     bench = sub.add_parser(
         "explore-bench",
-        help="A/B the hand-coded vs certified relation over the CI sweeps",
+        help="run the exhaustive CI sweeps against a committed baseline",
     )
     bench.add_argument(
         "--out", default="", help="write the bench results (JSON)"
@@ -345,7 +325,7 @@ def main(argv: list[str] | None = None) -> int:
     bench.add_argument(
         "--check", default="", metavar="BASELINE",
         help="compare against a committed BENCH_explore.json and fail on "
-        "any soundness violation or drift",
+        "any drift",
     )
     bench.set_defaults(func=_cmd_explore_bench)
 

@@ -21,10 +21,11 @@ trigger the violation, then saved as a JSONL artifact that
 Three exploration strategies:
 
 - :func:`explore_dfs` — exhaustive depth-first enumeration of the
-  schedule tree, optionally pruned with sleep sets over a conservative
-  independence relation (two same-tick message deliveries commute when
-  they target different nodes *and* different pages; everything else is
-  assumed to conflict).  The reduction is sound for safety properties:
+  schedule tree, optionally pruned with sleep sets over the statically
+  certified independence relation (:func:`certified_relation`: two
+  same-tick message deliveries commute only where the effect analysis
+  proved it; everything else is assumed to conflict).  The reduction is
+  sound for safety properties:
   it only skips an interleaving when an equivalent one — same happens-
   before order between dependent events — is explored.
 - :func:`explore_pct` — randomized PCT-style priority sampling: each
@@ -42,6 +43,7 @@ violating schedule is captured as a :class:`Counterexample`.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import re
@@ -75,7 +77,6 @@ __all__ = [
     "replay_artifact",
     "WORKLOADS",
     "MUTATIONS",
-    "independent",
     "CertifiedIndependence",
     "certified_relation",
 ]
@@ -285,11 +286,12 @@ class RecordingScheduler(Scheduler):
     earlier choice changes how later ticks batch) clamps to the last
     event rather than failing — every choice list stays executable.
 
-    With a ``sleep`` set (the DFS passes one per branch), the default
-    pick beyond the prescription skips events whose label is asleep —
-    an equivalent interleaving that fires them earlier was already
-    explored — and the set evolves online: a sleeper is dropped the
-    moment a dependent event fires.  The recorded log stays a plain
+    With a ``sleep`` set (the DFS passes one per branch, with the
+    ``relation`` that built it), the default pick beyond the
+    prescription skips events whose label is asleep — an equivalent
+    interleaving that fires them earlier was already explored — and the
+    set evolves online: a sleeper is dropped the moment a dependent
+    event fires.  The recorded log stays a plain
     choice list, so any run found this way replays via prescription
     alone, without the sleep set.
     """
@@ -303,7 +305,9 @@ class RecordingScheduler(Scheduler):
         self.prescribed = tuple(prescribed)
         self.log: list[ChoicePoint] = []
         self._sleep = set(sleep)
-        self._relation = relation if relation is not None else independent
+        #: With no relation nothing commutes: a sleep set then lasts one
+        #: choice point, which is as far as it is valid unaided.
+        self._relation: Relation = relation or (lambda a, b: False)
 
     def _pick(self, now: int, events: Sequence[PendingEvent]) -> int:
         cursor = len(self.log)
@@ -444,8 +448,8 @@ def run_scenario(
     ``choices`` prescribes same-tick orderings (defaults after the
     prescription runs out); ``drops`` names frame delivery attempts to
     lose (forcing retransmission); ``sleep`` seeds the scheduler's
-    sleep set (DFS partial-order reduction) and ``relation`` the
-    independence relation that evolves it.  Every run is checked
+    sleep set (DFS partial-order reduction) and ``relation`` is the
+    independence relation that built it and evolves it.  Every run is checked
     three ways: the online oracle during execution,
     :class:`DeadlockError` on queue drain, and the quiescent sweep
     (oracle + global invariants) after a clean finish.
@@ -515,13 +519,15 @@ def run_scenario(
 # ----------------------------------------------------------------------
 # independence (for partial-order reduction)
 
-#: Fan-out deliveries that commute even for the *same* page: each one
-#: only rewrites its target node's page-table entry (access, probOwner)
-#: and the origin aggregates replies order-insensitively (counted for
-#: invalidation/update, first-and-only for owner location, none for
-#: hints).  These are exactly the broadcast frames whose deliveries
-#: share one ring arrival tick — the only place same-page deliveries
-#: can ever tie, since distinct frames serialise on the medium.
+#: Fan-out deliveries *declared* to commute even for the same page: each
+#: one only rewrites its target node's page-table entry (access,
+#: probOwner) and the origin aggregates replies order-insensitively
+#: (counted for invalidation/update, first-and-only for owner location,
+#: none for hints).  These are exactly the broadcast frames whose
+#: deliveries share one ring arrival tick.  A declaration, not a
+#: licence: :mod:`repro.analysis.static.commute` checks the claim handler
+#: by handler, and the relation commutes only the subset it proved
+#: (``fanout_safe``).
 _FANOUT_OPS = frozenset({"svm.inv", "svm.update", "svm.hint", "svm.locate"})
 
 
@@ -538,25 +544,6 @@ def _delivery_footprint(label: str | None) -> tuple[int, int, str] | None:
     return (parsed.target, parsed.page, parsed.op)
 
 
-def independent(a: str | None, b: str | None) -> bool:
-    """Conservative commutativity between same-tick events.
-
-    Two message deliveries commute when they target different nodes and
-    either (a) concern different pages — disjoint node-local state, and
-    the manager owner tables that might be shared are keyed per page
-    (each algorithm asserts this via ``SCHED_FOOTPRINTS``) — or (b) are
-    both fan-out deliveries (:data:`_FANOUT_OPS`) of the same multicast,
-    which touch only their own target's entry.  Any label we cannot
-    attribute is assumed to conflict, which can only cost extra
-    exploration, never miss an interleaving."""
-    fa, fb = _delivery_footprint(a), _delivery_footprint(b)
-    if fa is None or fb is None or fa[0] == fb[0]:
-        return False
-    if fa[1] != fb[1]:
-        return True
-    return fa[2] in _FANOUT_OPS and fb[2] in _FANOUT_OPS
-
-
 #: An independence relation between same-tick event labels.
 Relation = Callable[[str | None, str | None], bool]
 
@@ -565,9 +552,8 @@ class CertifiedIndependence:
     """Independence relation backed by the statically certified
     commutativity matrix (:mod:`repro.analysis.static.commute`).
 
-    Where :func:`independent` trusts the hand-written extractors and
-    ``_FANOUT_OPS`` outright, this relation commutes only what the
-    effect analysis proved:
+    Two same-tick deliveries commute only where the effect analysis
+    proved it:
 
     - *different node, different page*: both ops must be certified
       page-attributed (their extractors provably name every page-keyed
@@ -575,8 +561,7 @@ class CertifiedIndependence:
     - *different node, same page*: both ops must be in the proven
       subset of the declared fan-out set;
     - *same node, different page*: the pair must be in the matrix's
-      ``same_node_commutes`` — the strict refinement over the
-      hand-coded relation;
+      ``same_node_commutes``;
     - anything unattributed (including every op the analysis demoted)
       conflicts with everything.
     """
@@ -593,9 +578,6 @@ class CertifiedIndependence:
             (a, b) for a, b in entry.get("same_node_commutes", ())
         )
 
-    def _pair_key(self, a: str, b: str) -> tuple[str, str]:
-        return (a, b) if a <= b else (b, a)
-
     def __call__(self, a: str | None, b: str | None) -> bool:
         fa, fb = _delivery_footprint(a), _delivery_footprint(b)
         if fa is None or fb is None:
@@ -608,7 +590,17 @@ class CertifiedIndependence:
             return fa[2] in self.fanout_safe and fb[2] in self.fanout_safe
         if fa[1] == fb[1]:
             return False
-        return self._pair_key(fa[2], fb[2]) in self.same_node
+        return (min(fa[2], fb[2]), max(fa[2], fb[2])) in self.same_node
+
+
+@functools.cache
+def _checkout_matrix() -> dict[str, Any]:
+    """The commutativity matrix of the protocol source this process
+    imported: a pure function of the checkout, so the static analysis
+    (~0.3 s) runs once per process however many sweeps use it."""
+    from repro.analysis.static.commute import build_matrix
+
+    return build_matrix()
 
 
 def certified_relation(
@@ -617,12 +609,10 @@ def certified_relation(
     """The certified independence relation for ``algorithm``.
 
     ``matrix`` is a matrix dict, a path to one (as written by
-    ``python -m repro.analysis.static --commute-matrix``), or None to
-    run the static analysis on the current checkout."""
+    ``python -m repro.analysis.static --commute-matrix``), or None for
+    the static analysis of the current checkout (run once per process)."""
     if matrix is None:
-        from repro.analysis.static.commute import build_matrix
-
-        matrix = build_matrix()
+        matrix = _checkout_matrix()
     elif isinstance(matrix, str):
         with open(matrix, encoding="utf-8") as fh:
             matrix = json.load(fh)
@@ -633,12 +623,6 @@ def certified_relation(
             f"have {sorted(algorithms)}"
         )
     return CertifiedIndependence(algorithms[algorithm])
-
-
-def _relation_name(relation: Relation) -> str:
-    if relation is independent:
-        return "handcoded"
-    return getattr(relation, "name", getattr(relation, "__name__", "custom"))
 
 
 # ----------------------------------------------------------------------
@@ -654,11 +638,10 @@ class Counterexample:
     status: str
     rule: str | None
     detail: str
-    #: Which independence relation found it ("handcoded" | "certified" |
-    #: a custom relation's name) — provenance for triage: a schedule
-    #: only reachable under the certified refinement points at the
-    #: matrix, not the protocol.
-    relation: str = "handcoded"
+    #: Which independence relation found it ("certified" | a custom
+    #: relation's name; "handcoded" in artifacts saved before the
+    #: certified relation became the only one) — provenance for triage.
+    relation: str = "certified"
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -679,7 +662,7 @@ class Counterexample:
             status=raw["status"],
             rule=raw.get("rule"),
             detail=raw.get("detail", ""),
-            relation=raw.get("relation", "handcoded"),
+            relation=raw.get("relation", "certified"),
         )
 
 
@@ -695,7 +678,7 @@ class ExplorationResult:
     fingerprints: set[str] = field(default_factory=set)
     truncated: bool = False
     #: Independence relation the exploration pruned with.
-    relation: str = "handcoded"
+    relation: str = "certified"
     #: Footprint-extractor failures observed during this exploration,
     #: keyed by op (surfaced by the CLI as ``explore.extractor_error``).
     #: A failing extractor demotes its deliveries to ``p?`` — still
@@ -762,13 +745,14 @@ def explore_dfs(
     Membership is only trusted when the label is unique in the batch —
     unlabeled or duplicated labels never prune.
 
-    ``relation`` selects the independence relation (default: the
-    hand-coded :func:`independent`; pass :func:`certified_relation`'s
-    result for the statically proven matrix).
+    ``relation`` is the independence relation the sleep sets use
+    (default: :func:`certified_relation` for the scenario's algorithm).
     """
-    rel = relation if relation is not None else independent
+    rel = relation if relation is not None else certified_relation(scenario.algorithm)
     result = ExplorationResult(
-        scenario=scenario, strategy="dfs", relation=_relation_name(rel)
+        scenario=scenario,
+        strategy="dfs",
+        relation=getattr(rel, "name", getattr(rel, "__name__", "custom")),
     )
     errors_before = extractor_errors()
     # Each entry: (prescribed prefix, sleep set at the end of the prefix).
@@ -973,7 +957,7 @@ def save_counterexamples(
     path: str,
     scenario: Scenario,
     counterexamples: Iterable[Counterexample],
-    relation: str = "handcoded",
+    relation: str = "certified",
 ) -> int:
     """Write a replayable artifact: one scenario header line (stamped
     with the independence relation that explored it), then one line per

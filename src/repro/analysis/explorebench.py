@@ -1,34 +1,30 @@
-"""A/B benchmark: hand-coded vs certified independence relation.
+"""The exhaustive explore-smoke sweeps as a committed, checkable record.
 
-Runs the exhaustive explore-smoke sweeps twice — once pruning with the
-hand-written :func:`repro.analysis.explore.independent`, once with the
-statically proven matrix (:func:`certified_relation`) — and records both
-sides in machine-readable form (``BENCH_explore.json``, committed).  CI
-gates on two properties:
+Runs every sweep of :data:`SWEEPS` under the explorer's independence
+relation — the statically proven matrix (:func:`certified_relation`) —
+and records the outcome in machine-readable form
+(``BENCH_explore.json``, committed).  CI gates on two properties:
 
-- **soundness / no regression**: per sweep, the certified relation must
-  visit *no more* schedules than the hand-coded one, with bit-identical
-  verdicts (statuses, violations, and the set of distinct final-state
-  fingerprints, compared by content hash);
-- **stability**: the committed baseline must match exactly — DFS is
-  deterministic, so any drift in schedule counts or fingerprints means
-  the explorer's semantics changed and the baseline needs a reviewed
-  update.
+- **completeness**: no sweep is truncated (a truncated sweep proves
+  nothing);
+- **stability**: the committed baseline must match exactly — schedule
+  counts, statuses, violations and the set of distinct final-state
+  fingerprints (compared by content hash).  DFS is deterministic, so
+  any drift means the explorer's semantics changed and the baseline
+  needs a reviewed update.
 
-On the token ring the two relations visit *equal* schedule counts: the
-matrix's extra same-node different-page commutations can never tie,
-because distinct frames serialise on the medium and same-destination
-arrivals preserve send order.  The measured refinement is therefore
-reported at the relation level (``matrix`` section: proven same-node
-pairs per algorithm, vs zero for the hand-coded relation) — it becomes
-a state-space reduction on any transport where same-node ties exist.
+The ``matrix`` section records what the relation is built from: per
+algorithm, the proven fan-out set and the number of proven same-node
+commuting pairs.  (On the token ring those same-node pairs can never
+tie — distinct frames serialise on the medium and same-destination
+arrivals preserve send order — so they reduce the state space only on
+a transport where same-node ties exist.)
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from time import perf_counter
 from typing import Any
 
@@ -38,47 +34,29 @@ from repro.analysis.static.commute import build_matrix
 __all__ = ["SWEEPS", "run_bench", "check_bench", "save_bench", "load_bench"]
 
 
-@dataclass(frozen=True)
-class Sweep:
-    algorithm: str
-    nodes: int
-    pages: int
-    workload: str
-    hint_period: int = 0
-    max_schedules: int = 50_000
-
-    @property
-    def key(self) -> str:
-        tail = f"+hint{self.hint_period}" if self.hint_period else ""
-        return (
-            f"{self.algorithm}-n{self.nodes}-p{self.pages}"
-            f"-{self.workload}{tail}"
-        )
-
-    def scenario(self) -> ex.Scenario:
-        return ex.Scenario(
-            algorithm=self.algorithm,
-            nodes=self.nodes,
-            pages=self.pages,
-            workload=self.workload,
-            hint_period=self.hint_period,
-        )
+def _key(scenario: ex.Scenario) -> str:
+    """The sweep's name in ``BENCH_explore.json``."""
+    tail = f"+hint{scenario.hint_period}" if scenario.hint_period else ""
+    return (
+        f"{scenario.algorithm}-n{scenario.nodes}-p{scenario.pages}"
+        f"-{scenario.workload}{tail}"
+    )
 
 
 #: The exhaustive CI sweeps (every one completes without truncation —
 #: a truncated sweep proves nothing).  The set mirrors the explore-smoke
 #: job: all four managers on the minimal tie-rich configs, plus
 #: multi-page and hint-broadcast shapes where fan-out deliveries tie.
-SWEEPS: tuple[Sweep, ...] = (
-    Sweep("centralized", 2, 1, "rw"),
-    Sweep("fixed", 2, 1, "rw"),
-    Sweep("dynamic", 2, 1, "rw"),
-    Sweep("broadcast", 2, 1, "rw"),
-    Sweep("centralized", 3, 2, "rw"),
-    Sweep("fixed", 3, 2, "rw"),
-    Sweep("centralized", 3, 1, "mixed"),
-    Sweep("fixed", 3, 1, "chown"),
-    Sweep("dynamic", 3, 1, "chown", hint_period=1),
+SWEEPS: tuple[ex.Scenario, ...] = (
+    ex.Scenario("centralized", 2, 1, "rw"),
+    ex.Scenario("fixed", 2, 1, "rw"),
+    ex.Scenario("dynamic", 2, 1, "rw"),
+    ex.Scenario("broadcast", 2, 1, "rw"),
+    ex.Scenario("centralized", 3, 2, "rw"),
+    ex.Scenario("fixed", 3, 2, "rw"),
+    ex.Scenario("centralized", 3, 1, "mixed"),
+    ex.Scenario("fixed", 3, 1, "chown"),
+    ex.Scenario("dynamic", 3, 1, "chown", hint_period=1),
 )
 
 
@@ -111,8 +89,8 @@ def _side(result: ex.ExplorationResult, wall: float) -> dict[str, Any]:
     }
 
 
-def run_bench(sweeps: tuple[Sweep, ...] = SWEEPS) -> dict[str, Any]:
-    """Run every sweep under both relations; returns the bench dict."""
+def run_bench(sweeps: tuple[ex.Scenario, ...] = SWEEPS) -> dict[str, Any]:
+    """Run every sweep; returns the bench dict."""
     matrix = build_matrix()
     out: dict[str, Any] = {
         "version": 1,
@@ -126,52 +104,33 @@ def run_bench(sweeps: tuple[Sweep, ...] = SWEEPS) -> dict[str, Any]:
         },
         "sweeps": {},
     }
-    for sweep in sweeps:
-        scenario = sweep.scenario()
+    for scenario in sweeps:
         t0 = perf_counter()
-        hand = ex.explore_dfs(scenario, max_schedules=sweep.max_schedules)
-        t1 = perf_counter()
-        cert = ex.explore_dfs(
+        result = ex.explore_dfs(
             scenario,
-            max_schedules=sweep.max_schedules,
-            relation=ex.certified_relation(sweep.algorithm, matrix),
+            max_schedules=50_000,  # far above the largest sweep (768)
+            relation=ex.certified_relation(scenario.algorithm, matrix),
         )
-        t2 = perf_counter()
-        out["sweeps"][sweep.key] = {
+        out["sweeps"][_key(scenario)] = {
             "scenario": scenario.to_dict(),
-            "handcoded": _side(hand, t1 - t0),
-            "certified": _side(cert, t2 - t1),
-            "reduction": hand.schedules - cert.schedules,
+            "certified": _side(result, perf_counter() - t0),
         }
     return out
 
 
-#: Per-side keys that must be identical between relations and between a
-#: run and the committed baseline (wall time is excluded: it is real).
-_VERDICT_KEYS = ("statuses", "states", "fingerprint_sha256", "violations")
+#: Keys that must be identical between a run and the committed baseline
+#: (wall time is excluded: it is real).
+_EXACT_KEYS = ("schedules", "statuses", "states", "fingerprint_sha256", "violations")
 
 
 def check_bench(bench: dict[str, Any]) -> list[str]:
-    """Internal consistency: certified ≤ hand-coded, identical verdicts,
-    nothing truncated.  Returns human-readable errors (empty = pass)."""
-    errors: list[str] = []
-    for key, sweep in sorted(bench.get("sweeps", {}).items()):
-        hand, cert = sweep["handcoded"], sweep["certified"]
-        if hand["truncated"] or cert["truncated"]:
-            errors.append(f"{key}: truncated sweep proves nothing")
-        if cert["schedules"] > hand["schedules"]:
-            errors.append(
-                f"{key}: certified relation explored MORE schedules "
-                f"({cert['schedules']} > {hand['schedules']}) — the matrix "
-                "demoted an op the sweep relies on"
-            )
-        for field in _VERDICT_KEYS:
-            if hand[field] != cert[field]:
-                errors.append(
-                    f"{key}: verdict mismatch on {field}: "
-                    f"handcoded={hand[field]!r} certified={cert[field]!r}"
-                )
-    return errors
+    """Internal consistency: nothing truncated.  Returns human-readable
+    errors (empty = pass)."""
+    return [
+        f"{key}: truncated sweep proves nothing"
+        for key, sweep in sorted(bench.get("sweeps", {}).items())
+        if sweep["certified"]["truncated"]
+    ]
 
 
 def compare_bench(
@@ -189,14 +148,13 @@ def compare_bench(
         if key not in base_sweeps:
             errors.append(f"{key}: new sweep missing from committed baseline")
             continue
-        for side in ("handcoded", "certified"):
-            cur, base = cur_sweeps[key][side], base_sweeps[key][side]
-            for field in ("schedules",) + _VERDICT_KEYS:
-                if cur[field] != base[field]:
-                    errors.append(
-                        f"{key}/{side}: {field} drifted from baseline: "
-                        f"{base[field]!r} -> {cur[field]!r}"
-                    )
+        cur, base = cur_sweeps[key]["certified"], base_sweeps[key]["certified"]
+        for field in _EXACT_KEYS:
+            if cur[field] != base[field]:
+                errors.append(
+                    f"{key}: {field} drifted from baseline: "
+                    f"{base[field]!r} -> {cur[field]!r}"
+                )
     if current.get("matrix") != baseline.get("matrix"):
         errors.append(
             "matrix summary drifted from baseline: "

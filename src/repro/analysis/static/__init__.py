@@ -29,12 +29,12 @@ lint time:
 - :mod:`repro.analysis.static.commute` — from those effects, proves the
   explorer's ``_FANOUT_OPS`` claim handler-by-handler and emits the
   certified commutativity matrix that ``explore.py``'s
-  ``certified_relation`` loads in place of the hand-coded
-  ``independent()``.
+  ``certified_relation`` — the explorer's only independence relation —
+  is built from.
 
 Run ``python -m repro.analysis.static`` (optionally ``--sarif out.json``)
-for the whole suite; ``tools/lint_protocol.py`` remains as a thin CLI
-shim over the discipline rules.
+for the whole suite; :func:`discipline_lint` runs the lock/span/handle
+discipline rules alone.
 """
 
 from repro.analysis.static.engine import (

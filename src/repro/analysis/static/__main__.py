@@ -6,8 +6,8 @@ determinism) and prints the per-manager proof summary.  With explicit
 paths, runs every analysis over just those files (what the mutation
 corpus tests do).  ``--sarif`` additionally writes a SARIF 2.1.0 log
 for CI annotation; ``--commute-matrix`` writes the certified
-commutativity matrix the explorer's ``--relation certified`` mode
-loads.  Exit status 1 iff there are findings.
+commutativity matrix the explorer's independence relation is built
+from.  Exit status 1 iff there are findings.
 """
 
 from __future__ import annotations

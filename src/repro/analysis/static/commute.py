@@ -1,12 +1,13 @@
 """The proven commutativity matrix behind the explorer's POR.
 
 :mod:`repro.analysis.explore` prunes schedules with a sleep-set partial
-order reduction whose *independence relation* was, until now, hand
-written: two same-tick deliveries commute when they land on different
-nodes and either concern different pages or are both in the hard-coded
+order reduction whose *independence relation* was once hand written:
+two same-tick deliveries commute when they land on different nodes and
+either concern different pages or are both in the declared
 ``_FANOUT_OPS`` set.  This module derives that relation from the
 :mod:`footprints` effect analysis and emits it as a machine-readable
-matrix, per algorithm:
+matrix — the only thing the explorer's relation is now built from —
+per algorithm:
 
 - ``ops`` — which ops are *page-attributed* (their certified extractor
   provably names every page-keyed state access of the handler).  An op

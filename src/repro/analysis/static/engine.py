@@ -18,8 +18,8 @@ Three path sets, matching how strict each tree's contract is:
 
 :func:`run_default` is the CI entry point (exhaustive, fixed paths);
 :func:`run_explicit` runs every analysis over caller-chosen paths (the
-mutation-corpus tests use it); :func:`discipline_lint` is the narrow
-façade the legacy ``tools/lint_protocol.py`` shim delegates to.
+mutation-corpus tests use it); :func:`discipline_lint` runs the
+discipline rules alone and renders them as strings.
 """
 
 from __future__ import annotations
@@ -193,6 +193,5 @@ def run_explicit(paths: list[str]) -> StaticReport:
 
 
 def discipline_lint(paths: list[str]) -> list[str]:
-    """The legacy linter's contract: discipline rules only, rendered as
-    ``path:line: message`` strings."""
+    """Discipline rules only, rendered as ``path:line: message`` strings."""
     return render(_discipline(facts_mod.load_modules(paths)))

@@ -1,10 +1,8 @@
 """Findings and reporters for the static protocol verifier.
 
-A finding is one rule violation at one source location.  The rendered
-string format (``path:line: message``) is shared with the legacy
-``tools/lint_protocol.py`` CLI so existing tooling and tests keep
-working; :func:`to_sarif` emits the same findings as a SARIF 2.1.0 log
-for CI annotation/upload.
+A finding is one rule violation at one source location, rendered as
+``path:line: message``; :func:`to_sarif` emits the same findings as a
+SARIF 2.1.0 log for CI annotation/upload.
 """
 
 from __future__ import annotations

@@ -112,16 +112,6 @@ def _is_lock_call(node: ast.AST, method: str) -> ast.expr | None:
     return None
 
 
-def _attr_calls(node: ast.AST, method: str) -> list[ast.Call]:
-    return [
-        inner
-        for inner in scope_walk(node)
-        if isinstance(inner, ast.Call)
-        and isinstance(inner.func, ast.Attribute)
-        and inner.func.attr == method
-    ]
-
-
 class LockChecker:
     """Run the token analysis over one function."""
 

@@ -169,9 +169,6 @@ class Cluster:
     def total_counters(self) -> Counters:
         return Counters.merge(node.counters for node in self.nodes)
 
-    def counter_by_node(self, name: str) -> list[int]:
-        return [node.counters[name] for node in self.nodes]
-
     def check_coherence_invariants(self) -> None:
         """Assert the protocol's global invariants (used by tests after
         quiescence): exactly one owner per materialised page, writability

@@ -56,10 +56,6 @@ from repro.obs import CATEGORIES, Observability
 
 __all__ = ["run_bench", "run_perf", "check_perf", "host_metadata", "main"]
 
-#: Environment override for the --check throughput tolerance (CI knob:
-#: loosen on noisy shared runners without touching the workflow matrix).
-TOLERANCE_ENV = "REPRO_PERF_TOLERANCE"
-
 #: Counters worth tracking run-over-run (behavioural tripwires).
 KEY_COUNTERS = (
     "read_faults",
@@ -343,10 +339,8 @@ def main(argv: list[str] | None = None) -> int:
         help="compare against a committed BENCH_perf.json; exit 1 on regression",
     )
     parser.add_argument(
-        "--tolerance", type=float,
-        default=float(os.environ.get(TOLERANCE_ENV, "0.30")),
-        help="allowed fractional events/sec regression for --check "
-        f"(default 0.30, or the {TOLERANCE_ENV} environment variable)",
+        "--tolerance", type=float, default=0.30,
+        help="allowed fractional events/sec regression for --check (default 0.30)",
     )
     parser.add_argument(
         "--profile-wall", action="store_true",

@@ -39,16 +39,14 @@ from repro.apps.matmul import MatmulApp
 from repro.apps.pde3d import Pde3dApp
 from repro.apps.sort import MergeSplitSortApp
 from repro.apps.tsp import TspApp
-from repro.config import ClusterConfig
-from repro.metrics.speedup import RunResult, SpeedupResult, run_app
+from repro.config import ClusterConfig, ConfigError
+from repro.metrics.speedup import RunResult, run_app
 
 __all__ = [
     "APP_REGISTRY",
     "Job",
-    "register_app",
     "resolve_workers",
     "run_jobs",
-    "measure_speedups_parallel",
 ]
 
 #: App name -> constructor ``(nprocs, **kwargs)``.  The registry is what
@@ -62,18 +60,6 @@ APP_REGISTRY: dict[str, Callable[..., Any]] = {
     "sort": MergeSplitSortApp,
     "tsp": TspApp,
 }
-
-
-def register_app(name: str, ctor: Callable[..., Any]) -> None:
-    """Register an app constructor for job specs (tests, extensions).
-
-    The constructor must be importable in a fresh interpreter (a
-    module-level class or function, not a lambda) or the spec will only
-    work with the serial fallback.
-    """
-    if name in APP_REGISTRY:
-        raise ValueError(f"app {name!r} already registered")
-    APP_REGISTRY[name] = ctor
 
 
 @dataclass(frozen=True)
@@ -111,10 +97,16 @@ def _execute(job: Job) -> RunResult:
 
 def resolve_workers(workers: int | None, njobs: int) -> int:
     """Effective worker count: explicit > ``REPRO_WORKERS`` > cpu count,
-    never more than there are jobs."""
+    never more than there are jobs.  A ``REPRO_WORKERS`` that is not an
+    integer >= 1 raises :class:`repro.config.ConfigError`."""
     if workers is None:
         env = os.environ.get("REPRO_WORKERS")
-        workers = int(env) if env else (os.cpu_count() or 1)
+        if not env:
+            workers = os.cpu_count() or 1
+        elif env.isascii() and env.isdigit() and int(env) >= 1:
+            workers = int(env)
+        else:
+            raise ConfigError("REPRO_WORKERS", env, ("an integer >= 1",))
     return max(1, min(workers, njobs))
 
 
@@ -141,24 +133,3 @@ def run_jobs(jobs: Sequence[Job], workers: int | None = None) -> list[RunResult]
         # Pool.map returns results positionally: completion order cannot
         # leak into the merge.
         return pool.map(_execute, jobs)
-
-
-def measure_speedups_parallel(
-    app: str,
-    app_args: dict[str, Any] | None = None,
-    procs: Sequence[int] = (1, 2, 4, 8),
-    config: ClusterConfig | None = None,
-    check: bool = True,
-    workers: int | None = None,
-) -> SpeedupResult:
-    """Parallel drop-in for :func:`repro.metrics.speedup.measure_speedups`:
-    the per-``p`` runs of one speedup curve are independent simulations."""
-    args = dict(app_args or {})
-    jobs = [
-        Job(app, args, nprocs=p, config=config, check=check, key=p) for p in procs
-    ]
-    results = run_jobs(jobs, workers=workers)
-    name = jobs[0].factory()(1).name
-    out = SpeedupResult(app_name=name)
-    out.runs.extend(results)
-    return out

@@ -40,9 +40,6 @@ class Counters:
             if name.startswith(VIOLATION_PREFIX)
         }
 
-    def total_violations(self) -> int:
-        return sum(self.violations().values())
-
     def __getitem__(self, name: str) -> int:
         return self.get(name)
 

@@ -294,10 +294,7 @@ class Metrics:
     """A registry of named instruments (one per node, merged per run).
 
     ``default_backend`` picks the histogram implementation for lazily
-    created instruments; :meth:`set_backend` overrides it per name
-    before the first observation (switching an instrument that already
-    holds samples is an error — the exact/bucketed split must be a
-    configuration choice, not a mid-run migration).
+    created instruments.
     """
 
     def __init__(self, default_backend: str = "exact", alpha: float = 0.01) -> None:
@@ -310,26 +307,12 @@ class Metrics:
         self.gauges: dict[str, Gauge] = {}
         self.default_backend = default_backend
         self.alpha = alpha
-        self._backends: dict[str, str] = {}
-
-    def set_backend(self, name: str, backend: str) -> None:
-        """Pick the backend for instrument ``name`` before its first use."""
-        if backend not in HIST_BACKENDS:
-            raise ValueError(
-                f"unknown histogram backend {backend!r}; known: {HIST_BACKENDS}"
-            )
-        if name in self.histograms:
-            raise ValueError(f"instrument {name!r} already instantiated")
-        self._backends[name] = backend
-
-    def _backend_of(self, name: str) -> str:
-        return self._backends.get(name, self.default_backend)
 
     def histogram(self, name: str) -> AnyHistogram:
         hist = self.histograms.get(name)
         if hist is None:
             hist = self.histograms[name] = make_histogram(
-                name, self._backend_of(name), self.alpha
+                name, self.default_backend, self.alpha
             )
         return hist
 

@@ -7,15 +7,13 @@ asserted on in tests).
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
-from repro.metrics.hist import Histogram, Metrics
+from repro.metrics.hist import Metrics
 from repro.metrics.speedup import SpeedupResult
-from repro.net.fabric import FabricStats
 
 __all__ = [
     "ascii_table",
-    "format_fabric_stats",
     "format_speedup_table",
     "format_series",
     "format_instruments",
@@ -24,7 +22,6 @@ __all__ = [
     "format_busiest_links",
     "format_slo_report",
     "format_span_stats",
-    "fault_latency_stats",
 ]
 
 
@@ -58,49 +55,6 @@ def format_speedup_table(results: Sequence[SpeedupResult]) -> str:
             [res.app_name] + [f"{res.speedup(p):.2f}" for p in procs]
         )
     return ascii_table(headers, rows, title="Speedup = T(1) / T(p), simulated time")
-
-
-def format_fabric_stats(
-    stats: FabricStats,
-    total_ns: int,
-    title: str = "network fabric",
-    limit: int = 16,
-) -> str:
-    """Per-link utilisation/queueing table for any fabric backend.
-
-    The shared ring renders as its single ``medium`` link; the switched
-    fabric as one ``tx[i]``/``rx[i]`` row per station port.  Links are
-    ordered busiest-first and truncated to ``limit`` rows (a 256-node
-    switched fabric has 512 ports), with a summary row first so the
-    aggregate never depends on the truncation.
-    """
-    counters = stats.snapshot()
-    summary = ", ".join(f"{k}={v}" for k, v in counters.items())
-    links = sorted(
-        stats.links().items(), key=lambda kv: kv[1].busy_ns, reverse=True
-    )
-    rows: list[list[str]] = []
-    for name, link in links[:limit]:
-        util = 100.0 * link.utilisation(total_ns)
-        rows.append(
-            [
-                name,
-                str(link.messages),
-                f"{link.busy_ns / 1e6:.1f}",
-                f"{util:.1f}%",
-                f"{link.peak_backlog_ns / 1e6:.2f}",
-            ]
-        )
-    if len(links) > limit:
-        rows.append([f"(+{len(links) - limit} more links)", "-", "-", "-", "-"])
-    if not rows:
-        rows.append(["(no links)", "-", "-", "-", "-"])
-    table = ascii_table(
-        ["link", "msgs", "busy ms", "util", "peak backlog ms"],
-        rows,
-        title=f"{title}: {summary}",
-    )
-    return table
 
 
 def format_series(
@@ -272,27 +226,3 @@ def format_span_stats(
     return ascii_table(
         ["span", "count", "total ms", "mean ns", "p95 ns", "max ns"], rows, title=title
     )
-
-
-def fault_latency_stats(events: Iterable[Any]) -> dict[str, Histogram]:
-    """Fault-service latency histograms from a recorded protocol trace.
-
-    Consumes ``svm.read_fault`` / ``svm.write_fault`` /
-    ``svm.write_upgrade`` events carrying an ``ns`` field.  Events
-    emitted before the recorder's clock was bound (``UNSTAMPED``) are
-    excluded — a pre-boot event's latency is not a measurement (see
-    ``TraceRecorder.save``, which warns about them).
-    """
-    out = {
-        "svm.read_fault": Histogram("svm.read_fault"),
-        "svm.write_fault": Histogram("svm.write_fault"),
-        "svm.write_upgrade": Histogram("svm.write_upgrade"),
-    }
-    for ev in events:
-        hist = out.get(ev.category)
-        if hist is None or not ev.stamped:
-            continue
-        ns = ev.fields.get("ns")
-        if isinstance(ns, int):
-            hist.observe(ns)
-    return out

@@ -20,11 +20,14 @@ The contract every backend must honour (and the transport relies on):
 
 - delivery is by simulator events only — ``send`` returns immediately
   and never calls a receiver synchronously;
-- when a :class:`~repro.sim.kernel.Scheduler` is installed, every
-  delivery event is stamped with
-  :func:`repro.net.packet.delivery_label` so the schedule explorer can
-  order same-tick deliveries (the label grammar is backend-agnostic:
-  ``parse_delivery_label`` works identically on both fabrics);
+- every delivery event is scheduled with the unevaluated label
+  ``(delivery_label, target, msg)``; the kernel — not the fabric —
+  renders it with :func:`repro.net.packet.delivery_label`, at schedule
+  time and only when a :class:`~repro.sim.kernel.Scheduler` is
+  installed, so the schedule explorer can order same-tick deliveries
+  and an uncontrolled run never formats one (the label grammar is
+  backend-agnostic: ``parse_delivery_label`` works identically on both
+  fabrics);
 - the :attr:`Fabric.drop_policy` hook is consulted once per
   ``(msg, target)`` delivery attempt, in deterministic target order,
   *before* any random loss draw — the explorer's delay-injection
@@ -186,21 +189,14 @@ class Fabric:
 
     def _schedule_delivery(self, arrival: int, target: int, msg: Message) -> None:
         """Schedule ``msg``'s delivery at ``target`` for absolute time
-        ``arrival``, labelled for the explorer when one is installed."""
+        ``arrival``, labelled for the schedule explorer."""
         # In-flight reference, dropped by _deliver: the creator may
         # complete (and release) the envelope while copies are en route.
         msg.refs += 1
-        sim = self.sim
-        if sim.scheduler is not None:
-            # Labels matter only to an installed Scheduler; building one
-            # per delivery is measurable on the hot path, so skip it on
-            # uncontrolled runs.
-            sim.schedule_at_nocancel(
-                arrival, self._deliver, target, msg,
-                label=delivery_label(target, msg),
-            )
-        else:
-            sim.schedule_at_nocancel(arrival, self._deliver, target, msg)
+        self.sim.schedule_at_nocancel(
+            arrival, self._deliver, target, msg,
+            label=(delivery_label, target, msg),
+        )
 
     def _deliver(self, target: int, msg: Message) -> None:
         receiver = self._receivers.get(target)

@@ -25,7 +25,6 @@ __all__ = [
     "op_page",
     "parse_delivery_label",
     "request_size",
-    "reply_size",
     "reset_extractor_errors",
 ]
 
@@ -256,8 +255,3 @@ def parse_delivery_label(label: str | None) -> DeliveryLabel | None:
 def request_size(arg_bytes: int = 0) -> int:
     """Wire size of a request carrying ``arg_bytes`` of arguments."""
     return HEADER_BYTES + arg_bytes
-
-
-def reply_size(value_bytes: int = 0) -> int:
-    """Wire size of a reply carrying ``value_bytes`` of results."""
-    return HEADER_BYTES + value_bytes

@@ -197,14 +197,10 @@ class RemoteOp:
     # ------------------------------------------------------------------
 
     def _dispatch(self, msg: Message) -> None:
-        if self.driver.sim.scheduler is not None or self.trace:
-            # Full identity only when someone reads it (explorer labels,
-            # trace records); the f-string is measurable per request.
-            name = f"serve-{self.node_id}-{msg.op}-{msg.origin}.{msg.msg_id}"
-        else:
-            name = msg.op
         msg.refs += 1  # held for the duration of _serve (released there)
-        self.driver.spawn(self._serve(msg), name)
+        self.driver.spawn(
+            self._serve(msg), f"serve-{self.node_id}-{msg.op}-{msg.origin}.{msg.msg_id}"
+        )
 
     def _serve(self, msg: Message) -> Generator[Effect, Any, None]:
         handler = self._handlers.get(msg.op)

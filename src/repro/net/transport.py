@@ -104,6 +104,13 @@ class _Pending:
 _IN_PROGRESS = ("inprogress",)
 
 
+def _retransmit_label(node_id: int, msg: Message) -> str:
+    """Scheduling label of ``node_id``'s retransmit timer for ``msg``."""
+    page = op_page(msg.op, msg.payload)
+    ptag = "p?" if page is None else f"p{page}"
+    return f"retransmit:n{node_id}:{ptag}:{msg.op}:o{msg.origin}.{msg.msg_id}"
+
+
 class Transport:
     """One reliable transport endpoint per simulated processor."""
 
@@ -348,13 +355,10 @@ class Transport:
             # reference (fabric._schedule_delivery's job) is taken here
             # and dropped by _deliver_local after the callback returns.
             msg.refs += 1
-            if self.sim.scheduler is not None:
-                self.sim.schedule_nocancel(
-                    LOCAL_DELIVERY_NS, self._deliver_local, msg,
-                    label=delivery_label(self.node_id, msg),
-                )
-            else:
-                self.sim.schedule_nocancel(LOCAL_DELIVERY_NS, self._deliver_local, msg)
+            self.sim.schedule_nocancel(
+                LOCAL_DELIVERY_NS, self._deliver_local, msg,
+                label=(delivery_label, self.node_id, msg),
+            )
         else:
             self.ring.send(msg)
 
@@ -367,19 +371,9 @@ class Transport:
         # retransmission against same-tick deliveries: a retransmitted
         # request racing its own original (or a stale reply) is exactly
         # the reordering the delay-injection strategy exists to exercise.
-        if self.sim.scheduler is None:
-            # The label is never read without a scheduler installed;
-            # op_page + the f-string are pure overhead per request.
-            pending.timer = self.sim.schedule(
-                self.config.retransmit_timeout, self._retransmit, pending
-            )
-            return
-        msg = pending.msg
-        page = op_page(msg.op, msg.payload)
-        ptag = "p?" if page is None else f"p{page}"
         pending.timer = self.sim.schedule(
             self.config.retransmit_timeout, self._retransmit, pending,
-            label=f"retransmit:n{self.node_id}:{ptag}:{msg.op}:o{msg.origin}.{msg.msg_id}",
+            label=(_retransmit_label, self.node_id, pending.msg),
         )
 
     def _retransmit(self, pending: _Pending) -> None:

@@ -104,10 +104,13 @@ class PendingEvent:
 
     ``seq`` is the event's global sequence number (the default tiebreak:
     the event with the lowest ``seq`` is what an uncontrolled run would
-    fire).  ``label`` is the scheduling annotation supplied at
-    :meth:`Simulator.schedule` time — e.g. ``deliver:n1:p0:...`` for a
-    message delivery — which is what lets an explorer decide whether two
-    choices commute.
+    fire).  ``label`` is the scheduling annotation — e.g.
+    ``deliver:n1:p0:...`` for a message delivery — which is what lets an
+    explorer decide whether two choices commute.  Call sites hand
+    :meth:`Simulator.schedule` an *unevaluated* label, ``(fn, *args)``;
+    the kernel renders it to ``fn(*args)`` at schedule time, and only
+    when a :class:`Scheduler` is installed.  An event scheduled before
+    one was installed is offered with ``label=None``.
     """
 
     __slots__ = ("seq", "label")
@@ -139,6 +142,10 @@ class Scheduler:
 #: One queued event: ``(when, seq, handle, fn, args, label)``.  ``seq``
 #: is unique, so comparing two entries never reaches the handle.
 _Entry = tuple[int, int, CancelHandle, Callable[..., None], tuple[Any, ...], str | None]
+
+#: What ``schedule*`` accepts as ``label``: a ready string, or ``(fn,
+#: *args)`` to be rendered as ``fn(*args)`` only if a Scheduler will read it.
+_Label = str | tuple[Any, ...] | None
 
 
 class Simulator:
@@ -180,23 +187,28 @@ class Simulator:
     # scheduling
 
     def schedule(
-        self, delay: int, fn: Callable[..., None], *args: Any, label: str | None = None
+        self, delay: int, fn: Callable[..., None], *args: Any, label: _Label = None
     ) -> CancelHandle:
         """Schedule ``fn(*args)`` to run ``delay`` ticks from now.
 
         ``delay`` must be non-negative.  Returns a :class:`CancelHandle`.
-        ``label`` annotates the event for a :class:`Scheduler` (unused —
-        and free — when no scheduler is installed).
+        ``label`` annotates the event for a :class:`Scheduler`: a string,
+        or ``(fn, *args)`` rendered here as ``fn(*args)``.  With no
+        scheduler installed it is neither rendered nor kept, so passing
+        one costs the caller a tuple, never a formatted string.
         """
         handle = CancelHandle()
         self._seq += 1
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         when = self.now + delay
-        entry = (when, self._seq, handle, fn, args, label)
         if self.scheduler is not None:
-            heapq.heappush(self._heap, entry)
-        elif delay == 0:
+            if isinstance(label, tuple):
+                label = label[0](*label[1:])
+            heapq.heappush(self._heap, (when, self._seq, handle, fn, args, label))
+            return handle
+        entry = (when, self._seq, handle, fn, args, None)
+        if delay == 0:
             self._fifo.append(entry)
         elif not self._lane or when >= self._lane[-1][0]:
             self._lane.append(entry)
@@ -205,7 +217,7 @@ class Simulator:
         return handle
 
     def schedule_nocancel(
-        self, delay: int, fn: Callable[..., None], *args: Any, label: str | None = None
+        self, delay: int, fn: Callable[..., None], *args: Any, label: _Label = None
     ) -> None:
         """:meth:`schedule` without the per-event handle allocation.
 
@@ -214,23 +226,28 @@ class Simulator:
         would have used — same seq, same ordering — but returns nothing.
         """
         self._seq += 1
-        if delay == 0 and self.scheduler is None:
-            self._fifo.append((self.now, self._seq, _NEVER_CANCELLED, fn, args, label))
-        elif delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        if self.scheduler is not None:
+            if isinstance(label, tuple):
+                label = label[0](*label[1:])
+        elif delay == 0:
+            self._fifo.append((self.now, self._seq, _NEVER_CANCELLED, fn, args, None))
+            return
         else:
-            heapq.heappush(
-                self._heap, (self.now + delay, self._seq, _NEVER_CANCELLED, fn, args, label)
-            )
+            label = None
+        if delay < 0:
+            raise ValueError(f"negative delay {delay}")
+        heapq.heappush(
+            self._heap, (self.now + delay, self._seq, _NEVER_CANCELLED, fn, args, label)
+        )
 
     def schedule_at(
-        self, when: int, fn: Callable[..., None], *args: Any, label: str | None = None
+        self, when: int, fn: Callable[..., None], *args: Any, label: _Label = None
     ) -> CancelHandle:
         """Schedule ``fn(*args)`` at absolute time ``when`` (>= now)."""
         return self.schedule(when - self.now, fn, *args, label=label)
 
     def schedule_at_nocancel(
-        self, when: int, fn: Callable[..., None], *args: Any, label: str | None = None
+        self, when: int, fn: Callable[..., None], *args: Any, label: _Label = None
     ) -> None:
         """:meth:`schedule_at` without the per-event handle allocation."""
         self.schedule_nocancel(when - self.now, fn, *args, label=label)

@@ -27,7 +27,7 @@ memory-access fast path fast.
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable, Generator, Iterator
+from typing import Any, Callable, Generator
 
 from repro.sim.kernel import Simulator
 
@@ -184,21 +184,6 @@ class Task:
             return
         self.driver.handle(self, effect)
 
-    def throw(self, exc: BaseException) -> None:
-        """Inject an exception at the task's current yield point."""
-        if self.done:
-            return
-        self.state = TaskState.RUNNING
-        try:
-            effect = self.gen.throw(exc)
-        except StopIteration as stop:
-            self._finish(stop.value)
-            return
-        except BaseException as raised:  # noqa: BLE001
-            self._fail(raised)
-            return
-        self.driver.handle(self, effect)
-
     def wake(self, value: Any = None) -> None:
         """Unpark a suspended task (delegates to its driver)."""
         self.driver.wake(self, value)
@@ -241,6 +226,13 @@ class Task:
                 raise failure
 
 
+#: Scheduling labels of task events, passed to the kernel unevaluated as
+#: ``(_STEP, task.name)``: it formats one only for an installed Scheduler
+#: (see :class:`repro.sim.kernel.PendingEvent`).
+_STEP = "task:{}".format
+_WAKE = "wake:{}".format
+
+
 class SimDriver(Driver):
     """Default driver: effects map directly onto simulator events.
 
@@ -254,36 +246,23 @@ class SimDriver(Driver):
     def spawn(self, gen: Generator[Effect, Any, Any], name: str = "") -> Task:
         """Create a task and schedule its first step at the current time."""
         task = Task(gen, self, name)
-        sim = self.sim
-        sim.watch(task)
-        if sim.scheduler is not None:
-            sim.schedule_nocancel(0, task.step, None, label=f"task:{task.name}")
-        else:
-            # Labels are read only by an installed Scheduler; skip the
-            # per-event f-string on uncontrolled runs (likewise below).
-            sim.schedule_nocancel(0, task.step, None)
+        self.sim.watch(task)
+        self.sim.schedule_nocancel(0, task.step, None, label=(_STEP, task.name))
         return task
 
     def handle(self, task: Task, effect: Effect) -> None:
-        sim = self.sim
         if isinstance(effect, (Compute, Sleep)):
             task.state = TaskState.BLOCKED
-            if sim.scheduler is not None:
-                sim.schedule_nocancel(
-                    effect.ns, self._resume, task, None, label=f"task:{task.name}"
-                )
-            else:
-                sim.schedule_nocancel(effect.ns, self._resume, task, None)
+            self.sim.schedule_nocancel(
+                effect.ns, self._resume, task, None, label=(_STEP, task.name)
+            )
         elif isinstance(effect, Suspend):
             task.state = TaskState.BLOCKED
             if effect.register is not None:
                 effect.register(task)
         elif isinstance(effect, YieldCpu):
             task.state = TaskState.READY
-            if sim.scheduler is not None:
-                sim.schedule_nocancel(0, self._resume, task, None, label=f"task:{task.name}")
-            else:
-                sim.schedule_nocancel(0, self._resume, task, None)
+            self.sim.schedule_nocancel(0, self._resume, task, None, label=(_STEP, task.name))
         else:  # pragma: no cover - Effect subclasses are closed
             raise TypeError(f"unknown effect {effect!r}")
 
@@ -291,11 +270,7 @@ class SimDriver(Driver):
         if task.done:
             return
         task.state = TaskState.READY
-        sim = self.sim
-        if sim.scheduler is not None:
-            sim.schedule_nocancel(0, self._resume, task, value, label=f"wake:{task.name}")
-        else:
-            sim.schedule_nocancel(0, self._resume, task, value)
+        self.sim.schedule_nocancel(0, self._resume, task, value, label=(_WAKE, task.name))
 
     def _resume(self, task: Task, value: Any) -> None:
         if not task.done:
@@ -306,14 +281,3 @@ class SimDriver(Driver):
 
     def escalate(self, failure: TaskFailure) -> None:
         self.sim.report_failure(failure)
-
-
-def run_to_completion(gen: Iterator[Any], sim: Simulator | None = None) -> Any:
-    """Convenience for tests: run one generator task to completion."""
-    sim = sim or Simulator()
-    driver = SimDriver(sim)
-    task = driver.spawn(gen, "main")
-    sim.run()
-    if task.error is not None:
-        raise TaskFailure(f"task {task.name} failed") from task.error
-    return task.result

@@ -17,7 +17,7 @@ from typing import Any, Generator
 
 from repro.sim.process import Effect, Suspend, Task
 
-__all__ = ["SimLock", "Gate", "WaitQueue"]
+__all__ = ["SimLock", "Gate"]
 
 
 class SimLock:
@@ -108,34 +108,3 @@ class Gate:
         if self._waiter is not None:
             waiter, self._waiter = self._waiter, None
             waiter.wake(value)
-
-
-class WaitQueue:
-    """A broadcast wait-list: many tasks park, a signal wakes all (or one).
-
-    Backs condition-style waits such as "a frame became free".
-    """
-
-    __slots__ = ("_waiters",)
-
-    def __init__(self) -> None:
-        self._waiters: deque[Task] = deque()
-
-    def __len__(self) -> int:
-        return len(self._waiters)
-
-    def wait(self) -> Generator[Effect, Any, Any]:
-        value = yield Suspend(self._waiters.append)
-        return value
-
-    def wake_one(self, value: Any = None) -> bool:
-        if not self._waiters:
-            return False
-        self._waiters.popleft().wake(value)
-        return True
-
-    def wake_all(self, value: Any = None) -> int:
-        n = len(self._waiters)
-        while self._waiters:
-            self._waiters.popleft().wake(value)
-        return n

@@ -118,8 +118,7 @@ class TraceRecorder:
         Events emitted before :meth:`bind_clock` carry :data:`UNSTAMPED`
         times; they are saved (the stream stays complete) but a warning
         reports how many, because downstream latency statistics must not
-        treat ``-1`` as a time (``repro.metrics.report.fault_latency_stats``
-        excludes them).
+        treat ``-1`` as a time.
         """
         unstamped = sum(1 for ev in self.events if not ev.stamped)
         if unstamped:
@@ -135,7 +134,7 @@ class TraceRecorder:
                 fh.write(
                     json.dumps(
                         {"time": ev.time, "category": ev.category, "fields": ev.fields},
-                        default=_jsonable,
+                        default=jsonable,
                     )
                 )
                 fh.write("\n")
@@ -168,10 +167,6 @@ def jsonable(value: Any) -> Any:
     if isinstance(value, bytes):
         return list(value)
     raise TypeError(f"unserialisable trace field {value!r}")
-
-
-#: Backwards-compatible private alias (pre-explorer name).
-_jsonable = jsonable
 
 
 #: Shared disabled recorder — the default for non-test runs.

@@ -11,8 +11,8 @@ from repro.analysis.explore import (
     Scenario,
     explore_delay,
     explore_dfs,
+    certified_relation,
     explore_pct,
-    independent,
     load_artifact,
     minimize_schedule,
     replay_artifact,
@@ -107,6 +107,7 @@ def test_por_prunes_but_preserves_final_states():
 
 
 def test_independence_relation_is_conservative():
+    independent = certified_relation("dynamic")
     # Different node and different page: commutes.
     assert independent(
         "deliver:n1:p0:req:svm.read:o1.2", "deliver:n2:p1:req:svm.write:o0.3"
@@ -119,14 +120,73 @@ def test_independence_relation_is_conservative():
     assert independent(
         "deliver:n1:p0:bcast:svm.hint:o0.4", "deliver:n2:p0:bcast:svm.hint:o0.4"
     )
-    # Same target node never commutes.
+    # Same target node, same page never commutes.
     assert not independent(
-        "deliver:n1:p0:bcast:svm.hint:o0.4", "deliver:n1:p1:req:svm.read:o0.5"
+        "deliver:n1:p0:bcast:svm.hint:o0.4", "deliver:n1:p0:req:svm.read:o0.5"
     )
     # Unattributed labels conflict with everything.
     assert not independent("task:rw-0", "deliver:n1:p0:req:svm.read:o1.2")
     assert not independent(None, "deliver:n1:p0:req:svm.read:o1.2")
     assert not independent("deliver:n1:p?:rep:svm.read:o1.2", "task:rw-0")
+
+
+def test_default_relation_is_certified_and_analysed_once(monkeypatch):
+    """``explore_dfs`` with no ``relation`` prunes with the certified
+    matrix of this checkout, and the static analysis behind it runs
+    once per process, not once per sweep."""
+    from repro.analysis import explore as ex
+    from repro.analysis.static import commute
+
+    calls = []
+    real = commute.build_matrix
+
+    def counting():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(commute, "build_matrix", counting)
+    ex._checkout_matrix.cache_clear()
+    try:
+        for algorithm in ("dynamic", "fixed"):
+            result = explore_dfs(
+                Scenario(algorithm=algorithm, nodes=2, pages=1, workload="rw")
+            )
+            assert result.relation == "certified"
+        assert len(calls) == 1
+    finally:
+        ex._checkout_matrix.cache_clear()
+
+
+def test_scheduler_is_offered_the_pinned_label_strings(monkeypatch):
+    """The kernel renders the call sites' unevaluated labels to exactly
+    the strings the call sites used to format themselves: sha256 over
+    ``repr(label) + "\\n"`` for every label of every choice point of
+    every schedule of the ``dynamic-n3-p1-chown+hint1`` sweep, in
+    execution order, computed on the commit before the kernel took over
+    rendering."""
+    import hashlib
+
+    from repro.analysis import explore as ex
+
+    digest = hashlib.sha256()
+    real = ex.run_scenario
+
+    def recording(*args, **kwargs):
+        run = real(*args, **kwargs)
+        for point in run.log:
+            for label in point.labels:
+                digest.update(repr(label).encode() + b"\n")
+        return run
+
+    monkeypatch.setattr(ex, "run_scenario", recording)
+    result = explore_dfs(
+        Scenario(algorithm="dynamic", nodes=3, pages=1, workload="chown", hint_period=1),
+        max_schedules=50_000,
+    )
+    assert result.schedules == 768
+    assert digest.hexdigest() == (
+        "b5e3e218a0ccf21476fc4a0ab4fce902a8f094d5e393bbdd1985c5e7129a4de7"
+    )
 
 
 # ----------------------------------------------------------------------
@@ -213,6 +273,25 @@ def test_artifact_round_trip_and_replay(tmp_path):
     assert loaded == result.violations
 
     for recorded, run in replay_artifact(path):
+        assert (run.status, run.rule) == (recorded.status, recorded.rule)
+
+
+def test_artifact_saved_under_the_handcoded_relation_still_replays(tmp_path):
+    """Artifacts written before the certified relation became the only
+    one carry ``"relation": "handcoded"``; it is provenance, nothing
+    dispatches on it — they must keep loading and replaying."""
+    scenario = mutated_scenario()
+    result = explore_dfs(scenario, max_schedules=5)
+    old = [
+        Counterexample(ce.choices, ce.drops, ce.status, ce.rule, ce.detail, "handcoded")
+        for ce in result.violations
+    ]
+    path = str(tmp_path / "old.jsonl")
+    save_counterexamples(path, scenario, old, relation="handcoded")
+
+    assert load_artifact(path) == (scenario, old)
+    for recorded, run in replay_artifact(path):
+        assert recorded.relation == "handcoded"
         assert (run.status, run.rule) == (recorded.status, recorded.rule)
 
 

@@ -13,11 +13,12 @@ import pytest
 
 from repro.analysis.explore import (
     Scenario,
-    certified_relation,
     explore_delay,
     explore_dfs,
     run_scenario,
 )
+
+from tests.analysis.test_footprints import handcoded_reference
 
 MANAGERS = ("centralized", "fixed", "dynamic", "broadcast")
 
@@ -89,10 +90,8 @@ def test_certified_relation_holds_on_switched(algorithm):
         algorithm=algorithm, nodes=2, pages=1, workload="rw",
         fabric="switched",
     )
-    hand = explore_dfs(scenario, max_schedules=2000)
-    cert = explore_dfs(
-        scenario, max_schedules=2000, relation=certified_relation(algorithm)
-    )
+    hand = explore_dfs(scenario, max_schedules=2000, relation=handcoded_reference)
+    cert = explore_dfs(scenario, max_schedules=2000)
     assert cert.relation == "certified"
     assert cert.statuses == hand.statuses
     assert cert.fingerprints == hand.fingerprints

@@ -8,9 +8,10 @@ Three layers:
   fan-out op proven);
 - the matrix consumed by the explorer (shape, :class:`CertifiedIndependence`
   semantics on synthetic labels, strict refinement over the hand-coded
-  relation);
-- end-to-end equivalence: exploring under the certified relation must
-  reproduce the hand-coded relation's verdicts exactly.
+  relation it replaced — kept here, test-local, as the reference);
+- end-to-end equivalence: exploring under the certified relation (the
+  explorer's default and only one) must reproduce the hand-coded
+  reference's verdicts exactly.
 """
 
 from __future__ import annotations
@@ -29,6 +30,21 @@ from repro.analysis.static.footprints import projection_of_lambda
 SVM = str(Path(__file__).resolve().parents[2] / "src" / "repro" / "svm")
 
 ALGORITHMS = {"centralized", "fixed", "dynamic", "broadcast"}
+
+
+def handcoded_reference(a: str | None, b: str | None) -> bool:
+    """The hand-written independence relation the explorer shipped with
+    before the certified matrix replaced it — reference implementation.
+
+    Two deliveries commute when they target different nodes and either
+    concern different pages or are both declared fan-out deliveries;
+    anything unattributed conflicts with everything."""
+    fa, fb = ex._delivery_footprint(a), ex._delivery_footprint(b)
+    if fa is None or fb is None or fa[0] == fb[0]:
+        return False
+    if fa[1] != fb[1]:
+        return True
+    return fa[2] in ex._FANOUT_OPS and fb[2] in ex._FANOUT_OPS
 
 
 def _lambda(src: str) -> ast.expr:
@@ -175,7 +191,7 @@ class TestCertifiedIndependence:
             for b in labels:
                 if a == b:
                     continue
-                if ex.independent(a, b):
+                if handcoded_reference(a, b):
                     assert rel(a, b), (a, b)
                 elif rel(a, b):
                     strictly_finer += 1
@@ -197,14 +213,12 @@ class TestEndToEnd:
         scenario = ex.Scenario(
             algorithm="fixed", nodes=3, pages=1, workload="chown"
         )
-        hand = ex.explore_dfs(scenario, max_schedules=2000)
-        cert = ex.explore_dfs(
-            scenario,
-            max_schedules=2000,
-            relation=ex.certified_relation("fixed"),
+        hand = ex.explore_dfs(
+            scenario, max_schedules=2000, relation=handcoded_reference
         )
+        cert = ex.explore_dfs(scenario, max_schedules=2000)
         assert cert.relation == "certified"
-        assert hand.relation == "handcoded"
+        assert hand.relation == "handcoded_reference"
         assert cert.schedules <= hand.schedules
         assert cert.statuses == hand.statuses
         assert cert.fingerprints == hand.fingerprints
@@ -216,9 +230,7 @@ class TestEndToEnd:
         scenario = ex.Scenario(
             algorithm="centralized", nodes=2, pages=1, workload="rw"
         )
-        result = ex.explore_dfs(
-            scenario, relation=ex.certified_relation("centralized")
-        )
+        result = ex.explore_dfs(scenario)
         path = tmp_path / "ce.jsonl"
         ex.save_counterexamples(
             str(path), scenario, result.violations, relation=result.relation
@@ -228,21 +240,19 @@ class TestEndToEnd:
 
 
 class TestBenchChecks:
-    def _bench(self, hand_schedules=4, cert_schedules=4, cert_hash="h"):
-        side = lambda n, h: {  # noqa: E731
-            "schedules": n,
-            "truncated": False,
-            "statuses": {"ok": n},
-            "states": 1,
-            "fingerprint_sha256": h,
-            "violations": [],
-        }
+    def _bench(self, schedules=4, fingerprint="h", truncated=False):
         return {
             "matrix": {},
             "sweeps": {
                 "s": {
-                    "handcoded": side(hand_schedules, "h"),
-                    "certified": side(cert_schedules, cert_hash),
+                    "certified": {
+                        "schedules": schedules,
+                        "truncated": truncated,
+                        "statuses": {"ok": schedules},
+                        "states": 1,
+                        "fingerprint_sha256": fingerprint,
+                        "violations": [],
+                    }
                 }
             },
         }
@@ -250,16 +260,28 @@ class TestBenchChecks:
     def test_clean_bench_passes(self):
         assert eb.check_bench(self._bench()) == []
 
-    def test_certified_exceeding_handcoded_fails(self):
-        errors = eb.check_bench(self._bench(cert_schedules=5))
-        assert any("MORE schedules" in e for e in errors)
+    def test_truncated_sweep_fails(self):
+        errors = eb.check_bench(self._bench(truncated=True))
+        assert any("truncated" in e for e in errors)
 
     def test_verdict_mismatch_fails(self):
-        errors = eb.check_bench(self._bench(cert_hash="other"))
+        errors = eb.compare_bench(self._bench(fingerprint="other"), self._bench())
         assert any("fingerprint_sha256" in e for e in errors)
 
     def test_baseline_drift_fails(self):
-        current, baseline = self._bench(), self._bench(hand_schedules=8)
+        current, baseline = self._bench(), self._bench(schedules=8)
         errors = eb.compare_bench(current, baseline)
         assert any("drifted" in e for e in errors)
         assert eb.compare_bench(current, self._bench()) == []
+
+    def test_committed_baseline_has_only_the_certified_side(self):
+        baseline = eb.load_bench(
+            str(Path(__file__).resolve().parents[2] / "BENCH_explore.json")
+        )
+        assert set(eb.SWEEPS) == {
+            ex.Scenario.from_dict(sweep["scenario"])
+            for sweep in baseline["sweeps"].values()
+        }
+        for sweep in baseline["sweeps"].values():
+            assert set(sweep) == {"scenario", "certified"}
+            assert sweep["certified"]["relation"] == "certified"

@@ -1,20 +1,17 @@
-"""The protocol linter: clean on the real sources, loud on the two
-classic footguns it exists to catch."""
+"""The protocol-discipline lint (the lock/span/handle rules of the
+static verifier): clean on the real sources, loud on the classic
+footguns it exists to catch."""
 
-import importlib.util
 from pathlib import Path
+
+from repro.analysis.static.__main__ import main
+from repro.analysis.static.engine import discipline_lint
 
 ROOT = Path(__file__).resolve().parents[2]
 
-_spec = importlib.util.spec_from_file_location(
-    "lint_protocol", ROOT / "tools" / "lint_protocol.py"
-)
-lint = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(lint)
-
 
 def test_real_protocol_sources_are_clean():
-    assert lint.lint_paths([str(ROOT / "src" / "repro" / "svm")]) == []
+    assert discipline_lint([str(ROOT / "src" / "repro" / "svm")]) == []
 
 
 def test_flags_lock_acquisition_in_invalidation_server(tmp_path):
@@ -26,7 +23,7 @@ def test_flags_lock_acquisition_in_invalidation_server(tmp_path):
         "        yield from entry.lock.acquire()\n"
         "        entry.access = 0\n"
     )
-    findings = lint.lint_paths([str(bad)])
+    findings = discipline_lint([str(bad)])
     assert len(findings) == 1
     assert "_serve_inv" in findings[0]
     assert "lock-free" in findings[0]
@@ -42,7 +39,7 @@ def test_flags_unbalanced_entry_lock(tmp_path):
         "        entry.access = 1\n"
         "        entry.lock.release()\n"  # not in a finally: leaks on error
     )
-    findings = lint.lint_paths([str(bad)])
+    findings = discipline_lint([str(bad)])
     assert len(findings) == 1
     assert "try/finally" in findings[0]
 
@@ -59,7 +56,7 @@ def test_accepts_balanced_entry_lock(tmp_path):
         "        finally:\n"
         "            entry.lock.release()\n"
     )
-    assert lint.lint_paths([str(good)]) == []
+    assert discipline_lint([str(good)]) == []
 
 
 def test_accepts_lock_released_via_alias(tmp_path):
@@ -74,7 +71,7 @@ def test_accepts_lock_released_via_alias(tmp_path):
         "            entry = self.entry\n"
         "            entry.lock.release()\n"
     )
-    assert lint.lint_paths([str(good)]) == []
+    assert discipline_lint([str(good)]) == []
 
 
 def test_suppression_comment_is_honoured(tmp_path):
@@ -86,7 +83,7 @@ def test_suppression_comment_is_honoured(tmp_path):
         "        yield from entry.lock.acquire()  # lint: keeps-lock\n"
         "        return entry\n"
     )
-    assert lint.lint_paths([str(handed)]) == []
+    assert discipline_lint([str(handed)]) == []
 
 
 def test_flags_return_inside_generator_finally(tmp_path):
@@ -100,7 +97,7 @@ def test_flags_return_inside_generator_finally(tmp_path):
         "        finally:\n"
         "            return None\n"  # swallows violations / cancellation
     )
-    findings = lint.lint_paths([str(bad)])
+    findings = discipline_lint([str(bad)])
     assert len(findings) == 1
     assert "finally" in findings[0]
     assert "fault" in findings[0]
@@ -116,7 +113,7 @@ def test_return_in_finally_of_plain_function_is_fine(tmp_path):
         "    finally:\n"
         "        return 1\n"
     )
-    assert lint.lint_paths([str(ok)]) == []
+    assert discipline_lint([str(ok)]) == []
 
 
 def test_nested_def_does_not_make_the_outer_function_a_generator(tmp_path):
@@ -130,7 +127,7 @@ def test_nested_def_does_not_make_the_outer_function_a_generator(tmp_path):
         "    finally:\n"
         "        return gen\n"  # outer is not a generator: allowed
     )
-    assert lint.lint_paths([str(ok)]) == []
+    assert discipline_lint([str(ok)]) == []
 
 
 def test_flags_unbalanced_page_write_section(tmp_path):
@@ -142,7 +139,7 @@ def test_flags_unbalanced_page_write_section(tmp_path):
         "        self.mutate(entry)\n"
         "        self.protocol.release_page_write(page)\n"  # not in finally
     )
-    findings = lint.lint_paths([str(bad)])
+    findings = discipline_lint([str(bad)])
     assert len(findings) == 1
     assert "release_page_write" in findings[0]
 
@@ -158,7 +155,7 @@ def test_accepts_balanced_page_write_section(tmp_path):
         "        finally:\n"
         "            self.protocol.release_page_write(page)\n"
     )
-    assert lint.lint_paths([str(good)]) == []
+    assert discipline_lint([str(good)]) == []
 
 
 def test_page_write_handoff_suppression_is_honoured(tmp_path):
@@ -170,11 +167,11 @@ def test_page_write_handoff_suppression_is_honoured(tmp_path):
         "# lint: keeps-lock\n"
         "        return entry\n"
     )
-    assert lint.lint_paths([str(handed)]) == []
+    assert discipline_lint([str(handed)]) == []
 
 
 def test_cli_exit_codes(tmp_path, capsys):
-    assert lint.main([str(ROOT / "src" / "repro" / "svm")]) == 0
+    assert main([str(ROOT / "src" / "repro" / "svm")]) == 0
     assert "clean" in capsys.readouterr().out
 
     bad = tmp_path / "bad.py"
@@ -183,7 +180,7 @@ def test_cli_exit_codes(tmp_path, capsys):
         "    def _serve_inv(self, page):\n"
         "        yield from self.table.entry(page).lock.acquire()\n"
     )
-    assert lint.main([str(bad)]) == 1
+    assert main([str(bad)]) == 1
     assert "finding" in capsys.readouterr().out
 
 
@@ -196,7 +193,7 @@ def test_flags_unbalanced_span(tmp_path):
         "        yield from self.fetch(page)\n"
         "        self.obs.span_end(span)\n"  # not in a finally: leaks
     )
-    findings = lint.lint_paths([str(bad)])
+    findings = discipline_lint([str(bad)])
     assert len(findings) == 1
     assert "span_end" in findings[0]
     assert "try/finally" in findings[0]
@@ -213,7 +210,7 @@ def test_accepts_balanced_span(tmp_path):
         "        finally:\n"
         "            self.obs.span_end(span)\n"
     )
-    assert lint.lint_paths([str(good)]) == []
+    assert discipline_lint([str(good)]) == []
 
 
 def test_accepts_span_balanced_inside_a_nested_suite(tmp_path):
@@ -231,7 +228,7 @@ def test_accepts_span_balanced_inside_a_nested_suite(tmp_path):
         "                self.obs.span_end(span)\n"
         "        yield from self.done(page)\n"
     )
-    assert lint.lint_paths([str(good)]) == []
+    assert discipline_lint([str(good)]) == []
 
 
 def test_flags_unbalanced_span_inside_a_nested_suite(tmp_path):
@@ -244,7 +241,7 @@ def test_flags_unbalanced_span_inside_a_nested_suite(tmp_path):
         "            yield from self.fetch(page)\n"
         "        yield from self.done(page)\n"
     )
-    findings = lint.lint_paths([str(bad)])
+    findings = discipline_lint([str(bad)])
     assert len(findings) == 1
     assert "span_begin" in findings[0]
 
@@ -259,7 +256,7 @@ def test_span_in_plain_function_is_out_of_scope(tmp_path):
         "        span = self.obs.span_begin('x', node=0)\n"
         "        self.obs.span_end(span)\n"
     )
-    assert lint.lint_paths([str(ok)]) == []
+    assert discipline_lint([str(ok)]) == []
 
 
 def test_span_suppression_comment_is_honoured(tmp_path):
@@ -272,7 +269,7 @@ def test_span_suppression_comment_is_honoured(tmp_path):
         "        yield from self.fetch(page)\n"
         "        return span\n"
     )
-    assert lint.lint_paths([str(handed)]) == []
+    assert discipline_lint([str(handed)]) == []
 
 
 def test_accepts_try_acquire_fast_path_idiom(tmp_path):
@@ -290,7 +287,7 @@ def test_accepts_try_acquire_fast_path_idiom(tmp_path):
         "        finally:\n"
         "            entry.lock.release()\n"
     )
-    assert lint.lint_paths([str(good)]) == []
+    assert discipline_lint([str(good)]) == []
 
 
 def test_flags_unbalanced_try_acquire_fast_path(tmp_path):
@@ -304,7 +301,7 @@ def test_flags_unbalanced_try_acquire_fast_path(tmp_path):
         "        entry.access = 1\n"
         "        entry.lock.release()\n"  # not in a finally: leaks on error
     )
-    findings = lint.lint_paths([str(bad)])
+    findings = discipline_lint([str(bad)])
     assert findings, "unbalanced fast-path acquire must be flagged"
     assert all("try/finally" in f for f in findings)
 
@@ -319,7 +316,7 @@ def test_fast_path_handoff_suppression_on_the_if_line(tmp_path):
         "            yield from entry.lock.acquire()\n"
         "        return entry\n"
     )
-    assert lint.lint_paths([str(handed)]) == []
+    assert discipline_lint([str(handed)]) == []
 
 
 def test_accepts_obs_gated_span(tmp_path):
@@ -340,7 +337,7 @@ def test_accepts_obs_gated_span(tmp_path):
         "            if span is not None:\n"
         "                obs.span_end(span)\n"
     )
-    assert lint.lint_paths([str(good)]) == []
+    assert discipline_lint([str(good)]) == []
 
 
 def test_flags_discarded_schedule_handle(tmp_path):
@@ -350,7 +347,7 @@ def test_flags_discarded_schedule_handle(tmp_path):
         "    def transmit(self, msg):\n"
         "        self.sim.schedule(10, self._deliver, msg)\n"  # handle dropped
     )
-    findings = lint.lint_paths([str(bad)])
+    findings = discipline_lint([str(bad)])
     assert len(findings) == 1
     assert "CancelHandle" in findings[0]
     assert "schedule_nocancel" in findings[0]
@@ -363,7 +360,7 @@ def test_flags_discarded_schedule_at_handle(tmp_path):
         "    def transmit(self, msg):\n"
         "        self.sim.schedule_at(10, self._deliver, msg)\n"
     )
-    findings = lint.lint_paths([str(bad)])
+    findings = discipline_lint([str(bad)])
     assert len(findings) == 1
     assert "schedule_at_nocancel" in findings[0]
 
@@ -376,7 +373,7 @@ def test_assigned_schedule_handle_is_fine(tmp_path):
         "        pending.timer = self.sim.schedule(10, self._retransmit, pending)\n"
         "        self.sim.schedule_nocancel(0, self._poke)\n"
     )
-    assert lint.lint_paths([str(ok)]) == []
+    assert discipline_lint([str(ok)]) == []
 
 
 def test_discarded_handle_suppression_is_honoured(tmp_path):
@@ -386,12 +383,12 @@ def test_discarded_handle_suppression_is_honoured(tmp_path):
         "    def once(self):\n"
         "        self.sim.schedule(10, self._fire)  # lint: drops-handle\n"
     )
-    assert lint.lint_paths([str(ok)]) == []
+    assert discipline_lint([str(ok)]) == []
 
 
 def test_real_obs_instrumented_sources_are_clean():
     assert (
-        lint.lint_paths(
+        discipline_lint(
             [
                 str(ROOT / "src" / "repro" / "net"),
                 str(ROOT / "src" / "repro" / "machine"),

@@ -3,6 +3,7 @@ regression-check logic CI's perf-smoke job runs."""
 
 import copy
 
+from repro.exps import bench
 from repro.exps.bench import check_perf, run_perf
 
 
@@ -37,6 +38,15 @@ def _fake_doc() -> dict:
         },
         "aggregate": {"events": 400, "wall_s": 0.03, "events_per_sec": 13333},
     }
+
+
+def test_cli_ignores_the_removed_tolerance_environment_variable(monkeypatch):
+    """``REPRO_PERF_TOLERANCE`` used to be parsed with ``float()`` while
+    the parser was built, so a bad value killed every invocation — even
+    ones that never check a tolerance.  ``--tolerance`` is the only knob."""
+    monkeypatch.setenv("REPRO_PERF_TOLERANCE", "abc")
+    monkeypatch.setattr(bench, "run_perf", lambda repeats: _fake_doc())
+    assert bench.main(["--perf"]) == 0
 
 
 def test_check_perf_passes_against_itself():

@@ -1,20 +1,13 @@
-"""The parallel experiment runner: picklable jobs, deterministic merging,
-serial fallback, and agreement with the serial speedup harness."""
+"""The parallel experiment runner: picklable jobs, deterministic merging
+and the serial fallback."""
 
 import pickle
 
 import pytest
 
-from repro.config import ClusterConfig
-from repro.exps.parallel import (
-    APP_REGISTRY,
-    Job,
-    measure_speedups_parallel,
-    register_app,
-    resolve_workers,
-    run_jobs,
-)
-from repro.metrics.speedup import measure_speedups, run_app
+from repro.config import ClusterConfig, ConfigError
+from repro.exps.parallel import Job, resolve_workers, run_jobs
+from repro.metrics.speedup import run_app
 
 
 def test_job_spec_is_picklable():
@@ -31,11 +24,6 @@ def test_unknown_app_is_a_loud_error():
         Job("nope").factory()
 
 
-def test_registry_rejects_duplicates():
-    with pytest.raises(ValueError, match="already registered"):
-        register_app("jacobi", APP_REGISTRY["jacobi"])
-
-
 def test_resolve_workers_caps_at_job_count(monkeypatch):
     monkeypatch.delenv("REPRO_WORKERS", raising=False)
     assert resolve_workers(8, njobs=3) == 3
@@ -43,6 +31,18 @@ def test_resolve_workers_caps_at_job_count(monkeypatch):
     assert resolve_workers(0, njobs=5) == 1  # never below one
     monkeypatch.setenv("REPRO_WORKERS", "2")
     assert resolve_workers(None, njobs=10) == 2
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_bad_repro_workers_is_a_config_error(monkeypatch, value):
+    monkeypatch.setenv("REPRO_WORKERS", value)
+    with pytest.raises(ConfigError) as excinfo:
+        resolve_workers(None, njobs=4)
+    assert excinfo.value.field == "REPRO_WORKERS"
+    assert excinfo.value.value == value
+    assert "REPRO_WORKERS" in str(excinfo.value) and value in str(excinfo.value)
+    # An explicit count never consults the environment.
+    assert resolve_workers(3, njobs=4) == 3
 
 
 def test_serial_fallback_matches_direct_run_app():
@@ -64,16 +64,6 @@ def test_pool_results_merge_in_job_order():
     assert [r.counters.snapshot() for r in pooled] == [
         r.counters.snapshot() for r in serial
     ]
-
-
-def test_measure_speedups_parallel_matches_serial_harness():
-    app_args = {"n": 64, "iters": 2}
-    par = measure_speedups_parallel("jacobi", app_args, procs=(1, 2), workers=1)
-    ser = measure_speedups(
-        Job("jacobi", app_args).factory(), procs=(1, 2)
-    )
-    assert par.app_name == ser.app_name
-    assert [r.time_ns for r in par.runs] == [r.time_ns for r in ser.runs]
 
 
 def test_per_job_config_is_honoured():

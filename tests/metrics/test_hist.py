@@ -193,16 +193,15 @@ def test_make_histogram_selects_backend():
     assert set(HIST_BACKENDS) == {"exact", "logbucket"}
 
 
-def test_metrics_registry_backend_selection_per_instrument():
-    m = Metrics(default_backend="exact")
-    m.set_backend("fault.read_ns", "logbucket")
-    m.observe("fault.read_ns", 100)
-    m.observe("other", 5)
-    assert isinstance(m.histograms["fault.read_ns"], LogBucketHistogram)
-    assert isinstance(m.histograms["other"], Histogram)
-    # Too late once the instrument exists — the data is already bucketed.
-    with pytest.raises(ValueError):
-        m.set_backend("other", "logbucket")
+def test_metrics_registry_backend_is_registry_wide():
+    exact, bucketed = Metrics(), Metrics(default_backend="logbucket")
+    for m in (exact, bucketed):
+        m.observe("fault.read_ns", 100)
+        m.observe("other", 5)
+    assert all(isinstance(h, Histogram) for h in exact.histograms.values())
+    assert all(
+        isinstance(h, LogBucketHistogram) for h in bucketed.histograms.values()
+    )
     with pytest.raises(ValueError):
         Metrics(default_backend="nope")
 

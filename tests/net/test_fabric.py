@@ -289,26 +289,6 @@ def test_link_stats_utilisation():
     assert link.utilisation(0) == 0.0
 
 
-def test_format_fabric_stats_renders_both_backends():
-    from repro.metrics.report import format_fabric_stats
-
-    ring = _mk(ClusterConfig(nodes=2))
-    ring.attach(0, lambda m: None)
-    ring.attach(1, lambda m: None)
-    ring.send(msg(0, 1))
-    ring.sim.run()
-    text = format_fabric_stats(ring.stats, ring.sim.now)
-    assert "medium" in text and "messages=1" in text
-
-    sim, fabric, _, _ = make_switched(nnodes=40)
-    fabric.send(msg(0, 1))
-    sim.run()
-    text = format_fabric_stats(fabric.stats, sim.now, limit=4)
-    assert "tx[0]" in text
-    # 80 ports, 4 rows: the rest is summarised, not silently dropped.
-    assert "(+76 more links)" in text
-
-
 # ----------------------------------------------------------------------
 # interface basics shared through the base class
 

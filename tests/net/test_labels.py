@@ -127,3 +127,75 @@ class TestExtractorErrors:
             op_page("t.flaky", ())
             op_page("t.flaky", ())
         assert _extractor_error_delta(before) == {"t.flaky": 2}
+
+
+# ----------------------------------------------------------------------
+# who renders labels, and when
+
+
+def _raiser(site):
+    def render(*args):
+        raise AssertionError(f"{site} label rendered with no Scheduler installed")
+
+    render.site = site
+    return render
+
+
+@pytest.mark.parametrize("backend", ["ring", "switched"])
+def test_uncontrolled_run_never_renders_a_label(monkeypatch, backend):
+    """Every labelled call site hands the kernel an unevaluated
+    ``(fn, *args)`` label and the kernel renders it only for an
+    installed Scheduler — so on an ordinary run (lossy, so retransmit
+    timers fire too) no label function is ever called."""
+    from repro.api.ivy import Ivy
+    from repro.apps.dotprod import DotProductApp
+    from repro.config import ClusterConfig
+    from repro.net import fabric as fabric_mod
+    from repro.net import transport as transport_mod
+    from repro.sim import process as process_mod
+    from repro.sim.kernel import Simulator
+
+    monkeypatch.setattr(fabric_mod, "delivery_label", _raiser("delivery"))
+    monkeypatch.setattr(transport_mod, "delivery_label", _raiser("local-delivery"))
+    monkeypatch.setattr(transport_mod, "_retransmit_label", _raiser("retransmit"))
+    monkeypatch.setattr(process_mod, "_STEP", _raiser("task-step"))
+    monkeypatch.setattr(process_mod, "_WAKE", _raiser("task-wake"))
+
+    offered = set()
+    for name in ("schedule", "schedule_nocancel"):
+        def spy(self, delay, fn, *args, label=None, _real=getattr(Simulator, name)):
+            if label is not None:
+                offered.add(label[0].site)
+            return _real(self, delay, fn, *args, label=label)
+
+        monkeypatch.setattr(Simulator, name, spy)
+
+    config = ClusterConfig(nodes=3).with_svm(algorithm="fixed")
+    if backend == "ring":
+        config = config.with_ring(loss_rate=0.05)
+    else:
+        config = config.with_fabric(backend="switched", loss_rate=0.05)
+    ivy = Ivy(config)
+    app = DotProductApp(3, n=4096)
+    app.check(ivy.run(app.main))
+    assert sum(n.transport.stats.retransmits for n in ivy.cluster.nodes) > 0
+
+    # The coherence managers short-circuit requests to themselves, so
+    # drive the transport's local-delivery path directly.
+    node = ivy.cluster.node(1)
+
+    def echo(origin, payload):
+        return payload
+        yield
+
+    def call_self():
+        assert (yield from node.remote.request(1, "test.echo", 42)) == 42
+
+    node.remote.register("test.echo", echo)
+    task = ivy.cluster.spawn_system(call_self(), "call-self")
+    ivy.cluster.run()
+    assert task.done and task.error is None
+
+    assert offered == {
+        "delivery", "local-delivery", "retransmit", "task-step", "task-wake",
+    }

@@ -496,3 +496,45 @@ def test_scheduler_installed_mid_run_sees_lane_entries_with_original_seqs():
     assert seen == [(TIMEOUT, [1, 2, 4]), (TIMEOUT, [1, 2])]
     assert order == ["heap", "controlled", "lane-2", "lane-1"]
     assert sim.pending() == 0
+
+
+# ----------------------------------------------------------------------
+# scheduling labels: rendered by the kernel, only for a Scheduler
+
+
+def test_label_thunk_is_rendered_only_for_an_installed_scheduler():
+    """Call sites pass ``label=(fn, *args)``; the kernel calls
+    ``fn(*args)`` at schedule time iff a Scheduler is installed.  An
+    event scheduled before that is offered unlabelled."""
+    rendered = []
+
+    def render(tag):
+        rendered.append(tag)
+        return f"label:{tag}"
+
+    sim = Simulator()
+    sim.schedule(5, lambda: None, label=(render, "cancellable"))
+    sim.schedule_nocancel(5, lambda: None, label=(render, "nocancel"))
+    sim.schedule_nocancel(0, lambda: None, label=(render, "fifo"))
+    sim.schedule_at_nocancel(5, lambda: None, label=(render, "at"))
+    sim.run()
+    assert rendered == []
+
+    offered = []
+
+    class Spy(Scheduler):
+        def choose(self, now, events):
+            offered.append([e.label for e in events])
+            return 0
+
+    sim = Simulator()
+    sim.schedule(5, lambda: None, label=(render, "early"))
+    sim.scheduler = Spy()
+    sim.schedule(5, lambda: None, label=(render, "a"))
+    sim.schedule_nocancel(5, lambda: None, label="plain")
+    sim.schedule_at_nocancel(5, lambda: None, label=(render, "b"))
+    sim.schedule_nocancel(5, lambda: None)
+    assert rendered == ["a", "b"]  # at schedule time, not at the choice point
+    sim.run()
+    assert offered[0] == [None, "label:a", "plain", "label:b", None]
+    assert rendered == ["a", "b"]

@@ -11,7 +11,6 @@ from repro.sim.process import (
     TaskFailure,
     TaskState,
     YieldCpu,
-    run_to_completion,
 )
 
 
@@ -156,14 +155,6 @@ def test_negative_durations_rejected():
         Compute(-1)
     with pytest.raises(ValueError):
         Sleep(-5)
-
-
-def test_run_to_completion_helper():
-    def job():
-        yield Compute(1)
-        return "ok"
-
-    assert run_to_completion(job()) == "ok"
 
 
 def test_suspended_task_counts_as_blocked_for_deadlock():

@@ -1,10 +1,10 @@
-"""Unit tests for simulation-level locks, gates and wait queues."""
+"""Unit tests for simulation-level locks and gates."""
 
 import pytest
 
 from repro.sim.kernel import Simulator
 from repro.sim.process import Compute, SimDriver
-from repro.sim.sync import Gate, SimLock, WaitQueue
+from repro.sim.sync import Gate, SimLock
 
 
 def make():
@@ -85,24 +85,3 @@ def test_gate_double_post_rejected():
     gate.post(1)
     with pytest.raises(RuntimeError):
         gate.post(2)
-
-
-def test_wait_queue_wake_all_and_one():
-    sim, driver = make()
-    wq = WaitQueue()
-    woken = []
-
-    def waiter(tag):
-        value = yield from wq.wait()
-        woken.append((tag, value))
-
-    for tag in ("a", "b", "c"):
-        driver.spawn(waiter(tag), tag)
-    sim.schedule(1, wq.wake_one, "first")
-    sim.schedule(2, wq.wake_all, "rest")
-    sim.run()
-    assert woken == [("a", "first"), ("b", "rest"), ("c", "rest")]
-
-
-def test_wait_queue_wake_one_empty_returns_false():
-    assert WaitQueue().wake_one() is False
