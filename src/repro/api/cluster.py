@@ -47,11 +47,17 @@ class NodeContext:
         self.cluster = cluster
         self.node_id = node_id
         self.counters = Counters()
+        replacement = config.memory.replacement
         self.memory = PhysicalMemory(
             config.svm.page_size,
             config.memory.frames,
-            replacement=config.memory.replacement,
-            rng=cluster.rngs.stream(f"pager-{node_id}"),
+            replacement=replacement,
+            # Only the random policy draws; LRU builds no stream.
+            rng=(
+                cluster.rngs.stream(f"pager-{node_id}")
+                if replacement == "random"
+                else None
+            ),
         )
         self.disk = Disk(
             config.disk, config.svm.page_size, self.counters,

@@ -13,12 +13,21 @@ frame.  Because the old stamps were unique and monotonic, min-stamp
 order and touch order are the same total order: the victim choice (and
 therefore the event schedule) is bit-for-bit unchanged.
 
+Under ``replacement="random"`` (every capacity experiment: it is what
+Aegis's sampled-use-bit clock degenerates to under cyclic sweeps) the
+pool additionally keeps the resident page numbers as a sorted list, so a
+victim is the draw-th smallest evictable page without listing and
+sorting the pool on every pick.  ``install`` and ``drop`` are the only
+mutators of the frame mapping, hence of that index; under LRU it is not
+kept at all.
+
 Frames hold real bytes as ``numpy.uint8`` arrays; typed views are taken
 by the shared address space, never copies (guide rule: views not copies).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import OrderedDict
 
 import numpy as np
@@ -44,6 +53,10 @@ class PhysicalMemory:
             raise ValueError("a node needs at least 2 page frames")
         if replacement not in ("lru", "random"):
             raise ValueError(f"unknown replacement policy {replacement!r}")
+        if replacement == "random" and rng is None:
+            raise ValueError(
+                'replacement policy "random" needs an rng to draw victims from'
+            )
         self.page_size = page_size
         self.capacity = frames
         self.replacement = replacement
@@ -53,6 +66,9 @@ class PhysicalMemory:
         #: Resident pages in recency order: coldest first, hottest last.
         #: Invariant: exactly the keys of ``_frames``.
         self._recency: OrderedDict[int, None] = OrderedDict()
+        #: Random replacement only: the keys of ``_frames`` in ascending
+        #: order, so a draw maps to a page without sorting the pool.
+        self._sorted: list[int] | None = [] if replacement == "random" else None
 
     # ------------------------------------------------------------------
 
@@ -72,10 +88,13 @@ class PhysicalMemory:
     def raw_frames(self) -> dict[int, np.ndarray]:
         """The live page->frame mapping, for data-plane fast paths.
 
-        Read-only use; every access that would have gone through
-        :meth:`data` must pair the lookup with a :meth:`raw_recency`
-        ``move_to_end`` so the LRU order (and therefore the eviction
-        schedule) stays bit-for-bit what :meth:`data` produces.
+        Strictly read-only: :meth:`install` and :meth:`drop` are the
+        only mutators of this mapping (they keep the recency order and
+        the random policy's sorted index in step with it).  Every access
+        that would have gone through :meth:`data` must pair the lookup
+        with a :meth:`raw_recency` ``move_to_end`` so the LRU order (and
+        therefore the eviction schedule) stays bit-for-bit what
+        :meth:`data` produces.
         """
         return self._frames
 
@@ -118,6 +137,8 @@ class PhysicalMemory:
                 else np.empty(self.page_size, dtype=np.uint8)
             )
             self._frames[page] = frame
+            if self._sorted is not None:
+                insort(self._sorted, page)
         if data is not None:
             if len(data) != self.page_size:
                 raise ValueError(
@@ -132,7 +153,8 @@ class PhysicalMemory:
         """Release the frame of ``page`` (must be unpinned)."""
         if self._pins.get(page, 0):
             raise RuntimeError(f"dropping pinned page {page}")
-        self._frames.pop(page, None)
+        if self._frames.pop(page, None) is not None and self._sorted is not None:
+            del self._sorted[bisect_left(self._sorted, page)]
         self._recency.pop(page, None)
         # A dropped page must leave no recency residue: a stale entry
         # would make a later reinstall inherit the old position.
@@ -164,17 +186,29 @@ class PhysicalMemory:
         degenerates to under cyclic sweeps).  Pinned and ``skip``-ped
         pages are never chosen; raises :class:`FramePressure` when no
         candidate exists."""
-        if self.replacement == "random" and self._rng is not None:
-            candidates = [
-                page
-                for page in self._frames
-                if not self._pins.get(page, 0)
-                and (skip is None or page not in skip)
-            ]
-            if not candidates:
+        resident = self._sorted
+        if resident is not None:
+            # The draw-th smallest resident page that is neither pinned
+            # nor skipped -- what indexing the sorted candidate list
+            # gives -- found by stepping the draw past each excluded page
+            # at or below it, in ascending order.
+            excluded: list[int] = []
+            if self._pins or skip:
+                frames = self._frames
+                excluded = sorted(
+                    page
+                    for page in self._pins.keys() | (skip or ())
+                    if page in frames
+                )
+            candidates = len(resident) - len(excluded)
+            if candidates <= 0:
                 raise FramePressure("all resident pages are pinned")
-            candidates.sort()  # determinism: dict order is insertion order
-            return int(candidates[self._rng.integers(len(candidates))])
+            index = int(self._rng.integers(candidates))
+            for page in excluded:
+                if page > resident[index]:
+                    break
+                index += 1
+            return resident[index]
         pins = self._pins
         for page in self._recency:  # coldest first
             if pins.get(page, 0):

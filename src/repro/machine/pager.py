@@ -38,6 +38,11 @@ __all__ = ["Pager"]
 #: evictions are avoided: eviction never waits for a page lock.
 EvictionPolicy = Callable[[int], Generator[Effect, Any, bool]]
 
+#: Backoffs ``ensure_frame`` sits through with every resident page
+#: pinned or lock-vetoed before it calls the pool exhausted (10 s of
+#: simulated time at 100 us each).
+STALL_LIMIT = 100_000
+
 
 class Pager:
     """Frame acquisition with LRU eviction to the local disk."""
@@ -71,7 +76,7 @@ class Pager:
         while self.memory.full and page not in self.memory:
             try:
                 victim = self.memory.lru_victim(vetoed)
-            except FramePressure:
+            except FramePressure as pressure:
                 # Every candidate is pinned or lock-vetoed.  Vetoes are
                 # transient: an operation that holds a resident page's
                 # lock completes without acquiring further frames (a
@@ -80,8 +85,15 @@ class Pager:
                 # wait for a lock to clear and rescan.  The stall bound
                 # turns a genuine deadlock into a loud failure.
                 stalls += 1
-                if stalls > 100_000:
-                    raise
+                if stalls > STALL_LIMIT:
+                    memory = self.memory
+                    resident = memory.resident_pages()
+                    raise FramePressure(
+                        f"node {self.disk.node_id}: no frame for page {page} "
+                        f"after {STALL_LIMIT} stalls: {len(resident)} resident, "
+                        f"{sum(map(memory.pinned, resident))} pinned, "
+                        f"{len(vetoed)} lock-vetoed"
+                    ) from pressure
                 vetoed.clear()
                 yield Sleep(100_000)  # 100 us backoff
                 continue

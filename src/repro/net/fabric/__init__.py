@@ -233,17 +233,17 @@ def make_fabric(
     if backend == "ring":
         from repro.net.ring import TokenRing
 
-        # The rng stream name predates the fabric abstraction; keeping
-        # it preserves every committed golden schedule bit-for-bit.
-        return TokenRing(
-            sim, config.ring, config.nodes, rngs.stream("ring"), trace, obs=obs
+        # A lossless medium never draws, so it builds no stream.  The
+        # ring's stream name predates the fabric abstraction; keeping it
+        # preserves every committed golden schedule bit-for-bit.
+        rng: "np.random.Generator | None" = (
+            rngs.stream("ring") if config.ring.loss_rate > 0.0 else None
         )
+        return TokenRing(sim, config.ring, config.nodes, rng, trace, obs=obs)
     if backend == "switched":
         from repro.net.fabric.switched import SwitchedFabric
 
-        rng: "np.random.Generator | None" = (
-            rngs.stream("fabric") if config.fabric.loss_rate > 0.0 else None
-        )
+        rng = rngs.stream("fabric") if config.fabric.loss_rate > 0.0 else None
         return SwitchedFabric(
             sim, config.fabric, config.nodes, rng, trace, obs=obs
         )

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.proc.scheduler import NodeScheduler
     from repro.sim.process import Task
 
 __all__ = ["Pid", "ProcState", "PCB", "PCB_WIRE_BYTES"]
@@ -81,6 +82,9 @@ class PCB:
         self.stack_pages = stack_pages
         #: Value to deliver when the task next resumes.
         self.wake_value: Any = None
+        #: Schedulers whose live count includes this process: its node's,
+        #: plus the source's while a migration hand-off is in flight.
+        self.counted_by: list[NodeScheduler] = []
 
     @property
     def done(self) -> bool:

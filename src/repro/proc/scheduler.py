@@ -59,8 +59,12 @@ class NodeScheduler(Driver):
         self.obs = obs
         self.ready: deque[PCB] = deque()
         self.current: PCB | None = None
-        #: Live PCBs resident here, by pid (stubs live in `forwards`).
+        #: Every PCB that lives or finished here, by pid; only a migration
+        #: away removes one (its stub lives in `forwards`).
         self.registry: dict[Pid, PCB] = {}
+        #: How many registry entries are not done: `process_count` is read
+        #: for every outgoing message, the registry only ever grows.
+        self._live = 0
         #: Forwarding pointers of migrated-away processes.
         self.forwards: dict[Pid, int] = {}
         #: Load hints gleaned from message piggybacks: node -> process count.
@@ -86,7 +90,7 @@ class NodeScheduler(Driver):
         )
         task.pcb = pcb  # type: ignore[attr-defined]
         self.sim.watch(task)
-        self.registry[pcb.pid] = pcb
+        self._register(pcb)
         self.counters.inc("processes_created")
         self.make_ready(pcb)
         return pcb
@@ -94,7 +98,13 @@ class NodeScheduler(Driver):
     def process_count(self) -> int:
         """Ready + suspended + running processes on this node (the load
         criterion the paper found to work, vs. ready count alone)."""
-        return sum(1 for pcb in self.registry.values() if not pcb.done)
+        return self._live
+
+    def _register(self, pcb: PCB) -> None:
+        self.registry[pcb.pid] = pcb
+        if self not in pcb.counted_by:
+            pcb.counted_by.append(self)
+            self._live += 1
 
     def ready_count(self) -> int:
         return len(self.ready)
@@ -155,6 +165,11 @@ class NodeScheduler(Driver):
     def finished(self, task: Task) -> None:
         pcb: PCB = task.pcb  # type: ignore[attr-defined]
         pcb.state = ProcState.DONE
+        # A process that finishes right after a migration is still in the
+        # source's registry until the hand-off reply gets there.
+        for sched in pcb.counted_by:
+            sched._live -= 1
+        pcb.counted_by.clear()
         self.counters.inc("processes_finished")
         if self.current is pcb:
             self.current = None
@@ -194,13 +209,16 @@ class NodeScheduler(Driver):
         pcb.node = self.node_id
         pcb.task.driver = self
         pcb.forwarded_to = None
-        self.registry[pcb.pid] = pcb
+        self._register(pcb)
         self.counters.inc("processes_adopted")
         self.make_ready(pcb)
 
     def disown(self, pcb: PCB, dst: int) -> None:
         """Leave a forwarding stub for a migrated-away process."""
         self.registry.pop(pcb.pid, None)
+        if self in pcb.counted_by:
+            pcb.counted_by.remove(self)
+            self._live -= 1
         self.forwards[pcb.pid] = dst
         self.counters.inc("processes_migrated_out")
 

@@ -4,6 +4,8 @@ the rest of the suite trusts must fail loudly on corrupted state."""
 import numpy as np
 import pytest
 
+from repro.api.cluster import Cluster
+from repro.config import ClusterConfig
 from repro.machine.mmu import Access
 
 from tests.svm.conftest import base, make_cluster, run_task
@@ -57,9 +59,6 @@ def test_checker_detects_reader_missing_from_copy_set():
 
 
 def test_checker_detects_stale_copy_under_update_policy():
-    from repro.api.cluster import Cluster
-    from repro.config import ClusterConfig
-
     config = ClusterConfig(nodes=2).with_svm(
         page_size=256, shared_size=256 * 1024, write_policy="update"
     )
@@ -84,3 +83,14 @@ def test_resident_bytes_reports_spread():
     spread = cluster.resident_bytes()
     assert spread[0] > 0 and spread[1] > 0
     assert set(spread) == {0, 1, 2}
+
+
+def test_cluster_builds_only_the_rng_streams_something_draws_from():
+    def built(config):
+        return set(Cluster(config).rngs._streams)
+
+    config = ClusterConfig(nodes=3)  # LRU, lossless ring: nothing draws
+    assert built(config) == set()
+    capacity = config.with_memory(frames=8, replacement="random")
+    assert built(capacity) == {"pager-0", "pager-1", "pager-2"}
+    assert built(config.with_ring(loss_rate=0.05)) == {"ring"}

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from repro.config import DiskConfig
+from repro.machine import pager as pager_module
 from repro.machine.disk import Disk
-from repro.machine.memory import PhysicalMemory
+from repro.machine.memory import FramePressure, PhysicalMemory
 from repro.machine.pager import Pager
 from repro.metrics.collect import Counters
 from repro.sim.kernel import Simulator
-from repro.sim.process import SimDriver
+from repro.sim.process import SimDriver, TaskFailure
 
 
 PAGE = 64
@@ -159,3 +160,33 @@ def test_broken_policy_detected():
 
     with pytest.raises(Exception, match="failed to release"):
         run(sim, driver, job())
+
+
+def test_frame_pool_exhaustion_is_a_located_error(monkeypatch):
+    """All frames pinned for good: after the stall bound the pager names
+    the node, the wanted page and what holds the pool, instead of
+    re-raising the victim scan's bare 'all resident pages are pinned'."""
+    monkeypatch.setattr(pager_module, "STALL_LIMIT", 3)
+    sim = Simulator()
+    driver = SimDriver(sim)
+    counters = Counters()
+    memory = PhysicalMemory(PAGE, 2)
+    pager = Pager(memory, Disk(DiskConfig(), PAGE, counters, node_id=5), counters)
+    pager.set_eviction_policy(lambda page: (yield from pager.page_out(page)))
+    memory.install(10)
+    memory.install(11)
+    memory.pin(10)
+    memory.pin(11)
+
+    def job():
+        yield from pager.install(12)
+
+    with pytest.raises(TaskFailure) as caught:
+        run(sim, driver, job())
+    assert isinstance(caught.value.__cause__, FramePressure)
+    message = str(caught.value.__cause__)
+    assert "node 5" in message and "page 12" in message
+    assert "after 3 stalls" in message
+    assert "2 resident, 2 pinned, 0 lock-vetoed" in message
+    assert sim.now == 3 * 100_000  # three backoffs, then the failure
+    assert counters["evictions"] == 0

@@ -174,3 +174,60 @@ def test_steal_ready_respects_migratable_flag():
     pcb = sched.spawn(job(), "pinned")
     pcb.migratable = False
     assert sched.steal_ready() is None
+
+
+def test_process_count_equals_the_registry_scan_at_every_step():
+    """`process_count` is a maintained counter (it is read for every
+    outgoing message); pin it to the scan it replaced through ready,
+    blocked, finished, migrated-away and adopted processes -- including
+    one that finishes at its destination before the source disowns it."""
+    sim = Simulator()
+    config = ClusterConfig(nodes=2).with_cpu(context_switch=5)
+    here = NodeScheduler(sim, 0, config, Counters())
+    there = NodeScheduler(sim, 1, config, Counters())
+
+    def check():
+        for sched in (here, there):
+            assert sched.process_count() == sum(
+                1 for pcb in sched.registry.values() if not pcb.done
+            )
+
+    def short(i):
+        if i % 3 == 0:
+            yield Sleep(40)
+        elif i % 3 == 1:
+            yield Compute(10)
+
+    def step(events):
+        for _ in range(events):
+            if sim.pending():
+                sim.run(max_events=1)
+                check()
+
+    first = None
+    for i in range(200):
+        pcb = here.spawn(short(i), f"p{i}")
+        first = first or pcb
+        check()
+        if i % 10 == 9:
+            # The migration hand-off: the destination adopts, and the
+            # source disowns only once the reply is back -- by which
+            # time the process may have run to completion over there.
+            moved = here.steal_ready()
+            assert moved is not None
+            there.adopt(moved)
+            check()
+            step(8 if i % 20 == 9 else 0)
+            here.disown(moved, 1)
+            check()
+        if i % 25 == 24 and (back := there.steal_ready()) is not None:
+            here.adopt(back)
+            check()
+            there.disown(back, 0)
+            check()
+        step(3)
+    assert here.process_count() > 1  # spawns outpaced the three steps
+    step(10**6)
+    assert here.process_count() == there.process_count() == 0
+    # Finished processes stay resolvable (a late wake-up finds a PCB).
+    assert first.done and here.lookup(first.pid) == (first, None)
