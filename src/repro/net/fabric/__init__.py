@@ -28,10 +28,20 @@ The contract every backend must honour (and the transport relies on):
   and an uncontrolled run never formats one (the label grammar is
   backend-agnostic: ``parse_delivery_label`` works identically on both
   fabrics);
+- a frame's medium cost is paid for every station it passes (the
+  ring's one booking, every port of the switched multicast tree), but
+  only the stations it *names* are woken: a broadcast frame carrying
+  ``targets`` schedules a delivery event — and takes an in-flight pool
+  reference — for those stations alone, so a receiver callback is only
+  ever handed frames meant for it (the interface filters, not the host);
 - the :attr:`Fabric.drop_policy` hook is consulted once per
-  ``(msg, target)`` delivery attempt, in deterministic target order,
-  *before* any random loss draw — the explorer's delay-injection
-  strategy numbers attempts through it;
+  ``(msg, station)`` pair for *every* station the frame passes, named
+  or not, in ascending station order, *before* any random loss draw
+  (drawn per station likewise) — the explorer's delay-injection
+  strategy numbers attempts through it, and a lossy run's random
+  stream does not depend on who was addressed;
+- a frame addressed out of range, or to its own sender (as ``dst`` or
+  in ``targets``), is a ``ValueError`` at ``send``;
 - all arithmetic is integer nanoseconds: a fabric is a pure function
   of its inputs, never of the host (the determinism lint covers this
   package).
@@ -39,9 +49,9 @@ The contract every backend must honour (and the transport relies on):
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Protocol
+from typing import TYPE_CHECKING, Callable, Iterable, Protocol
 
-from repro.net.packet import Message, delivery_label
+from repro.net.packet import BROADCAST, Message, delivery_label
 from repro.net.pool import MessagePool, PagePool
 from repro.obs import NULL_OBS, Observability
 from repro.sim.kernel import Simulator
@@ -50,7 +60,7 @@ from repro.sim.trace import NULL_TRACE, TraceRecorder
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
 
-    from repro.config import ClusterConfig
+    from repro.config import ClusterConfig, FabricConfig, RingConfig
     from repro.sim.rng import RngStreams
 
 __all__ = [
@@ -116,26 +126,37 @@ class FabricStats(Protocol):
 class Fabric:
     """Base class for transmission media connecting ``nnodes`` stations.
 
-    Subclasses implement :meth:`send` (and set :attr:`stats`); station
-    attachment, delivery dispatch and the explorer's deterministic drop
-    hook are shared here so the transport — and the schedule explorer —
-    see identical behaviour on every backend.
+    Subclasses implement :meth:`send` — book the medium, then hand the
+    stations the frame passes to :meth:`_fan_out` — and set
+    :attr:`stats`; station attachment, address validation, the
+    per-station drop/deliver loop and delivery dispatch are shared here
+    so the transport — and the schedule explorer — see identical
+    behaviour on every backend.
     """
 
     #: Backend name (the ``ClusterConfig.fabric.backend`` key).
     name = "?"
+    #: Trace category of a lost frame (each medium keeps its own).
+    _DROP_EVENT = "?"
 
     def __init__(
         self,
         sim: Simulator,
+        config: "RingConfig | FabricConfig",
         nnodes: int,
+        rng: "np.random.Generator | None" = None,
         trace: TraceRecorder = NULL_TRACE,
         obs: Observability = NULL_OBS,
     ) -> None:
         if nnodes < 1:
             raise ValueError(f"{type(self).__name__} needs at least one station")
         self.sim = sim
+        self.config = config
         self.nnodes = nnodes
+        self.rng = rng
+        #: Loss is configured once; a lossless medium skips the
+        #: per-station random draw entirely.
+        self._lossy = config.loss_rate > 0.0 and rng is not None
         self.trace = trace
         self.obs = obs
         #: ``enabled`` is fixed at construction; caching the truth value
@@ -150,17 +171,18 @@ class Fabric:
         #: Free-list pools for the zero-allocation message path, shared
         #: by every transport endpoint on this fabric: envelopes are
         #: acquired by the transport, retained per scheduled delivery in
-        #: :meth:`_schedule_delivery`, and released in :meth:`_deliver`
-        #: once the receiver callback returns.  ``pages`` recycles the
+        #: :meth:`_fan_out`, and released in :meth:`_deliver` once the
+        #: receiver callback returns.  ``pages`` recycles the
         #: page-sized snapshot buffers the coherence servers ship.
         self.pool = MessagePool()
         self.pages = PagePool()
         self._receivers: dict[int, Callable[[Message], None]] = {}
         #: Deterministic drop hook for the schedule explorer's delay-
-        #: injection strategy: consulted once per (msg, target) delivery
-        #: attempt *before* any random loss draw; returning True drops
-        #: the frame (the transport's retransmission protocol recovers
-        #: it, creating the delayed/reordered delivery being explored).
+        #: injection strategy: consulted once per (msg, station) for
+        #: every station the frame passes, *before* any random loss
+        #: draw; returning True drops the frame there (the transport's
+        #: retransmission protocol recovers it, creating the delayed/
+        #: reordered delivery being explored).
         self.drop_policy: Callable[[Message, int], bool] | None = None
 
     # ------------------------------------------------------------------
@@ -187,16 +209,63 @@ class Fabric:
 
     # ------------------------------------------------------------------
 
-    def _schedule_delivery(self, arrival: int, target: int, msg: Message) -> None:
-        """Schedule ``msg``'s delivery at ``target`` for absolute time
-        ``arrival``, labelled for the schedule explorer."""
-        # In-flight reference, dropped by _deliver: the creator may
-        # complete (and release) the envelope while copies are en route.
-        msg.refs += 1
-        self.sim.schedule_at_nocancel(
-            arrival, self._deliver, target, msg,
-            label=(delivery_label, target, msg),
-        )
+    def _check_addressing(self, msg: Message) -> None:
+        """Reject a frame addressed out of range or to its own sender —
+        as ``dst`` or anywhere in ``targets`` — before anything is
+        booked: such a frame would occupy the medium and wake nobody,
+        and its sender would learn of the bug only after exhausting its
+        retransmissions."""
+        stations = msg.targets
+        if stations is None:
+            if msg.dst == BROADCAST:
+                return
+            stations = (msg.dst,)
+        for station in stations:
+            if station == msg.src or not 0 <= station < self.nnodes:
+                raise ValueError(
+                    f"{msg.describe()}: cannot address station {station} "
+                    f"(stations are 0..{self.nnodes - 1}, sender excluded)"
+                )
+
+    def _fan_out(
+        self, msg: Message, stations: Iterable[int], arrivals: Iterable[int]
+    ) -> None:
+        """The one per-station drop/deliver loop, shared by every medium.
+
+        ``stations`` are the stations ``msg`` passes, ascending, each
+        paired with its absolute arrival time; the medium has already
+        been booked for all of them.  Every station gets its drop
+        decision — explorer ``drop_policy`` first, then the random loss
+        draw — so attempt numbering and the loss stream are independent
+        of addressing; only a station the frame names (all of them, for
+        a frame without ``targets``) gets a delivery event, labelled for
+        the schedule explorer."""
+        drop_policy = self.drop_policy
+        lossy = self._lossy
+        named = msg.targets
+        now = self.sim.now
+        schedule = self.sim.schedule_nocancel
+        deliver = self._deliver
+        for station, arrival in zip(stations, arrivals):
+            forced = drop_policy is not None and drop_policy(msg, station)
+            if forced or (lossy and self._drop()):
+                self.stats.lost_frames += 1
+                if self.trace:
+                    self.trace.emit(
+                        self._DROP_EVENT, src=msg.src, dst=station, op=msg.op
+                    )
+            elif named is None or station in named:
+                # In-flight reference, dropped by _deliver: the creator
+                # may complete (and release) the envelope while copies
+                # are en route.
+                msg.refs += 1
+                schedule(
+                    arrival - now, deliver, station, msg,
+                    label=(delivery_label, station, msg),
+                )
+
+    def _drop(self) -> bool:
+        return bool(self.rng.random() < self.config.loss_rate)
 
     def _deliver(self, target: int, msg: Message) -> None:
         receiver = self._receivers.get(target)

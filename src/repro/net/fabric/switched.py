@@ -9,34 +9,44 @@ than global.  This is the Autonet/ATM-class topology of the mid-90s
 multicomputer evaluations, and it is what lets the reproduction scale
 past the ring's hard O(N) wall to hundred-node runs.
 
-One unicast transmission is three hops, all computed arithmetically at
-``send`` time (no intermediate simulator events — only the final
+One station-to-station transmission is three hops, all computed
+arithmetically at ``send`` time by the one booking loop,
+``_multicast`` (no intermediate simulator events — only the final
 delivery is an event, exactly like the ring):
 
-1. **egress** — the frame waits for the source's tx port
-   (``start_tx = max(ready, tx_free[src])``), then occupies it for
+1. **egress** — the frame waits for the sender's tx port
+   (``start_tx = max(ready, tx_free[sender])``), then occupies it for
    ``occupancy_ns(nbytes)``;
 2. **crossbar** — a fixed ``switch_latency`` between the egress and
    ingress links;
-3. **ingress** — the frame waits for the destination's rx port, then
-   occupies it for the same occupancy, followed by ``delivery_latency``
-   of receiver DMA.
+3. **ingress** — the frame waits for the receiving station's rx port,
+   then occupies it for the same occupancy, followed by
+   ``delivery_latency`` of receiver DMA.
 
 Broadcast is **not** free snooping: it is an explicit k-ary multicast
-tree over the targets in sorted station order.  The source feeds the
-first ``k`` targets directly; the target at tree position ``p`` relays
+tree over every other station in ascending order.  The source feeds the
+first ``k`` stations directly; the station at tree position ``p`` relays
 to positions ``k*(p+1) .. k*(p+1)+k-1``, becoming ready to forward
 ``relay_cost`` after its own frame arrives.  Every relay transmission
 pays real egress/ingress occupancy, so broadcast-manager algorithms are
-charged genuine fan-out cost.
+charged genuine fan-out cost.  A unicast is the same tree with a single
+position.
+
+A broadcast frame that carries ``targets`` (an invalidation naming the
+copy-set holders) still rides the *whole* tree — the NICs forward it
+and every port booking delays later traffic through that port exactly
+as before — but only the stations it names get a delivery event: the
+interface filters the frame, the host never sees it.  Pruning the tree
+to the named stations would be a different (cheaper) network model, not
+an optimisation of this one.
 
 Loss semantics match the ring: the drop decision (explorer
-``drop_policy`` first, then the random draw) is made once per *final
-target* in sorted order, and a drop suppresses only that station's
-delivery event — the NIC-level tree forwarding has already happened by
-the time host software loses the frame, so timing and port bookkeeping
-are independent of loss and the transport's retransmission protocol
-recovers exactly the dropped receiver.
+``drop_policy`` first, then the random draw) is made once per *station
+on the tree*, named or not, in ascending order, and a drop suppresses
+only that station's delivery event — the NIC-level tree forwarding has
+already happened by the time host software loses the frame, so timing
+and port bookkeeping are independent of loss and the transport's
+retransmission protocol recovers exactly the dropped receiver.
 """
 
 from __future__ import annotations
@@ -107,6 +117,7 @@ class SwitchedFabric(Fabric):
     """Crossbar-switched point-to-point network of ``nnodes`` stations."""
 
     name = "switched"
+    _DROP_EVENT = "fabric.drop"
 
     def __init__(
         self,
@@ -117,12 +128,7 @@ class SwitchedFabric(Fabric):
         trace: TraceRecorder = NULL_TRACE,
         obs: Observability = NULL_OBS,
     ) -> None:
-        super().__init__(sim, nnodes, trace, obs)
-        self.config = config
-        self.rng = rng
-        #: Loss is configured once; a lossless fabric skips the per-target
-        #: random draw entirely.
-        self._lossy = config.loss_rate > 0.0 and rng is not None
+        super().__init__(sim, config, nnodes, rng, trace, obs)
         self.stats: SwitchedStats = SwitchedStats(nnodes)
         #: Per-station port bookings: the absolute time each egress/
         #: ingress link becomes free.  FIFO queueing falls out of always
@@ -139,44 +145,6 @@ class SwitchedFabric(Fabric):
         wire = (nbytes * 8 * 1_000_000_000) // cfg.link_bandwidth_bps
         return fragments * cfg.link_overhead + wire
 
-    def _hop(self, src: int, dst: int, ready: int, occupancy: int) -> int:
-        """Transmit one frame ``src -> dst`` starting no earlier than
-        ``ready``; book both ports and return the delivery time."""
-        cfg = self.config
-        stats = self.stats
-        tx_free = self._tx_free[src]
-        start_tx = ready if ready >= tx_free else tx_free
-        self._tx_free[src] = start_tx + occupancy
-        tx_link = stats._tx[src]
-        tx_link.messages += 1
-        tx_link.busy_ns += occupancy
-        backlog = start_tx - ready
-        if backlog > tx_link.peak_backlog_ns:
-            tx_link.peak_backlog_ns = backlog
-        if self._obs_on:
-            # Egress queueing delay — the switched fabric's analogue of
-            # the ring's shared-medium wait (histogrammed in ns).
-            self.obs.observe("fabric.queue_ns", backlog)
-
-        at_switch = start_tx + occupancy + cfg.switch_latency
-        rx_free = self._rx_free[dst]
-        start_rx = at_switch if at_switch >= rx_free else rx_free
-        self._rx_free[dst] = start_rx + occupancy
-        rx_link = stats._rx[dst]
-        rx_link.messages += 1
-        rx_link.busy_ns += occupancy
-        backlog = start_rx - at_switch
-        if backlog > rx_link.peak_backlog_ns:
-            rx_link.peak_backlog_ns = backlog
-
-        stats.busy_ns += 2 * occupancy
-        if self._timeline is not None:
-            # Windowed busy accounting per port; both bookings above are
-            # already final, so this observes only.
-            self._timeline.link_busy(f"tx[{src}]", start_tx, start_tx + occupancy)
-            self._timeline.link_busy(f"rx[{dst}]", start_rx, start_rx + occupancy)
-        return start_rx + occupancy + cfg.delivery_latency
-
     # ------------------------------------------------------------------
 
     def send(self, msg: Message) -> None:
@@ -185,71 +153,97 @@ class SwitchedFabric(Fabric):
         Returns immediately (the sending *software* cost is charged by
         the transport layer, not here — the medium only models wire
         time)."""
-        if msg.dst != BROADCAST and not 0 <= msg.dst < self.nnodes:
-            raise ValueError(f"destination {msg.dst} out of range")
-        if msg.dst == msg.src:
-            raise ValueError("a station does not transmit to itself")
-        now = self.sim.now
-        occupancy = self.occupancy_ns(msg.nbytes)
+        self._check_addressing(msg)
         stats = self.stats
         stats.messages += 1
-
         if msg.dst == BROADCAST:
             stats.broadcasts += 1
-            targets = [n for n in range(self.nnodes) if n != msg.src]
-            arrivals = self._multicast(msg, targets, now, occupancy)
+            # Every broadcast frame rides the full tree, whoever it
+            # names: the NICs forward it, only the named hosts hear it.
+            stations = [n for n in range(self.nnodes) if n != msg.src]
         else:
-            targets = [msg.dst]
-            stats.bytes_sent += msg.nbytes
-            arrivals = [self._hop(msg.src, msg.dst, now, occupancy)]
-
+            stations = [msg.dst]  # a unicast is a tree of one position
+        arrivals = self._multicast(
+            msg, stations, self.sim.now, self.occupancy_ns(msg.nbytes)
+        )
         if self.trace:
             self.trace.emit(
                 "fabric.send", src=msg.src, dst=msg.dst, op=msg.op,
                 kind=msg.kind, nbytes=msg.nbytes, arrival=arrivals[-1],
             )
-        drop_policy = self.drop_policy
-        for target, arrival in zip(targets, arrivals):
-            forced = drop_policy is not None and drop_policy(msg, target)
-            if forced or (self._lossy and self._drop()):
-                stats.lost_frames += 1
-                if self.trace:
-                    self.trace.emit(
-                        "fabric.drop", src=msg.src, dst=target, op=msg.op
-                    )
-                continue
-            self._schedule_delivery(arrival, target, msg)
+        self._fan_out(msg, stations, arrivals)
 
     def _multicast(
-        self, msg: Message, targets: list[int], now: int, occupancy: int
+        self, msg: Message, stations: list[int], now: int, occupancy: int
     ) -> list[int]:
-        """Book the k-ary multicast tree over ``targets`` (already in
-        sorted station order) and return each target's arrival time.
+        """Book the k-ary tree over ``stations`` (ascending) — every tx
+        and rx port on the way — and return each station's arrival time.
 
         Tree position ``p < k`` is fed directly by the source; position
-        ``p >= k`` is fed by the target at position ``p // k - 1``, which
+        ``p >= k`` is fed by the station at position ``p // k - 1``, which
         becomes ready to forward ``relay_cost`` after its own arrival.
         Parents always occupy earlier positions, so one forward pass
-        computes the whole tree.
+        computes the whole tree.  This is the fabric's only booking loop
+        (a unicast passes one station), so everything loop-invariant is
+        read once and the aggregate counters are added once per call.
         """
         cfg = self.config
         k = cfg.multicast_fanout
+        relay_cost = cfg.relay_cost
+        switch_latency = cfg.switch_latency
+        delivery_latency = cfg.delivery_latency
         stats = self.stats
+        tx_free, rx_free = self._tx_free, self._rx_free
+        tx_links, rx_links = stats._tx, stats._rx
+        observe = self.obs.observe if self._obs_on else None
+        timeline = self._timeline
+        src = msg.src
         arrivals: list[int] = []
-        for pos, target in enumerate(targets):
+        for pos, station in enumerate(stations):
             if pos < k:
-                sender, ready = msg.src, now
+                sender, ready = src, now
             else:
                 parent = pos // k - 1
-                sender = targets[parent]
-                ready = arrivals[parent] + cfg.relay_cost
-                stats.relays += 1
-            stats.bytes_sent += msg.nbytes
-            arrivals.append(self._hop(sender, target, ready, occupancy))
-        return arrivals
+                sender = stations[parent]
+                ready = arrivals[parent] + relay_cost
 
-    def _drop(self) -> bool:
-        loss = self.config.loss_rate
-        if loss <= 0.0 or self.rng is None:
-            return False
-        return bool(self.rng.random() < loss)
+            # Egress: wait for the sender's tx port, then occupy it.
+            free = tx_free[sender]
+            start_tx = ready if ready >= free else free
+            tx_free[sender] = end_tx = start_tx + occupancy
+            link = tx_links[sender]
+            link.messages += 1
+            link.busy_ns += occupancy
+            backlog = start_tx - ready
+            if backlog > link.peak_backlog_ns:
+                link.peak_backlog_ns = backlog
+            if observe is not None:
+                # Egress queueing delay — the switched fabric's analogue
+                # of the ring's shared-medium wait (histogrammed in ns).
+                observe("fabric.queue_ns", backlog)
+
+            # Crossbar, then ingress: wait for the station's rx port.
+            at_switch = end_tx + switch_latency
+            free = rx_free[station]
+            start_rx = at_switch if at_switch >= free else free
+            rx_free[station] = end_rx = start_rx + occupancy
+            link = rx_links[station]
+            link.messages += 1
+            link.busy_ns += occupancy
+            backlog = start_rx - at_switch
+            if backlog > link.peak_backlog_ns:
+                link.peak_backlog_ns = backlog
+
+            if timeline is not None:
+                # Windowed busy accounting per port; both bookings above
+                # are already final, so this observes only.
+                timeline.link_busy(f"tx[{sender}]", start_tx, end_tx)
+                timeline.link_busy(f"rx[{station}]", start_rx, end_rx)
+            arrivals.append(end_rx + delivery_latency)
+
+        hops = len(arrivals)
+        stats.bytes_sent += hops * msg.nbytes
+        stats.busy_ns += 2 * hops * occupancy
+        if hops > k:
+            stats.relays += hops - k
+        return arrivals

@@ -61,11 +61,11 @@ class Message:
     :data:`HEADER_BYTES`); ``load_hint`` (piggybacked process count — "a
     byte ... packed into every message at almost no extra cost");
     ``reply_scheme`` for broadcasts ("any" | "all" | "none");
-    ``targets`` (multicast filter: when set on a broadcast frame only
-    these stations process it, as ring hardware multicast filtering
-    does); ``span`` (causal span id riding the wire, 0 = untraced —
-    pure observability, never read by protocol code); ``serial``
-    (global construction order, debug aid).
+    ``targets`` (multicast filter: when set on a broadcast frame the
+    fabric delivers it to these stations only, as ring hardware
+    multicast filtering does); ``span`` (causal span id riding the
+    wire, 0 = untraced — pure observability, never read by protocol
+    code); ``serial`` (global construction order, debug aid).
     """
 
     __slots__ = (
@@ -112,7 +112,7 @@ class Message:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Message {self.describe()}>"
 
-    def describe(self) -> str:  # pragma: no cover - debug aid
+    def describe(self) -> str:
         return (
             f"{self.kind}:{self.op} {self.src}->{self.dst} "
             f"origin={self.origin} id={self.msg_id} {self.nbytes}B"

@@ -15,8 +15,9 @@ has three concurrent holders with independent lifetimes:
   forwarded request) holds one reference until the request completes or
   the cache entry dies;
 - every *scheduled delivery* holds one from ``send`` until the receiver
-  callback returns — a retransmission can put several copies of the
-  same envelope in flight at once;
+  callback returns — one per station the frame names, none for a
+  station a targeted frame merely passes; a retransmission can put
+  several copies of the same envelope in flight at once;
 - a *server* holds one while its handler task runs (handling spans
   simulated time, long after the delivery event returned).
 

@@ -8,10 +8,12 @@ the honest source of communication contention in the experiments — it is
 why the dot-product benchmark (lots of data movement, little compute)
 scales poorly while Jacobi scales almost linearly.
 
-Broadcast is native on a ring: a single transmission is heard by every
-other station (the paper exploits this for owner location and
-invalidation).  Frame loss is drawn per *receiver*, which exercises the
-transport's retransmission protocol.
+Broadcast is native on a ring: a single transmission passes every other
+station (the paper exploits this for owner location and invalidation),
+and a frame carrying ``targets`` is picked up only by the stations it
+names — the ring interface filters it, so nobody else is woken.  Frame
+loss is drawn per *station passed*, which exercises the transport's
+retransmission protocol.
 
 The ring is the first — and default — implementation of the
 :class:`repro.net.fabric.Fabric` medium interface; see
@@ -19,6 +21,8 @@ The ring is the first — and default — implementation of the
 """
 
 from __future__ import annotations
+
+from itertools import repeat
 
 import numpy as np
 
@@ -74,6 +78,7 @@ class TokenRing(Fabric):
     """A serialised shared-medium network connecting ``nnodes`` stations."""
 
     name = "ring"
+    _DROP_EVENT = "ring.drop"
 
     def __init__(
         self,
@@ -84,12 +89,7 @@ class TokenRing(Fabric):
         trace: TraceRecorder = NULL_TRACE,
         obs: Observability = NULL_OBS,
     ) -> None:
-        super().__init__(sim, nnodes, trace, obs)
-        self.config = config
-        self.rng = rng
-        #: Loss is configured once; a lossless ring skips the per-target
-        #: random draw entirely.
-        self._lossy = config.loss_rate > 0.0 and rng is not None
+        super().__init__(sim, config, nnodes, rng, trace, obs)
         self.stats: RingStats = RingStats()
         self._free_at = 0  # medium is idle from this time onward
 
@@ -110,10 +110,7 @@ class TokenRing(Fabric):
         Returns immediately (the sending *software* cost is charged by the
         transport layer, not here — the medium only models wire time).
         """
-        if msg.dst != BROADCAST and not 0 <= msg.dst < self.nnodes:
-            raise ValueError(f"destination {msg.dst} out of range")
-        if msg.dst == msg.src:
-            raise ValueError("a station does not ring-transmit to itself")
+        self._check_addressing(msg)
         now = self.sim.now
         free_at = self._free_at
         start = now if now >= free_at else free_at
@@ -138,26 +135,13 @@ class TokenRing(Fabric):
             stats.peak_backlog_ns = backlog
         if msg.dst == BROADCAST:
             stats.broadcasts += 1
-            targets = [n for n in range(self.nnodes) if n != msg.src]
+            stations = [n for n in range(self.nnodes) if n != msg.src]
         else:
-            targets = [msg.dst]
+            stations = [msg.dst]
         if self.trace:
             self.trace.emit(
                 "ring.send", src=msg.src, dst=msg.dst, op=msg.op,
                 kind=msg.kind, nbytes=msg.nbytes, arrival=arrival,
             )
-        drop_policy = self.drop_policy
-        for target in targets:
-            forced = drop_policy is not None and drop_policy(msg, target)
-            if forced or (self._lossy and self._drop()):
-                stats.lost_frames += 1
-                if self.trace:
-                    self.trace.emit("ring.drop", src=msg.src, dst=target, op=msg.op)
-                continue
-            self._schedule_delivery(arrival, target, msg)
-
-    def _drop(self) -> bool:
-        loss = self.config.loss_rate
-        if loss <= 0.0 or self.rng is None:
-            return False
-        return bool(self.rng.random() < loss)
+        # One transmission passes every station at the same instant.
+        self._fan_out(msg, stations, repeat(arrival))

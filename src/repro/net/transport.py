@@ -248,14 +248,17 @@ class Transport:
         nbytes: int = HEADER_BYTES,
         span_id: int = 0,
     ) -> Generator[Effect, Any, dict[int, Any]]:
-        """One ring transmission processed only by ``targets``; collect a
-        reply from each (the paper's invalidation pattern).
+        """One transmission that wakes only ``targets``; collect a reply
+        from each (the paper's invalidation pattern).
 
-        Returns ``{station: value}``.  An empty target set is a no-op.
+        The frame is a broadcast on the medium — it costs what a
+        broadcast costs — but the fabric delivers it to the named
+        stations alone, so no other transport ever sees it.  Returns
+        ``{station: value}``.  An empty target set is a no-op; a set
+        naming this node or a station off the fabric is a protocol bug
+        and fails in ``Fabric.send`` with a ``ValueError``.
         """
         targets = tuple(sorted(set(targets)))
-        if self.node_id in targets:
-            raise ValueError("multicast to self is a protocol bug")
         if not targets:
             return {}
         self._next_id += 1
@@ -352,7 +355,7 @@ class Transport:
         msg.load_hint = self.load_provider()
         if msg.dst == self.node_id:
             # Local deliveries bypass the fabric, so the in-flight
-            # reference (fabric._schedule_delivery's job) is taken here
+            # reference (fabric._fan_out's job) is taken here
             # and dropped by _deliver_local after the callback returns.
             msg.refs += 1
             self.sim.schedule_nocancel(
@@ -399,9 +402,10 @@ class Transport:
         self._arm_timer(pending)
 
     def _on_message(self, msg: Message) -> None:
+        # The fabric hands a station only frames addressed to it (a
+        # multicast naming other stations never gets here), so every
+        # message is processed — and its load byte recorded.
         self.hint_sink(msg.src, msg.load_hint)
-        if msg.targets is not None and self.node_id not in msg.targets:
-            return  # multicast frame filtered out by the ring interface
         if msg.kind == "rep":
             self._on_reply(msg)
         else:

@@ -9,9 +9,12 @@ from repro.sim.process import Compute
 from tests.net.conftest import NetRig
 
 
-def test_multicast_reaches_only_targets():
-    rig = NetRig(nnodes=5)
+def test_multicast_reaches_only_targets(backend="ring"):
+    rig = NetRig(nnodes=5, backend=backend)
     seen = []
+    heard = {n: [] for n in range(5)}
+    for n, transport in enumerate(rig.transports):
+        transport.hint_sink = lambda src, load, n=n: heard[n].append(src)
 
     def handler(n):
         def h(origin, payload):
@@ -31,9 +34,16 @@ def test_multicast_reaches_only_targets():
     task = rig.spawn(client())
     rig.run()
     assert task.result == {1: 1, 3: 3}
-    assert sorted(seen) == [1, 3]  # 2 and 4 filtered the frame out
+    assert sorted(seen) == [1, 3]
+    # The fabric filtered the frame for 2 and 4: their transports were
+    # never called, so they recorded no load byte from it either.
+    assert heard == {0: [1, 3], 1: [0], 2: [], 3: [0], 4: []}
     # One transmission on the ring, not one per target.
     assert rig.ring.stats.broadcasts == 1
+
+
+def test_multicast_reaches_only_targets_on_switched():
+    test_multicast_reaches_only_targets(backend="switched")
 
 
 def test_multicast_empty_target_set_is_noop():
@@ -50,15 +60,32 @@ def test_multicast_empty_target_set_is_noop():
 
 
 def test_multicast_to_self_rejected():
-    rig = NetRig(nnodes=3)
+    test_multicast_bad_target_set_fails_at_send("ring", (0, 1), 0)
+
+
+@pytest.mark.parametrize("backend", ["ring", "switched"])
+@pytest.mark.parametrize("targets,station", [((0, 2), 0), ((1, 99), 99)])
+def test_multicast_bad_target_set_fails_at_send(backend, targets, station):
+    """Naming the sender, or a station off the fabric, is a protocol bug:
+    it must fail when the frame is sent, naming frame and station — not
+    after ``max_retransmits`` timeouts with a generic TransportError."""
+    rig = NetRig(nnodes=4, backend=backend)
 
     def client():
-        yield from rig.ops[0].multicast((0, 1), "op", None)
+        yield from rig.ops[0].multicast(targets, "op", None)
 
     rig.ops[1].register("op", lambda o, p: iter(()))
     task = rig.spawn(client())
-    with pytest.raises(Exception):
+    with pytest.raises(Exception) as excinfo:
         rig.run()
+    error = excinfo.value.__cause__ or excinfo.value
+    assert isinstance(error, ValueError)
+    assert f"station {station} " in str(error) and "bcast:op 0->-1" in str(error)
+    assert task.error is error
+    # Failed on the first transmission: no timer ever fired.
+    assert rig.sim.now == rig.config.transport_cpu
+    assert rig.transports[0].stats.retransmits == 0
+    assert rig.ring.stats.messages == 0
 
 
 def test_multicast_recovers_from_loss():
