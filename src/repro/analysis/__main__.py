@@ -36,22 +36,22 @@ from repro.config import ClusterConfig
 from repro.metrics.collect import VIOLATION_PREFIX
 
 
+#: Constructor arguments per registered app.  Sizes are scaled down from
+#: the paper's: a violation in a small run is a violation.
+_APP_ARGS: dict[str, dict[str, int]] = {
+    "dotprod": {"n": 4096},
+    "jacobi": {"n": 48, "iters": 3},
+    "matmul": {"n": 48},
+    "pde3d": {"m": 12, "iters": 3},
+    "sort": {"nrecords": 1024},
+    "tsp": {"ncities": 8},
+}
+
+
 def _build_app(name: str, nprocs: int) -> Any:
-    # Sizes are scaled down from the paper's: the checker multiplies the
-    # per-access work, and a violation in a small run is a violation.
-    if name == "dotprod":
-        from repro.apps.dotprod import DotProductApp
+    from repro.exps.parallel import app_constructor
 
-        return DotProductApp(nprocs, n=4096)
-    if name == "jacobi":
-        from repro.apps.jacobi import JacobiApp
-
-        return JacobiApp(nprocs, n=48, iters=3)
-    if name == "tsp":
-        from repro.apps.tsp import TspApp
-
-        return TspApp(nprocs, ncities=8)
-    raise SystemExit(f"unknown app {name!r} (expected dotprod, jacobi or tsp)")
+    return app_constructor(name)(nprocs, **_APP_ARGS[name])
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -70,12 +70,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
     counters = ivy.cluster.total_counters()
     violations = counters.violations()
     oracle = ivy.cluster.oracle
-    races = ivy.races.races if ivy.races is not None else []
+    detector = ivy.races
+    races = detector.races if detector is not None else []
     print(
         f"{args.app} on {args.nodes} nodes ({args.algorithm}): result ok, "
         f"{oracle.checks_run if oracle else 0} oracle checks, "
         f"{len(trace.events)} protocol events"
     )
+    if detector is not None:
+        print(
+            f"  race: {detector.accesses:,} accesses / "
+            f"{detector.words_covered:,} words / {len(detector.runs):,} runs "
+            f"(peak {detector.runs_peak:,})"
+        )
     for rule, count in sorted(violations.items()):
         print(f"  {VIOLATION_PREFIX}{rule}: {count}")
     for race in races:
@@ -257,7 +264,7 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run a benchmark under the checkers")
-    run.add_argument("--app", default="jacobi", help="dotprod | jacobi | tsp")
+    run.add_argument("--app", default="jacobi", help=" | ".join(sorted(_APP_ARGS)))
     run.add_argument(
         "--algorithm", default="dynamic",
         help="centralized | fixed | dynamic | broadcast",

@@ -36,6 +36,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Any
 
 from repro.analysis.violation import InvariantViolation
+from repro.machine.mmu import Access
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.api.cluster import Cluster
@@ -47,6 +48,31 @@ _COMPLETIONS = ("svm.read_fault", "svm.write_fault", "svm.write_upgrade", "svm.c
 
 #: How many per-page events a violation report carries.
 HISTORY_WINDOW = 32
+
+_READ = Access.READ
+_WRITE = Access.WRITE
+
+
+def _all_chains_reach(hops: list[int | None], owner_id: int) -> bool:
+    """Whether following ``hops`` from every node ends at ``owner_id``
+    (whose own hop must be None).  A node known to reach the owner ends
+    the walk from any node that leads to it, so all the chains together
+    cost O(nodes)."""
+    reaches = [False] * len(hops)
+    reaches[owner_id] = hops[owner_id] is None
+    for start in range(len(hops)):
+        path = []
+        current: int | None = start
+        while current is not None and not reaches[current]:
+            if len(path) == len(hops):
+                return False  # a cycle that never meets the owner
+            path.append(current)
+            current = hops[current]
+        if current is None:
+            return False  # ended at a node that is not the owner
+        for nid in path:
+            reaches[nid] = True
+    return True
 
 
 class PageShadow:
@@ -286,11 +312,26 @@ class CoherenceOracle:
         self, page: int, time: int, category: str, fields: dict[str, Any]
     ) -> None:
         self.checks_run += 1
-        nodes = self.cluster.nodes
         shadow = self.shadow.shadow(page)
-        entries = {n.node_id: n.table.entry(page) for n in nodes}
+        # One pass over the entries (index == node id) collects what
+        # every rule below reads.
+        entries = [n.table.entry(page) for n in self.cluster.nodes]
+        epochs = shadow.epochs
+        owners: list[int] = []
+        writers: list[int] = []
+        can_read: list[int] = []
+        moved: list[int] = []  # live epoch differs from the shadow's
+        for nid, entry in enumerate(entries):
+            if entry.is_owner:
+                owners.append(nid)
+            access = entry.access
+            if access >= _READ:
+                can_read.append(nid)
+                if access >= _WRITE:
+                    writers.append(nid)
+            if entry.inv_epoch != epochs.get(nid):
+                moved.append(nid)
 
-        owners = [nid for nid, e in entries.items() if e.is_owner]
         if len(owners) > 1:
             self._violation(
                 "owner-unique",
@@ -305,42 +346,33 @@ class CoherenceOracle:
             )
 
         # Epoch monotonicity against the live tables.
-        for nid, entry in entries.items():
-            last = shadow.epochs.get(nid, 0)
-            if entry.inv_epoch < last:
+        for nid in moved:
+            last = epochs.get(nid, 0)
+            inv_epoch = entries[nid].inv_epoch
+            if inv_epoch < last:
                 self._violation(
                     "epoch-regress",
                     f"node {nid} invalidation epoch moved {last} -> "
-                    f"{entry.inv_epoch}",
+                    f"{inv_epoch}",
                     page, time, node=nid,
                 )
-            shadow.epochs[nid] = max(last, entry.inv_epoch)
+            epochs[nid] = max(last, inv_epoch)
 
         # SWMR: a writable entry anywhere implies NIL everywhere else.
-        if not self.update_policy:
-            writers = [
-                nid for nid, e in entries.items() if e.access.permits_write()
-            ]
-            if writers:
-                readable = [
-                    nid for nid, e in entries.items()
-                    if e.access.permits_read() and nid not in writers
-                ]
-                if len(writers) > 1 or readable:
-                    self._violation(
-                        "swmr",
-                        f"writers {writers} coexist with readable copies "
-                        f"at {readable}",
-                        page, time,
-                    )
+        if writers and not self.update_policy:
+            readable = [nid for nid in can_read if nid not in writers]
+            if len(writers) > 1 or readable:
+                self._violation(
+                    "swmr",
+                    f"writers {writers} coexist with readable copies "
+                    f"at {readable}",
+                    page, time,
+                )
 
         if len(owners) == 1:
             owner_id = owners[0]
             owner_entry = entries[owner_id]
-            readers = {
-                nid for nid, e in entries.items()
-                if nid != owner_id and e.access.permits_read()
-            }
+            readers = {nid for nid in can_read if nid != owner_id}
             if not readers <= owner_entry.copy_set:
                 if not shadow.pending:
                     self._violation(
@@ -371,9 +403,13 @@ class CoherenceOracle:
 
     def _check_probowner_chains(self, page: int, time: int, owner_id: int) -> None:
         nodes = self.cluster.nodes
-        hop = getattr(nodes[0].protocol, "probable_owner_hop", None)
-        if hop is None:
+        if getattr(nodes[0].protocol, "probable_owner_hop", None) is None:
             return
+        hops = [node.protocol.probable_owner_hop(page) for node in nodes]
+        if _all_chains_reach(hops, owner_id):
+            return
+        # Some chain fails: walk them one by one, as the rule is stated,
+        # to name the first broken one and where it ends.
         for start in nodes:
             current = start.node_id
             for _ in range(len(nodes) + 1):
@@ -390,7 +426,7 @@ class CoherenceOracle:
                 )
 
     def _check_data_coherence(
-        self, page: int, time: int, fields: dict[str, Any], entries: dict[int, Any]
+        self, page: int, time: int, fields: dict[str, Any], entries: list[Any]
     ) -> None:
         """A completed read fault must have installed the owner's bytes
         (the last write in coherence order lives in the owner's frame)."""

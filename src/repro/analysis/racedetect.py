@@ -24,11 +24,18 @@ happens-before edges
 
 shadow memory
     Aligned 8-byte words (every IVY synchronisation field and both
-    benchmark element types are int64/float64).  Per word: the last
-    write epoch and the read epochs since that write, FastTrack-style.
+    benchmark element types are int64/float64).  The state of a word is
+    FastTrack's — the last write epoch and the read epochs since that
+    write — but it is stored per *run*: a sorted map of disjoint word
+    ranges whose words all share one state, because IVY programs touch
+    memory in large per-process blocks.  An access splits the map at its
+    two ends, compares once per overlapped run, and rewrites the range;
+    words are enumerated only to print the reports of a run that *is*
+    racy.  A word outside every run has never been touched.
     Words covered by an ``atomic_update`` are classified as
     synchronisation state and exempt from data-race checking (e.g.
-    ``Read(ec)`` intentionally reads the count without the record lock).
+    ``Read(ec)`` intentionally reads the count without the record lock);
+    no run ever covers one.
 
 Races are *recorded*, not raised — a racy program is a finding, not a
 checker failure.  Each :class:`RaceReport` carries both access epochs
@@ -49,6 +56,7 @@ of vanishing.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Generator
@@ -70,6 +78,24 @@ WORD = 8
 SYNC_LOG_WINDOW = 16
 
 VectorClock = dict[Pid, int]
+
+#: One run's shadow state: ``(last write, reads since that write)`` —
+#: ``(writer, epoch) | None`` and ``{reader: epoch} | None`` (never an
+#: empty dict).  Values are immutable once stored: runs share them.
+RunState = tuple["tuple[Pid, int] | None", "dict[Pid, int] | None"]
+
+
+def _same_state(a: RunState, b: RunState) -> bool:
+    """Whether two runs may be merged.  Reader dicts must agree in
+    insertion order too: it is the order their races are reported in."""
+    if a is b:
+        return True
+    if a[0] != b[0]:
+        return False
+    ra, rb = a[1], b[1]
+    if ra is None or rb is None:
+        return ra is rb
+    return ra == rb and list(ra) == list(rb)
 
 
 @dataclass
@@ -117,12 +143,22 @@ class RaceDetector:
         #: Clocks published by resume() and waiting for the target's park
         #: to return.
         self.pending_wakes: dict[Pid, list[VectorClock]] = {}
-        #: word -> (writer, writer-epoch) of the last write.
-        self.write_shadow: dict[int, tuple[Pid, int]] = {}
-        #: word -> reader epochs since the last write.
-        self.read_shadow: dict[int, dict[Pid, int]] = {}
-        #: Words inside atomic_update records (synchronisation state).
+        #: The run-length shadow: run ``k`` covers the word addresses
+        #: ``[_starts[k], _ends[k])`` and all of them have ``_states[k]``.
+        #: Runs are ascending, disjoint and non-empty; two runs that
+        #: touch differ in state; none covers a synchronisation word.
+        self._starts: list[int] = []
+        self._ends: list[int] = []
+        self._states: list[RunState] = []
+        #: Words inside atomic_update records (synchronisation state),
+        #: and the same words ascending (to find those inside an access).
         self.sync_words: set[int] = set()
+        self._sync_sorted: list[int] = []
+        #: Telemetry: accesses checked, words they covered, and the
+        #: longest the run map has been.
+        self.accesses = 0
+        self.words_covered = 0
+        self.runs_peak = 0
         self.races: list[RaceReport] = []
         #: Reports matching a declared + allowlisted benign region:
         #: suppressed from ``races`` but kept for inspection.
@@ -221,8 +257,33 @@ class RaceDetector:
         for word in range(start, addr + nbytes, WORD):
             if word not in self.sync_words:
                 self.sync_words.add(word)
-                self.write_shadow.pop(word, None)
-                self.read_shadow.pop(word, None)
+                insort(self._sync_sorted, word)
+                self._forget_word(word)
+
+    def _forget_word(self, word: int) -> None:
+        """Cut ``word`` out of the run that covers it, if one does."""
+        starts, ends, states = self._starts, self._ends, self._states
+        k = bisect_right(starts, word) - 1
+        if k < 0 or ends[k] <= word:
+            return
+        end = ends[k]
+        after = word + WORD
+        if starts[k] < word:
+            ends[k] = word
+            if after < end:
+                starts.insert(k + 1, after)
+                ends.insert(k + 1, end)
+                states.insert(k + 1, states[k])
+                self.runs_peak = max(self.runs_peak, len(starts))
+        elif after < end:
+            starts[k] = after
+        else:
+            del starts[k], ends[k], states[k]
+
+    @property
+    def runs(self) -> list[tuple[int, int, RunState]]:
+        """The shadow as ``(start, end, state)`` runs, ascending."""
+        return list(zip(self._starts, self._ends, self._states))
 
     # ------------------------------------------------------------------
     # data accesses
@@ -233,35 +294,127 @@ class RaceDetector:
         """Check one application access against the shadow memory."""
         if nbytes <= 0:
             return
+        lo = addr & ~(WORD - 1)
+        hi = (addr + nbytes + WORD - 1) & ~(WORD - 1)
+        self.accesses += 1
+        self.words_covered += (hi - lo) // WORD
         vc = self.clock(pid)
+        sync = self._sync_sorted
+        i = bisect_left(sync, lo)
+        while i < len(sync) and sync[i] < hi:
+            # Synchronisation words split the access; they are skipped.
+            if lo < sync[i]:
+                self._access_range(pid, vc, lo, sync[i], write, node_id)
+            lo = sync[i] + WORD
+            i += 1
+        if lo < hi:
+            self._access_range(pid, vc, lo, hi, write, node_id)
+        if len(self._starts) > self.runs_peak:
+            self.runs_peak = len(self._starts)
+
+    def _access_range(
+        self, pid: Pid, vc: VectorClock, lo: int, hi: int, write: bool,
+        node_id: int,
+    ) -> None:
+        """One access to the words ``[lo, hi)``, none of them a
+        synchronisation word: check each overlapped run once, then
+        rewrite the range."""
+        starts, ends, states = self._starts, self._ends, self._states
         own = vc[pid]
-        write_shadow = self.write_shadow
-        read_shadow = self.read_shadow
-        sync_words = self.sync_words
-        for word in range((addr & ~(WORD - 1)), addr + nbytes, WORD):
-            if word in sync_words:
-                continue
-            last = write_shadow.get(word)
+        first = bisect_right(ends, lo)  # first run ending after lo
+        stop = bisect_left(starts, hi, first)  # first run starting at/after hi
+
+        for k in range(first, stop):
+            last, readers = states[k]
+            found: list[tuple[str, Pid, int]] = []
             if last is not None:
                 wpid, wepoch = last
                 if wpid != pid and wepoch > vc.get(wpid, 0):
                     kind = "write-write" if write else "write-read"
-                    self._report(kind, word, pid, wpid, wepoch, node_id)
+                    found.append((kind, wpid, wepoch))
+            if write and readers is not None:
+                for rpid, repoch in readers.items():
+                    if rpid != pid and repoch > vc.get(rpid, 0):
+                        found.append(("read-write", rpid, repoch))
+            if found:
+                # The run is homogeneous, so the verdict above holds for
+                # each of its words; enumerate them only to report.
+                for word in range(max(lo, starts[k]), min(hi, ends[k]), WORD):
+                    for kind, other, epoch in found:
+                        self._report(kind, word, pid, other, epoch, node_id)
+
+        if stop - first == 1 and starts[first] <= lo and hi <= ends[first]:
+            # Inside one run: a repeat of its last access changes nothing.
+            last, readers = states[first]
             if write:
-                readers = read_shadow.pop(word, None)
-                if readers:
-                    for rpid, repoch in readers.items():
-                        if rpid != pid and repoch > vc.get(rpid, 0):
-                            self._report(
-                                "read-write", word, pid, rpid, repoch, node_id
-                            )
-                write_shadow[word] = (pid, own)
+                repeat = readers is None and last == (pid, own)
             else:
-                readers = read_shadow.get(word)
+                repeat = readers is not None and readers.get(pid) == own
+            if repeat:
+                return
+
+        # The rewritten window also takes in a neighbour that ends at lo
+        # or starts at hi, so equal states merge across the edges.
+        w0 = first - 1 if first and ends[first - 1] == lo else first
+        w1 = stop + 1 if stop < len(starts) and starts[stop] == hi else stop
+        pieces: list[tuple[int, int, RunState]] = []
+        if w0 < first:
+            pieces.append((starts[w0], lo, states[w0]))
+        elif first < stop and starts[first] < lo:
+            pieces.append((starts[first], lo, states[first]))
+        if write:
+            pieces.append((lo, hi, ((pid, own), None)))
+        else:
+            pieces += self._read_pieces(pid, own, lo, hi, first, stop)
+        if w1 > stop:
+            pieces.append((hi, ends[stop], states[stop]))
+        elif first < stop and ends[stop - 1] > hi:
+            pieces.append((hi, ends[stop - 1], states[stop - 1]))
+
+        new_starts: list[int] = []
+        new_ends: list[int] = []
+        new_states: list[RunState] = []
+        for start, end, state in pieces:
+            if new_states and _same_state(new_states[-1], state):
+                new_ends[-1] = end
+            else:
+                new_starts.append(start)
+                new_ends.append(end)
+                new_states.append(state)
+        starts[w0:w1] = new_starts
+        ends[w0:w1] = new_ends
+        states[w0:w1] = new_states
+
+    def _read_pieces(
+        self, pid: Pid, own: int, lo: int, hi: int, first: int, stop: int
+    ) -> list[tuple[int, int, RunState]]:
+        """``[lo, hi)`` after a read by ``pid`` at epoch ``own``: each of
+        the overlapped runs ``first..stop`` with ``readers[pid] = own``
+        (copy-on-write — runs share reader dicts), the gaps filled in."""
+        starts, ends, states = self._starts, self._ends, self._states
+        fresh: RunState = (None, {pid: own})
+        pieces = []
+        at = lo
+        old: RunState | None = None
+        new = fresh
+        for k in range(first, stop):
+            start = max(starts[k], lo)
+            if at < start:
+                pieces.append((at, start, fresh))
+            if states[k] is not old:
+                old = states[k]
+                readers = old[1]
                 if readers is None:
-                    read_shadow[word] = {pid: own}
+                    new = (old[0], fresh[1])
+                elif readers.get(pid) == own:
+                    new = old
                 else:
-                    readers[pid] = own
+                    new = (old[0], {**readers, pid: own})
+            at = min(ends[k], hi)
+            pieces.append((start, at, new))
+        if at < hi:
+            pieces.append((at, hi, fresh))
+        return pieces
 
     def _report(
         self, kind: str, word: int, accessor: Pid, other: Pid,
@@ -349,7 +502,9 @@ class TrackedMemory:
     # -- writes ---------------------------------------------------------
 
     def write_bytes(self, addr: int, data: Any) -> Generator[Any, Any, Any]:
-        self._track(addr, len(data), True)
+        # The inner write flattens an array to one byte per element.
+        flat = isinstance(data, (bytes, bytearray))
+        self._track(addr, len(data) if flat else np.asarray(data).size, True)
         return self._inner.write_bytes(addr, data)
 
     def write_array(self, addr: int, values: Any) -> Generator[Any, Any, Any]:

@@ -63,6 +63,16 @@ class ConfigError(ValueError):
             f"unknown {field_name} {value!r} (known: {', '.join(known)}){hint}"
         )
 
+    @classmethod
+    def unknown(cls, field_name: str, value: object, known) -> "ConfigError":
+        """The error for a ``value`` that is none of the ``known`` names,
+        suggesting the closest one when it is a likely typo."""
+        import difflib
+
+        known = tuple(sorted(known))
+        close = difflib.get_close_matches(str(value), known, n=1, cutoff=0.6)
+        return cls(field_name, value, known, close[0] if close else None)
+
 #: One microsecond of simulated time, in simulation ticks (nanoseconds).
 MICROSECOND = 1_000
 #: One millisecond of simulated time.

@@ -45,6 +45,7 @@ from repro.metrics.speedup import RunResult, run_app
 __all__ = [
     "APP_REGISTRY",
     "Job",
+    "app_constructor",
     "resolve_workers",
     "run_jobs",
 ]
@@ -60,6 +61,17 @@ APP_REGISTRY: dict[str, Callable[..., Any]] = {
     "sort": MergeSplitSortApp,
     "tsp": TspApp,
 }
+
+
+def app_constructor(name: str) -> Callable[..., Any]:
+    """The constructor registered under ``name`` — for callers taking an
+    app name from a user: an unknown one is a
+    :class:`repro.config.ConfigError` listing the registered names and
+    suggesting the closest."""
+    ctor = APP_REGISTRY.get(name)
+    if ctor is None:
+        raise ConfigError.unknown("app", name, APP_REGISTRY)
+    return ctor
 
 
 @dataclass(frozen=True)

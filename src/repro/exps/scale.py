@@ -336,8 +336,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--slo", action="append", default=None,
+        # argparse %-formats help strings: the "%" in "< 50%" is escaped.
         help="SLO spec for --timeline, repeatable (default: "
-        + "; ".join(DEFAULT_SLOS) + ")",
+        + "; ".join(DEFAULT_SLOS).replace("%", "%%") + ")",
     )
     args = parser.parse_args(argv)
 

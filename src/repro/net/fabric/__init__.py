@@ -317,12 +317,6 @@ def make_fabric(
             sim, config.fabric, config.nodes, rng, trace, obs=obs
         )
 
-    import difflib
-
     from repro.config import ConfigError
 
-    known = tuple(sorted(FABRIC_BACKENDS))
-    close = difflib.get_close_matches(str(backend), known, n=1, cutoff=0.6)
-    raise ConfigError(
-        "fabric.backend", backend, known, suggestion=close[0] if close else None
-    )
+    raise ConfigError.unknown("fabric.backend", backend, FABRIC_BACKENDS)

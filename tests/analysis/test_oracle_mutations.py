@@ -110,3 +110,57 @@ def test_violation_report_carries_context():
     text = violation.format()
     assert "invalidate-nonholder" in text
     assert "entry state" in text
+
+
+def test_oracle_flags_probowner_cycle():
+    """Two hints pointing at each other never reach the owner; the
+    report names the first broken chain and where its walk stopped."""
+    cluster, page, addr = checked_cluster()
+    cluster.node(1).table.entry(page).prob_owner = 2
+    cluster.node(2).table.entry(page).prob_owner = 1
+
+    with pytest.raises(InvariantViolation) as exc:
+        cluster.oracle.check_quiescent()
+    assert exc.value.rule == "probowner-chain"
+    assert exc.value.node == 1
+    assert "chain from node 1 ends at 1, not the owner 0" in exc.value.detail
+
+
+def test_chain_resolution_agrees_with_walking_every_chain():
+    """``_all_chains_reach`` against the rule as stated (follow up to
+    n+1 hops from every node), over every hop table of four nodes."""
+    import itertools
+
+    from repro.analysis.oracle import _all_chains_reach
+
+    def walk_ok(hops, owner):
+        for current in range(len(hops)):
+            for _ in range(len(hops) + 1):
+                if hops[current] is None:
+                    break
+                current = hops[current]
+            if current != owner:
+                return False
+        return True
+
+    n = 4
+    for owner in range(n):
+        for others in itertools.product(range(n), repeat=n - 1):
+            hops = list(others)
+            hops.insert(owner, None)
+            assert _all_chains_reach(hops, owner) == walk_ok(hops, owner), hops
+    # An "owner" that still points elsewhere, or a second chain end.
+    assert not _all_chains_reach([1, 0, 0], 0)
+    assert not _all_chains_reach([None, None, 0], 0)
+
+
+def test_clean_chain_check_asks_each_node_for_one_hop():
+    cluster, page, addr = checked_cluster()
+    calls = []
+    for node in cluster.nodes:
+        hop = node.protocol.probable_owner_hop
+        node.protocol.probable_owner_hop = (
+            lambda p, hop=hop, nid=node.node_id: calls.append(nid) or hop(p)
+        )
+    cluster.oracle._check_probowner_chains(page, 0, owner_id=0)
+    assert sorted(calls) == [0, 1, 2]
