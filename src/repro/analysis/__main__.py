@@ -158,9 +158,9 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         )
         total = sum(result.extractor_errors.values())
         print(
-            f"  explore.extractor_error={total} ({per_op}): footprint "
-            f"extractors failed; affected deliveries fell back to p? "
-            f"(sound, but POR is weakened)"
+            f"  explore.extractor_error={total} ({per_op}): payloads did "
+            f"not fit their op's declared page; affected deliveries fell "
+            f"back to p? (sound, but POR is weakened)"
         )
     violations = result.violations
     if violations and args.minimize:

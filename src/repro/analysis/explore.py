@@ -519,18 +519,6 @@ def run_scenario(
 # ----------------------------------------------------------------------
 # independence (for partial-order reduction)
 
-#: Fan-out deliveries *declared* to commute even for the same page: each
-#: one only rewrites its target node's page-table entry (access,
-#: probOwner) and the origin aggregates replies order-insensitively
-#: (counted for invalidation/update, first-and-only for owner location,
-#: none for hints).  These are exactly the broadcast frames whose
-#: deliveries share one ring arrival tick.  A declaration, not a
-#: licence: :mod:`repro.analysis.static.commute` checks the claim handler
-#: by handler, and the relation commutes only the subset it proved
-#: (``fanout_safe``).
-_FANOUT_OPS = frozenset({"svm.inv", "svm.update", "svm.hint", "svm.locate"})
-
-
 def _delivery_footprint(label: str | None) -> tuple[int, int, str] | None:
     """(target node, page, op) for a page-attributed delivery label,
     else None.  Labels that do not parse — task steps, wakes, retransmit
@@ -556,10 +544,10 @@ class CertifiedIndependence:
     proved it:
 
     - *different node, different page*: both ops must be certified
-      page-attributed (their extractors provably name every page-keyed
-      state access);
+      page-attributed (the page their op-table row declares provably
+      names every page-keyed state access);
     - *different node, same page*: both ops must be in the proven
-      subset of the declared fan-out set;
+      subset of the ops whose row claims ``fanout``;
     - *same node, different page*: the pair must be in the matrix's
       ``same_node_commutes``;
     - anything unattributed (including every op the analysis demoted)
@@ -679,11 +667,11 @@ class ExplorationResult:
     truncated: bool = False
     #: Independence relation the exploration pruned with.
     relation: str = "certified"
-    #: Footprint-extractor failures observed during this exploration,
-    #: keyed by op (surfaced by the CLI as ``explore.extractor_error``).
-    #: A failing extractor demotes its deliveries to ``p?`` — still
-    #: sound, but it silently weakens POR, so any nonzero count here
-    #: deserves a look.
+    #: Payloads that did not fit their op's declared page path during
+    #: this exploration, keyed by op (surfaced by the CLI as
+    #: ``explore.extractor_error``).  Each such delivery is demoted to
+    #: ``p?`` — still sound, but it silently weakens POR, so any nonzero
+    #: count here deserves a look.
     extractor_errors: dict[str, int] = field(default_factory=dict)
 
     def record(self, run: RunResult, choices: Sequence[int], drops: Sequence[int] = ()) -> None:

@@ -5,6 +5,11 @@ check *executions* (one schedule at a time), this package checks the
 *program text* — properties that hold for every schedule, proven at
 lint time:
 
+- :mod:`repro.analysis.static.facts` — the syntactic substrate,
+  including the one parser of the protocol's op table (the
+  ``repro.svm.protocol.Op`` row literals every analysis below reads:
+  which ops a class serves, by which handler, keyed by which page,
+  lock-free or claimed fan-out-safe);
 - :mod:`repro.analysis.static.cfg` — per-function control-flow graphs
   with exception edges and ``finally`` duplication;
 - :mod:`repro.analysis.static.dataflow` — a generic disjunctive
@@ -15,7 +20,8 @@ lint time:
   not annotated);
 - :mod:`repro.analysis.static.waitfor` — cross-handler lock-order and
   wait-for graph per manager class, proven acyclic (static
-  deadlock-freedom for all four coherence managers);
+  deadlock-freedom for all five classes: the four coherence managers
+  and their shared base);
 - :mod:`repro.analysis.static.messages` — message-exhaustiveness
   matrix: every sent op has a handler, every awaited op a total reply
   path;
@@ -23,11 +29,11 @@ lint time:
   pure function of its seed (no wall-clock, unseeded RNGs, id()
   ordering or raw set iteration);
 - :mod:`repro.analysis.static.footprints` — interprocedural read/write
-  effect analysis over every message handler, certifying the
-  ``annotate_op``/``SCHED_FOOTPRINTS`` page extractors against the
-  handler's actual page-keyed state accesses;
-- :mod:`repro.analysis.static.commute` — from those effects, proves the
-  explorer's ``_FANOUT_OPS`` claim handler-by-handler and emits the
+  effect analysis over every message handler, certifying the ``page``
+  column of its op-table row against the handler's actual page-keyed
+  state accesses;
+- :mod:`repro.analysis.static.commute` — from those effects, proves
+  each row's ``fanout`` claim handler-by-handler and emits the
   certified commutativity matrix that ``explore.py``'s
   ``certified_relation`` — the explorer's only independence relation —
   is built from.

@@ -3,26 +3,27 @@
 :mod:`repro.analysis.explore` prunes schedules with a sleep-set partial
 order reduction whose *independence relation* was once hand written:
 two same-tick deliveries commute when they land on different nodes and
-either concern different pages or are both in the declared
-``_FANOUT_OPS`` set.  This module derives that relation from the
-:mod:`footprints` effect analysis and emits it as a machine-readable
-matrix — the only thing the explorer's relation is now built from —
-per algorithm:
+either concern different pages or are both declared fan-out-safe.  This
+module derives that relation from the op table (the rows parsed by
+:mod:`facts`) and the :mod:`footprints` effect analysis, and emits it as
+a machine-readable matrix — the only thing the explorer's relation is
+built from — per algorithm:
 
-- ``ops`` — which ops are *page-attributed* (their certified extractor
+- ``ops`` — which ops are *page-attributed* (the page their row declares
   provably names every page-keyed state access of the handler).  An op
   the analysis cannot attribute is demoted: the matrix marks it
   unattributed and the certified relation treats its deliveries as
   conflicting with everything (sound, merely unreduced).
-- ``fanout_safe`` — the subset of the explorer's declared
-  ``_FANOUT_OPS`` whose claim is *proven*: the handler touches only the
+- ``fanout_safe`` — the subset of the ops whose row claims
+  ``fanout=True`` (``fanout_declared``, the rows of the class under
+  analysis) whose claim is *proven*: the handler touches only the
   target's own per-page state (no wildcard writes, no eviction-capable
   installs, no unkeyed manager state, no payload mutation, no awaited
   sends) and reply aggregation at the origin is order-insensitive for
   every scheme the op is sent under.  A declared-but-unproven op is a
   finding, never a silent matrix entry; a proven-but-undeclared op is
-  deliberately *not* added (the matrix refines the hand-written claim,
-  it does not extend it without review).
+  deliberately *not* added (the matrix refines the declared claim, it
+  does not extend it without review).
 - ``same_node_commutes`` — the strict refinement over the hand-coded
   relation: pairs of attributed ops whose effects provably commute even
   when delivered *at the same node* for different pages.  Soundness
@@ -308,14 +309,6 @@ def _fanout_obligations(
 # the analysis
 
 
-def _declared_fanout_ops() -> frozenset[str]:
-    # Imported lazily: explore sits above the static analyses and pulls
-    # in the full simulation stack.
-    from repro.analysis.explore import _FANOUT_OPS
-
-    return frozenset(_FANOUT_OPS)
-
-
 def analyze(
     facts: facts_mod.ProjectFacts,
 ) -> tuple[list[Finding], list[CommuteSummary]]:
@@ -323,7 +316,6 @@ def analyze(
     manager class in ``facts``."""
     findings: dict[tuple[str, str, int, str], Finding] = {}
     summaries: list[CommuteSummary] = []
-    declared_fanout = _declared_fanout_ops()
     analyzer = EffectAnalyzer(facts)
 
     def add(rule: str, message: str, path: str, line: int) -> None:
@@ -339,7 +331,11 @@ def analyze(
             for rule, message, path, line in fp.problems:
                 add(rule, message, path or fps.path, line or fps.line)
 
-        declared = sorted(declared_fanout & set(fps.ops))
+        declared = sorted(
+            op
+            for op, (row, _cls, _line) in facts.effective_ops(class_name).items()
+            if row.fanout
+        )
         proven: list[str] = []
         agg_ok: dict[str, bool] = {}
         for op, fp in fps.ops.items():

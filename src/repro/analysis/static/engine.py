@@ -131,13 +131,26 @@ class StaticReport:
         return lines
 
 
-def _discipline(modules: list[facts_mod.Module]) -> list[Finding]:
+def _discipline(facts: facts_mod.ProjectFacts) -> list[Finding]:
+    lock_free = facts.lock_free_handlers()
     findings: list[Finding] = []
-    for module in modules:
+    for module in facts.modules:
         findings += discipline_findings(
-            module.path, module.tree, module.source_lines
+            module.path, module.tree, module.source_lines, lock_free
         )
     return findings
+
+
+def _protocol_pass(facts: facts_mod.ProjectFacts) -> StaticReport:
+    """Wait-for graph, message matrix and footprint/commute
+    certification over the manager classes in ``facts``."""
+    wf_findings, wf_summaries = waitfor.analyze(facts)
+    msg_findings, msg_summaries = messages.analyze(facts)
+    cm_findings, cm_summaries = commute_mod.analyze(facts)
+    return StaticReport(
+        wf_findings + msg_findings + cm_findings,
+        wf_summaries, msg_summaries, cm_summaries,
+    )
 
 
 def run_default(root: str | None = None) -> StaticReport:
@@ -163,35 +176,26 @@ def run_default(root: str | None = None) -> StaticReport:
             )
         return [str(p) for p in resolved]
 
-    findings = _discipline(facts_mod.load_modules(resolve(DISCIPLINE_PATHS)))
+    def collect(paths: list[str]) -> facts_mod.ProjectFacts:
+        return facts_mod.collect(facts_mod.load_modules(resolve(paths)))
 
-    protocol_modules = facts_mod.load_modules(resolve(PROTOCOL_PATHS))
-    facts = facts_mod.collect(protocol_modules)
-    wf_findings, wf_summaries = waitfor.analyze(facts)
-    msg_findings, msg_summaries = messages.analyze(facts)
-    cm_findings, cm_summaries = commute_mod.analyze(facts)
-    findings += wf_findings + msg_findings + cm_findings
-
+    report = _protocol_pass(collect(PROTOCOL_PATHS))
+    report.findings[:0] = _discipline(collect(DISCIPLINE_PATHS))
     for module in facts_mod.load_modules(resolve(DETERMINISM_PATHS)):
-        findings += determinism_findings(module)
-
-    return StaticReport(findings, wf_summaries, msg_summaries, cm_summaries)
+        report.findings += determinism_findings(module)
+    return report
 
 
 def run_explicit(paths: list[str]) -> StaticReport:
     """Every analysis over caller-chosen files/directories."""
-    modules = facts_mod.load_modules(paths)
-    findings = _discipline(modules)
-    facts = facts_mod.collect(modules)
-    wf_findings, wf_summaries = waitfor.analyze(facts)
-    msg_findings, msg_summaries = messages.analyze(facts)
-    cm_findings, cm_summaries = commute_mod.analyze(facts)
-    findings += wf_findings + msg_findings + cm_findings
-    for module in modules:
-        findings += determinism_findings(module)
-    return StaticReport(findings, wf_summaries, msg_summaries, cm_summaries)
+    facts = facts_mod.collect(facts_mod.load_modules(paths))
+    report = _protocol_pass(facts)
+    report.findings[:0] = _discipline(facts)
+    for module in facts.modules:
+        report.findings += determinism_findings(module)
+    return report
 
 
 def discipline_lint(paths: list[str]) -> list[str]:
     """Discipline rules only, rendered as ``path:line: message`` strings."""
-    return render(_discipline(facts_mod.load_modules(paths)))
+    return render(_discipline(facts_mod.collect(facts_mod.load_modules(paths))))

@@ -3,9 +3,13 @@
 This is the syntactic substrate shared by the wait-for and
 message-exhaustiveness analyses.  It extracts, per module and per class:
 
-- op-name constants (``OP_READ = "svm.read"`` and friends, resolved
+- op-name constants (``OP_READ = ...`` and friends, resolved
   project-wide so ``from ... import OP_READ`` works),
-- handler registrations (``remote.register(OP_X, self._serve_x)``),
+- the op table: the :class:`repro.svm.protocol.Op` row literals of each
+  class body's ``OPS`` tuple, parsed once here into the same row type
+  the runtime registers from — every analysis that needs to know which
+  ops a class serves, by which handler, keyed by which page, lock-free
+  or fan-out-safe, reads these rows,
 - remote sends (``.request``/``.broadcast``/``.multicast`` calls) with
   their op argument resolved to a constant, a callee parameter, or
   unknown,
@@ -18,9 +22,9 @@ message-exhaustiveness analyses.  It extracts, per module and per class:
   awaited, so they contribute sends but never hold-awaits).
 
 Class hierarchies are resolved by name across the analyzed files, so a
-subclass manager inherits its base's registrations, sends and helpers —
-a new MSI/LRC manager gets the whole verification for free by
-subclassing ``CoherenceProtocol``.
+subclass manager inherits its base's rows, sends and helpers — a new
+MSI/LRC manager gets the whole verification for free by subclassing
+``CoherenceProtocol``.
 """
 
 from __future__ import annotations
@@ -28,8 +32,10 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any
 
 from repro.analysis.static.cfg import scope_walk
+from repro.svm.protocol import Op
 
 __all__ = ["OpRef", "Send", "CallSite", "MethodInfo", "ClassInfo", "Module",
            "ProjectFacts", "collect", "load_modules"]
@@ -72,7 +78,6 @@ class MethodInfo:
     fn: ast.FunctionDef | ast.AsyncFunctionDef
     sends: list[Send] = field(default_factory=list)
     calls: list[CallSite] = field(default_factory=list)
-    registrations: list[tuple[str, str, int]] = field(default_factory=list)
     #: Contains a *blocking* lock acquisition (``.lock.acquire()`` or
     #: ``acquire_page_write``).  ``try_acquire`` is non-blocking and does
     #: not count: a server that try-acquires and replies RETRY never
@@ -87,6 +92,10 @@ class ClassInfo:
     path: str
     line: int
     methods: dict[str, MethodInfo] = field(default_factory=dict)
+    #: This class's own op-table rows, each with its source line.
+    ops: list[tuple[Op, int]] = field(default_factory=list)
+    #: Class-body string constants (``name = "dynamic"``).
+    constants: dict[str, str] = field(default_factory=dict)
 
 
 @dataclass
@@ -126,24 +135,28 @@ class ProjectFacts:
                 methods.setdefault(mname, (cls, info))
         return methods
 
-    def effective_registrations(
-        self, name: str
-    ) -> dict[str, tuple[str, ClassInfo, int]]:
-        """op → (handler method name, registering class, line)."""
-        regs: dict[str, tuple[str, ClassInfo, int]] = {}
+    def effective_ops(self, name: str) -> dict[str, tuple[Op, ClassInfo, int]]:
+        """op → (row, declaring class, line), merged along the MRO as
+        ``CoherenceProtocol.op_table`` merges at run time (nearest wins)."""
+        rows: dict[str, tuple[Op, ClassInfo, int]] = {}
         for cls in self.mro(name):
-            for info in cls.methods.values():
-                for op, handler, line in info.registrations:
-                    regs.setdefault(op, (handler, cls, line))
-        return regs
+            for row, line in cls.ops:
+                rows.setdefault(row.name, (row, cls, line))
+        return rows
 
     def manager_classes(self) -> list[str]:
-        """Classes (transitively) registering at least one handler."""
-        return sorted(
-            name
-            for name in self.classes
-            if self.effective_registrations(name)
-        )
+        """Classes whose (merged) op table has at least one row."""
+        return sorted(name for name in self.classes if self.effective_ops(name))
+
+    def lock_free_handlers(self) -> set[ast.AST]:
+        """The function definitions serving a ``lock_free`` row."""
+        handlers: set[ast.AST] = set()
+        for name in self.manager_classes():
+            methods = self.effective_methods(name)
+            for row, _cls, _line in self.effective_ops(name).values():
+                if row.lock_free and row.handler in methods:
+                    handlers.add(methods[row.handler][1].fn)
+        return handlers
 
 
 def _base_name(expr: ast.expr) -> str | None:
@@ -240,12 +253,6 @@ def _method_info(
         if send is not None:
             info.sends.append(send)
             continue
-        if func.attr == "register" and len(node.args) >= 2:
-            op = _resolve_op(node.args[0], constants, params)
-            handler = _base_name(node.args[1])
-            if op.value is not None and handler is not None:
-                info.registrations.append((op.value, handler, node.lineno))
-            continue
         if func.attr == "acquire":
             base = func.value
             if isinstance(base, ast.Attribute) and base.attr == "lock":
@@ -260,6 +267,59 @@ def _method_info(
                 CallSite(func.attr, node, node.lineno, detached)
             )
     return info
+
+
+def _string_constants(body: list[ast.stmt]) -> dict[str, str]:
+    """``NAME = "literal"`` assignments of a module or class body."""
+    return {
+        stmt.targets[0].id: stmt.value.value
+        for stmt in body
+        if isinstance(stmt, ast.Assign)
+        and len(stmt.targets) == 1
+        and isinstance(stmt.targets[0], ast.Name)
+        and isinstance(stmt.value, ast.Constant)
+        and isinstance(stmt.value.value, str)
+    }
+
+
+def _row_of(call: ast.Call, constants: dict[str, str]) -> Op | None:
+    """One ``Op(...)`` row literal, bound as the row type binds it.  The
+    op name may be a project constant; any other column the parser
+    cannot read keeps its default — so an unreadable ``page`` is an
+    undeclared one, reported as soon as the handler keys state by it."""
+    exprs = dict(zip(Op._fields, call.args))
+    exprs.update((kw.arg, kw.value) for kw in call.keywords if kw.arg in Op._fields)
+    columns: dict[str, Any] = {}
+    for column, expr in exprs.items():
+        try:
+            columns[column] = ast.literal_eval(expr)
+        except ValueError:
+            pass
+    columns["name"] = _resolve_op(exprs.get("name"), constants, set()).value
+    page = columns.get("page")
+    if not (isinstance(page, tuple) and all(isinstance(i, int) for i in page)):
+        columns.pop("page", None)
+    if columns["name"] is None or not isinstance(columns.get("handler"), str):
+        return None
+    return Op(**columns)
+
+
+def _table_rows(
+    body: list[ast.stmt], constants: dict[str, str]
+) -> list[tuple[Op, int]]:
+    """The rows of a class body's ``OPS`` tuple, each with its line."""
+    rows: list[tuple[Op, int]] = []
+    for stmt in body:
+        if not isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            continue
+        target = stmt.targets[0] if isinstance(stmt, ast.Assign) else stmt.target
+        if not (isinstance(target, ast.Name) and target.id == "OPS"):
+            continue
+        for call in getattr(stmt.value, "elts", ()):
+            row = _row_of(call, constants) if isinstance(call, ast.Call) else None
+            if row is not None:
+                rows.append((row, call.lineno))
+    return rows
 
 
 def load_modules(paths: list[str]) -> list[Module]:
@@ -280,15 +340,7 @@ def collect(modules: list[Module]) -> ProjectFacts:
     facts = ProjectFacts(modules=modules)
     # Constants first, project-wide, so imports resolve across modules.
     for module in modules:
-        for stmt in module.tree.body:
-            if (
-                isinstance(stmt, ast.Assign)
-                and len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Name)
-                and isinstance(stmt.value, ast.Constant)
-                and isinstance(stmt.value.value, str)
-            ):
-                facts.constants[stmt.targets[0].id] = stmt.value.value
+        facts.constants.update(_string_constants(module.tree.body))
     for module in modules:
         for stmt in module.tree.body:
             if not isinstance(stmt, ast.ClassDef):
@@ -298,5 +350,7 @@ def collect(modules: list[Module]) -> ProjectFacts:
             for item in stmt.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     cls.methods[item.name] = _method_info(item, facts.constants)
+            cls.ops = _table_rows(stmt.body, facts.constants)
+            cls.constants = _string_constants(stmt.body)
             facts.classes[cls.name] = cls
     return facts

@@ -16,8 +16,8 @@ __all__ = ["Finding", "RULES", "render", "to_sarif"]
 #: Rule registry: id -> one-line description (become SARIF rule metadata).
 RULES: dict[str, str] = {
     "lock-free-server": (
-        "invalidation-path servers (_serve_inv/_serve_update/_serve_hint) "
-        "must never acquire a PageTableEntry lock"
+        "the handler of an op whose op-table row says lock_free=True "
+        "(the invalidation path) must never acquire a PageTableEntry lock"
     ),
     "lock-balance": (
         "a held entry lock must be released on every path out of the "
@@ -62,8 +62,8 @@ RULES: dict[str, str] = {
     ),
     "msg-dead-handler": "a registered handler's op is never sent by anyone",
     "footprint-under-declared": (
-        "a message handler keys state by a payload projection its "
-        "declared footprint extractor does not cover (POR would commute "
+        "a message handler keys state by a payload projection the page "
+        "column of its op-table row does not cover (POR would commute "
         "deliveries that actually conflict)"
     ),
     "footprint-unattributable": (
@@ -71,7 +71,7 @@ RULES: dict[str, str] = {
         "payload's page; its deliveries must conflict with everything"
     ),
     "fanout-unproven": (
-        "an op declared fan-out-safe (_FANOUT_OPS) whose handler could "
+        "an op whose op-table row claims fanout=True whose handler could "
         "not be proven to touch only the target's own per-page state"
     ),
     "aggregation-order-sensitive": (

@@ -1,12 +1,13 @@
 """Interprocedural effect analysis over message handlers.
 
 The schedule explorer's partial-order reduction rests on a claim about
-*state footprints*: that the page number recovered from a delivery's
-payload (by the ``annotate_op`` / ``SCHED_FOOTPRINTS`` extractors) names
-exactly the per-page state the handler touches.  Until now that claim
-was hand-written and unverified.  This module infers it from source.
+*state footprints*: that the page number found in a delivery's payload
+at the index path its op-table row declares (``Op.page``; rows come
+parsed from :mod:`repro.analysis.static.facts`) names exactly the
+per-page state the handler touches.  This module checks each handler
+body against that column of its row.
 
-For every registered handler we run an abstract interpretation over the
+For every row's handler we run an abstract interpretation over the
 PR 5 CFG (:mod:`repro.analysis.static.cfg` + ``dataflow``): the abstract
 environment maps local names to *payload projections* — ``payload``,
 ``payload[0]``, ``origin``, ``entry:payload`` (a page-table entry keyed
@@ -45,7 +46,7 @@ inside ``_serve_read`` contributes the subclass's owner-table write
 *keyed by the handler's payload*.
 
 :func:`certify_class` then checks each handler's inferred page keys
-against its declared extractor — the certification the commutativity
+against its row's declared page — the certification the commutativity
 matrix (:mod:`repro.analysis.static.commute`) is built on.
 """
 
@@ -64,8 +65,6 @@ __all__ = [
     "ClassFootprints",
     "EffectAnalyzer",
     "certify_class",
-    "extractor_declarations",
-    "projection_of_lambda",
 ]
 
 #: ``self.<attr>`` roots with modelled semantics: attribute chains from
@@ -127,7 +126,7 @@ class OpFootprint:
     op: str
     handler: str
     handler_class: str
-    declared: str | None  #: projection of the declared extractor
+    declared: str | None  #: projection the row's ``page`` column declares
     used: tuple[str, ...]  #: page projections the handler actually keys by
     attributed: bool  #: page-attribution certified (sound to commute by page)
     emits: bool  #: replies/forwards/detached frames on some path
@@ -146,125 +145,6 @@ class ClassFootprints:
     path: str
     line: int
     ops: dict[str, OpFootprint] = field(default_factory=dict)
-
-
-# ----------------------------------------------------------------------
-# declared extractors
-
-
-def projection_of_lambda(fn: ast.expr) -> str | None:
-    """The payload projection a footprint extractor denotes.
-
-    ``lambda page: page`` is the identity (``payload``); ``lambda p:
-    p[i]`` projects element *i*.  Anything else is uncertifiable (the
-    analysis cannot relate its result to the handler's state keys)."""
-    if not isinstance(fn, ast.Lambda) or len(fn.args.args) != 1:
-        return None
-    param = fn.args.args[0].arg
-    body = fn.body
-    if isinstance(body, ast.Name) and body.id == param:
-        return "payload"
-    if (
-        isinstance(body, ast.Subscript)
-        and isinstance(body.value, ast.Name)
-        and body.value.id == param
-        and isinstance(body.slice, ast.Constant)
-        and isinstance(body.slice.value, int)
-    ):
-        return f"payload[{body.slice.value}]"
-    return None
-
-
-def _resolve_op_key(expr: ast.expr, constants: dict[str, str]) -> str | None:
-    if isinstance(expr, ast.Constant) and isinstance(expr.value, str):
-        return expr.value
-    if isinstance(expr, ast.Name):
-        return constants.get(expr.id)
-    return None
-
-
-def _class_def(
-    facts: facts_mod.ProjectFacts, cls: facts_mod.ClassInfo
-) -> ast.ClassDef | None:
-    for module in facts.modules:
-        if module.path != cls.path:
-            continue
-        for stmt in module.tree.body:
-            if isinstance(stmt, ast.ClassDef) and stmt.name == cls.name:
-                return stmt
-    return None
-
-
-def extractor_declarations(
-    facts: facts_mod.ProjectFacts, class_name: str
-) -> dict[str, str | None]:
-    """op -> declared projection for ``class_name`` (None = extractor
-    present but uncertifiable).
-
-    Module-level ``annotate_op(OP_X, <lambda>)`` calls register globally;
-    class-body ``SCHED_FOOTPRINTS`` dicts are merged along the MRO
-    (nearest class wins) on top, mirroring the runtime registration
-    order in ``CoherenceProtocol.__init__``."""
-    declared: dict[str, str | None] = {}
-    for module in facts.modules:
-        for stmt in module.tree.body:
-            if not (
-                isinstance(stmt, ast.Expr)
-                and isinstance(stmt.value, ast.Call)
-                and isinstance(stmt.value.func, ast.Name)
-                and stmt.value.func.id == "annotate_op"
-                and len(stmt.value.args) == 2
-            ):
-                continue
-            op = _resolve_op_key(stmt.value.args[0], facts.constants)
-            if op is not None:
-                declared[op] = projection_of_lambda(stmt.value.args[1])
-    for cls in reversed(facts.mro(class_name)):  # base first, nearest wins
-        body = _class_def(facts, cls)
-        if body is None:
-            continue
-        for stmt in body.body:
-            value: ast.expr | None = None
-            if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-                target = stmt.targets[0]
-                if isinstance(target, ast.Name) and target.id == "SCHED_FOOTPRINTS":
-                    value = stmt.value
-            elif isinstance(stmt, ast.AnnAssign):
-                if (
-                    isinstance(stmt.target, ast.Name)
-                    and stmt.target.id == "SCHED_FOOTPRINTS"
-                ):
-                    value = stmt.value
-            if not isinstance(value, ast.Dict):
-                continue
-            for key_expr, val_expr in zip(value.keys, value.values):
-                if key_expr is None:
-                    continue
-                op = _resolve_op_key(key_expr, facts.constants)
-                if op is not None:
-                    declared[op] = projection_of_lambda(val_expr)
-    return declared
-
-
-def class_attribute(
-    facts: facts_mod.ProjectFacts, class_name: str, attr: str
-) -> str | None:
-    """A class-body string attribute (``name = "dynamic"``), MRO-resolved."""
-    for cls in facts.mro(class_name):
-        body = _class_def(facts, cls)
-        if body is None:
-            continue
-        for stmt in body.body:
-            if (
-                isinstance(stmt, ast.Assign)
-                and len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Name)
-                and stmt.targets[0].id == attr
-                and isinstance(stmt.value, ast.Constant)
-                and isinstance(stmt.value.value, str)
-            ):
-                return stmt.value.value
-    return None
 
 
 # ----------------------------------------------------------------------
@@ -895,33 +775,35 @@ def certify_class(
     class_name: str,
     analyzer: EffectAnalyzer | None = None,
 ) -> ClassFootprints:
-    """Certify every registered op of ``class_name`` against its
-    declared footprint extractor.
+    """Certify every op-table row of ``class_name`` against its handler.
 
     Per op, the handler's effects are inferred and each page-keyed
-    effect's key is compared to the declared extractor's projection.
-    An op is *attributed* when the extractor exists, is certifiable,
-    and covers every keyed use (wildcard eviction cascades stay local
-    to the target node, so they do not break attribution — they only
-    block same-node pairing, which the commutativity matrix handles
-    per effect).  Anything else is demoted, with a finding explaining
-    why."""
+    effect's key is compared to the projection the row's ``page``
+    column declares (``()`` -> ``payload``, ``(0,)`` -> ``payload[0]``).
+    An op is *attributed* when the row declares a page that covers
+    every keyed use (wildcard eviction cascades stay local to the
+    target node, so they do not break attribution — they only block
+    same-node pairing, which the commutativity matrix handles per
+    effect).  Anything else is demoted, with a finding explaining why."""
     analyzer = analyzer or EffectAnalyzer(facts)
     cls = facts.classes[class_name]
-    declared_map = extractor_declarations(facts, class_name)
-    algorithm = class_attribute(facts, class_name, "name") or class_name
+    algorithm = next(
+        (c.constants["name"] for c in facts.mro(class_name) if "name" in c.constants),
+        class_name,
+    )
     out = ClassFootprints(class_name, algorithm, cls.path, cls.line)
     methods = facts.effective_methods(class_name)
 
-    for op, (handler, reg_cls, reg_line) in sorted(
-        facts.effective_registrations(class_name).items()
+    for op, (row, reg_cls, reg_line) in sorted(
+        facts.effective_ops(class_name).items()
     ):
+        handler = row.handler
         found = methods.get(handler)
         if found is None:
             fp = OpFootprint(op, handler, reg_cls.name, None, (), False, False, False)
             fp.problems.append((
                 "footprint-unattributable",
-                f"op {op!r} registers unknown handler {handler!r}",
+                f"op {op!r} names unknown handler {handler!r}",
                 reg_cls.path, reg_line,
             ))
             out.ops[op] = fp
@@ -936,8 +818,11 @@ def certify_class(
         effects = analyzer.method_effects(
             class_name, handler, tuple(sorted(bindings))
         )
-        declared = declared_map.get(op, None)
-        has_declaration = op in declared_map
+        declared = (
+            None
+            if row.page is None
+            else "payload" + "".join(f"[{index}]" for index in row.page)
+        )
 
         keyed = [e for e in effects if _is_keyed_store(e.store)]
         page_keys = sorted(
@@ -983,19 +868,11 @@ def certify_class(
                 handler_cls.path, info.fn.lineno,
             ))
 
-        if page_keys and not has_declaration:
+        if page_keys and declared is None:
             problems.append((
                 "footprint-under-declared",
                 f"{where} (op {op!r}) keys state by {', '.join(page_keys)} "
-                "but no footprint extractor is registered for the op",
-                handler_cls.path, info.fn.lineno,
-            ))
-        elif page_keys and declared is None:
-            problems.append((
-                "footprint-under-declared",
-                f"{where} (op {op!r}) has a footprint extractor the "
-                "analysis cannot certify (not an identity or constant "
-                "index projection)",
+                "but the op's row declares no page",
                 handler_cls.path, info.fn.lineno,
             ))
         elif declared is not None:
@@ -1008,17 +885,12 @@ def certify_class(
                     handler_cls.path, info.fn.lineno,
                 ))
 
-        attributed = (
-            not problems
-            and has_declaration
-            and declared is not None
-            and all(k == declared for k in page_keys)
-        )
+        attributed = not problems and declared is not None
         fp = OpFootprint(
             op=op,
             handler=handler,
             handler_class=handler_cls.name,
-            declared=declared if has_declaration else None,
+            declared=declared,
             used=tuple(page_keys),
             attributed=attributed,
             emits=emits,

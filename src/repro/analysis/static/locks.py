@@ -25,14 +25,16 @@ annotations for fall out naturally:
 
 The legacy suppression comments are still honoured for cases the
 inference cannot see (none remain in-tree).  The syntactic rules that
-need no dataflow (lock-free servers, ``return`` in a generator
-``finally``, discarded ``CancelHandle``\\ s) are ported verbatim.
+need no dataflow (``return`` in a generator ``finally``, discarded
+``CancelHandle``\\ s) are ported verbatim; the lock-free-server rule
+checks the handlers whose op-table row says ``lock_free=True``
+(:meth:`facts.ProjectFacts.lock_free_handlers`), whatever they are named.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterable, NamedTuple
+from typing import AbstractSet, Iterable, NamedTuple
 
 from repro.analysis.static.cfg import (
     CFG,
@@ -46,15 +48,11 @@ from repro.analysis.static.dataflow import run_forward
 from repro.analysis.static.findings import Finding
 
 __all__ = [
-    "LOCK_FREE_SERVERS",
     "SUPPRESS_COMMENT",
     "SUPPRESS_HANDLE_COMMENT",
     "LockChecker",
     "discipline_findings",
 ]
-
-#: Servers that must stay lock-free (the classic deadlock cycle).
-LOCK_FREE_SERVERS = ("_serve_inv", "_serve_update", "_serve_hint")
 
 SUPPRESS_COMMENT = "# lint: keeps-lock"
 SUPPRESS_HANDLE_COMMENT = "# lint: drops-handle"
@@ -127,7 +125,7 @@ class LockChecker:
         self.fn = fn
         self.path = path
         self.source_lines = source_lines
-        self.track_locks = track_locks and fn.name not in LOCK_FREE_SERVERS
+        self.track_locks = track_locks
         self.track_spans = (
             is_generator(fn) if track_spans is None else track_spans
         )
@@ -444,11 +442,11 @@ class LockChecker:
 
 
 def _lock_free_server_findings(
-    path: str, tree: ast.Module
+    path: str, tree: ast.Module, lock_free: AbstractSet[ast.AST]
 ) -> list[Finding]:
     findings = []
     for fn in function_defs(tree):
-        if fn.name not in LOCK_FREE_SERVERS:
+        if fn not in lock_free:
             continue
         for inner in ast.walk(fn):
             lock = _is_lock_call(inner, "acquire")
@@ -458,9 +456,9 @@ def _lock_free_server_findings(
                         "lock-free-server",
                         path,
                         inner.lineno,
-                        f"{fn.name} acquires {ast.unparse(lock)}: invalidation-"
-                        "path servers must be lock-free (deadlock cycle; see "
-                        "repro/svm/protocol.py)",
+                        f"{fn.name} acquires {ast.unparse(lock)}: a handler "
+                        "whose op is declared lock_free must be lock-free "
+                        "(deadlock cycle; see repro/svm/protocol.py)",
                     )
                 )
     return findings
@@ -532,12 +530,22 @@ def _discarded_handle_findings(
 
 
 def discipline_findings(
-    path: str, tree: ast.Module, source_lines: list[str]
+    path: str,
+    tree: ast.Module,
+    source_lines: list[str],
+    lock_free: AbstractSet[ast.AST] = frozenset(),
 ) -> list[Finding]:
-    """All six legacy rules, the balance rules path-sensitively."""
-    findings = _lock_free_server_findings(path, tree)
+    """All six legacy rules, the balance rules path-sensitively.
+
+    ``lock_free`` holds the function definitions serving a ``lock_free``
+    op-table row: any acquisition in one is a lock-free-server finding,
+    so the balance rules do not track locks there (one finding, not two)."""
+    findings = _lock_free_server_findings(path, tree, lock_free)
     findings += _return_in_finally_findings(path, tree)
     findings += _discarded_handle_findings(path, tree, source_lines)
     for fn in function_defs(tree):
-        findings += LockChecker(fn, path, source_lines).leak_findings()
+        checker = LockChecker(
+            fn, path, source_lines, track_locks=fn not in lock_free
+        )
+        findings += checker.leak_findings()
     return findings

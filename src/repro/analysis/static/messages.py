@@ -3,7 +3,8 @@
 For each manager class (every node of a run instantiates exactly one),
 the matrix cross-checks the ops it can *send* (interprocedurally
 expanded, spawn-detached tasks included — they still put a message on
-the wire) against the ops it *registers* handlers for:
+the wire) against the ops its op table (``facts.effective_ops``) declares handlers
+for:
 
 ``msg-unhandled``
     an op is sent but no handler is registered — at runtime the receiver
@@ -102,7 +103,7 @@ def analyze(facts: ProjectFacts) -> tuple[list[Finding], list[MessageSummary]]:
 
     for cls_name in facts.manager_classes():
         methods = facts.effective_methods(cls_name)
-        regs = facts.effective_registrations(cls_name)
+        regs = facts.effective_ops(cls_name)
         sends = expand_sends(facts, cls_name)
 
         sent_ops = sorted({s.op for s in sends if s.op is not None})
@@ -132,7 +133,8 @@ def analyze(facts: ProjectFacts) -> tuple[list[Finding], list[MessageSummary]]:
                 )
         summary.unhandled = sorted(set(summary.unhandled))
 
-        for op, (handler, hcls, reg_line) in regs.items():
+        for op, (row, hcls, reg_line) in regs.items():
+            handler = row.handler
             if op not in sent_ops:
                 summary.dead.append(op)
                 add(

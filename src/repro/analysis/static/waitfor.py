@@ -274,7 +274,10 @@ def analyze(facts: ProjectFacts) -> tuple[list[Finding], list[WaitforSummary]]:
     for cls_name in facts.manager_classes():
         cls = facts.classes[cls_name]
         methods = facts.effective_methods(cls_name)
-        regs = facts.effective_registrations(cls_name)
+        regs = {
+            op: row.handler
+            for op, (row, _cls, _line) in facts.effective_ops(cls_name).items()
+        }
         summary = WaitforSummary(cls_name, cls.path, ops=sorted(regs))
 
         sends = expand_sends(facts, cls_name)
@@ -299,7 +302,7 @@ def analyze(facts: ProjectFacts) -> tuple[list[Finding], list[WaitforSummary]]:
         # Handler-side facts.
         blocking: dict[str, bool] = {}
         handler_held_awaits: dict[str, list[ResolvedSend]] = {}
-        for op, (handler, _hcls, _line) in regs.items():
+        for op, handler in regs.items():
             blocking[op] = any(
                 methods[m][1].blocking_acquires
                 for m in _closure(methods, handler)
@@ -316,7 +319,7 @@ def analyze(facts: ProjectFacts) -> tuple[list[Finding], list[WaitforSummary]]:
             for s in bad:
                 add(
                     "hold-await-in-server", s.path, s.line,
-                    f"handler {regs[op][0]} (op {op}) awaits "
+                    f"handler {regs[op]} (op {op}) awaits "
                     f"{s.op or s.mode} while holding "
                     f"{', '.join(sorted(s.held))}: servers must release "
                     "before any remote wait (reply RETRY / Forward instead) "
@@ -336,7 +339,7 @@ def analyze(facts: ProjectFacts) -> tuple[list[Finding], list[WaitforSummary]]:
                     "collective-locking-server", s.path, s.line,
                     f"{s.method} awaits all replies to {s.op} while holding "
                     f"{', '.join(sorted(s.held))}, but handler "
-                    f"{regs[s.op][0]} blocking-acquires a lock: a collective "
+                    f"{regs[s.op]} blocking-acquires a lock: a collective "
                     "needs every target to answer, including nodes whose "
                     "entry lock is held by their own in-flight fault — the "
                     "server must be lock-free (try_acquire + RETRY at most)",

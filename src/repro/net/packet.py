@@ -3,7 +3,8 @@
 The payload rides as a Python object (the data plane stays functionally
 real), while ``nbytes`` is the simulated wire size used for ring
 occupancy.  Callers are responsible for declaring honest sizes; helpers
-below compute them for the common cases.
+below compute them for the common cases.  Also here, below the protocol
+layer: the op -> page-path registry and the delivery-label grammar.
 """
 
 from __future__ import annotations
@@ -11,14 +12,14 @@ from __future__ import annotations
 import itertools
 import re
 import warnings
-from typing import Any, Callable, NamedTuple
+from typing import Any, NamedTuple
 
 __all__ = [
     "BROADCAST",
     "HEADER_BYTES",
     "DeliveryLabel",
     "Message",
-    "annotate_op",
+    "declare_op_page",
     "delivery_label",
     "extractor_errors",
     "next_serial",
@@ -120,20 +121,28 @@ class Message:
 
 
 # ---------------------------------------------------------------------------
-# Choice-point annotations.
+# Page declarations.
 #
 # The schedule explorer (repro.analysis.explore) treats two same-tick events
 # as commuting only when it can prove they touch disjoint protocol state; for
 # message deliveries that proof needs the page a message concerns, which only
-# the protocol layer knows.  Each remote op therefore registers a *footprint
-# extractor* here — the registry lives in the net layer (below the svm layer)
-# so the ring and transport can label their delivery events without importing
-# protocol code.  Ops without an extractor simply get no page tag, which the
-# explorer treats conservatively (conflicts with everything).
+# the protocol layer knows.  Each row of the protocol's op table
+# (``repro.svm.protocol.Op``) therefore declares *where in its request
+# payload* the page number sits, as data: an index path, ``()`` when the
+# payload is the page itself, ``(0,)`` when ``payload[0]`` is.  The registry
+# lives in the net layer (below the svm layer) so the fabric and transport
+# can label their delivery events without importing protocol code.  Ops
+# without a declaration simply get no page tag, which the explorer treats
+# conservatively (conflicts with everything).  The registry is process-global
+# while the static certificate is per class, so one op name means one payload
+# shape: declaring it again identically is free (every manager class that
+# inherits the base rows does); declaring it differently is an error, never a
+# silent overwrite.
 
-_PAGE_OF: dict[str, Callable[[Any], Any]] = {}
+_PAGE_OF: dict[str, tuple[int, ...] | None] = {}
 
-#: Extractor failures per op (exception raised, or a non-int result).
+#: Payloads that did not have their op's declared shape (the path does
+#: not resolve, or resolves to something that is not a page number).
 #: The explorer surfaces the total as ``explore.extractor_error``: a
 #: silently-degrading footprint would weaken partial-order reduction
 #: with no signal at all, which is exactly the failure mode the static
@@ -142,13 +151,19 @@ _EXTRACTOR_ERRORS: dict[str, int] = {}
 _EXTRACTOR_WARNED: set[str] = set()
 
 
-def annotate_op(op: str, page_of: Callable[[Any], Any]) -> None:
-    """Register how to recover the page number from ``op``'s payload."""
-    _PAGE_OF[op] = page_of
+def declare_op_page(op: str, path: tuple[int, ...] | None) -> None:
+    """Declare that ``op``'s request payload carries its page number at
+    index path ``path`` (None: nowhere); a conflicting re-declaration raises."""
+    known = _PAGE_OF.setdefault(op, path)
+    if known != path:
+        raise ValueError(
+            f"op {op!r} is already declared with its page at payload path "
+            f"{known!r}; refusing the conflicting declaration {path!r}"
+        )
 
 
 def extractor_errors() -> dict[str, int]:
-    """Footprint-extractor failures observed so far, keyed by op."""
+    """Payloads that did not fit their op's declaration, keyed by op."""
     return dict(_EXTRACTOR_ERRORS)
 
 
@@ -163,7 +178,7 @@ def _extractor_failed(op: str, why: str) -> None:
     if op not in _EXTRACTOR_WARNED:
         _EXTRACTOR_WARNED.add(op)
         warnings.warn(
-            f"footprint extractor for op {op!r} {why}; its deliveries "
+            f"page declaration of op {op!r} {why}; its deliveries "
             "are labelled p? and the schedule explorer treats them as "
             "conflicting with everything (sound but unreduced)",
             RuntimeWarning,
@@ -174,23 +189,24 @@ def _extractor_failed(op: str, why: str) -> None:
 def op_page(op: str, payload: Any) -> int | None:
     """The page a *request* payload concerns, or None when unknown.
 
-    A failing extractor — raising, or returning something that is not a
-    page number — must not kill delivery, but it must not fail silently
-    either: each failure is counted (see :func:`extractor_errors`) and
-    the first per op warns.
+    A payload that does not have the declared shape must not kill
+    delivery, but it must not pass silently either: each one is counted
+    (see :func:`extractor_errors`) and the first per op warns.
     """
-    extractor = _PAGE_OF.get(op)
-    if extractor is None:
+    path = _PAGE_OF.get(op)
+    if path is None:
         return None
+    page = payload
     try:
-        page = extractor(payload)
-    except Exception as exc:  # noqa: BLE001 - degrade delivery labels, not delivery
-        _extractor_failed(op, f"raised {type(exc).__name__}: {exc}")
+        for index in path:
+            page = page[index]
+    except (TypeError, LookupError) as exc:
+        _extractor_failed(op, f"does not fit a payload ({exc!r})")
         return None
     # bool is an int subtype; True is an ack value, never page 1.
     if isinstance(page, int) and not isinstance(page, bool):
         return page
-    _extractor_failed(op, f"returned non-page {page!r}")
+    _extractor_failed(op, f"names non-page {page!r}")
     return None
 
 
@@ -202,13 +218,13 @@ def delivery_label(target: int, msg: Message) -> str:
     trailing ``o<origin>.<msg_id>`` keeps labels unique per in-flight
     message.
 
-    Only request and broadcast frames are page-attributed: the
-    extractors are registered (and statically certified) against
-    *request* payload shapes, and reply payloads have different ones —
-    a locate reply carries the owner's node id, which an identity
-    extractor would happily mislabel as a page number, silently letting
-    the explorer commute deliveries it has no proof about.  Replies
-    therefore always carry ``p?`` (conflicts with everything).
+    Only request and broadcast frames are page-attributed: the page
+    paths are declared (and statically certified) against *request*
+    payload shapes, and reply payloads have different ones — a locate
+    reply carries the owner's node id, which the identity path would
+    happily mislabel as a page number, silently letting the explorer
+    commute deliveries it has no proof about.  Replies therefore always
+    carry ``p?`` (conflicts with everything).
     """
     page = op_page(msg.op, msg.payload) if msg.kind != "rep" else None
     ptag = "p?" if page is None else f"p{page}"

@@ -41,15 +41,9 @@ class Reply:
 
 @dataclass
 class Forward:
-    """Handler result: forward the request to ``dst``.
-
-    ``payload``/``nbytes`` override the forwarded request's argument
-    payload when given (e.g. to accumulate hop counts).
-    """
+    """Handler result: forward the request, unchanged, to ``dst``."""
 
     dst: int
-    payload: Any = None
-    nbytes: int | None = None
 
 
 class _NoReply:
@@ -225,9 +219,7 @@ class RemoteOp:
                         "remoteop.forward", node=self.node_id, dst=result.dst, op=msg.op,
                         origin=msg.origin,
                     )
-                yield from self.transport.forward(
-                    result.dst, msg, result.payload, result.nbytes, span_id=span_sid
-                )
+                yield from self.transport.forward(result.dst, msg, span_id=span_sid)
             elif result is NO_REPLY:
                 if msg.kind != "bcast":
                     raise RuntimeError(

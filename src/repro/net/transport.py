@@ -301,11 +301,9 @@ class Transport:
         self,
         dst: int,
         msg: Message,
-        payload: Any = None,
-        nbytes: int | None = None,
         span_id: int | None = None,
     ) -> Generator[Effect, Any, None]:
-        """Forward ``msg`` to ``dst`` keeping origin/msg_id; no local reply.
+        """Forward ``msg``, unchanged, to ``dst`` (same origin/msg_id); no local reply.
 
         The eventual executor replies straight to the origin.  Forwarding
         is *sticky*: a duplicate of this request (origin retransmission)
@@ -318,8 +316,7 @@ class Transport:
         self.stats.forwards_sent += 1
         forwarded = self.pool.acquire(
             self.node_id, dst, "req", msg.op, msg.origin, msg.msg_id,
-            msg.payload if payload is None else payload,
-            msg.nbytes if nbytes is None else nbytes,
+            msg.payload, msg.nbytes,
             span=msg.span if span_id is None else span_id,
         )
         # The sticky-route cache entry holds the creator reference (it

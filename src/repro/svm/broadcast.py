@@ -24,8 +24,6 @@ this module knows the difference — it just broadcasts.
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.svm.page import PageTableEntry
 from repro.svm.protocol import CoherenceProtocol, ProtocolError
 
@@ -35,15 +33,10 @@ __all__ = ["BroadcastProtocol"]
 class BroadcastProtocol(CoherenceProtocol):
     """Broadcast distributed manager: owner location by broadcast."""
 
+    # No op-table rows of its own, and the base rows stay sound for it:
+    # it keeps no ownership state beyond the page-table entries.
     name = "broadcast"
     locates_by_broadcast = True
-
-    #: Choice-point annotation for the schedule explorer: the broadcast
-    #: manager keeps no ownership state at all beyond the page-table
-    #: entries, so the base page-granular footprints need no additions
-    #: (location broadcasts are already annotated via OP_LOCATE) —
-    #: certified per handler by the static effect analysis.
-    SCHED_FOOTPRINTS: dict[str, Any] = {}
 
     def fault_target(self, page: int, entry: PageTableEntry, write: bool) -> int:
         raise ProtocolError(

@@ -26,17 +26,11 @@ __all__ = ["CentralizedProtocol"]
 class CentralizedProtocol(CoherenceProtocol):
     """Improved centralized manager (Li & Hudak section 3.1)."""
 
+    # No op-table rows of its own, and the base rows stay sound for it:
+    # the manager's ``_owners`` table is keyed per page, so two same-tick
+    # deliveries for different pages commute even when both land on the
+    # manager.
     name = "centralized"
-
-    #: Choice-point annotation for the schedule explorer: no ops beyond
-    #: the base protocol's, and the manager's ``_owners`` table is keyed
-    #: per page, so the base page-granular footprints remain sound — two
-    #: same-tick deliveries for different pages commute even when both
-    #: land on the manager and update its table.  This claim is no
-    #: longer trusted: the static effect analysis re-derives every
-    #: handler's page-keyed accesses and certifies the declaration
-    #: (``python -m repro.analysis.static``).
-    SCHED_FOOTPRINTS: dict[str, Any] = {}
 
     def __init__(self, **kwargs: Any) -> None:
         super().__init__(**kwargs)

@@ -29,7 +29,7 @@ from typing import Any, Generator
 from repro.net.packet import request_size
 from repro.sim.process import Effect
 from repro.svm.page import PageTableEntry
-from repro.svm.protocol import CoherenceProtocol, ProtocolError
+from repro.svm.protocol import CoherenceProtocol, Op, ProtocolError
 
 __all__ = ["DynamicDistributedProtocol"]
 
@@ -52,18 +52,13 @@ class DynamicDistributedProtocol(CoherenceProtocol):
 
     name = "dynamic"
 
-    #: Choice-point annotation for the schedule explorer: a hint refresh
-    #: only touches the named page's probOwner field, so its delivery
-    #: commutes with deliveries for other pages / other nodes.  The
-    #: static effect analysis certifies this projection against
-    #: ``_serve_hint``'s inferred accesses and proves ``svm.hint``'s
-    #: fan-out-safety claim (lock-free, per-page writes only).
-    SCHED_FOOTPRINTS = {OP_HINT: lambda payload: payload[0]}
+    #: A hint refresh only rewrites the named page's probOwner field, so
+    #: it is lock-free like invalidation and claimed fan-out-safe.
+    OPS = (Op(OP_HINT, "_serve_hint", page=(0,), lock_free=True, fanout=True),)
 
     def __init__(self, **kwargs: Any) -> None:
         super().__init__(**kwargs)
         self.broadcast_period = self.config.svm.dynamic_broadcast_period
-        self.remote.register(OP_HINT, self._serve_hint)
 
     def on_became_owner(self, page: int, entry: PageTableEntry) -> None:
         period = self.broadcast_period

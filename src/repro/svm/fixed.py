@@ -21,14 +21,10 @@ __all__ = ["FixedDistributedProtocol"]
 class FixedDistributedProtocol(CoherenceProtocol):
     """Fixed distributed manager (Li & Hudak section 3.1, distributed)."""
 
+    # No op-table rows of its own, and the base rows stay sound for it:
+    # each node's ``_owners`` table is keyed per page (H distributes
+    # whole pages).
     name = "fixed"
-
-    #: Choice-point annotation for the schedule explorer: like the
-    #: centralized manager, the per-node ``_owners`` table is keyed per
-    #: page (H distributes whole pages), so the base protocol's
-    #: page-granular delivery footprints stay sound under this algorithm
-    #: — certified per handler by the static effect analysis.
-    SCHED_FOOTPRINTS: dict[str, Any] = {}
 
     def __init__(self, **kwargs: Any) -> None:
         super().__init__(**kwargs)

@@ -33,16 +33,18 @@ transfers Table 1 counts.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator
+import functools
+from types import MappingProxyType
+from typing import Any, Callable, Generator, Mapping, NamedTuple
 
 import numpy as np
 
-from repro.config import ClusterConfig
+from repro.config import ClusterConfig, ConfigError
 from repro.machine.memory import PhysicalMemory
 from repro.machine.mmu import Access, AddressLayout
 from repro.machine.pager import Pager
 from repro.metrics.collect import Counters
-from repro.net.packet import annotate_op, request_size
+from repro.net.packet import declare_op_page, request_size
 from repro.net.remoteop import Forward, NO_REPLY, RemoteOp, Reply
 from repro.obs import NULL_OBS, NULL_SPAN, Observability, Span
 from repro.sim.kernel import Simulator
@@ -50,7 +52,7 @@ from repro.sim.process import Compute, Effect
 from repro.sim.trace import NULL_TRACE, TraceRecorder
 from repro.svm.page import PageTable, PageTableEntry
 
-__all__ = ["CoherenceProtocol", "ProtocolError", "make_protocol"]
+__all__ = ["CoherenceProtocol", "Op", "ProtocolError", "make_protocol"]
 
 OP_READ = "svm.read"
 OP_WRITE = "svm.write"
@@ -71,21 +73,38 @@ RETRY = "svm.retry"
 #: Wire size of a fault request: header + page number.
 FAULT_REQUEST_BYTES = request_size(8)
 
-# ---------------------------------------------------------------------------
-# Choice-point annotations (consumed by repro.analysis.explore).
-#
-# Every remote op declares how to recover the page it concerns from its
-# payload, so the net layer can stamp each delivery event with a
-# ``p<page>`` footprint and the schedule explorer can prove that two
-# same-tick deliveries commute (different target node AND different
-# page).  Manager algorithms contribute their private ops through the
-# ``SCHED_FOOTPRINTS`` class attribute (registered at construction).
-annotate_op(OP_READ, lambda page: page)
-annotate_op(OP_WRITE, lambda page: page)
-annotate_op(OP_CHOWN, lambda page: page)
-annotate_op(OP_LOCATE, lambda page: page)
-annotate_op(OP_INV, lambda payload: payload[0])
-annotate_op(OP_UPDATE, lambda payload: payload[0])
+#: Legal values of ``SvmConfig.write_policy``.
+WRITE_POLICIES = ("invalidate", "update")
+
+
+class Op(NamedTuple):
+    """One remote operation of the coherence protocol, declared once, as
+    a row of its manager class's ``OPS``: registration, delivery labels,
+    the schedule explorer and the static verifier (which parses the row
+    literals and checks each handler body against its row) all read it."""
+
+    name: str
+    #: Name of the generator method ``handler(origin, payload)``.
+    handler: str
+    #: Where the request payload carries the page number, as an index
+    #: path: ``()`` the payload *is* the page, ``(0,)`` ``payload[0]``
+    #: is.  None: the op concerns no single page — its deliveries are
+    #: labelled ``p?`` and commute with nothing.
+    page: tuple[int, ...] | None = None
+    #: Forwarded until it reaches the page's owner: a non-owner answers
+    #: through :meth:`CoherenceProtocol._not_owner`, and a duplicate of a
+    #: request this node once forwarded is served here if ownership has
+    #: since arrived (the transport's duplicate probe).
+    owner_served: bool = False
+    #: The handler must never acquire an entry lock (module docstring,
+    #: deviation 1).
+    lock_free: bool = False
+    #: Claimed fan-out-safe: deliveries of this op at *different* nodes
+    #: commute even for the same page, because each only rewrites its
+    #: target's own per-page state and the origin aggregates the replies
+    #: order-insensitively.  A claim, not a licence — the explorer
+    #: commutes only the ops whose claim the verifier proved.
+    fanout: bool = False
 
 
 class ProtocolError(RuntimeError):
@@ -104,17 +123,30 @@ class CoherenceProtocol:
 
     name = "base"
 
-    #: Page-footprint extractors for ops *this algorithm* adds beyond the
-    #: base protocol's, keyed by op name — the schedule explorer's
-    #: choice-point annotation (see the module-level ``annotate_op``
-    #: calls).  An algorithm whose extra state is keyed by something the
-    #: explorer cannot see must leave its ops out, which the explorer
-    #: treats conservatively (the delivery commutes with nothing).
-    #: Every declaration here is *certified* by the static effect
-    #: analysis (``repro.analysis.static.footprints``): CI proves the
-    #: extractor names every page-keyed state access of the op's
-    #: handler, and fails on any drift.
-    SCHED_FOOTPRINTS: dict[str, Any] = {}
+    #: The ops this class serves.  A subclass lists only the rows it
+    #: adds; :meth:`op_table` merges along the MRO.
+    OPS: tuple[Op, ...] = (
+        Op(OP_READ, "_serve_read", page=(), owner_served=True),
+        Op(OP_WRITE, "_serve_write", page=(), owner_served=True),
+        Op(OP_CHOWN, "_serve_chown", page=(), owner_served=True),
+        Op(OP_LOCATE, "_serve_locate", page=(), fanout=True),
+        Op(OP_INV, "_serve_inv", page=(0,), lock_free=True, fanout=True),
+        Op(OP_UPDATE, "_serve_update", page=(0,), lock_free=True, fanout=True),
+    )
+
+    @classmethod
+    @functools.cache
+    def op_table(cls) -> Mapping[str, Op]:
+        """Every op an instance of this class serves, by name: its own
+        rows over its bases' (nearest class wins).  Merged once per
+        class, which is also when each row's page path is declared to
+        the net layer (a conflict with another class's raises here)."""
+        table: dict[str, Op] = {}
+        for klass in reversed(cls.__mro__):
+            for row in vars(klass).get("OPS", ()):
+                declare_op_page(row.name, row.page)
+                table[row.name] = row
+        return MappingProxyType(table)
 
     def __init__(
         self,
@@ -156,30 +188,25 @@ class CoherenceProtocol:
         #: (or proven stale).  Multicast payloads (update pushes) are
         #: shared by many receivers and never come from this pool.
         self._pages = remote.transport.ring.pages
-        for op, page_of in type(self).SCHED_FOOTPRINTS.items():
-            annotate_op(op, page_of)
-        remote.register(OP_READ, self._serve_read)
-        remote.register(OP_WRITE, self._serve_write)
-        remote.register(OP_INV, self._serve_inv)
-        remote.register(OP_CHOWN, self._serve_chown)
-        remote.register(OP_LOCATE, self._serve_locate)
-        remote.register(OP_UPDATE, self._serve_update)
+        if config.svm.write_policy not in WRITE_POLICIES:
+            raise ConfigError.unknown(
+                "svm.write_policy", config.svm.write_policy, WRITE_POLICIES
+            )
+        #: "update" keeps read copies alive and pushes fresh page contents
+        #: to the copy set on every write (extension; IVY invalidates).
+        self.update_policy = config.svm.write_policy == "update"
 
-        # Duplicate probes: a retransmitted fault request that this node
+        # Duplicate probe: a retransmitted fault request that this node
         # once forwarded should be *served* here if ownership has since
         # arrived (otherwise the stale sticky route loops it away forever).
         def owns(page: int) -> bool:
             return self.table.entry(page).is_owner
 
-        remote.register_local_probe(OP_READ, owns)
-        remote.register_local_probe(OP_WRITE, owns)
-        remote.register_local_probe(OP_CHOWN, owns)
+        for row in self.op_table().values():
+            remote.register(row.name, getattr(self, row.handler))
+            if row.owner_served:
+                remote.register_local_probe(row.name, owns)
         pager.set_eviction_policy(self._evict)
-        if config.svm.write_policy not in ("invalidate", "update"):
-            raise ValueError(f"unknown write policy {config.svm.write_policy!r}")
-        #: "update" keeps read copies alive and pushes fresh page contents
-        #: to the copy set on every write (extension; IVY invalidates).
-        self.update_policy = config.svm.write_policy == "update"
 
     def _note(self, category: str, **fields: Any) -> None:
         """Publish one protocol transition to the tracer and the checker."""
@@ -562,21 +589,27 @@ class CoherenceProtocol:
     # ------------------------------------------------------------------
     # servers (run as interrupt-level tasks on the serving node)
 
+    def _not_owner(
+        self, page: int, entry: PageTableEntry, origin: int, write: bool
+    ) -> Reply | Forward:
+        """What an ``owner_served`` op answers at a node that does not
+        own ``page`` (entry lock held): RETRY under locate-by-broadcast
+        (ownership moved since the location phase), else pass the
+        request along the manager algorithm's route to the owner."""
+        if self.locates_by_broadcast:
+            return Reply(RETRY, nbytes=48)
+        nxt = self.forward_target(page, entry, origin, write=write)
+        self.on_forward(page, entry, origin, write=write)
+        self.counters.inc("faults_forwarded")
+        return Forward(nxt)
+
     def _serve_read(self, origin: int, page: int) -> Generator[Effect, Any, Any]:
         entry = self.table.entry(page)
         if not entry.lock.try_acquire():
             yield from entry.lock.acquire()
-        locked = True
         try:
             if not entry.is_owner:
-                entry.lock.release()
-                locked = False
-                if self.locates_by_broadcast:
-                    return Reply(RETRY, nbytes=48)  # moved since location
-                nxt = self.forward_target(page, entry, origin, write=False)
-                self.on_forward(page, entry, origin, write=False)
-                self.counters.inc("faults_forwarded")
-                return Forward(nxt)
+                return self._not_owner(page, entry, origin, write=False)
             if origin == self.node_id:
                 raise ProtocolError(f"owner {origin} read-faulted on its own page {page}")
             if page not in self.memory and not entry.on_disk:
@@ -608,24 +641,15 @@ class CoherenceProtocol:
                 )
             return Reply((data, self.node_id), nbytes=self.page_size + 48)
         finally:
-            if locked:
-                entry.lock.release()
+            entry.lock.release()
 
     def _serve_write(self, origin: int, page: int) -> Generator[Effect, Any, Any]:
         entry = self.table.entry(page)
         if not entry.lock.try_acquire():
             yield from entry.lock.acquire()
-        locked = True
         try:
             if not entry.is_owner:
-                entry.lock.release()
-                locked = False
-                if self.locates_by_broadcast:
-                    return Reply(RETRY, nbytes=48)  # moved since location
-                nxt = self.forward_target(page, entry, origin, write=True)
-                self.on_forward(page, entry, origin, write=True)
-                self.counters.inc("faults_forwarded")
-                return Forward(nxt)
+                return self._not_owner(page, entry, origin, write=True)
             if origin == self.node_id:
                 raise ProtocolError(f"owner {origin} write-faulted on its own page {page}")
             if page not in self.memory and not entry.on_disk:
@@ -671,8 +695,7 @@ class CoherenceProtocol:
             self.counters.inc("page_transfers_sent")
             return Reply((data, copy_set, xfer), nbytes=nbytes + 8 * len(copy_set))
         finally:
-            if locked:
-                entry.lock.release()
+            entry.lock.release()
 
     def take_ownership(self, page: int) -> Generator[Effect, Any, None]:
         """Acquire ownership of ``page`` *without* transferring its bytes.
@@ -735,17 +758,9 @@ class CoherenceProtocol:
         entry = self.table.entry(page)
         if not entry.lock.try_acquire():
             yield from entry.lock.acquire()
-        locked = True
         try:
             if not entry.is_owner:
-                entry.lock.release()
-                locked = False
-                if self.locates_by_broadcast:
-                    return Reply(RETRY, nbytes=48)  # moved since location
-                nxt = self.forward_target(page, entry, origin, write=True)
-                self.on_forward(page, entry, origin, write=True)
-                self.counters.inc("faults_forwarded")
-                return Forward(nxt)
+                return self._not_owner(page, entry, origin, write=True)
             if origin == self.node_id:
                 raise ProtocolError(f"owner {origin} chown-requested its own page {page}")
             copy_set = tuple(sorted(entry.copy_set))
@@ -767,8 +782,7 @@ class CoherenceProtocol:
                 )
             return Reply((copy_set, xfer), nbytes=48 + 8 * len(copy_set))
         finally:
-            if locked:
-                entry.lock.release()
+            entry.lock.release()
 
     def push_update_locked(self, page: int, entry: PageTableEntry) -> Generator[Effect, Any, None]:
         """Multicast this page's fresh contents to every copy holder.
@@ -901,11 +915,6 @@ def make_protocol(algorithm: str, **kwargs: Any) -> CoherenceProtocol:
         "dynamic": DynamicDistributedProtocol,
         "broadcast": BroadcastProtocol,
     }
-    try:
-        cls = classes[algorithm]
-    except KeyError:
-        raise ValueError(
-            f"unknown coherence algorithm {algorithm!r}; "
-            f"expected one of {sorted(classes)}"
-        ) from None
-    return cls(**kwargs)
+    if algorithm not in classes:
+        raise ConfigError.unknown("svm.algorithm", algorithm, classes)
+    return classes[algorithm](**kwargs)

@@ -4,14 +4,13 @@ op->entry edge is discharged by the ownership-order axiom."""
 
 OP_ECHO = "corpus.echo"
 
-annotate_op(OP_ECHO, lambda page: page)
-
 
 class EchoManager:
+    OPS = (Op(OP_ECHO, "_serve_echo", page=()),)
+
     def __init__(self, remote, table):
         self.remote = remote
         self.table = table
-        remote.register(OP_ECHO, self._serve_echo)
 
     def ping(self, page):
         entry = self.table.entry(page)

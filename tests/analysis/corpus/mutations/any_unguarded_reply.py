@@ -1,20 +1,19 @@
-"""BUG: ``svm.locate`` is awaited first-reply-wins (scheme ``any``) but
-the handler replies unconditionally — every broadcast target answers,
+"""BUG: the op is awaited first-reply-wins (scheme ``any``) but the
+handler replies unconditionally — every broadcast target answers,
 so which reply wins depends on delivery order.  The real managers guard
 the reply with ``entry.is_owner``; single ownership then makes at most
 one target answer."""
 
-OP_LOCATE = "svm.locate"
-
-annotate_op(OP_LOCATE, lambda page: page)
+OP_LOCATE = "corpus.locate"
 
 
 class ChattyLocator:
+    OPS = (Op(OP_LOCATE, "_serve_locate", page=(), fanout=True),)
+
     def __init__(self, remote, table, node_id):
         self.remote = remote
         self.table = table
         self.node_id = node_id
-        remote.register(OP_LOCATE, self._serve_locate)
 
     def locate(self, page):
         owner = yield from self.remote.broadcast(OP_LOCATE, page, scheme="any")

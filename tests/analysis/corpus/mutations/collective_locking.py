@@ -2,10 +2,11 @@ OP_PURGE = "corpus.purge"
 
 
 class PurgingManager:
+    OPS = (Op(OP_PURGE, "_serve_purge"),)
+
     def __init__(self, remote, table):
         self.remote = remote
         self.table = table
-        remote.register(OP_PURGE, self._serve_purge)
 
     def purge(self, page, holders):
         entry = self.table.entry(page)

@@ -1,18 +1,17 @@
 """BUG: the handler reaches beyond its declared page — it reads the
 entry of ``page + 1``, a key that is not a payload projection.  No
-extractor can attribute that access, so the op must be demoted to
-conflicts-with-everything."""
+``page`` declaration can attribute that access, so the op must be
+demoted to conflicts-with-everything."""
 
 OP_NEXT = "corpus.next"
 
-annotate_op(OP_NEXT, lambda page: page)
-
 
 class NeighbourManager:
+    OPS = (Op(OP_NEXT, "_serve_next", page=()),)
+
     def __init__(self, remote, table):
         self.remote = remote
         self.table = table
-        remote.register(OP_NEXT, self._serve_next)
 
     def next_owner(self, page):
         value = yield from self.remote.request(1, OP_NEXT, page)

@@ -3,11 +3,14 @@ OP_DEAD = "corpus.dead"
 
 
 class StaleManager:
+    OPS = (
+        Op(OP_USED, "_serve_used"),
+        # BUG: served, never sent by anyone.
+        Op(OP_DEAD, "_serve_dead"),
+    )
+
     def __init__(self, remote):
         self.remote = remote
-        remote.register(OP_USED, self._serve_used)
-        # BUG: registered, never sent by anyone.
-        remote.register(OP_DEAD, self._serve_dead)
 
     def use(self, page):
         yield from self.remote.request(1, OP_USED, page)

@@ -2,10 +2,11 @@ OP_MOVE = "corpus.move"
 
 
 class MovingManager:
+    OPS = (Op(OP_MOVE, "_serve_move"),)
+
     def __init__(self, remote, table):
         self.remote = remote
         self.table = table
-        remote.register(OP_MOVE, self._serve_move)
 
     def transfer(self, src, dst):
         if not src.lock.try_acquire():

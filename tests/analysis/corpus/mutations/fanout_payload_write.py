@@ -2,20 +2,19 @@
 every target the *same* payload object, so an in-place append is a
 covert cross-node channel: targets observe each other's deliveries and
 the final contents depend on interleaving.  The op can never be
-page-attributed, and being in ``_FANOUT_OPS`` makes the declared
-fan-out claim unprovable too."""
+page-attributed, and its row's ``fanout=True`` claim is unprovable
+too."""
 
-OP_UPDATE = "svm.update"
-
-annotate_op(OP_UPDATE, lambda req: req[0])
+OP_UPDATE = "corpus.update"
 
 
 class SigningUpdater:
+    OPS = (Op(OP_UPDATE, "_serve_update", page=(0,), fanout=True),)
+
     def __init__(self, remote, table, node_id):
         self.remote = remote
         self.table = table
         self.node_id = node_id
-        remote.register(OP_UPDATE, self._serve_update)
 
     def update(self, targets, page):
         yield from self.remote.multicast(targets, OP_UPDATE, (page, []))

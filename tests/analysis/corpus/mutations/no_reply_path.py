@@ -2,9 +2,10 @@ OP_PING = "corpus.ping"
 
 
 class SilentManager:
+    OPS = (Op(OP_PING, "_serve_ping"),)
+
     def __init__(self, remote):
         self.remote = remote
-        remote.register(OP_PING, self._serve_ping)
 
     def ping(self, page):
         return (yield from self.remote.request(1, OP_PING, page))

@@ -2,9 +2,10 @@ OP_ASK = "corpus.ask"
 
 
 class MuteManager:
+    OPS = (Op(OP_ASK, "_serve_ask"),)
+
     def __init__(self, remote):
         self.remote = remote
-        remote.register(OP_ASK, self._serve_ask)
 
     def ask(self, page):
         return (yield from self.remote.request(1, OP_ASK, page))

@@ -3,11 +3,11 @@ OP_CHASE = "corpus.chase"
 
 
 class ChasingManager:
+    OPS = (Op(OP_GET, "_serve_get"), Op(OP_CHASE, "_serve_chase"))
+
     def __init__(self, remote, table):
         self.remote = remote
         self.table = table
-        remote.register(OP_GET, self._serve_get)
-        remote.register(OP_CHASE, self._serve_chase)
 
     def fetch(self, page):
         entry = self.table.entry(page)

@@ -16,16 +16,25 @@ def test_real_protocol_sources_are_clean():
 
 def test_flags_lock_acquisition_in_invalidation_server(tmp_path):
     bad = tmp_path / "bad_server.py"
+    # The rule follows the op table's lock_free column, not the name.
     bad.write_text(
         "class P:\n"
-        "    def _serve_inv(self, page):\n"
+        "    OPS = (Op('t.drop', '_on_drop', page=(), lock_free=True),)\n"
+        "    def _on_drop(self, origin, page):\n"
         "        entry = self.table.entry(page)\n"
         "        yield from entry.lock.acquire()\n"
         "        entry.access = 0\n"
+        "    def _serve_inv(self, page):\n"  # no row: an ordinary method
+        "        entry = self.table.entry(page)\n"
+        "        yield from entry.lock.acquire()\n"
+        "        try:\n"
+        "            entry.access = 0\n"
+        "        finally:\n"
+        "            entry.lock.release()\n"
     )
     findings = discipline_lint([str(bad)])
     assert len(findings) == 1
-    assert "_serve_inv" in findings[0]
+    assert "_on_drop" in findings[0]
     assert "lock-free" in findings[0]
 
 
@@ -177,8 +186,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.py"
     bad.write_text(
         "class P:\n"
-        "    def _serve_inv(self, page):\n"
+        "    OPS = (Op('t.inv', '_serve_inv', page=(), lock_free=True),)\n"
+        "    def inv(self, page):\n"
+        "        yield from self.remote.request(1, 't.inv', page)\n"
+        "    def _serve_inv(self, origin, page):\n"
         "        yield from self.table.entry(page).lock.acquire()\n"
+        "        return True\n"
     )
     assert main([str(bad)]) == 1
     assert "finding" in capsys.readouterr().out

@@ -1,4 +1,4 @@
-"""Delivery-label grammar and footprint-extractor error accounting.
+"""Delivery-label grammar, page declarations and their error accounting.
 
 ``delivery_label`` (formatter) and ``parse_delivery_label`` (the single
 parser, which the explorer imports instead of re-deriving the grammar)
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from repro.net.packet import (
     DeliveryLabel,
     Message,
-    annotate_op,
+    declare_op_page,
     delivery_label,
     extractor_errors,
     op_page,
@@ -53,14 +53,14 @@ class TestLabelGrammar:
 
     @given(op=ops, page=ids, target=ids, origin=ids, msg_id=ids)
     def test_formatter_output_parses(self, op, page, target, origin, msg_id):
-        op = f"t.{op}"  # keep the real ops' extractor registry untouched
-        annotate_op(op, lambda payload: payload)
+        op = f"t.{op}"  # keep the real ops' declarations untouched
+        declare_op_page(op, ())
         msg = Message(0, target, "req", op, origin, msg_id, page, nbytes=32)
         parsed = parse_delivery_label(delivery_label(target, msg))
         assert parsed == DeliveryLabel(target, page, "req", op, origin, msg_id)
 
     def test_replies_are_never_page_attributed(self):
-        annotate_op("t.owner", lambda payload: payload)
+        declare_op_page("t.owner", ())
         msg = Message(0, 1, "rep", "t.owner", 2, 7, 3, nbytes=32)
         assert parse_delivery_label(delivery_label(1, msg)) == DeliveryLabel(
             1, None, "rep", "t.owner", 2, 7
@@ -72,39 +72,59 @@ class TestLabelGrammar:
             assert parse_delivery_label(label) is None
 
 
+class TestDeclarations:
+    def test_identical_redeclaration_is_free(self):
+        # Every manager class re-declares the base rows it inherits.
+        declare_op_page("t.twice", (0,))
+        declare_op_page("t.twice", (0,))
+        assert op_page("t.twice", (7, "x")) == 7
+
+    def test_conflicting_redeclaration_names_op_and_both_paths(self):
+        declare_op_page("t.clash", ())
+        with pytest.raises(ValueError) as err:
+            declare_op_page("t.clash", (0,))
+        message = str(err.value)
+        assert "'t.clash'" in message and "()" in message and "(0,)" in message
+        assert op_page("t.clash", 4) == 4  # the first declaration stands
+
+
 class TestExtractorErrors:
     def test_raising_extractor_counts_and_warns_once(self):
-        annotate_op("t.bad", lambda payload: payload["page"])
+        declare_op_page("t.bad", (2,))
         with pytest.warns(RuntimeWarning, match="t.bad"):
-            assert op_page("t.bad", (1, 2)) is None
+            assert op_page("t.bad", (1, 2)) is None  # IndexError
         # Second failure: counted, but no second warning.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert op_page("t.bad", (1, 2)) is None
+            assert op_page("t.bad", 5) is None  # TypeError: not subscriptable
         assert extractor_errors() == {"t.bad": 2}
 
     def test_non_int_result_counts(self):
-        annotate_op("t.str", lambda payload: str(payload))
+        declare_op_page("t.str", (0,))
         with pytest.warns(RuntimeWarning, match="non-page"):
-            assert op_page("t.str", 5) is None
+            assert op_page("t.str", ("5", 5)) is None
         assert extractor_errors() == {"t.str": 1}
 
     def test_bool_is_not_a_page(self):
         # True is an ack value; silently reading it as page 1 would let
         # the explorer commute deliveries it has no proof about.
-        annotate_op("t.ack", lambda payload: payload)
+        declare_op_page("t.ack", ())
         with pytest.warns(RuntimeWarning):
             assert op_page("t.ack", True) is None
 
     def test_healthy_extractor_is_silent(self):
-        annotate_op("t.ok", lambda payload: payload)
+        declare_op_page("t.ok", ())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert op_page("t.ok", 9) == 9
         assert extractor_errors() == {}
 
+    def test_undeclared_op_has_no_page_and_is_no_error(self):
+        assert op_page("t.never_declared", 9) is None
+        assert extractor_errors() == {}
+
     def test_reset_clears_the_warn_latch(self):
-        annotate_op("t.again", lambda payload: payload / 0)
+        declare_op_page("t.again", (0,))
         with pytest.warns(RuntimeWarning):
             op_page("t.again", 1)
         reset_extractor_errors()
@@ -117,7 +137,7 @@ class TestExtractorErrors:
         # reports only the failures its own runs produced.
         from repro.analysis.explore import _extractor_error_delta
 
-        annotate_op("t.flaky", lambda payload: payload["page"])
+        declare_op_page("t.flaky", (0,))
         with pytest.warns(RuntimeWarning):
             op_page("t.flaky", ())
         before = extractor_errors()
