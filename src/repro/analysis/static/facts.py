@@ -110,6 +110,12 @@ class ProjectFacts:
     modules: list[Module] = field(default_factory=list)
     classes: dict[str, ClassInfo] = field(default_factory=dict)
     constants: dict[str, str] = field(default_factory=dict)
+    #: Held lock/page-write key sets per statement line, by function
+    #: definition: the wait-for analysis fills it, once per function
+    #: however many manager classes inherit the method.
+    held_at: dict[ast.AST, dict[int, set[frozenset[str]]]] = field(
+        default_factory=dict
+    )
 
     def mro(self, name: str) -> list[ClassInfo]:
         """The class and its known bases, nearest first (by-name, linear

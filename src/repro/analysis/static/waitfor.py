@@ -108,20 +108,20 @@ class _Expander:
     def __init__(self, facts: ProjectFacts, class_name: str) -> None:
         self.facts = facts
         self.methods = facts.effective_methods(class_name)
-        self._held: dict[str, dict[int, set[frozenset[str]]]] = {}
         self._seen: set[
             tuple[str, frozenset[str], tuple[tuple[str, str], ...]]
         ] = set()
         self.out: list[ResolvedSend] = []
 
     def _held_at(self, mname: str) -> dict[int, set[frozenset[str]]]:
-        if mname not in self._held:
-            cls, info = self.methods[mname]
+        cls, info = self.methods[mname]
+        held = self.facts.held_at.get(info.fn)
+        if held is None:
             checker = LockChecker(
                 info.fn, cls.path, _module_lines(self.facts, cls.path)
             )
-            self._held[mname] = checker.held_at()
-        return self._held[mname]
+            held = self.facts.held_at[info.fn] = checker.held_at()
+        return held
 
     def _local_holds(self, mname: str, line: int) -> set[frozenset[str]]:
         sets = self._held_at(mname).get(line)

@@ -107,6 +107,20 @@ def mst_weight(w: Any, nodes: list[int]) -> float:
     vectorised version operation for operation, so every bound (and
     therefore every pruning decision and the event schedule downstream)
     is bit-for-bit unchanged.
+
+    The result depends on the *set* ``nodes`` only, as long as
+    ``nodes[0]`` is the same city and no two distinct edges of ``w``
+    weigh the same: Prim grows from ``nodes[0]`` and picks by strict
+    first-min, so the order of the other cities decides exact ties and
+    nothing else (``w[i][j] == w[j][i]`` never ties with itself — one
+    end is in the tree, the other is not), the cities join in the same
+    sequence and the floats are summed in the same order.  That is why
+    the search forms one tree per expanded node, over ``[0] + rest``,
+    for all its children: child ``nxt``'s own list, ``[0, nxt] + rest
+    without nxt``, is the same set.  ``TspApp``'s seeded real-valued
+    instances are tie-free, and ``tests/apps/test_tsp_bound.py`` pins
+    ``==`` on them.  With tied edges the two orders could differ in the
+    last bits; either is a valid bound.
     """
     r = len(nodes)
     if r <= 1:
@@ -194,17 +208,15 @@ class TspApp:
         scored = []
         wl = self.w.tolist()
         for b in range(1, self.n):
+            # Every c spans the same set, all cities but b: one tree per b.
+            tree = mst_weight(wl, [x for x in range(self.n) if x != b])
             for c in range(1, self.n):
                 if c == b:
                     continue
                 cost = wl[0][b] + wl[b][c]
                 visited = 1 | (1 << b) | (1 << c)
-                rest = [0, c] + [
-                    x for x in range(1, self.n) if not visited & (1 << x)
-                ]
-                bound = cost + mst_weight(wl, rest)
                 scored.append(
-                    (bound, _pack_entry(cost, 3, visited, bytes([0, b, c])))
+                    (cost + tree, _pack_entry(cost, 3, visited, bytes([0, b, c])))
                 )
         scored.sort(key=lambda t: -t[0])  # LIFO pops from the end
         return [entry for _, entry in scored]
@@ -294,11 +306,16 @@ class TspApp:
                 wlast = w[last]
                 work_ops = 0
                 work_flops = 0
-                for nxt in range(n):
-                    if visited & (1 << nxt):
-                        continue
+                new_depth = depth + 1
+                rest = [c for c in range(n) if not visited & (1 << c)]
+                if new_depth < n:
+                    # Every child spans the same set, {0} + rest: one tree
+                    # per expanded node (see mst_weight).  The simulated
+                    # program is still charged one Prim run per child.
+                    tree = mst_weight(w, [0] + rest)
+                    prim_flops = (len(rest) + 1) ** 2
+                for nxt in rest:
                     step_cost = cost + wlast[nxt]
-                    new_depth = depth + 1
                     if new_depth == n:
                         total = step_cost + w[nxt][0]
                         work_flops += 2
@@ -307,12 +324,9 @@ class TspApp:
                                 ctx, lock_addr, best_addr, total
                             )
                         continue
-                    tree_nodes = [0, nxt] + [
-                        c for c in range(n) if not visited & (1 << c) and c != nxt
-                    ]
-                    work_ops += len(tree_nodes) ** 2 * PRIM_OPS
-                    work_flops += len(tree_nodes) ** 2
-                    bound = step_cost + mst_weight(w, tree_nodes)
+                    work_ops += prim_flops * PRIM_OPS
+                    work_flops += prim_flops
+                    bound = step_cost + tree
                     if bound < best_seen:
                         stack.append(
                             (step_cost, new_depth, visited | (1 << nxt), path + [nxt])

@@ -88,10 +88,6 @@ class LinkStats:
         self.messages = 0
         self.peak_backlog_ns = 0
 
-    def utilisation(self, total_ns: int) -> float:
-        """Fraction of ``total_ns`` this link spent carrying bits."""
-        return self.busy_ns / total_ns if total_ns > 0 else 0.0
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<LinkStats busy={self.busy_ns}ns msgs={self.messages} "

@@ -165,6 +165,7 @@ class NodeScheduler(Driver):
     def finished(self, task: Task) -> None:
         pcb: PCB = task.pcb  # type: ignore[attr-defined]
         pcb.state = ProcState.DONE
+        self.sim.unwatch(task)
         # A process that finishes right after a migration is still in the
         # source's registry until the hand-off reply gets there.
         for sched in pcb.counted_by:

@@ -165,8 +165,10 @@ class Simulator:
         #: Number of events executed so far (profiling / regression metric).
         self.events_executed: int = 0
         #: Tasks that must be runnable or finished for the sim to be "done";
-        #: registered by drivers so deadlock detection knows who is stuck.
-        self._watched: list[Any] = []
+        #: registered by drivers so deadlock detection knows who is stuck,
+        #: and dropped by them when a task finishes.  A dict used as an
+        #: insertion-ordered set: a deadlock lists tasks in spawn order.
+        self._watched: dict[Any, None] = {}
         #: First unhandled exception raised by a task, re-raised by run().
         self._failure: BaseException | None = None
         #: Same-tick ordering policy.  None (the default) keeps the
@@ -260,7 +262,13 @@ class Simulator:
 
         Watched objects must expose ``is_blocked`` (bool).
         """
-        self._watched.append(task)
+        self._watched[task] = None
+
+    def unwatch(self, task: Any) -> None:
+        """Forget a finished task: it can no longer be stuck, and a run
+        spawns one server task per request, so keeping them all would
+        hand the cycle collector every one of them again and again."""
+        self._watched.pop(task, None)
 
     def report_failure(self, exc: BaseException) -> None:
         """Record a fatal task failure; :meth:`run` re-raises it promptly."""

@@ -277,7 +277,7 @@ class SimDriver(Driver):
             task.step(value)
 
     def finished(self, task: Task) -> None:
-        pass
+        self.sim.unwatch(task)
 
     def escalate(self, failure: TaskFailure) -> None:
         self.sim.report_failure(failure)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.config import ClusterConfig, ConfigError, FabricConfig
-from repro.net.fabric import FABRIC_BACKENDS, Fabric, LinkStats, make_fabric
+from repro.net.fabric import FABRIC_BACKENDS, Fabric, make_fabric
 from repro.net.fabric.switched import SwitchedFabric
 from repro.net.packet import BROADCAST, Message
 from repro.net.ring import TokenRing
@@ -416,13 +416,6 @@ def test_switched_stats_expose_per_port_links():
     # The second send queued on node 0's egress port only.
     assert links["tx[0]"].peak_backlog_ns > 0
     assert links["rx[1]"].peak_backlog_ns == 0
-
-
-def test_link_stats_utilisation():
-    link = LinkStats()
-    link.busy_ns = 250
-    assert link.utilisation(1000) == 0.25
-    assert link.utilisation(0) == 0.0
 
 
 # ----------------------------------------------------------------------

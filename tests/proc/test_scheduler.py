@@ -229,5 +229,7 @@ def test_process_count_equals_the_registry_scan_at_every_step():
     assert here.process_count() > 1  # spawns outpaced the three steps
     step(10**6)
     assert here.process_count() == there.process_count() == 0
+    # ... and the kernel's deadlock watch let each one go where it finished.
+    assert not sim._watched
     # Finished processes stay resolvable (a late wake-up finds a PCB).
     assert first.done and here.lookup(first.pid) == (first, None)

@@ -1,8 +1,10 @@
 """Unit tests for generator tasks, effects and the SimDriver."""
 
+import weakref
+
 import pytest
 
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import DeadlockError, Simulator
 from repro.sim.process import (
     Compute,
     Sleep,
@@ -164,7 +166,41 @@ def test_suspended_task_counts_as_blocked_for_deadlock():
         yield Suspend()
 
     driver.spawn(job(), "forever")
-    from repro.sim.kernel import DeadlockError
-
     with pytest.raises(DeadlockError):
         sim.run()
+
+
+def test_finished_task_is_not_retained_by_the_kernel():
+    """A run spawns one server task per request; the kernel's deadlock
+    watch list must not keep every one of them alive until the cluster
+    dies.  No ``gc.collect()``: a task that returned is in no cycle."""
+    sim, driver = make()
+
+    def job():
+        yield Compute(10)
+
+    task = driver.spawn(job(), "short")
+    sim.run()
+    assert task.done
+    ref = weakref.ref(task)
+    del task
+    assert ref() is None
+
+
+def test_deadlock_names_blocked_tasks_in_spawn_order_after_others_finished():
+    sim, driver = make()
+
+    def short():
+        yield Compute(5)
+
+    def stuck():
+        yield Compute(20)
+        yield Suspend()
+
+    tasks = [
+        driver.spawn(gen(), f"t{i}")
+        for i, gen in enumerate([stuck, short, stuck, short, short, stuck])
+    ]
+    with pytest.raises(DeadlockError) as excinfo:
+        sim.run()
+    assert excinfo.value.blocked == [tasks[0], tasks[2], tasks[5]]
