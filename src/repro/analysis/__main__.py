@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from time import perf_counter
 from typing import Any
 
 from repro.analysis.replay import SVM_CATEGORIES, replay_file, summarize
@@ -119,6 +120,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         hint_period=args.hint_period,
         fabric=args.fabric,
     )
+    started = perf_counter()
     if args.strategy == "dfs":
         result = ex.explore_dfs(
             scenario,
@@ -139,6 +141,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         )
     else:
         raise SystemExit(f"unknown strategy {args.strategy!r}")
+    wall = perf_counter() - started
 
     statuses = ", ".join(
         f"{status}={count}" for status, count in sorted(result.statuses.items())
@@ -149,6 +152,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         f"{result.relation} relation): "
         f"{result.schedules} schedules [{statuses}]"
         f"{' (truncated)' if result.truncated else ''}, "
+        f"{result.events} events, {result.schedules / wall:,.0f} schedules/s, "
         f"{len(result.fingerprints)} distinct final states"
     )
     if result.extractor_errors:

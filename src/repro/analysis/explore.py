@@ -145,8 +145,11 @@ class Scenario:
         )
 
 
-def _build_cluster(scenario: Scenario) -> Cluster:
-    config = ClusterConfig(
+@functools.cache
+def _cluster_config(scenario: Scenario) -> ClusterConfig:
+    """The scenario's cluster configuration: the same frozen value for
+    every schedule of a sweep, so built once, not once per schedule."""
+    return ClusterConfig(
         nodes=scenario.nodes, seed=scenario.seed, checker=True
     ).with_svm(
         algorithm=scenario.algorithm,
@@ -154,7 +157,10 @@ def _build_cluster(scenario: Scenario) -> Cluster:
         shared_size=PAGE_SIZE * 64,
         dynamic_broadcast_period=scenario.hint_period,
     ).with_fabric(backend=scenario.fabric)
-    return Cluster(config)
+
+
+def _build_cluster(scenario: Scenario) -> Cluster:
+    return Cluster(_cluster_config(scenario))
 
 
 def _addr(cluster: Cluster, page: int, slot: int) -> int:
@@ -175,8 +181,12 @@ WorkloadFactory = Callable[
 
 def _workload_rw(cluster: Cluster, scenario: Scenario):
     """Every node writes its own word of every page, then reads its
-    right neighbour's word — write faults, read faults, invalidations
-    and ownership migration all contended on every page."""
+    right neighbour's word.  Over the CI sweeps (op coverage is pinned in
+    ``tests/analysis/test_explore_cost.py``) it delivers ``svm.write``
+    everywhere — write faults and ownership migration contended on every
+    page — ``svm.locate`` under the broadcast manager, and ``svm.read``
+    from 3 nodes / 2 pages or 4 nodes / 1 page up (smaller: each node
+    still owns the page when it reads); never ``svm.inv``."""
 
     def body(n: int):
         for page in range(scenario.pages):
@@ -192,8 +202,11 @@ def _workload_rw(cluster: Cluster, scenario: Scenario):
 
 
 def _workload_chown(cluster: Cluster, scenario: Scenario):
-    """Every node takes data-less ownership of every page, then writes —
-    contends the chown fast path against concurrent write faults."""
+    """Every node takes data-less ownership of every page, then writes
+    its own word.  Over the CI sweeps (one page) it delivers ``svm.chown``
+    only, plus ``svm.hint`` with a ``hint_period``: each write finds the
+    page already owned, so chown requests contend with each other, not
+    with write faults."""
 
     def body(n: int):
         for page in range(scenario.pages):
@@ -207,7 +220,10 @@ def _workload_chown(cluster: Cluster, scenario: Scenario):
 
 
 def _workload_mixed(cluster: Cluster, scenario: Scenario):
-    """Node 0 runs the chown script, everyone else the rw script."""
+    """Node 0 runs the chown script, everyone else the rw script.
+    Over the CI sweep (one page) node 0, the page's initial owner, takes
+    ownership locally, so only ``svm.write`` is delivered: the others'
+    write faults racing node 0's chown-then-write."""
     tasks = _workload_chown(cluster, scenario)[:1]
     tasks.extend(_workload_rw(cluster, scenario)[1:])
     return tasks
@@ -220,7 +236,9 @@ def _workload_mutate_upgrade(cluster: Cluster, scenario: Scenario):
     ownership, so node 0's second write always upgrades in place and
     multicasts invalidations from the corrupted copy set — the oracle
     must flag it on *every* schedule.  Requires ``nodes >= 3`` so the
-    ghost copy-set member is a live node.
+    ghost copy-set member is a live node.  Delivers ``svm.read`` and
+    ``svm.inv`` (node 0's writes are local) — the one workload that
+    reaches the invalidation server.
     """
     mutate = MUTATIONS[scenario.mutation] if scenario.mutation else None
     page0 = cluster.layout.page_of(_addr(cluster, 0, 0))
@@ -452,7 +470,8 @@ def run_scenario(
     independence relation that built it and evolves it.  Every run is checked
     three ways: the online oracle during execution,
     :class:`DeadlockError` on queue drain, and the quiescent sweep
-    (oracle + global invariants) after a clean finish.
+    (oracle + global invariants) after a clean finish; then the cluster
+    is closed.
     """
     cluster = _build_cluster(scenario)
     sched = (
@@ -504,7 +523,7 @@ def run_scenario(
         except AssertionError as exc:
             status, rule, detail = "violation", "final-state", str(exc)
 
-    return RunResult(
+    result = RunResult(
         status=status,
         rule=rule,
         detail=detail,
@@ -514,6 +533,8 @@ def run_scenario(
         time=cluster.sim.now,
         attempts=dropper.attempts,
     )
+    cluster.close()  # freed here, not piled up for the cycle collector
+    return result
 
 
 # ----------------------------------------------------------------------
@@ -659,6 +680,8 @@ class ExplorationResult:
     scenario: Scenario
     strategy: str
     schedules: int = 0
+    #: Simulator events executed over all schedules (``RunResult.events``).
+    events: int = 0
     statuses: dict[str, int] = field(default_factory=dict)
     violations: list[Counterexample] = field(default_factory=list)
     #: Final-state fingerprints of all clean runs; POR soundness tests
@@ -676,6 +699,7 @@ class ExplorationResult:
 
     def record(self, run: RunResult, choices: Sequence[int], drops: Sequence[int] = ()) -> None:
         self.schedules += 1
+        self.events += run.events
         self.statuses[run.status] = self.statuses.get(run.status, 0) + 1
         if run.fingerprint is not None:
             self.fingerprints.add(run.fingerprint)

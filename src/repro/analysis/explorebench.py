@@ -57,6 +57,9 @@ SWEEPS: tuple[ex.Scenario, ...] = (
     ex.Scenario("centralized", 3, 1, "mixed"),
     ex.Scenario("fixed", 3, 1, "chown"),
     ex.Scenario("dynamic", 3, 1, "chown", hint_period=1),
+    # The first 4-node exhaustive configurations (864 schedules each).
+    ex.Scenario("dynamic", 4, 1, "rw"),
+    ex.Scenario("centralized", 4, 1, "rw"),
 )
 
 
@@ -72,6 +75,7 @@ def _side(result: ex.ExplorationResult, wall: float) -> dict[str, Any]:
     return {
         "relation": result.relation,
         "schedules": result.schedules,
+        "events": result.events,
         "truncated": result.truncated,
         "statuses": dict(sorted(result.statuses.items())),
         "states": len(result.fingerprints),
@@ -108,7 +112,7 @@ def run_bench(sweeps: tuple[ex.Scenario, ...] = SWEEPS) -> dict[str, Any]:
         t0 = perf_counter()
         result = ex.explore_dfs(
             scenario,
-            max_schedules=50_000,  # far above the largest sweep (768)
+            max_schedules=50_000,  # far above the largest sweep (864)
             relation=ex.certified_relation(scenario.algorithm, matrix),
         )
         out["sweeps"][_key(scenario)] = {
@@ -120,7 +124,7 @@ def run_bench(sweeps: tuple[ex.Scenario, ...] = SWEEPS) -> dict[str, Any]:
 
 #: Keys that must be identical between a run and the committed baseline
 #: (wall time is excluded: it is real).
-_EXACT_KEYS = ("schedules", "statuses", "states", "fingerprint_sha256", "violations")
+_EXACT_KEYS = ("schedules", "events", "statuses", "states", "fingerprint_sha256", "violations")
 
 
 def check_bench(bench: dict[str, Any]) -> list[str]:
@@ -150,10 +154,11 @@ def compare_bench(
             continue
         cur, base = cur_sweeps[key]["certified"], base_sweeps[key]["certified"]
         for field in _EXACT_KEYS:
-            if cur[field] != base[field]:
+            # .get: a baseline recorded before a field existed has drifted.
+            if cur.get(field) != base.get(field):
                 errors.append(
                     f"{key}: {field} drifted from baseline: "
-                    f"{base[field]!r} -> {cur[field]!r}"
+                    f"{base.get(field)!r} -> {cur.get(field)!r}"
                 )
     if current.get("matrix") != baseline.get("matrix"):
         errors.append(

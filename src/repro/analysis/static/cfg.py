@@ -37,7 +37,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
-__all__ = ["CFG", "Node", "build_cfg", "may_raise", "function_defs"]
+__all__ = ["CFG", "Node", "build_cfg", "may_raise"]
 
 #: Nested scopes a same-function walk must not descend into.
 SCOPE_BARRIERS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
@@ -53,13 +53,6 @@ def scope_walk(root: ast.AST | list[ast.stmt]) -> Iterator[ast.AST]:
         if isinstance(node, SCOPE_BARRIERS):
             continue
         stack.extend(ast.iter_child_nodes(node))
-
-
-def function_defs(tree: ast.AST) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef]:
-    """Every function definition in ``tree``, nested ones included."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
 
 
 def is_generator(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:

@@ -76,16 +76,20 @@ def _annotation_is_set(annotation: ast.expr | None) -> bool:
     return rendered.startswith(("set[", "frozenset[", "Set[", "FrozenSet["))
 
 
-def _set_names(tree: ast.Module) -> set[str]:
+def _set_names(nodes: list[ast.AST]) -> set[str]:
     """Names bound (anywhere in the module) to a set-valued expression.
 
     Flow-insensitive on purpose: a name that is *ever* a set is treated
     as a set at every iteration site, which errs towards reporting."""
     names: set[str] = set()
+    binders = [
+        node for node in nodes
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.arg))
+    ]
     changed = True
     while changed:
         changed = False
-        for node in ast.walk(tree):
+        for node in binders:
             target: ast.expr | None = None
             value: ast.expr | None = None
             annotation: ast.expr | None = None
@@ -123,8 +127,8 @@ def _contains_id_call(expr: ast.expr) -> bool:
     return False
 
 
-def _imports_random(tree: ast.Module) -> bool:
-    for node in ast.walk(tree):
+def _imports_random(nodes: list[ast.AST]) -> bool:
+    for node in nodes:
         if isinstance(node, ast.Import):
             if any(alias.name == "random" for alias in node.names):
                 return True
@@ -136,15 +140,15 @@ def _imports_random(tree: ast.Module) -> bool:
 
 def determinism_findings(module: Module) -> list[Finding]:
     findings: list[Finding] = []
-    tree = module.tree
     path = module.path
-    set_names = _set_names(tree)
-    stdlib_random = _imports_random(tree)
+    nodes = module.nodes  # the one walk of this module
+    set_names = _set_names(nodes)
+    stdlib_random = _imports_random(nodes)
 
     def add(rule: str, line: int, message: str) -> None:
         findings.append(Finding(rule, path, line, message))
 
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Call):
             func = node.func
             if isinstance(func, ast.Attribute) and isinstance(

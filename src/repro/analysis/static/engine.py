@@ -135,9 +135,7 @@ def _discipline(facts: facts_mod.ProjectFacts) -> list[Finding]:
     lock_free = facts.lock_free_handlers()
     findings: list[Finding] = []
     for module in facts.modules:
-        findings += discipline_findings(
-            module.path, module.tree, module.source_lines, lock_free
-        )
+        findings += discipline_findings(module, lock_free)
     return findings
 
 
@@ -176,12 +174,14 @@ def run_default(root: str | None = None) -> StaticReport:
             )
         return [str(p) for p in resolved]
 
-    def collect(paths: list[str]) -> facts_mod.ProjectFacts:
-        return facts_mod.collect(facts_mod.load_modules(resolve(paths)))
+    loaded: dict[str, facts_mod.Module] = {}  # the path sets overlap
 
-    report = _protocol_pass(collect(PROTOCOL_PATHS))
-    report.findings[:0] = _discipline(collect(DISCIPLINE_PATHS))
-    for module in facts_mod.load_modules(resolve(DETERMINISM_PATHS)):
+    def load(paths: list[str]) -> list[facts_mod.Module]:
+        return facts_mod.load_modules(resolve(paths), loaded)
+
+    report = _protocol_pass(facts_mod.collect(load(PROTOCOL_PATHS)))
+    report.findings[:0] = _discipline(facts_mod.collect(load(DISCIPLINE_PATHS)))
+    for module in load(DETERMINISM_PATHS):
         report.findings += determinism_findings(module)
     return report
 

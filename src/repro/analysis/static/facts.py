@@ -30,6 +30,7 @@ MSI/LRC manager gets the whole verification for free by subclassing
 from __future__ import annotations
 
 import ast
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -103,6 +104,12 @@ class Module:
     path: str
     tree: ast.Module
     source_lines: list[str]
+
+    @functools.cached_property
+    def nodes(self) -> list[ast.AST]:
+        """Every node of the tree, in ``ast.walk`` order.  Walked once:
+        the per-module rules filter this list instead of re-walking."""
+        return list(ast.walk(self.tree))
 
 
 @dataclass
@@ -328,17 +335,24 @@ def _table_rows(
     return rows
 
 
-def load_modules(paths: list[str]) -> list[Module]:
+def load_modules(
+    paths: list[str], loaded: dict[str, Module] | None = None
+) -> list[Module]:
+    """Parse every file under ``paths``; ``loaded`` (by file name) lets
+    calls whose path sets overlap parse, and later walk, a file once."""
+    loaded = {} if loaded is None else loaded
     modules: list[Module] = []
     for raw in paths:
         path = Path(raw)
         files = sorted(path.rglob("*.py")) if path.is_dir() else [path]
         for file in files:
-            source = file.read_text(encoding="utf-8")
-            modules.append(
-                Module(str(file), ast.parse(source, filename=str(file)),
-                       source.splitlines())
-            )
+            if str(file) not in loaded:
+                source = file.read_text(encoding="utf-8")
+                loaded[str(file)] = Module(
+                    str(file), ast.parse(source, filename=str(file)),
+                    source.splitlines(),
+                )
+            modules.append(loaded[str(file)])
     return modules
 
 

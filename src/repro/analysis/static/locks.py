@@ -40,11 +40,11 @@ from repro.analysis.static.cfg import (
     CFG,
     Node,
     build_cfg,
-    function_defs,
     is_generator,
     scope_walk,
 )
 from repro.analysis.static.dataflow import run_forward
+from repro.analysis.static.facts import Module
 from repro.analysis.static.findings import Finding
 
 __all__ = [
@@ -53,6 +53,8 @@ __all__ = [
     "LockChecker",
     "discipline_findings",
 ]
+
+_FunctionDef = ast.FunctionDef | ast.AsyncFunctionDef
 
 SUPPRESS_COMMENT = "# lint: keeps-lock"
 SUPPRESS_HANDLE_COMMENT = "# lint: drops-handle"
@@ -115,7 +117,7 @@ class LockChecker:
 
     def __init__(
         self,
-        fn: ast.FunctionDef | ast.AsyncFunctionDef,
+        fn: _FunctionDef,
         path: str,
         source_lines: list[str],
         *,
@@ -381,15 +383,20 @@ class LockChecker:
         return handed
 
     def leak_findings(self) -> list[Finding]:
+        held = {
+            tok
+            for nid in (self.cfg.exit, self.cfg.exc_exit)
+            for state in self.states.get(nid, ())
+            for tok in state.held
+            if not tok.suppressed and tok not in self._handed
+        }
+        # One finding per (kind, key), at its first line: sorted, because
+        # set order would let the hash seed pick which token is reported.
         leaked: dict[tuple[str, str], Token] = {}
-        for nid in (self.cfg.exit, self.cfg.exc_exit):
-            for state in self.states.get(nid, ()):
-                for tok in state.held:
-                    if tok.suppressed or tok in self._handed:
-                        continue
-                    leaked.setdefault((tok.kind, tok.key), tok)
+        for tok in sorted(held, key=lambda tok: (tok.line, tok.key)):
+            leaked.setdefault((tok.kind, tok.key), tok)
         findings = []
-        for (kind, key), tok in sorted(leaked.items(), key=lambda kv: kv[1].line):
+        for (kind, key), tok in leaked.items():
             if kind == "lock":
                 message = (
                     f"{key}.acquire() may leak the held entry lock on a path "
@@ -442,10 +449,10 @@ class LockChecker:
 
 
 def _lock_free_server_findings(
-    path: str, tree: ast.Module, lock_free: AbstractSet[ast.AST]
+    path: str, functions: Iterable[_FunctionDef], lock_free: AbstractSet[ast.AST]
 ) -> list[Finding]:
     findings = []
-    for fn in function_defs(tree):
+    for fn in functions:
         if fn not in lock_free:
             continue
         for inner in ast.walk(fn):
@@ -464,11 +471,11 @@ def _lock_free_server_findings(
     return findings
 
 
-def _return_in_finally_findings(path: str, tree: ast.Module) -> list[Finding]:
+def _return_in_finally_findings(
+    path: str, generators: Iterable[_FunctionDef]
+) -> list[Finding]:
     findings = []
-    for fn in function_defs(tree):
-        if not is_generator(fn):
-            continue
+    for fn in generators:
         seen: set[int] = set()
         for inner in scope_walk(fn.body):
             if not (isinstance(inner, ast.Try) and inner.finalbody):
@@ -491,10 +498,10 @@ def _return_in_finally_findings(path: str, tree: ast.Module) -> list[Finding]:
 
 
 def _discarded_handle_findings(
-    path: str, tree: ast.Module, source_lines: list[str]
+    path: str, nodes: Iterable[ast.AST], source_lines: list[str]
 ) -> list[Finding]:
     findings = []
-    for node in ast.walk(tree):
+    for node in nodes:
         if not isinstance(node, ast.Expr):
             continue
         call = node.value
@@ -530,22 +537,26 @@ def _discarded_handle_findings(
 
 
 def discipline_findings(
-    path: str,
-    tree: ast.Module,
-    source_lines: list[str],
-    lock_free: AbstractSet[ast.AST] = frozenset(),
+    module: Module, lock_free: AbstractSet[ast.AST] = frozenset()
 ) -> list[Finding]:
     """All six legacy rules, the balance rules path-sensitively.
 
     ``lock_free`` holds the function definitions serving a ``lock_free``
     op-table row: any acquisition in one is a lock-free-server finding,
-    so the balance rules do not track locks there (one finding, not two)."""
-    findings = _lock_free_server_findings(path, tree, lock_free)
-    findings += _return_in_finally_findings(path, tree)
-    findings += _discarded_handle_findings(path, tree, source_lines)
-    for fn in function_defs(tree):
+    so the balance rules do not track locks there (one finding, not two).
+    The module is walked once (``module.nodes``) and each function's
+    generator-ness judged once, for all the rules."""
+    path, source_lines = module.path, module.source_lines
+    functions = [node for node in module.nodes if isinstance(node, _FunctionDef)]
+    generators = [fn for fn in functions if is_generator(fn)]
+    findings = _lock_free_server_findings(path, functions, lock_free)
+    findings += _return_in_finally_findings(path, generators)
+    findings += _discarded_handle_findings(path, module.nodes, source_lines)
+    effectful = set(generators)
+    for fn in functions:
         checker = LockChecker(
-            fn, path, source_lines, track_locks=fn not in lock_free
+            fn, path, source_lines,
+            track_locks=fn not in lock_free, track_spans=fn in effectful,
         )
         findings += checker.leak_findings()
     return findings

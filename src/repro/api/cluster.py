@@ -169,6 +169,23 @@ class Cluster:
         """Drive the simulation; returns the final simulated time (ns)."""
         return self.sim.run(until=until)
 
+    def close(self) -> None:
+        """Dismantle a cluster that will run no further event.
+
+        Each layer registers callbacks with the one below, and every
+        registration is a reference cycle; emptying the registries and
+        the event queue lets reference counting free the cluster at once.
+        Nothing a ``finally`` block reads is unset, so a generator left
+        suspended (budget, deadlock, violation) still finalises cleanly."""
+        for node in self.nodes:
+            node.transport.close()
+            node.remote.close()
+            node.pager.close()
+        self.nodes.clear()
+        self.fabric.close()
+        self.sim.close()
+        self.oracle = None  # it refers back here
+
     # ------------------------------------------------------------------
     # cluster-wide measurement
 

@@ -63,6 +63,10 @@ class Pager:
     def set_eviction_policy(self, policy: EvictionPolicy) -> None:
         self._evict = policy
 
+    def close(self) -> None:
+        """Forget the eviction policy (the protocol, which refers back here)."""
+        self._evict = None
+
     # ------------------------------------------------------------------
 
     def ensure_frame(self, page: int) -> Generator[Effect, Any, None]:

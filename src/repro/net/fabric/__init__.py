@@ -191,6 +191,10 @@ class Fabric:
             raise ValueError(f"station {node_id} already attached")
         self._receivers[node_id] = receiver
 
+    def close(self) -> None:
+        """Detach every station (receivers refer back to this fabric)."""
+        self._receivers.clear()
+
     def send(self, msg: Message) -> None:
         """Queue ``msg`` for transmission; delivery is scheduled events.
 

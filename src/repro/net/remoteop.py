@@ -102,6 +102,11 @@ class RemoteOp:
         forwarded requests (see `Transport.duplicate_probe`)."""
         self._local_probes[op] = probe
 
+    def close(self) -> None:
+        """Unregister every handler and probe (they refer back to this node)."""
+        self._handlers.clear()
+        self._local_probes.clear()
+
     def _probe(self, msg: Message) -> bool:
         probe = self._local_probes.get(msg.op)
         return bool(probe(msg.payload)) if probe is not None else False

@@ -164,6 +164,11 @@ class Transport:
     def set_request_handler(self, handler: Callable[[Message], None]) -> None:
         self._request_handler = handler
 
+    def close(self) -> None:
+        """Forget the remote-operation layer's upcalls (it refers back here)."""
+        self._request_handler = None
+        self.duplicate_probe = lambda msg: False
+
     # ------------------------------------------------------------------
     # client side
 

@@ -363,6 +363,8 @@ class Simulator:
         still wins against a same-tick fire: tombstones are filtered both
         while gathering the tick's batch and again after re-queueing (a
         chosen event that cancels a sibling prevents it from running).
+        Most events tie with nothing, so the front entry is popped alone
+        and a batch is gathered only when the next entry shares its tick.
         """
         heap = self._heap
         # Events scheduled before the scheduler was installed may sit in
@@ -372,6 +374,7 @@ class Simulator:
         for side in (self._fifo, self._lane):
             while side:
                 heapq.heappush(heap, side.popleft())
+        heappop, heappush = heapq.heappop, heapq.heappush
         budget = max_events
         while heap:
             if self._failure is not None:
@@ -381,31 +384,30 @@ class Simulator:
             if until is not None and when > until:
                 self.now = until
                 return self.now
-            batch = []
-            while heap and heap[0][0] == when:
-                entry = heapq.heappop(heap)
-                if not entry[2].cancelled:
-                    batch.append(entry)
-            if not batch:
+            entry = heappop(heap)
+            if entry[2].cancelled:
                 continue
-            if len(batch) == 1:
-                index = 0
-            else:
-                index = scheduler.choose(
-                    when, [PendingEvent(e[1], e[5]) for e in batch]
-                )
-                if not 0 <= index < len(batch):
-                    raise IndexError(
-                        f"scheduler chose {index} of {len(batch)} events at t={when}"
+            if heap and heap[0][0] == when:
+                # A tie, unless the rest of the tick is tombstones.
+                batch = [entry]
+                while heap and heap[0][0] == when:
+                    other = heappop(heap)
+                    if not other[2].cancelled:
+                        batch.append(other)
+                if len(batch) > 1:
+                    index = scheduler.choose(
+                        when, [PendingEvent(e[1], e[5]) for e in batch]
                     )
-            chosen = batch[index]
-            for pos, entry in enumerate(batch):
-                if pos != index:
-                    heapq.heappush(heap, entry)
-            _when, _seq, _handle, fn, args, _label = chosen
+                    if not 0 <= index < len(batch):
+                        raise IndexError(
+                            f"scheduler chose {index} of {len(batch)} events at t={when}"
+                        )
+                    entry = batch.pop(index)
+                    for other in batch:
+                        heappush(heap, other)
             self.now = when
             self.events_executed += 1
-            fn(*args)
+            entry[3](*entry[4])
             if budget is not None:
                 budget -= 1
                 if budget <= 0:
@@ -421,6 +423,12 @@ class Simulator:
     def pending(self) -> int:
         """Number of events still queued (including cancelled tombstones)."""
         return len(self._heap) + len(self._fifo) + len(self._lane)
+
+    def close(self) -> None:
+        """Drop every queued event and watched task (their callbacks and
+        generators refer back to whatever owns this simulator)."""
+        for queue in (self._heap, self._fifo, self._lane, self._watched):
+            queue.clear()
 
 
 def make_simulator(kernel: None = None) -> Simulator:

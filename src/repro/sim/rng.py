@@ -19,7 +19,6 @@ class RngStreams:
 
     def __init__(self, seed: int) -> None:
         self.seed = seed
-        self._root = np.random.SeedSequence(seed)
         self._streams: dict[str, np.random.Generator] = {}
 
     def stream(self, name: str) -> np.random.Generator:
@@ -31,8 +30,10 @@ class RngStreams:
         gen = self._streams.get(name)
         if gen is None:
             # Derive child entropy from (seed, name) only — order-free.
+            # (`SeedSequence(seed).entropy` is `seed`, so no root sequence
+            # is built for the many clusters that never draw.)
             child = np.random.SeedSequence(
-                entropy=self._root.entropy,
+                entropy=self.seed,
                 spawn_key=(_stable_hash(name),),
             )
             gen = np.random.default_rng(child)

@@ -902,19 +902,26 @@ class CoherenceProtocol:
             entry.lock.release()
 
 
-def make_protocol(algorithm: str, **kwargs: Any) -> CoherenceProtocol:
-    """Instantiate the named coherence algorithm for one node."""
+@functools.cache
+def _protocol_classes() -> Mapping[str, type[CoherenceProtocol]]:
+    """The manager algorithms by name.  Imported on first use — the
+    manager modules import this one — and once, not once per node."""
     from repro.svm.broadcast import BroadcastProtocol
     from repro.svm.centralized import CentralizedProtocol
     from repro.svm.dynamic import DynamicDistributedProtocol
     from repro.svm.fixed import FixedDistributedProtocol
 
-    classes = {
+    return {
         "centralized": CentralizedProtocol,
         "fixed": FixedDistributedProtocol,
         "dynamic": DynamicDistributedProtocol,
         "broadcast": BroadcastProtocol,
     }
+
+
+def make_protocol(algorithm: str, **kwargs: Any) -> CoherenceProtocol:
+    """Instantiate the named coherence algorithm for one node."""
+    classes = _protocol_classes()
     if algorithm not in classes:
         raise ConfigError.unknown("svm.algorithm", algorithm, classes)
     return classes[algorithm](**kwargs)

@@ -13,6 +13,9 @@ Three layers:
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -137,6 +140,30 @@ def test_findings_carry_locations():
         assert f.line > 0
         rendered = f.render()
         assert rendered.startswith(f"{f.path}:{f.line}: ")
+
+
+def test_same_key_leak_is_reported_at_the_same_line_under_any_hash_seed():
+    """``fastpath_leak.py`` holds ``entry.lock`` through two tokens (the
+    ``try_acquire`` branch at line 2, the ``acquire`` at line 3); which
+    one names the finding used to fall out of frozenset iteration order
+    — line 2 under ``PYTHONHASHSEED=0``, line 3 under ``=3`` — the
+    verifier's own ``det-set-iteration`` offence.  It is the first."""
+    target = CORPUS / "mutations" / "fastpath_leak.py"
+    outputs = []
+    for hash_seed in ("0", "3"):
+        env = {
+            **os.environ,
+            "PYTHONHASHSEED": hash_seed,
+            "PYTHONPATH": str(REPO_ROOT / "src"),
+        }
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.analysis.static", str(target)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert f"{target}:2: entry.lock.acquire() may leak" in outputs[0]
 
 
 class TestCleanTree:

@@ -8,12 +8,19 @@ the 42 fixture gates.
 """
 
 import heapq
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.kernel import CancelHandle, DeadlockError, Scheduler, Simulator
+from repro.sim.kernel import (
+    CancelHandle,
+    DeadlockError,
+    PendingEvent,
+    Scheduler,
+    Simulator,
+)
 
 #: The transport's retransmit timeout: the deadline the timer lane is for.
 TIMEOUT = 500_000_000
@@ -496,6 +503,138 @@ def test_scheduler_installed_mid_run_sees_lane_entries_with_original_seqs():
     assert seen == [(TIMEOUT, [1, 2, 4]), (TIMEOUT, [1, 2])]
     assert order == ["heap", "controlled", "lane-2", "lane-1"]
     assert sim.pending() == 0
+
+
+# ----------------------------------------------------------------------
+# the controlled loop against the drain / re-push loop it replaced
+
+
+class DrainRepushSimulator(Simulator):
+    """The controlled run loop as it was before it popped one entry at a
+    time: every iteration drains the whole front tick into a list and
+    pushes back what did not fire.  Kept here, verbatim, as the
+    reference the differential test below holds the kernel to."""
+
+    def _run_controlled(self, scheduler, until, max_events):
+        heap = self._heap
+        for side in (self._fifo, self._lane):
+            while side:
+                heapq.heappush(heap, side.popleft())
+        budget = max_events
+        while heap:
+            if self._failure is not None:
+                exc, self._failure = self._failure, None
+                raise exc
+            when = heap[0][0]
+            if until is not None and when > until:
+                self.now = until
+                return self.now
+            batch = []
+            while heap and heap[0][0] == when:
+                entry = heapq.heappop(heap)
+                if not entry[2].cancelled:
+                    batch.append(entry)
+            if not batch:
+                continue
+            if len(batch) == 1:
+                index = 0
+            else:
+                index = scheduler.choose(
+                    when, [PendingEvent(e[1], e[5]) for e in batch]
+                )
+                if not 0 <= index < len(batch):
+                    raise IndexError(
+                        f"scheduler chose {index} of {len(batch)} events at t={when}"
+                    )
+            chosen = batch[index]
+            for pos, entry in enumerate(batch):
+                if pos != index:
+                    heapq.heappush(heap, entry)
+            _when, _seq, _handle, fn, args, _label = chosen
+            self.now = when
+            self.events_executed += 1
+            fn(*args)
+            if budget is not None:
+                budget -= 1
+                if budget <= 0:
+                    return self.now
+        if self._failure is not None:
+            exc, self._failure = self._failure, None
+            raise exc
+        blocked = [t for t in self._watched if getattr(t, "is_blocked", False)]
+        if blocked and until is None:
+            raise DeadlockError(blocked)
+        return self.now
+
+
+class SeededChoice(Scheduler):
+    """A random scheduler that logs everything it was offered."""
+
+    def __init__(self, seed):
+        self.rng = random.Random(seed)
+        self.offered = []
+
+    def choose(self, now, events):
+        self.offered.append((now, [(e.seq, e.label) for e in events]))
+        return self.rng.randrange(len(events))
+
+
+def _run_tie_program(sim_class, seed):
+    """One random program, heavy on ties: events land on a handful of
+    ticks, spawn more (often at delay 0), and cancel each other — by
+    preference a sibling still queued at the current tick.  It is run in
+    three legs (``until``, ``max_events``, to the end) and returns
+    everything observable, plus how often a same-tick cancel happened."""
+    rng = random.Random(seed)
+    sim = sim_class()
+    fired, live, stats = [], {}, {"armed": 0, "sibling_cancels": 0}
+
+    def arm(delay, depth):
+        eid = stats["armed"] = stats["armed"] + 1
+        if rng.random() < 0.3:  # the shared never-cancelled handle
+            sim.schedule_nocancel(delay, fire, eid, depth, label=f"e{eid}")
+        else:
+            handle = sim.schedule(delay, fire, eid, depth, label=f"e{eid}")
+            live[eid] = (sim.now + delay, handle)
+
+    def fire(eid, depth):
+        fired.append((sim.now, eid))
+        live.pop(eid, None)
+        if depth < 3:
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                arm(rng.choice((0, 0, 0, 3, 7)), depth + 1)
+        if live and rng.random() < 0.5:
+            siblings = [e for e, (when, _) in live.items() if when == sim.now]
+            victim = rng.choice(siblings or list(live))
+            stats["sibling_cancels"] += bool(siblings)
+            live.pop(victim)[1].cancel()
+
+    for _ in range(rng.randrange(2, 5)):  # before any scheduler: the lanes
+        arm(rng.choice((0, 3, 7)), 0)
+    sim.scheduler = scheduler = SeededChoice(seed)
+    for _ in range(rng.randrange(4, 10)):
+        arm(rng.choice((0, 3, 3, 7, 7, 10)), 0)
+    legs = []
+    for kwargs in ({"until": rng.randrange(1, 12)}, {"max_events": 3}, {}):
+        stopped = sim.run(**kwargs)
+        legs.append((stopped, sim.now, sim.events_executed, sim.pending()))
+    return fired, scheduler.offered, legs, stats["sibling_cancels"]
+
+
+def test_controlled_loop_fires_exactly_what_the_drain_repush_loop_fired():
+    """Differential gate for the one-entry-at-a-time controlled loop:
+    same fire order, same batches offered (seqs and labels), same stop
+    time / event count / queue length after every leg — over programs
+    that do tie (most choice points offer 2+ events by construction) and
+    do cancel same-tick siblings between a choice and the next gather."""
+    ties = sibling_cancels = 0
+    for seed in range(300):
+        new = _run_tie_program(Simulator, seed)
+        old = _run_tie_program(DrainRepushSimulator, seed)
+        assert new == old, f"seed {seed}"
+        ties += len(new[1])
+        sibling_cancels += new[3]
+    assert ties > 1000 and sibling_cancels > 100
 
 
 # ----------------------------------------------------------------------

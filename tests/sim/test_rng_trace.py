@@ -34,6 +34,24 @@ def test_stream_is_cached():
     assert r.stream("x") is r.stream("x")
 
 
+@pytest.mark.parametrize(
+    "seed,name,first,second",
+    [
+        (1988, "ring", 0.8279440370189645, 3695774616903808598),
+        (1988, "pager-0", 0.5543550291314661, 1041113197986178289),
+        (7, "fabric", 0.3532438971653761, 4151665928617075235),
+    ],
+)
+def test_first_draws_of_the_named_streams_are_pinned(seed, name, first, second):
+    """Every lossy run and every random-replacement run replays these
+    draws: the values were recorded while ``RngStreams`` still built a
+    root ``SeedSequence`` per cluster, and deriving each stream straight
+    from ``(seed, name)`` must not move one bit of them."""
+    gen = RngStreams(seed).stream(name)
+    assert gen.random() == first
+    assert int(gen.integers(1 << 62)) == second
+
+
 def test_trace_records_and_selects():
     trace = TraceRecorder()
     now = [0]
