@@ -10,7 +10,8 @@
     python -m repro.analysis run --app jacobi --algorithm dynamic \
         --nodes 4 --trace trace.jsonl
 
-    # Model-check a small configuration across many schedules.
+    # Model-check a small configuration across many schedules (a big
+    # DFS sweep on --jobs processes, default one per CPU; same result).
     python -m repro.analysis explore --algorithm dynamic --nodes 2 \
         --pages 1 --workload rw --strategy dfs
 
@@ -47,6 +48,14 @@ _APP_ARGS: dict[str, dict[str, int]] = {
     "sort": {"nrecords": 1024},
     "tsp": {"ncities": 8},
 }
+
+
+def _positive(text: str) -> int:
+    """argparse type for ``--jobs``: an integer of at least one."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
 
 
 def _build_app(name: str, nprocs: int) -> Any:
@@ -127,6 +136,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             por=not args.no_por,
             max_schedules=args.max_schedules,
             max_events=args.max_events,
+            jobs=args.jobs,
         )
     elif args.strategy == "pct":
         result = ex.explore_pct(
@@ -142,6 +152,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     else:
         raise SystemExit(f"unknown strategy {args.strategy!r}")
     wall = perf_counter() - started
+    where = f"on {result.workers} workers" if result.workers else "in-process"
 
     statuses = ", ".join(
         f"{status}={count}" for status, count in sorted(result.statuses.items())
@@ -152,9 +163,12 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         f"{result.relation} relation): "
         f"{result.schedules} schedules [{statuses}]"
         f"{' (truncated)' if result.truncated else ''}, "
-        f"{result.events} events, {result.schedules / wall:,.0f} schedules/s, "
+        f"{result.events} events, {result.schedules / wall:,.0f} schedules/s "
+        f"{where}, "
         f"{len(result.fingerprints)} distinct final states"
     )
+    if result.strategy == "dfs" and not args.no_por:
+        print(f"  sleep sets pruned {result.sleep_pruned} children")
     if result.extractor_errors:
         per_op = ", ".join(
             f"{op}={count}"
@@ -188,12 +202,13 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 def _cmd_explore_bench(args: argparse.Namespace) -> int:
     from repro.analysis import explorebench as eb
 
-    bench = eb.run_bench()
+    bench = eb.run_bench(jobs=args.jobs)
     for key, sweep in sorted(bench["sweeps"].items()):
         cert = sweep["certified"]
         print(
             f"{key}: {cert['schedules']} schedules "
-            f"({cert['states']} distinct final states)"
+            f"({cert['states']} distinct final states, "
+            f"{cert['sleep_pruned']} children pruned)"
         )
     errors = eb.check_bench(bench)
     if args.check:
@@ -307,6 +322,12 @@ def main(argv: list[str] | None = None) -> int:
         "--fabric", default="ring",
         help="network backend to explore on: ring | switched",
     )
+    explore.add_argument(
+        "--jobs", type=_positive, default=None, metavar="N",
+        help="processes a dfs sweep executes its schedules on (default: "
+        "the CPUs this process may run on); the result is the same for "
+        "every N",
+    )
     explore.add_argument("--max-schedules", type=int, default=10_000)
     explore.add_argument("--max-events", type=int, default=50_000)
     explore.add_argument("--samples", type=int, default=50, help="pct samples")
@@ -332,6 +353,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     bench.add_argument(
         "--out", default="", help="write the bench results (JSON)"
+    )
+    bench.add_argument(
+        "--jobs", type=_positive, default=None, metavar="N",
+        help="processes executing each sweep's schedules (default: the "
+        "CPUs this process may run on); every checked key is the same "
+        "for every N",
     )
     bench.add_argument(
         "--check", default="", metavar="BASELINE",

@@ -43,21 +43,37 @@ violating schedule is captured as a :class:`Counterexample`.
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import functools
 import json
+import os
 import random
 import re
+import signal
+import sys
+import threading
+import traceback
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Iterable, Sequence
+from typing import (
+    Any,
+    Callable,
+    Generator,
+    Iterable,
+    Iterator,
+    NamedTuple,
+    Sequence,
+    TypeVar,
+)
 
 from repro.analysis.violation import InvariantViolation
 from repro.api.cluster import Cluster
-from repro.config import MILLISECOND, ClusterConfig
+from repro.config import MILLISECOND, ClusterConfig, ConfigError
 from repro.net.packet import Message, extractor_errors, parse_delivery_label
 from repro.net.transport import TransportError
 from repro.sim.kernel import DeadlockError, PendingEvent, Scheduler
 from repro.sim.process import Effect, Sleep, Task, TaskFailure
-from repro.svm.protocol import ProtocolError
+from repro.svm.protocol import ProtocolError, _protocol_classes
 
 __all__ = [
     "Scenario",
@@ -67,6 +83,8 @@ __all__ = [
     "RunResult",
     "Counterexample",
     "ExplorationResult",
+    "ExploreWorkerError",
+    "default_jobs",
     "run_scenario",
     "explore_dfs",
     "explore_pct",
@@ -148,7 +166,22 @@ class Scenario:
 @functools.cache
 def _cluster_config(scenario: Scenario) -> ClusterConfig:
     """The scenario's cluster configuration: the same frozen value for
-    every schedule of a sweep, so built once, not once per schedule."""
+    every schedule of a sweep, so built once, not once per schedule.
+
+    Building it is also where a scenario is validated — the first thing
+    every run and every sweep does, before a cluster or a worker exists:
+    a name the system does not provide is a :class:`ConfigError` with
+    the known names and the likely typo, not a ``KeyError`` from
+    wherever the name is first looked up."""
+    named: list[tuple[str, str, Iterable[str]]] = [
+        ("svm.algorithm", scenario.algorithm, _protocol_classes()),
+        ("scenario.workload", scenario.workload, WORKLOADS),
+    ]
+    if scenario.mutation:
+        named.append(("scenario.mutation", scenario.mutation, MUTATIONS))
+    for field_name, value, known in named:
+        if value not in known:
+            raise ConfigError.unknown(field_name, value, known)
     return ClusterConfig(
         nodes=scenario.nodes, seed=scenario.seed, checker=True
     ).with_svm(
@@ -437,18 +470,20 @@ def _fingerprint(cluster: Cluster) -> str:
     pages: set[int] = set()
     for node in cluster.nodes:
         pages.update(node.table.known_entries())
-    state = [
-        (
-            page,
-            node.node_id,
-            node.table.entry(page).access.name,
-            node.table.entry(page).is_owner,
-            sorted(node.table.entry(page).copy_set),
-            node.table.entry(page).prob_owner,
-        )
-        for page in sorted(pages)
-        for node in cluster.nodes
-    ]
+    state = []
+    for page in sorted(pages):
+        for node in cluster.nodes:
+            entry = node.table.entry(page)
+            state.append(
+                (
+                    page,
+                    node.node_id,
+                    entry.access.name,
+                    entry.is_owner,
+                    sorted(entry.copy_set),
+                    entry.prob_owner,
+                )
+            )
     return json.dumps(state, separators=(",", ":"))
 
 
@@ -483,13 +518,7 @@ def run_scenario(
     dropper = _DropCounter(drops)
     cluster.fabric.drop_policy = dropper
 
-    try:
-        factory = WORKLOADS[scenario.workload]
-    except KeyError:
-        raise ValueError(
-            f"unknown workload {scenario.workload!r}; "
-            f"have {sorted(WORKLOADS)}"
-        ) from None
+    factory = WORKLOADS[scenario.workload]
     tasks: list[Task] = [
         cluster.spawn_system(gen, name) for name, gen in factory(cluster, scenario)
     ]
@@ -675,6 +704,28 @@ class Counterexample:
         )
 
 
+class _Visit(NamedTuple):
+    """One executed schedule, as the DFS hands it on to be recorded —
+    from the loop next door or from a forked worker."""
+
+    run: RunResult
+    #: ``run.choices``, kept beside the run because :meth:`portable`
+    #: drops the log they are read from.
+    choices: tuple[int, ...]
+    #: Extractor failures during this run alone (see
+    #: :func:`_extractor_error_delta`); per run, not per sweep, so a
+    #: truncated sweep counts exactly the runs it reports.
+    extractor_errors: dict[str, int]
+    #: Children of this run the sleep sets skipped.
+    sleep_pruned: int
+
+    def portable(self) -> "_Visit":
+        """Without the choice log — the offered labels are most of a
+        run's pickled size, and nothing reads them once the run's
+        children are known."""
+        return self._replace(run=dataclasses.replace(self.run, log=()))
+
+
 @dataclass
 class ExplorationResult:
     scenario: Scenario
@@ -688,6 +739,12 @@ class ExplorationResult:
     #: assert set-equality between reduced and full exploration.
     fingerprints: set[str] = field(default_factory=set)
     truncated: bool = False
+    #: Children the DFS did not execute because the sleep sets showed an
+    #: equivalent interleaving already explored: what partial-order
+    #: reduction saved *directly* (each skipped child is the root of a
+    #: subtree that was never enumerated, so the full tree is larger
+    #: than ``schedules + sleep_pruned``).
+    sleep_pruned: int = 0
     #: Independence relation the exploration pruned with.
     relation: str = "certified"
     #: Payloads that did not fit their op's declared page path during
@@ -696,6 +753,10 @@ class ExplorationResult:
     #: ``p?`` — still sound, but it silently weakens POR, so any nonzero
     #: count here deserves a look.
     extractor_errors: dict[str, int] = field(default_factory=dict)
+    #: Worker processes forked to execute schedules; 0 when every one
+    #: ran in the calling process.  How the sweep was run, not what it
+    #: found: results compare equal across worker counts.
+    workers: int = field(default=0, compare=False)
 
     def record(self, run: RunResult, choices: Sequence[int], drops: Sequence[int] = ()) -> None:
         self.schedules += 1
@@ -715,6 +776,12 @@ class ExplorationResult:
                 )
             )
 
+    def _record_visit(self, visit: _Visit) -> None:
+        self.record(visit.run, visit.choices)
+        self.sleep_pruned += visit.sleep_pruned
+        for op, count in visit.extractor_errors.items():
+            self.extractor_errors[op] = self.extractor_errors.get(op, 0) + count
+
     @property
     def clean(self) -> bool:
         return not self.violations and not self.truncated
@@ -724,7 +791,7 @@ def _extractor_error_delta(before: dict[str, int]) -> dict[str, int]:
     """Per-op extractor failures accrued since the ``before`` snapshot.
 
     The counts live in a process-wide registry (`repro.net.packet`), so
-    each exploration diffs against its own start rather than resetting —
+    each caller diffs against its own start rather than resetting —
     concurrent or repeated explorations never clobber each other."""
     return {
         op: count - before.get(op, 0)
@@ -733,12 +800,293 @@ def _extractor_error_delta(before: dict[str, int]) -> dict[str, int]:
     }
 
 
+# ----------------------------------------------------------------------
+# independent subtrees on forked workers, results in a fixed order
+
+
+class ExploreWorkerError(RuntimeError):
+    """A forked exploration worker raised or died.  The message names
+    the prefix of the subtree it held and the worker's exception or exit
+    status; the other workers have been stopped and reaped by the time
+    it propagates."""
+
+
+def default_jobs() -> int:
+    """Worker processes an exploration uses unless told otherwise: the
+    CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has affinity masks
+        return os.cpu_count() or 1
+
+
+def _workers(jobs: int | None) -> int:
+    """How many processes ``jobs`` comes to here.  Workers are forked —
+    they inherit the scenario, the relation and whatever a test
+    monkeypatched, none of which need pickle — so it is one where
+    forking is not possible or not safe: no ``os.fork``; a daemonic
+    process, which may not have children (only ``multiprocessing`` makes
+    those: a process that never imported it is not one); a process with
+    other threads, whose locks a fork would copy in whatever state they
+    are in."""
+    mp = sys.modules.get("multiprocessing")
+    if (
+        not hasattr(os, "fork")
+        or (mp and mp.current_process().daemon)
+        or threading.active_count() > 1
+    ):
+        return 1
+    return max(default_jobs() if jobs is None else jobs, 1)
+
+
+#: One DFS stack entry: the prescribed prefix and the sleep set at its
+#: end.  Everything below it is a function of the entry alone, which is
+#: what makes subtrees independent work.
+_Entry = tuple[tuple[int, ...], frozenset[str]]
+_ROOT: _Entry = ((), frozenset())
+
+_R = TypeVar("_R")
+
+
+def _serve(
+    conn: Any,
+    parent_ends: Sequence[Any],
+    fn: Callable[[_Entry], Any],
+    items: Sequence[_Entry],
+) -> None:
+    """A worker's life: compute ``fn(items[i])`` for every index the
+    parent sends, until it sends None.  An exception goes back as text;
+    anything worse ends the process, which the parent sees as EOF."""
+    # The terminal's Ctrl-C reaches every process of the group: the
+    # parent handles it and stops the workers.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for end in parent_ends:  # inherited; held open here they would hide
+        end.close()  # the parent's death from every worker
+    try:
+        for index in iter(conn.recv, None):
+            try:
+                reply = (True, fn(items[index]))
+            except Exception as exc:
+                reply = (
+                    False,
+                    f"raised {type(exc).__name__}: {exc}\n{traceback.format_exc()}",
+                )
+            conn.send(reply)
+    except (EOFError, OSError):
+        pass  # the parent is gone (killed: it stops its workers otherwise)
+
+
+def _in_order(
+    fn: Callable[[_Entry], _R], items: Sequence[_Entry], workers: int
+) -> Iterator[_R]:
+    """Yield ``fn(item)`` for every item, in item order.
+
+    With fewer than two ``workers`` that is ``map``: in-process, each
+    result computed when it is asked for.  Otherwise that many forked
+    workers take the items in order, one at a time each, and results
+    are yielded as soon as every earlier one has been — so what the
+    consumer sees never depends on which worker finished first, and a
+    consumer that stops early (``close()`` the iterator) wastes at most
+    what was in flight.  Workers live for one call: whether the iterator
+    is exhausted, closed or interrupted, or a worker fails
+    (:class:`ExploreWorkerError`), every one is terminated and reaped
+    before control returns.
+    """
+    if workers < 2:
+        yield from map(fn, items)
+        return
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    ctx = multiprocessing.get_context("fork")
+    owner = os.getpid()
+    procs: dict[Any, Any] = {}  # parent's pipe end -> worker process
+    held: dict[Any, int] = {}  # pipe end -> index its worker is computing
+    unsent = iter(range(len(items)))
+
+    def hand(conn: Any) -> None:
+        index = next(unsent, None)
+        if index is not None:
+            held[conn] = index
+        conn.send(index)
+
+    done: dict[int, _R] = {}
+    try:
+        for _ in range(workers):
+            ours, theirs = ctx.Pipe()
+            proc = ctx.Process(
+                target=_serve, args=(theirs, [*procs, ours], fn, items), daemon=True
+            )
+            proc.start()
+            theirs.close()  # so a dead worker reads as EOF on ours
+            procs[ours] = proc
+            hand(ours)
+        for due in range(len(items)):
+            while due not in done:
+                for conn in wait(list(held)):
+                    index = held.pop(conn)
+                    try:
+                        ok, value = conn.recv()
+                    except (EOFError, OSError):
+                        procs[conn].join()
+                        ok, value = False, f"exited with status {procs[conn].exitcode}"
+                    if not ok:
+                        raise ExploreWorkerError(
+                            f"worker on prefix {list(items[index][0])} {value}"
+                        )
+                    done[index] = value
+                    hand(conn)
+            yield done.pop(due)
+    finally:
+        # An iterator abandoned half-way is finalized whenever the
+        # collector finds it — which may be in a worker forked by a later
+        # call, where these are somebody else's children.
+        if os.getpid() == owner:
+            for proc in procs.values():
+                proc.terminate()
+            for conn, proc in procs.items():
+                proc.join()
+                proc.close()
+                conn.close()
+
+
+# ----------------------------------------------------------------------
+# exploration strategies
+
+#: Unexplored subtrees a parallel sweep is split into before anything is
+#: forked.  A constant, not a function of ``jobs``: the part of the tree
+#: the coordinating process executes itself is then the same on every
+#: host.  Chosen on the four ``checker_stack`` sweeps (4,032 schedules)
+#: by replaying their subtree sizes through the in-order hand-out — the
+#: longest worker's schedules plus the coordinator's, over the total,
+#: for 2 / 4 / 8 workers: 16 -> 0.572 / 0.396 / 0.320 (8 schedules in
+#: the coordinator), 32 -> 0.542 / 0.319 / 0.200 (15), **64 -> 0.529 /
+#: 0.292 / 0.179 (33)**, 128 -> 0.526 / 0.285 / 0.163 (77), 256 -> 0.531
+#: / 0.296 / 0.179 (219).  Past 64 the largest subtree is no longer
+#: what the last worker waits for and the coordinator's serial share
+#: starts to show.  On this repo's two-core host the clock cannot tell
+#: 32, 64 and 128 apart (1.51 / 1.51 / 1.54 s against 2.47 s in one
+#: process, medians of 8 interleaved rounds; 16: 1.58 s).
+FRONTIER = 64
+
+
+def _step(
+    scenario: Scenario,
+    por: bool,
+    rel: Relation,
+    max_events: int,
+    entry: _Entry,
+) -> tuple[_Visit, list[_Entry]]:
+    """Execute one stack entry: the run, and the entries of its children
+    in the order the DFS pushes them (it pops them in reverse)."""
+    prefix, sleep = entry
+    errors_before = extractor_errors()
+    run = run_scenario(
+        scenario,
+        choices=prefix,
+        max_events=max_events,
+        sleep=sleep if por else (),
+        relation=rel,
+    )
+    taken = run.choices
+    # Branch at every choice point the prefix did not already fix.
+    children: list[tuple[int, int, _Entry]] = []
+    pruned = 0
+    current: set[str] = set(sleep)
+    for i in range(len(prefix), len(run.log)):
+        point = run.log[i]
+        chosen_label = point.labels[point.chosen]
+        explored: list[str | None] = [chosen_label]
+        for j, label in enumerate(point.labels):
+            if j == point.chosen:
+                continue
+            if (
+                por
+                and label is not None
+                and label in current
+                and point.labels.count(label) == 1
+            ):
+                pruned += 1  # an equivalent interleaving is already explored
+                continue
+            if por:
+                inherited = current | {l for l in explored if l is not None}
+                child_sleep = frozenset(
+                    z for z in inherited if rel(z, label)
+                )
+            else:
+                child_sleep = frozenset()
+            children.append((i, j, (taken[:i] + (j,), child_sleep)))
+            explored.append(label)
+        if por:
+            current = {z for z in current if rel(z, chosen_label)}
+    # Pop order must be deepest-first (so the default run's subtree
+    # finishes before its shallow siblings start — the order the
+    # sleep sets were built for); within one point, low j first.
+    children.sort(key=lambda c: (c[0], -c[1]))
+    visit = _Visit(run, taken, _extractor_error_delta(errors_before), pruned)
+    return visit, [child for _i, _j, child in children]
+
+
+def _dfs(
+    step: Callable[[_Entry], tuple[_Visit, list[_Entry]]],
+    root: _Entry,
+    limit: int,
+    visit: Callable[[_Visit], None],
+) -> bool:
+    """The sequential sweep of the subtree under ``root``: ``visit``
+    every schedule in pop order, at most ``limit`` of them.  True when
+    the limit cut it short."""
+    stack = [root]
+    visited = 0
+    while stack:
+        if visited >= limit:
+            return True
+        seen, children = step(stack.pop())
+        visit(seen)
+        visited += 1
+        stack.extend(children)
+    return False
+
+
+def _split(
+    step: Callable[[_Entry], tuple[_Visit, list[_Entry]]], limit: int
+) -> list[_Visit | _Entry]:
+    """The sweep in sequential pop order with only the top of the tree
+    executed: visits where the coordinating process ran a schedule,
+    entries where a subtree is still unexplored.
+
+    Expands the unexplored entry with the shortest prefix — subtree size
+    grows with the choice points left to branch at, so that is the
+    largest one — until :data:`FRONTIER` entries exist, or none (the
+    sweep was too small to share), or ``limit`` schedules have run here
+    (a tree that narrow gains nothing from workers either).  Handing out
+    the root's own children instead gives subtrees of 1, 2, 2, 2, 8, 64,
+    128, 256 and 256 schedules on the 768-schedule sweep, and two
+    workers 0.70-0.78x of one process's time."""
+    order: list[_Visit | _Entry] = [_ROOT]
+    for _ in range(limit):
+        unexplored = [
+            (len(item[0]), at)
+            for at, item in enumerate(order)
+            if not isinstance(item, _Visit)
+        ]
+        if not unexplored or len(unexplored) >= FRONTIER:
+            break
+        _depth, at = min(unexplored)
+        entry = order[at]
+        assert not isinstance(entry, _Visit)
+        seen, children = step(entry)
+        order[at : at + 1] = [seen, *reversed(children)]
+    return order
+
+
 def explore_dfs(
     scenario: Scenario,
     por: bool = True,
     max_schedules: int = 10_000,
     max_events: int = DEFAULT_MAX_EVENTS,
     relation: Relation | None = None,
+    jobs: int | None = None,
 ) -> ExplorationResult:
     """Exhaustive depth-first schedule enumeration.
 
@@ -759,65 +1107,53 @@ def explore_dfs(
 
     ``relation`` is the independence relation the sleep sets use
     (default: :func:`certified_relation` for the scenario's algorithm).
+
+    ``jobs`` is how many processes execute schedules (default:
+    :func:`default_jobs`).  With one, this process runs the stack loop.
+    With more, it executes the top of the tree itself (:func:`_split`),
+    forks workers that each run the same loop on one unexplored subtree
+    at a time, and records everything in the sequential pop order — so
+    the result is equal for every ``jobs``, violations in the same list
+    order, truncated or not.  (A truncated parallel sweep may *execute*
+    schedules it does not report: each subtree is cut just past
+    ``max_schedules`` and the subtrees in flight when the count is
+    reached are thrown away.)  A sweep that never fills the frontier
+    never forks.
     """
+    _cluster_config(scenario)  # a bad scenario fails here, not in a worker
     rel = relation if relation is not None else certified_relation(scenario.algorithm)
     result = ExplorationResult(
         scenario=scenario,
         strategy="dfs",
         relation=getattr(rel, "name", getattr(rel, "__name__", "custom")),
     )
-    errors_before = extractor_errors()
-    # Each entry: (prescribed prefix, sleep set at the end of the prefix).
-    stack: list[tuple[tuple[int, ...], frozenset[str]]] = [((), frozenset())]
-    while stack:
-        if result.schedules >= max_schedules:
-            result.truncated = True
-            break
-        prefix, sleep = stack.pop()
-        run = run_scenario(
-            scenario,
-            choices=prefix,
-            max_events=max_events,
-            sleep=sleep if por else (),
-            relation=rel,
-        )
-        result.record(run, run.choices)
-        taken = run.choices
-        # Branch at every choice point the prefix did not already fix.
-        children: list[tuple[int, int, tuple[int, ...], frozenset[str]]] = []
-        current: set[str] = set(sleep)
-        for i in range(len(prefix), len(run.log)):
-            point = run.log[i]
-            chosen_label = point.labels[point.chosen]
-            explored: list[str | None] = [chosen_label]
-            for j, label in enumerate(point.labels):
-                if j == point.chosen:
-                    continue
-                if (
-                    por
-                    and label is not None
-                    and label in current
-                    and point.labels.count(label) == 1
-                ):
-                    continue  # an equivalent interleaving is already explored
-                if por:
-                    inherited = current | {l for l in explored if l is not None}
-                    child_sleep = frozenset(
-                        z for z in inherited if rel(z, label)
-                    )
-                else:
-                    child_sleep = frozenset()
-                children.append((i, j, taken[:i] + (j,), child_sleep))
-                explored.append(label)
-            if por:
-                current = {z for z in current if rel(z, chosen_label)}
-        # Pop order must be deepest-first (so the default run's subtree
-        # finishes before its shallow siblings start — the order the
-        # sleep sets were built for); within one point, low j first.
-        children.sort(key=lambda c: (c[0], -c[1]))
-        for _i, _j, child_prefix, child_sleep in children:
-            stack.append((child_prefix, child_sleep))
-    result.extractor_errors = _extractor_error_delta(errors_before)
+    step = functools.partial(_step, scenario, por, rel, max_events)
+    if _workers(jobs) == 1:
+        result.truncated = _dfs(step, _ROOT, max_schedules, result._record_visit)
+        return result
+
+    def subtree(entry: _Entry) -> list[_Visit]:
+        # One more than can be reported: the walk below then sees for
+        # itself that there was more.
+        visits: list[_Visit] = []
+        _dfs(step, entry, max_schedules + 1, lambda seen: visits.append(seen.portable()))
+        return visits
+
+    order = _split(step, max_schedules)
+    leaves = [item for item in order if not isinstance(item, _Visit)]
+    workers = min(_workers(jobs), len(leaves))
+    with contextlib.closing(_in_order(subtree, leaves, workers)) as subtrees:
+        for item in order:
+            if isinstance(item, _Visit):
+                visits = [item]
+            else:
+                visits = next(subtrees)  # the first one asked for forks them
+                result.workers = workers if workers > 1 else 0
+            for seen in visits:
+                if result.schedules >= max_schedules:
+                    result.truncated = True
+                    return result
+                result._record_visit(seen)
     return result
 
 

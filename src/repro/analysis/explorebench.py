@@ -76,6 +76,7 @@ def _side(result: ex.ExplorationResult, wall: float) -> dict[str, Any]:
         "relation": result.relation,
         "schedules": result.schedules,
         "events": result.events,
+        "sleep_pruned": result.sleep_pruned,
         "truncated": result.truncated,
         "statuses": dict(sorted(result.statuses.items())),
         "states": len(result.fingerprints),
@@ -93,8 +94,12 @@ def _side(result: ex.ExplorationResult, wall: float) -> dict[str, Any]:
     }
 
 
-def run_bench(sweeps: tuple[ex.Scenario, ...] = SWEEPS) -> dict[str, Any]:
-    """Run every sweep; returns the bench dict."""
+def run_bench(
+    sweeps: tuple[ex.Scenario, ...] = SWEEPS, jobs: int | None = None
+) -> dict[str, Any]:
+    """Run every sweep (on ``jobs`` processes each, see
+    :func:`repro.analysis.explore.explore_dfs`: every exact key is the
+    same for any number); returns the bench dict."""
     matrix = build_matrix()
     out: dict[str, Any] = {
         "version": 1,
@@ -114,6 +119,7 @@ def run_bench(sweeps: tuple[ex.Scenario, ...] = SWEEPS) -> dict[str, Any]:
             scenario,
             max_schedules=50_000,  # far above the largest sweep (864)
             relation=ex.certified_relation(scenario.algorithm, matrix),
+            jobs=jobs,
         )
         out["sweeps"][_key(scenario)] = {
             "scenario": scenario.to_dict(),
@@ -124,7 +130,15 @@ def run_bench(sweeps: tuple[ex.Scenario, ...] = SWEEPS) -> dict[str, Any]:
 
 #: Keys that must be identical between a run and the committed baseline
 #: (wall time is excluded: it is real).
-_EXACT_KEYS = ("schedules", "events", "statuses", "states", "fingerprint_sha256", "violations")
+_EXACT_KEYS = (
+    "schedules",
+    "events",
+    "sleep_pruned",
+    "statuses",
+    "states",
+    "fingerprint_sha256",
+    "violations",
+)
 
 
 def check_bench(bench: dict[str, Any]) -> list[str]:

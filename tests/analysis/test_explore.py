@@ -182,6 +182,7 @@ def test_scheduler_is_offered_the_pinned_label_strings(monkeypatch):
     result = explore_dfs(
         Scenario(algorithm="dynamic", nodes=3, pages=1, workload="chown", hint_period=1),
         max_schedules=50_000,
+        jobs=1,  # observed from inside this process, in the sequential order
     )
     assert result.schedules == 768
     assert digest.hexdigest() == (

@@ -238,6 +238,7 @@ def test_every_delivery_of_a_table_op_is_labelled_with_its_page(algorithm, rende
                 hint_period=1,
             ),
             max_schedules=40,
+            jobs=1,  # the spy is in this process: forked workers' labels are not
         )
         assert set(result.statuses) == {"ok"}
         assert result.extractor_errors == {}
