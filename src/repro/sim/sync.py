@@ -24,16 +24,17 @@ class SimLock:
     """A FIFO mutex for simulated tasks.
 
     Used for per-page table-entry locks: Li & Hudak's algorithms guard
-    every fault handler and server with ``lock(PTable[p].lock)``.
+    every fault handler and server with ``lock(PTable[p].lock)``.  A
+    256-node run builds ~18k of them and only a few hundred are ever
+    contended, so the waiter queue is created by the first contended
+    :meth:`acquire`, not up front.
     """
 
-    __slots__ = ("_held", "_waiters", "holder")
+    __slots__ = ("_held", "_waiters")
 
     def __init__(self) -> None:
         self._held = False
-        self._waiters: deque[Task] = deque()
-        #: Debugging aid: the task currently holding the lock.
-        self.holder: Task | None = None
+        self._waiters: deque[Task] | None = None
 
     @property
     def locked(self) -> bool:
@@ -44,6 +45,8 @@ class SimLock:
         if not self._held:
             self._held = True
             return
+        if self._waiters is None:
+            self._waiters = deque()
         yield Suspend(self._waiters.append)
         # Ownership was transferred to us by release(); nothing to do.
 
@@ -64,7 +67,6 @@ class SimLock:
             waiter.wake()
         else:
             self._held = False
-        self.holder = None
 
 
 class Gate:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.common import partition
-from repro.apps.pde3d import stencil_sweep
+from repro.apps.pde3d import Pde3dApp, stencil_sweep
 from repro.apps.sort import RECORD_BYTES, MergeSplitSortApp, _dtype
 from repro.apps.tsp import (
     TspApp,
@@ -50,6 +50,33 @@ def test_stencil_sweep_zero_boundary():
     # An interior point has 6 neighbours of 1.0 -> 1.0; a corner has 3.
     assert out[2, 2, 2] == pytest.approx(1.0)
     assert out[0, 0, 0] == pytest.approx(0.5)
+
+
+def test_stencil_sweep_in_place_is_bit_identical_to_out_of_place():
+    rng = np.random.default_rng(3)
+    u, b = rng.uniform(-1, 1, (2, 6, 7, 5))
+    acc = b.copy()
+    acc[1:] += u[:-1]
+    acc[:-1] += u[1:]
+    acc[:, 1:] += u[:, :-1]
+    acc[:, :-1] += u[:, 1:]
+    acc[:, :, 1:] += u[:, :, :-1]
+    acc[:, :, :-1] += u[:, :, 1:]
+    b_before = b.copy()
+    assert np.array_equal(stencil_sweep(u, b), acc / 6.0)
+    assert np.array_equal(b, b_before)  # the right-hand side is not touched
+
+
+def test_pde3d_check_rejects_a_result_missing_a_plane():
+    app = Pde3dApp(1, m=4, iters=1)
+    with pytest.raises(AssertionError, match=r"\(3, 4, 4\).*\(4, 4, 4\)"):
+        app.check(app.golden()[:-1])
+    app.check(app.golden())
+    # Every plane is compared, the last one included.
+    wrong = app.golden()
+    wrong[-1, -1, -1] += 0.5
+    with pytest.raises(AssertionError, match="max abs err 0.5"):
+        app.check(wrong)
 
 
 @settings(max_examples=100)
