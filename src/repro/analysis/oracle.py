@@ -37,6 +37,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro.analysis.violation import InvariantViolation
 from repro.machine.mmu import Access
+from repro.svm.page import PageTableEntry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.api.cluster import Cluster
@@ -280,6 +281,16 @@ class CoherenceOracle:
         self.touched_pages: set[int] = set()
         for node in cluster.nodes:
             node.table.attach_observer(self._on_entry)
+        #: Live page->entry maps, read without materialising entries: a
+        #: page a node never touched reads as the entry its table would
+        #: create lazily (one shared, never-mutated stand-in each for the
+        #: manager and for everyone else).
+        self._tables = [node.table.raw_entries() for node in cluster.nodes]
+        self._manager = config.svm.manager_node
+        self._untouched = (
+            PageTableEntry(False, self._manager),
+            PageTableEntry(True, self._manager),
+        )
 
     # ------------------------------------------------------------------
     # hooks
@@ -315,7 +326,12 @@ class CoherenceOracle:
         shadow = self.shadow.shadow(page)
         # One pass over the entries (index == node id) collects what
         # every rule below reads.
-        entries = [n.table.entry(page) for n in self.cluster.nodes]
+        manager = self._manager
+        untouched = self._untouched
+        entries = [
+            table.get(page) or untouched[nid == manager]
+            for nid, table in enumerate(self._tables)
+        ]
         epochs = shadow.epochs
         owners: list[int] = []
         writers: list[int] = []

@@ -580,7 +580,17 @@ class _MethodEvaluator:
                 self._emit("pool", key, "touch", expr)
                 self._emit("frame", key, "read", expr)
                 return f"frame:{key}"
-            if meth == "touch":
+            if meth == "share":
+                # Hands the frame out as an image: a read of its bytes.
+                self._emit("pool", key, "touch", expr)
+                self._emit("frame", key, "read", expr)
+            elif meth == "replace":
+                # Swaps a resident frame: no eviction, one keyed frame.
+                self._emit("pool", key, "touch", expr)
+                self._emit("frame", key, "write", expr)
+            elif meth == "make_writable":
+                self._emit("frame", key, "write", expr)
+            elif meth == "touch":
                 self._emit("pool", key, "touch", expr)
             elif meth == "drop":
                 self._emit("pool", key, "drop", expr)

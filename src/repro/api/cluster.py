@@ -58,6 +58,8 @@ class NodeContext:
                 if replacement == "random"
                 else None
             ),
+            # One buffer pool per fabric: read copies share frames.
+            pages=cluster.ring.pages,
         )
         self.disk = Disk(
             config.disk, config.svm.page_size, self.counters,

@@ -18,11 +18,19 @@ Aegis's sampled-use-bit clock degenerates to under cyclic sweeps) the
 pool additionally keeps the resident page numbers as a sorted list, so a
 victim is the draw-th smallest evictable page without listing and
 sorting the pool on every pick.  ``install`` and ``drop`` are the only
-mutators of the frame mapping, hence of that index; under LRU it is not
-kept at all.
+mutators of the frame mapping's keys, hence of that index; under LRU it
+is not kept at all.
 
 Frames hold real bytes as ``numpy.uint8`` arrays; typed views are taken
 by the shared address space, never copies (guide rule: views not copies).
+Every frame is a buffer of the fabric's :class:`~repro.net.pool.PagePool`
+and may be a read-only image that other nodes' frames and in-flight
+replies share: :meth:`install` and :meth:`replace` adopt an image
+instead of copying it, :meth:`share` hands one out, :meth:`drop` releases the frame's
+reference, and :meth:`make_writable` is the copy-on-write step every
+grant of write access goes through.  A frame is written in place only
+while it is writable, which means only while this node is its sole
+holder.
 """
 
 from __future__ import annotations
@@ -31,6 +39,8 @@ from bisect import bisect_left, insort
 from collections import OrderedDict
 
 import numpy as np
+
+from repro.net.pool import PagePool
 
 __all__ = ["PhysicalMemory", "FramePressure"]
 
@@ -48,6 +58,7 @@ class PhysicalMemory:
         frames: int | None,
         replacement: str = "lru",
         rng: np.random.Generator | None = None,
+        pages: PagePool | None = None,
     ) -> None:
         if frames is not None and frames < 2:
             raise ValueError("a node needs at least 2 page frames")
@@ -61,6 +72,9 @@ class PhysicalMemory:
         self.capacity = frames
         self.replacement = replacement
         self._rng = rng
+        #: Where frames come from and go back to (the fabric's pool in a
+        #: cluster, so images can be shared across nodes).
+        self.pages = pages if pages is not None else PagePool()
         self._frames: dict[int, np.ndarray] = {}
         self._pins: dict[int, int] = {}
         #: Resident pages in recency order: coldest first, hottest last.
@@ -89,8 +103,10 @@ class PhysicalMemory:
         """The live page->frame mapping, for data-plane fast paths.
 
         Strictly read-only: :meth:`install` and :meth:`drop` are the
-        only mutators of this mapping (they keep the recency order and
-        the random policy's sorted index in step with it).  Every access
+        only mutators of this mapping's keys (they keep the recency order
+        and the random policy's sorted index in step with it), and
+        :meth:`make_writable` may replace a value, so look a frame up
+        afresh rather than holding it across a yield.  Every access
         that would have gone through :meth:`data` must pair the lookup
         with a :meth:`raw_recency` ``move_to_end`` so the LRU order (and
         therefore the eviction schedule) stays bit-for-bit what
@@ -122,39 +138,68 @@ class PhysicalMemory:
     def install(self, page: int, data: np.ndarray | None = None) -> np.ndarray:
         """Place ``page`` into a frame (caller must have ensured room).
 
-        ``data`` is copied into the frame; None zero-fills.  Returns the
-        frame array.
+        ``data`` is a page image from :attr:`pages` whose reference the
+        caller hands over: the frame adopts it, no bytes are copied, and
+        a frame already resident is released in its favour.  None
+        zero-fills a new frame (a resident one is kept as it is).
+        Returns the frame array.
         """
+        if data is not None and len(data) != self.page_size:
+            raise ValueError(
+                f"page data is {len(data)} bytes, expected {self.page_size}"
+            )
         frame = self._frames.get(page)
-        if frame is None:
+        if frame is not None:
+            if data is not None:
+                return self.replace(page, data)
+        else:
             if self.full:
                 raise FramePressure(f"no free frame for page {page}")
-            # Zero-fill only when no contents follow — the copy below
-            # overwrites every byte anyway.
-            frame = (
-                np.zeros(self.page_size, dtype=np.uint8)
-                if data is None
-                else np.empty(self.page_size, dtype=np.uint8)
-            )
-            self._frames[page] = frame
+            if data is None:
+                data = self.pages.zeros(self.page_size)
+            frame = self._frames[page] = data
             if self._sorted is not None:
                 insort(self._sorted, page)
-        if data is not None:
-            if len(data) != self.page_size:
-                raise ValueError(
-                    f"page data is {len(data)} bytes, expected {self.page_size}"
-                )
-            frame[:] = data
         self._recency[page] = None
         self._recency.move_to_end(page)
+        return frame
+
+    def replace(self, page: int, data: np.ndarray) -> np.ndarray:
+        """Swap the frame of a resident page for the image ``data``
+        (adopted as by :meth:`install`), releasing the old frame."""
+        frames = self._frames
+        old = frames[page]
+        frames[page] = data
+        self.pages.release(old)
+        self._recency.move_to_end(page)
+        return data
+
+    def share(self, page: int) -> np.ndarray:
+        """The frame of a resident page as a read-only image with one more
+        reference, for the caller to hand on (a read or write reply)."""
+        return self.pages.share(self.data(page))
+
+    def make_writable(self, page: int) -> np.ndarray:
+        """Copy-on-write: make ``page``'s frame private and writable.
+
+        Copies only when another node's frame or an in-flight reply
+        still holds the image; otherwise the frame just becomes writable
+        again.  Returns the (possibly new) frame.
+        """
+        frame = self._frames[page]
+        if not frame.flags.writeable:  # an image: a private frame is writable
+            frame = self._frames[page] = self.pages.private(frame)
         return frame
 
     def drop(self, page: int) -> None:
         """Release the frame of ``page`` (must be unpinned)."""
         if self._pins.get(page, 0):
             raise RuntimeError(f"dropping pinned page {page}")
-        if self._frames.pop(page, None) is not None and self._sorted is not None:
-            del self._sorted[bisect_left(self._sorted, page)]
+        frame = self._frames.pop(page, None)
+        if frame is not None:
+            self.pages.release(frame)
+            if self._sorted is not None:
+                del self._sorted[bisect_left(self._sorted, page)]
         self._recency.pop(page, None)
         # A dropped page must leave no recency residue: a stale entry
         # would make a later reinstall inherit the old position.

@@ -121,6 +121,10 @@ class Pager:
     def try_install(self, page: int, data: np.ndarray | None = None) -> np.ndarray | None:
         """Plain-function :meth:`install` for the no-eviction case.
 
+        ``data`` is handed over as for :meth:`PhysicalMemory.install`,
+        but only once this returns a frame: on ``None`` the caller still
+        holds it and passes it on to :meth:`install`.
+
         Returns the frame when room exists (or the page is already
         resident), ``None`` when eviction work is required — the caller
         then falls back to the generator.  Splitting the fast path out
@@ -155,6 +159,6 @@ class Pager:
     def page_in(self, page: int) -> Generator[Effect, Any, np.ndarray]:
         """Read ``page`` from disk into a frame (evicting as needed)."""
         data = yield from self.disk.read_page(page)
-        frame = yield from self.install(page, data)
+        frame = yield from self.install(page, self.memory.pages.copy_of(data))
         self.disk.discard(page)
         return frame

@@ -1,12 +1,12 @@
 """Free-list pools for the message hot path.
 
 The transport builds one :class:`~repro.net.packet.Message` per request,
-reply, forward and retransmission, and the coherence servers build one
-page-sized numpy snapshot per page transfer.  Both are textbook
-free-list candidates: the objects are homogeneous, short-lived, and
-their lifetimes are fully visible to the net layer.  Pooling them turns
-the per-event allocator traffic of a run into a handful of allocations
-at warm-up.
+reply, forward and retransmission, and every node's page frames and the
+page images the coherence servers ship are page-sized numpy buffers.
+Both are textbook free-list candidates: the objects are homogeneous,
+and their lifetimes are fully visible to the net and memory layers.
+Pooling them turns the per-event allocator traffic of a run into a
+handful of allocations at warm-up.
 
 **Message lifetime is reference-counted**, because a request envelope
 has three concurrent holders with independent lifetimes:
@@ -29,20 +29,41 @@ collector), while a missing *retain* would recycle a live envelope —
 which the 42 golden schedule fixtures and every application result
 check would catch loudly.
 
-**Page buffers are not reference-counted**: a pooled page snapshot is
-given back exactly once, by the unicast requester that installed it
-(``memory.install`` copies the bytes into the frame, so the buffer is
-dead the moment install returns).  Reply-cache resends may still ship a
-recycled buffer, but only to an origin whose request already completed
-— the transport drops the duplicate before anything reads the payload.
-Multicast payloads (the update policy's page pushes) are shared by
-every receiver of one frame and are therefore *never* pooled — there is
-no single point that could return them.
+**Page images are reference-counted too**, because a page's read
+copies hold exactly its owner's bytes until a write invalidates them:
+the owner's frame, every reader's frame and every read reply in flight
+share one buffer.  A private buffer is writable and has exactly one
+holder; :meth:`PagePool.share` turns it into a read-only *image* and
+counts its holders, :meth:`PagePool.release` drops one, and the last
+release returns the buffer to the free list.  Serving a read shares the
+owner's frame (one reference for the owner, one for the requester); the
+requester's reference passes to its frame when it installs the image,
+or is released when it abandons a stale copy; ``memory.drop`` releases
+a frame's reference.  An update-policy push is one pooled snapshot:
+every receiver that applies it shares it as its frame, and the pusher
+releases its own reference once all have acknowledged.  Nothing writes
+into an image:
+:meth:`PagePool.private` is the one way back to a writable buffer, and
+copies only while another holder exists (copy-on-write).  Every buffer
+a frame or a reply holds comes from the pool, so releasing anything else
+— or releasing once too often — raises.
+
+**A reply-cache "done" entry is a non-owning alias.**  It takes no
+reference, so a resend after the request completed may carry a buffer
+that has since been recycled; only an origin whose request already
+completed receives one, and its transport drops the duplicate before
+anything reads the payload.  Pinning an image per cached reply would
+hold one page version per served read for the rest of the run.  As with
+envelopes, a missing release is a benign leak: a read served twice
+(a duplicate that reaches a node which has since become the owner)
+leaves one reference that nobody returns, and the owner merely copies
+on its next write.
 
 Pools are deterministic by construction: they hold no clock and no
 randomness, and reuse order is a pure function of the (deterministic)
 schedule.  ``repro.sim``/``repro.net`` determinism lint covers this
-module; nothing here may key anything on ``id()``.
+module; nothing here orders anything by ``id()`` (the image reference
+counts are looked up by it, never iterated).
 """
 
 from __future__ import annotations
@@ -132,34 +153,107 @@ class MessagePool:
 
 
 class PagePool:
-    """Free-list of page-sized ``uint8`` snapshot buffers, one per fabric.
+    """Free list and reference counts of page-sized ``uint8`` buffers,
+    one per fabric.
 
     Buffers are keyed by length — one cluster has one page size, but the
-    pool does not need to assume it.
+    pool does not need to assume it.  ``outstanding``, ``high_water``
+    and ``cow_copies`` are plain counters: reading them costs nothing
+    and keeping them costs one add per buffer handed out.
     """
 
-    __slots__ = ("_free", "allocated", "reused")
+    __slots__ = (
+        "_free", "_refs", "allocated", "reused", "outstanding", "high_water",
+        "cow_copies",
+    )
 
     def __init__(self) -> None:
         self._free: dict[int, list[np.ndarray]] = {}
+        #: Every buffer handed out, by ``id()``: 0 while it is private
+        #: (writable, one holder), else the holders of the read-only
+        #: image it has become.  Free buffers are writable and absent.
+        #: Numpy flag writes cost ~0.5 us, so ``writeable`` flips only
+        #: when a buffer becomes an image and when its last holder goes.
+        self._refs: dict[int, int] = {}
         self.allocated = 0
         self.reused = 0
+        #: Buffers handed out and not yet returned, and their maximum.
+        self.outstanding = 0
+        self.high_water = 0
+        #: Copies :meth:`private` made because the image had another holder.
+        self.cow_copies = 0
 
-    def copy_of(self, frame: np.ndarray) -> np.ndarray:
-        """A snapshot of ``frame`` in a pooled buffer (contents copied)."""
-        stack = self._free.get(frame.nbytes)
+    def take(self, nbytes: int) -> np.ndarray:
+        """A private, writable buffer of ``nbytes`` (contents undefined)."""
+        stack = self._free.get(nbytes)
         if stack:
             buf = stack.pop()
-            buf[:] = frame
             self.reused += 1
-            return buf
-        self.allocated += 1
-        return frame.copy()
+        else:
+            if stack is None:  # release() appends without a lookup miss
+                self._free[nbytes] = []
+            buf = np.empty(nbytes, dtype=np.uint8)
+            self.allocated += 1
+        self._refs[id(buf)] = 0
+        self.outstanding = n = self.outstanding + 1
+        if n > self.high_water:
+            self.high_water = n
+        return buf
 
-    def give(self, buf: np.ndarray) -> None:
-        """Return a buffer whose contents are dead (installed or stale).
+    def zeros(self, nbytes: int) -> np.ndarray:
+        """A private buffer of ``nbytes`` zero bytes."""
+        buf = self.take(nbytes)
+        buf.fill(0)
+        return buf
 
-        Callers must give each buffer back at most once, from exactly
-        one place — the unicast requester that consumed it.
+    def copy_of(self, frame: np.ndarray) -> np.ndarray:
+        """A private copy of ``frame`` in a pooled buffer."""
+        buf = self.take(frame.nbytes)
+        buf[:] = frame
+        return buf
+
+    def share(self, buf: np.ndarray) -> np.ndarray:
+        """Add a holder of ``buf``: it is a read-only image from now on."""
+        key = id(buf)
+        refs = self._refs.get(key)
+        if refs is None:
+            raise RuntimeError("sharing a page buffer the pool has not handed out")
+        if refs == 0:
+            buf.flags.writeable = False
+            refs = 1
+        self._refs[key] = refs + 1
+        return buf
+
+    def release(self, buf: np.ndarray) -> None:
+        """Drop a holder; the last one returns the buffer to the free list."""
+        refs = self._refs.pop(id(buf), None)
+        if refs is None:
+            raise RuntimeError("page buffer over-released (no holder left)")
+        if refs > 1:
+            self._refs[id(buf)] = refs - 1
+            return
+        if refs:
+            buf.flags.writeable = True
+        self.outstanding -= 1
+        self._free[buf.nbytes].append(buf)
+
+    #: The snapshot-cycle name ``bench.layers`` times (``copy_of`` + ``give``).
+    give = release
+
+    def private(self, buf: np.ndarray) -> np.ndarray:
+        """``buf``'s bytes in a writable buffer only the caller holds.
+
+        The caller's reference passes to the result: ``buf`` itself when
+        the caller is its last holder, else a fresh copy (copy-on-write).
         """
-        self._free.setdefault(buf.nbytes, []).append(buf)
+        key = id(buf)
+        refs = self._refs[key]
+        if refs == 0:
+            return buf
+        if refs == 1:
+            self._refs[key] = 0
+            buf.flags.writeable = True
+            return buf
+        self._refs[key] = refs - 1
+        self.cow_copies += 1
+        return self.copy_of(buf)

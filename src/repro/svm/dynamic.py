@@ -91,8 +91,13 @@ class DynamicDistributedProtocol(CoherenceProtocol):
         None when the chain ends here (this node owns the page).  The
         oracle stitches per-node hops together and asserts Li & Hudak's
         invariant that every chain reaches the true owner at quiescence.
+        Reads the table without materialising an entry: a page this node
+        never touched answers as its lazy default entry would.
         """
-        entry = self.table.entry(page)
+        entry = self.table.raw_entries().get(page)
+        if entry is None:
+            owner = self.table.default_owner
+            return None if owner == self.node_id else owner
         return None if entry.is_owner else entry.prob_owner
 
     def fault_target(self, page: int, entry: PageTableEntry, write: bool) -> int:

@@ -169,6 +169,8 @@ class CoherenceProtocol:
         self.layout = layout
         self.table = table
         self.memory = memory
+        #: The live page->frame mapping (read-only here), for _grant.
+        self._frames = memory.raw_frames()
         self.pager = pager
         self.remote = remote
         self.config = config
@@ -182,11 +184,11 @@ class CoherenceProtocol:
         #: run inside servers and fault handlers without perturbing
         #: simulated time.
         self.checker = None
-        #: Page-snapshot free list, shared fabric-wide (repro.net.pool).
-        #: Servers snapshot frames into pooled buffers; the *unicast
-        #: requester* returns each buffer once its bytes are installed
-        #: (or proven stale).  Multicast payloads (update pushes) are
-        #: shared by many receivers and never come from this pool.
+        #: Page buffers and image reference counts, shared fabric-wide
+        #: (repro.net.pool); every node's frames come from it.  A read
+        #: reply carries the owner's frame itself as a shared image; the
+        #: requester's reference passes to its frame at install, or is
+        #: released if the copy went stale in flight.
         self._pages = remote.transport.ring.pages
         if config.svm.write_policy not in WRITE_POLICIES:
             raise ConfigError.unknown(
@@ -372,17 +374,14 @@ class CoherenceProtocol:
                         # Our copy was invalidated while in flight: the page
                         # has a newer owner; chase it.
                         if data is not None:
-                            self._pages.give(data)
+                            self._pages.release(data)
                         self.counters.inc("stale_read_retries")
                         continue
-                    # `data` is already a uint8 ndarray snapshot (the owner
-                    # copies its frame at serve time); install() copies it
-                    # into the local frame, after which the pooled buffer
-                    # is dead and goes back to the free list.
+                    # `data` is the owner's frame as a shared read-only
+                    # image (None: zero-fill); the frame adopts it along
+                    # with our reference to it.
                     if self.pager.try_install(page, data) is None:
                         yield from self.pager.install(page, data)
-                    if data is not None:
-                        self._pages.give(data)
                     if entry.inv_epoch != epoch:
                         # install() may consume time under frame pressure
                         # (evictions hit the disk); an invalidation that
@@ -479,7 +478,7 @@ class CoherenceProtocol:
                     self.counters.inc("write_fault_ns", latency)
                     if self.obs:
                         self.obs.observe("fault.write_ns", latency)
-                    entry.access = Access.WRITE
+                    self._grant(page, entry, _WRITE)
                     if self._observed:
                         self._note(
                             "svm.write_upgrade",
@@ -489,7 +488,7 @@ class CoherenceProtocol:
                     return
                 finally:
                     self.obs.span_end(span)
-            entry.access = Access.WRITE
+            self._grant(page, entry, _WRITE)
             return
         self.counters.inc("write_faults")
         if self._observed:
@@ -508,8 +507,6 @@ class CoherenceProtocol:
             )
             if self.pager.try_install(page, data) is None:
                 yield from self.pager.install(page, data)
-            if data is not None:
-                self._pages.give(data)
             entry.is_owner = True
             entry.on_disk = False
             entry.prob_owner = self.node_id
@@ -523,7 +520,9 @@ class CoherenceProtocol:
                 if holders:
                     yield from self._invalidate(page, holders, span=span)
                 entry.copy_set = set()
-            entry.access = Access.WRITE
+            # After the invalidations: their drops usually leave the
+            # adopted image with no other holder, so nothing is copied.
+            self._grant(page, entry, _WRITE)
             latency = self.sim.now - started
             self.counters.inc("write_fault_ns", latency)
             if self.obs:
@@ -541,6 +540,17 @@ class CoherenceProtocol:
     # ------------------------------------------------------------------
     # owner-side helpers
 
+    def _grant(self, page: int, entry: PageTableEntry, access: Access) -> None:
+        """Set this node's access to ``page``: the one place write access
+        is granted.  A resident frame becomes private first (copy-on-write
+        if another node or an in-flight reply holds the same image), so a
+        writable frame is never shared."""
+        if access is _WRITE:
+            frame = self._frames.get(page)
+            if frame is not None and not frame.flags.writeable:
+                self.memory.make_writable(page)
+        entry.access = access
+
     def _materialize_owner(
         self, page: int, entry: PageTableEntry
     ) -> Generator[Effect, Any, None]:
@@ -555,8 +565,9 @@ class CoherenceProtocol:
         else:
             self.memory.touch(page)
         if entry.access is Access.NIL:
-            entry.access = (
-                Access.WRITE if self.update_policy else entry.owner_access()
+            self._grant(
+                page, entry,
+                Access.WRITE if self.update_policy else entry.owner_access(),
             )
 
     def _invalidate(
@@ -627,11 +638,11 @@ class CoherenceProtocol:
             yield from self._materialize_owner(page, entry)
             entry.copy_set.add(origin)
             entry.access = Access.READ
-            # Snapshot the frame into a pooled buffer (one copy, no
-            # bytes-object round trip).  A zero-copy view would be unsafe:
-            # the owner may upgrade-write this very frame while the reply
-            # is in flight.  The requester returns the buffer at install.
-            data = self._pages.copy_of(self.memory.data(page))
+            # Ship the frame itself as a shared read-only image: the owner
+            # writes it again only after _grant's copy-on-write, so the
+            # bytes in flight stay the serve-time bytes.  The Compute
+            # still charges the copy the real machine makes.
+            data = self.memory.share(page)
             yield Compute(self.page_size * self.config.cpu.ns_per_byte_copy)
             self.counters.inc("page_copies_sent")
             if self._observed:
@@ -659,7 +670,7 @@ class CoherenceProtocol:
                 self.counters.inc("zero_grants")
             else:
                 yield from self._materialize_owner(page, entry)
-                data = self._pages.copy_of(self.memory.data(page))
+                data = self.memory.share(page)
                 nbytes = self.page_size + 48
             keep_copy = self.update_policy and data is not None
             members = set(entry.copy_set)
@@ -718,7 +729,7 @@ class CoherenceProtocol:
                 if entry.copy_set:
                     yield from self._invalidate(page, entry.copy_set)
                     entry.copy_set = set()
-                entry.access = entry.owner_access()
+                self._grant(page, entry, entry.owner_access())
                 return
             if self._observed:
                 self._note("svm.fault_begin", node=self.node_id, page=page, write=True)
@@ -741,7 +752,7 @@ class CoherenceProtocol:
                 if holders:
                     yield from self._invalidate(page, holders, span=span)
                 entry.copy_set = set()
-                entry.access = Access.WRITE
+                self._grant(page, entry, _WRITE)
                 self.counters.inc("ownership_transfers")
                 if self.obs:
                     self.obs.observe("fault.chown_ns", self.sim.now - started)
@@ -793,15 +804,20 @@ class CoherenceProtocol:
         whose copies were silently left stale."""
         if not entry.copy_set:
             return
-        data = self.memory.data(page).copy()
+        # One pooled snapshot for every receiver: each one that applies
+        # it shares it as its frame; ours is released once all acked.
+        data = self._pages.copy_of(self.memory.data(page))
         yield Compute(self.page_size * self.config.cpu.ns_per_byte_copy)
         self.counters.inc("updates_sent", len(entry.copy_set))
         if self.obs:
             self.obs.observe("update.fanout", len(entry.copy_set))
-        yield from self.remote.multicast(
-            tuple(sorted(entry.copy_set)), OP_UPDATE, (page, data),
-            nbytes=self.page_size + 48,
-        )
+        try:
+            yield from self.remote.multicast(
+                tuple(sorted(entry.copy_set)), OP_UPDATE, (page, data),
+                nbytes=self.page_size + 48,
+            )
+        finally:
+            self._pages.release(data)
 
     def locked_store(
         self, page: int, writer: Callable[[np.ndarray], None]
@@ -834,8 +850,9 @@ class CoherenceProtocol:
                 f"node {self.node_id} received an update for page {page} it owns"
             )
         if page in self.memory and entry.access >= _READ:
-            frame = self.memory.data(page)
-            frame[:] = data  # pushed image is a shared read-only snapshot
+            # Replace, never overwrite: the old frame may be an image
+            # other nodes still share.
+            self.memory.replace(page, self._pages.share(data))
         else:
             entry.inv_epoch += 1
         entry.prob_owner = origin

@@ -71,9 +71,13 @@ def test_checker_detects_stale_copy_under_update_policy():
 
     run_task(cluster, setup(), "setup")
     cluster.check_coherence_invariants()
-    # Corrupt the copy's bytes behind the protocol's back.
+    # Corrupt the copy behind the protocol's back.  It shares the owner's
+    # read-only image, so swap in a private copy with one byte flipped.
     page = cluster.layout.page_of(addr)
-    cluster.node(1).memory.data(page)[0] ^= 0xFF
+    memory = cluster.node(1).memory
+    bad = memory.data(page).copy()
+    bad[0] ^= 0xFF
+    memory.replace(page, bad)
     with pytest.raises(AssertionError, match="stale copy"):
         cluster.check_coherence_invariants()
 

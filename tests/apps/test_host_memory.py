@@ -6,17 +6,20 @@ check, at a quarter of that workload's node count.  What used to set the
 peak was host-side scratch, not simulated state: every suspended
 ``Pde3dApp._worker`` kept its fetched, padded and swept grids alive
 across ``store_array`` and the barrier, every page lock carried an empty
-waiter deque, and ``check`` compared whole grids at once.
+waiter deque, and ``check`` compared whole grids at once.  After that,
+every read copy was a private frame of its own, a byte-for-byte
+duplicate of its owner's.
 
 Measured on this configuration (CPython 3.11, numpy 2.4):
 
 - 22.3 MiB when workers held their sweep buffers, locks owned a queue
   each and ``check`` compared whole grids;
 - 14.5 MiB with workers holding only the slab they store, lazy lock
-  queues and a plane-by-plane check.
+  queues and a plane-by-plane check;
+- 8.5 MiB with read copies sharing their owner's read-only frame.
 
-The bound sits between the two, so the gate fails if any of that comes
-back.  ``time_ns`` and the event count are pinned too: a memory fix
+The bound sits between the last two, so the gate fails if any of that
+comes back.  ``time_ns`` and the event count are pinned too: a memory fix
 that moved the schedule would pass the bound for the wrong reason.
 """
 
@@ -29,8 +32,8 @@ from repro.config import SECOND, ClusterConfig
 NODES = 64
 M = 48
 PAGE = 8192
-#: Between the two measurements above (22.3 and 14.5 MiB).
-PEAK_BOUND_MIB = 18.0
+#: Between the last two measurements above (14.5 and 8.5 MiB).
+PEAK_BOUND_MIB = 11.5
 
 
 def test_pde3d_capacity_run_peak_host_memory():

@@ -96,10 +96,14 @@ def test_pager_evicts_lru_via_policy():
 
     pager.set_eviction_policy(policy)
 
+    def image(fill):
+        # install adopts a buffer of the memory's page pool.
+        return memory.pages.copy_of(np.full(PAGE, fill, dtype=np.uint8))
+
     def job():
-        yield from pager.install(0, np.full(PAGE, 1, dtype=np.uint8))
-        yield from pager.install(1, np.full(PAGE, 2, dtype=np.uint8))
-        yield from pager.install(2, np.full(PAGE, 3, dtype=np.uint8))
+        yield from pager.install(0, image(1))
+        yield from pager.install(1, image(2))
+        yield from pager.install(2, image(3))
 
     run(sim, driver, job())
     assert evicted == [0]
@@ -120,7 +124,8 @@ def test_pager_page_in_restores_content():
     payload = np.arange(PAGE, dtype=np.uint8)
 
     def job():
-        yield from pager.install(0, payload)
+        # install adopts a buffer of the memory's page pool.
+        yield from pager.install(0, memory.pages.copy_of(payload))
         yield from pager.install(1)
         yield from pager.install(2)  # evicts page 0 to disk
         frame = yield from pager.page_in(0)  # evicts another, restores 0

@@ -95,3 +95,48 @@ def test_page_pool_copies_and_reuses_by_size():
     assert bytes(again) == bytes(other)
     assert pool.copy_of(np.zeros(128, dtype=np.uint8)).nbytes == 128
     assert (pool.allocated, pool.reused) == (2, 1)
+
+
+def test_page_pool_shares_and_releases_an_image():
+    pool = PagePool()
+    buf = pool.copy_of(np.arange(64, dtype=np.uint8))
+    assert buf.flags.writeable and pool.outstanding == 1
+    assert pool.share(buf) is buf  # owner + one reader
+    assert not buf.flags.writeable
+    pool.share(buf)  # a second reader
+    pool.release(buf)
+    pool.release(buf)
+    assert pool.outstanding == 1 and not pool._free[64]  # the owner still holds it
+    pool.release(buf)
+    assert pool.outstanding == 0 and pool._free[64][0] is buf
+    with pytest.raises(RuntimeError, match="over-released"):
+        pool.release(buf)
+    with pytest.raises(RuntimeError, match="not handed out"):
+        pool.share(buf)
+
+
+def test_page_pool_private_copies_only_while_shared():
+    pool = PagePool()
+    buf = pool.copy_of(np.arange(64, dtype=np.uint8))
+    pool.share(buf)
+    mine = pool.private(buf)  # another holder remains: copy-on-write
+    assert mine is not buf and mine.flags.writeable
+    assert bytes(mine) == bytes(buf) and not np.shares_memory(mine, buf)
+    assert pool.cow_copies == 1 and pool.outstanding == 2
+    assert pool.private(buf) is buf  # the last holder: no copy
+    assert buf.flags.writeable and pool.cow_copies == 1
+    assert pool.private(mine) is mine  # already private
+
+
+def test_page_pool_recycled_buffer_comes_back_writable():
+    pool = PagePool()
+    buf = pool.copy_of(np.zeros(64, dtype=np.uint8))
+    pool.share(buf)
+    pool.release(buf)
+    pool.release(buf)
+    again = pool.take(64)
+    assert again is buf and again.flags.writeable
+    again[0] = 1
+    assert (pool.allocated, pool.reused, pool.outstanding, pool.high_water) == (
+        1, 1, 1, 1,
+    )
