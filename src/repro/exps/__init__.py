@@ -1,8 +1,10 @@
 """Experiment drivers: one module per table/figure of the paper, plus
 ablations for the design choices DESIGN.md calls out.
 
-Every module exposes ``run(quick=...) -> data`` (used by the pytest
-benchmarks) and a ``main()`` CLI that prints the paper-style rows::
+Every module declares one :class:`repro.exps.experiment.Experiment`
+(``EXPERIMENT``: title, columns, ``run(full)``, the paper's words and
+the ``shape`` assertions), keeps the simulated programs it runs, and
+prints its paper-style rows through the shared runner::
 
     python -m repro.exps.fig4            # Figure 4: super-linear speedup
     python -m repro.exps.fig5            # Figure 5: speedups of the suite
@@ -17,5 +19,6 @@ benchmarks) and a ``main()`` CLI that prints the paper-style rows::
     python -m repro.exps.ablation_writepolicy
 
 ``--full`` selects the paper-scale workloads; the default is a quicker
-configuration with the same qualitative shape.
+configuration with the same qualitative shape.  ``repro.exps.all``
+renders all eleven into one report and checks it cell by cell.
 """

@@ -1,11 +1,5 @@
 """Ablation — passive load balancing policies.
 
-"Experiments with many parallel application programs show that the
-algorithm will not work well if the number of ready processes on each
-processor is used as the only criterion for migrating processes.  A
-better way is to use the number of processes (including both ready and
-suspended) controlled by thresholds."
-
 Workload: a burst of unequal compute-bound processes all born on node 0
 with *system* scheduling — exactly the case the balancer exists for.
 Three policies: balancing off, ready-count-only, and the paper's
@@ -14,38 +8,25 @@ thresholded total-count policy.
 
 from __future__ import annotations
 
-import argparse
 from collections.abc import Generator
 from typing import Any
 
-from repro.api.ivy import Ivy
 from repro.config import ClusterConfig, MILLISECOND
-from repro.metrics.report import ascii_table
+from repro.exps.experiment import Column, Experiment, Record, main, run_program, seconds
+from repro.sim.process import Sleep
 from repro.sync.eventcount import EC_RECORD_BYTES
 
-__all__ = ["run", "main", "POLICIES"]
-
 POLICIES = ("off", "ready-count", "thresholds")
+NODES = 4
 
 
-def _burst(policy: str, nodes: int, nprocs: int, quick: bool) -> dict[str, Any]:
-    sched_kw = dict(
-        load_balancing=policy != "off",
-        ready_count_only=policy == "ready-count",
-        lower_threshold=1,
-        upper_threshold=2,
-        null_timeout=50 * MILLISECOND,
-    )
-    config = ClusterConfig(nodes=nodes).with_sched(**sched_kw)
-    ivy = Ivy(config)
-    slice_ns = 20_000_000 if quick else 60_000_000
+def _burst(policy: str, nodes: int, nprocs: int, full: bool) -> Record:
+    slice_ns = 60_000_000 if full else 20_000_000
 
     def worker(ctx: Any, slices: Any, done: Any) -> Generator[Any, Any, Any]:
         # Compute in slices, with a blocking (suspended) phase every few
         # slices — the paper's point is precisely that suspended
         # processes make the ready count a misleading load signal.
-        from repro.sim.process import Sleep
-
         for i in range(slices):
             yield ctx.compute(slice_ns)
             if i % 3 == 2:
@@ -63,39 +44,51 @@ def _burst(policy: str, nodes: int, nprocs: int, quick: bool) -> dict[str, Any]:
         yield from ctx.ec_wait(done, nprocs)
         return True
 
-    ivy.run(main_prog)
-    migrations = sum(
-        node.counters["processes_migrated_out"] for node in ivy.cluster.nodes
+    config = ClusterConfig(nodes=nodes).with_sched(
+        load_balancing=policy != "off",
+        ready_count_only=policy == "ready-count",
+        lower_threshold=1,
+        upper_threshold=2,
+        null_timeout=50 * MILLISECOND,
     )
-    rejections = sum(
-        node.counters["work_requests_rejected"] for node in ivy.cluster.nodes
-    )
-    return {
-        "policy": policy,
-        "time_ns": ivy.time_ns,
-        "migrations": migrations,
-        "rejections": rejections,
-    }
+    counters = ("processes_migrated_out", "work_requests_rejected")
+    return {"policy": policy} | run_program(config, main_prog, *counters)
 
 
-def run(quick: bool = True, nodes: int = 4) -> list[dict[str, Any]]:
-    nprocs = 12 if quick else 24
-    return [_burst(policy, nodes, nprocs, quick) for policy in POLICIES]
+def run(full: bool) -> list[Record]:
+    nprocs = 24 if full else 12
+    return [_burst(policy, NODES, nprocs, full) for policy in POLICIES]
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--full", action="store_true")
-    args = parser.parse_args()
-    data = run(quick=not args.full)
-    rows = [
-        [d["policy"], f"{d['time_ns'] / 1e9:.3f}s", d["migrations"], d["rejections"]]
-        for d in data
-    ]
-    print("Ablation — passive load balancing (uneven burst born on node 0)")
-    print()
-    print(ascii_table(["policy", "completion time", "migrations", "rejections"], rows))
+def shape(records: list[Record]) -> None:
+    off, ready, thresholds = records
+    # Balancing wins big over a node-0 pile-up.
+    assert thresholds["time_ns"] < off["time_ns"] / 1.8
+    assert ready["time_ns"] < off["time_ns"] / 1.8
+    assert thresholds["processes_migrated_out"] > 0
+    # The paper's criterion: the thresholded policy minimises rejections.
+    assert thresholds["work_requests_rejected"] < ready["work_requests_rejected"]
 
+
+EXPERIMENT = Experiment(
+    name="ablation_loadbalance",
+    title="Ablation — passive load balancing (uneven burst born on node 0)",
+    columns=(
+        Column("policy", "policy"),
+        Column("completion time", "time_ns", seconds),
+        Column("migrations", "processes_migrated_out"),
+        Column("rejections", "work_requests_rejected"),
+    ),
+    run=run,
+    shape=shape,
+    paper=(
+        '"Experiments with many parallel application programs show that the '
+        "algorithm will not work well if the number of ready processes on each "
+        "processor is used as the only criterion for migrating processes.  A "
+        "better way is to use the number of processes (including both ready and "
+        'suspended) controlled by thresholds."'
+    ),
+)
 
 if __name__ == "__main__":
-    main()
+    main(EXPERIMENT)

@@ -1,8 +1,5 @@
 """Ablation — disk I/O overlap (the paper's proposed improvement).
 
-"I/O overlaps among the lightweight processes do not exist in IVY. ...
-The disk I/O overlap may also greatly improve IVY's performance."
-
 In IVY a paging transfer stalls the whole node (the user-mode system
 lives in one Aegis process).  With overlap enabled, a process blocked
 on the disk hands the CPU to the next ready process.  The workload that
@@ -13,30 +10,24 @@ serialises them; overlapped I/O runs them concurrently.
 
 from __future__ import annotations
 
-import argparse
 from collections.abc import Generator
 from typing import Any
 
 from repro.config import ClusterConfig
-from repro.metrics.report import ascii_table
+from repro.exps.experiment import Column, Experiment, Record, main, run_program, seconds
+from repro.sync.eventcount import EC_RECORD_BYTES
 
-__all__ = ["run", "main"]
 
-
-def _mixed_run(overlap: bool, sweeps: int, compute_ns: int) -> dict[str, Any]:
+def _mixed_run(overlap: bool, sweeps: int, compute_ns: int) -> Record:
     """One node, two lightweight processes: a pager (sweeps a region that
     does not fit in memory) and a computer.  Without I/O overlap the
     computer is stuck behind every disk transfer; with it, the two jobs
     run concurrently and the makespan approaches max() instead of sum()."""
-    from repro.api.ivy import Ivy
-    from repro.sync.eventcount import EC_RECORD_BYTES
-
     config = (
         ClusterConfig(nodes=1)
         .with_memory(frames=8, replacement="random")
         .with_disk(overlap_io=overlap)
     )
-    ivy = Ivy(config)
     page = config.svm.page_size
 
     def pager_proc(ctx: Any, region: Any, done: Any) -> Generator[Any, Any, Any]:
@@ -62,37 +53,40 @@ def _mixed_run(overlap: bool, sweeps: int, compute_ns: int) -> dict[str, Any]:
         yield from ctx.ec_wait(done, 2)
         return True
 
-    ivy.run(main_prog)
-    total = ivy.cluster.total_counters()
-    return {
-        "overlap": overlap,
-        "time_ns": ivy.time_ns,
-        "disk_ops": total["disk_reads"] + total["disk_writes"],
-    }
+    r = run_program(config, main_prog, "disk_reads", "disk_writes")
+    return r | {"overlap": overlap, "disk_ops": r["disk_reads"] + r["disk_writes"]}
 
 
-def run(quick: bool = True) -> list[dict[str, Any]]:
-    sweeps = 3 if quick else 8
-    compute_ns = 3_000_000_000 if quick else 8_000_000_000
-    return [
-        _mixed_run(False, sweeps, compute_ns),
-        _mixed_run(True, sweeps, compute_ns),
-    ]
+def run(full: bool) -> list[Record]:
+    sweeps = 8 if full else 3
+    compute_ns = 8_000_000_000 if full else 3_000_000_000
+    return [_mixed_run(overlap, sweeps, compute_ns) for overlap in (False, True)]
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--full", action="store_true")
-    args = parser.parse_args()
-    data = run(quick=not args.full)
-    rows = [
-        ["overlapped" if d["overlap"] else "IVY (stall)", f"{d['time_ns']/1e9:.3f}s", d["disk_ops"]]
-        for d in data
-    ]
-    print("Ablation — disk I/O overlap (pager + computer sharing one node)")
-    print()
-    print(ascii_table(["disk I/O", "exec time", "disk ops"], rows))
+def shape(records: list[Record]) -> None:
+    stall, overlap = records
+    assert not stall["overlap"] and overlap["overlap"]
+    # Both runs do the same paging work.
+    assert abs(stall["disk_ops"] - overlap["disk_ops"]) <= 10
+    # Overlap packs compute into disk waits: >= 1.4x faster here.
+    assert overlap["time_ns"] < stall["time_ns"] / 1.4, records
 
+
+EXPERIMENT = Experiment(
+    name="ablation_overlap",
+    title="Ablation — disk I/O overlap (pager + computer sharing one node)",
+    columns=(
+        Column("disk I/O", "overlap", lambda on: "overlapped" if on else "IVY (stall)"),
+        Column("exec time", "time_ns", seconds),
+        Column("disk ops", "disk_ops"),
+    ),
+    run=run,
+    shape=shape,
+    paper=(
+        '"I/O overlaps among the lightweight processes do not exist in IVY. ... '
+        'The disk I/O overlap may also greatly improve IVY\'s performance."'
+    ),
+)
 
 if __name__ == "__main__":
-    main()
+    main(EXPERIMENT)

@@ -1,9 +1,8 @@
 """Ablation — write-invalidate (IVY) vs write-update coherence.
 
-"The memory coherence strategies implemented [in] IVY use [the]
-invalidation approach."  The other classic design point pushes fresh
-page contents to the copy set on every write.  Two workloads bracket
-the trade-off:
+IVY invalidates; the other classic design point pushes fresh page
+contents to the copy set on every write.  Three workloads bracket the
+trade-off:
 
 - **polling consumers**: one writer publishes versions of a datum,
   every other node polls the datum itself.  Invalidation makes every
@@ -22,29 +21,27 @@ the trade-off:
 
 from __future__ import annotations
 
-import argparse
 from collections.abc import Generator
-from typing import Any
+from typing import Any, Callable
 
-from repro.api.ivy import Ivy
 from repro.config import ClusterConfig
-from repro.metrics.report import ascii_table
+from repro.exps.experiment import Column, Experiment, Record, main, run_program, seconds
+from repro.sim.process import Sleep
 from repro.sync.eventcount import EC_RECORD_BYTES
 
-__all__ = ["run", "main"]
+NODES = 4
+POLICIES = ("invalidate", "update")
+
+Program = Callable[[Any], Generator[Any, Any, Any]]
 
 
-def _polling_consumers(policy: str, nodes: int, versions: int) -> dict[str, Any]:
+def _polling_consumers(nodes: int, versions: int) -> Program:
     """Readers poll the shared datum itself (no sync pages involved).
 
     This isolates the data page's behaviour: under invalidation every
     new version costs each reader a fresh fault; under update the
     reader's polls stay local and the push delivers the new version.
     """
-    from repro.sim.process import Sleep
-
-    config = ClusterConfig(nodes=nodes).with_svm(write_policy=policy)
-    ivy = Ivy(config)
 
     def reader(ctx: Any, data_addr: Any, done: Any) -> Generator[Any, Any, Any]:
         seen = 0
@@ -69,19 +66,10 @@ def _polling_consumers(policy: str, nodes: int, versions: int) -> dict[str, Any]
         yield from ctx.ec_wait(done, nodes - 1)
         return True
 
-    ivy.run(main_prog)
-    total = ivy.cluster.total_counters()
-    return {
-        "time_ns": ivy.time_ns,
-        "read_faults": total["read_faults"],
-        "msgs": ivy.cluster.ring.stats.messages,
-    }
+    return main_prog
 
 
-def _producer_consumer(policy: str, nodes: int, versions: int) -> dict[str, Any]:
-    config = ClusterConfig(nodes=nodes).with_svm(write_policy=policy)
-    ivy = Ivy(config)
-
+def _producer_consumer(nodes: int, versions: int) -> Program:
     def reader(ctx: Any, data_addr: Any, ready_ec: Any, ack_ec: Any) -> Generator[Any, Any, Any]:
         for version in range(1, versions + 1):
             yield from ctx.ec_wait(ready_ec, version)
@@ -103,19 +91,10 @@ def _producer_consumer(policy: str, nodes: int, versions: int) -> dict[str, Any]
             yield from ctx.ec_wait(ack, version * (nodes - 1))
         return True
 
-    ivy.run(main_prog)
-    total = ivy.cluster.total_counters()
-    return {
-        "time_ns": ivy.time_ns,
-        "read_faults": total["read_faults"],
-        "msgs": ivy.cluster.ring.stats.messages,
-    }
+    return main_prog
 
 
-def _write_dominated(policy: str, nodes: int, writes: int) -> dict[str, Any]:
-    config = ClusterConfig(nodes=nodes).with_svm(write_policy=policy)
-    ivy = Ivy(config)
-
+def _write_dominated(nodes: int, writes: int) -> Program:
     def reader(ctx: Any, data_addr: Any, done: Any) -> Generator[Any, Any, Any]:
         yield from ctx.read_i64(data_addr)  # one look, then never again
         yield from ctx.ec_advance(done)
@@ -132,49 +111,66 @@ def _write_dominated(policy: str, nodes: int, writes: int) -> dict[str, Any]:
             yield from ctx.write_i64(data, i)
         return True
 
-    ivy.run(main_prog)
-    total = ivy.cluster.total_counters()
-    return {
-        "time_ns": ivy.time_ns,
-        "updates": total["updates_sent"],
-        "msgs": ivy.cluster.ring.stats.messages,
+    return main_prog
+
+
+def run(full: bool) -> list[Record]:
+    versions = 40 if full else 12
+    writes = 150 if full else 40
+    workloads = {
+        "polling consumers": _polling_consumers(NODES, versions),
+        "eventcount consumers": _producer_consumer(NODES, versions),
+        "write dominated": _write_dominated(NODES, writes),
     }
+    return [
+        {"workload": workload, "policy": policy} | run_program(
+            ClusterConfig(nodes=NODES).with_svm(write_policy=policy), program,
+            "read_faults", "updates_sent",
+        )
+        for workload, program in workloads.items()
+        for policy in POLICIES
+    ]
 
 
-def run(quick: bool = True, nodes: int = 4) -> dict[str, Any]:
-    versions = 12 if quick else 40
-    writes = 40 if quick else 150
-    return {
-        "polling consumers": {
-            policy: _polling_consumers(policy, nodes, versions)
-            for policy in ("invalidate", "update")
-        },
-        "eventcount consumers": {
-            policy: _producer_consumer(policy, nodes, versions)
-            for policy in ("invalidate", "update")
-        },
-        "write dominated": {
-            policy: _write_dominated(policy, nodes, writes)
-            for policy in ("invalidate", "update")
-        },
-    }
+def shape(records: list[Record]) -> None:
+    data = {(r["workload"], r["policy"]): r for r in records}
+
+    def pair(workload: str) -> tuple[Record, Record]:
+        return data[workload, "invalidate"], data[workload, "update"]
+
+    invalidate, update = pair("polling consumers")
+    assert update["msgs"] < 0.75 * invalidate["msgs"], (
+        "update must cut producer/consumer traffic"
+    )
+    assert update["read_faults"] < invalidate["read_faults"]
+
+    invalidate, update = pair("eventcount consumers")
+    assert update["time_ns"] > invalidate["time_ns"], (
+        "migratory sync pages must hurt the update policy"
+    )
+
+    invalidate, update = pair("write dominated")
+    assert update["time_ns"] > 2 * invalidate["time_ns"]
+    assert invalidate["updates_sent"] == 0
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--full", action="store_true")
-    args = parser.parse_args()
-    data = run(quick=not args.full)
-    rows = []
-    for workload, per_policy in data.items():
-        for policy, stats in per_policy.items():
-            rows.append(
-                [workload, policy, f"{stats['time_ns'] / 1e9:.3f}s", stats["msgs"]]
-            )
-    print("Ablation — write-invalidate (IVY) vs write-update")
-    print()
-    print(ascii_table(["workload", "policy", "exec time", "ring msgs"], rows))
-
+EXPERIMENT = Experiment(
+    name="ablation_writepolicy",
+    title="Ablation — write-invalidate (IVY) vs write-update",
+    columns=(
+        Column("workload", "workload"),
+        Column("policy", "policy"),
+        Column("exec time", "time_ns", seconds),
+        Column("ring msgs", "msgs"),
+    ),
+    label_columns=2,
+    run=run,
+    shape=shape,
+    paper=(
+        '"The memory coherence strategies implemented [in] IVY use [the] '
+        'invalidation approach."'
+    ),
+)
 
 if __name__ == "__main__":
-    main()
+    main(EXPERIMENT)

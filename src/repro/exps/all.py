@@ -5,49 +5,34 @@
     python -m repro.exps.all [--full] [--out results/report.txt]
     python -m repro.exps.all --check results/full_experiments.txt
 
-Runs every figure, table and ablation in sequence, echoes each one's
-paper-style output, and (optionally) tees everything into a report file
-— the file committed as ``results/full_experiments.txt`` was produced
-this way with ``--full``.  Each experiment's wall time goes to stderr,
-so the report is a pure function of the simulation and ``--check``
-compares it exactly.
+Runs every figure, table and ablation in sequence, prints each one's
+paper-style table, and (optionally) writes everything into a report
+file — the file committed as ``results/full_experiments.txt`` was
+produced this way with ``--full``.  Each experiment's wall time goes to
+stderr, so the report is a pure function of the simulation.  Every
+experiment's shape is asserted on the records it just produced;
+``--check`` (which implies ``--full``) also compares the report with a
+committed one cell by cell.  Any failure names its experiment and exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
-import difflib
-import io
+import importlib
 import sys
 import time
 
-from repro.exps import (
-    ablation_allocator,
-    ablation_loadbalance,
-    ablation_managers,
-    ablation_msgpass,
-    ablation_overlap,
-    ablation_pagesize,
-    ablation_writepolicy,
-    fig4,
-    fig5,
-    fig6,
-    table1,
-)
+from repro.exps.experiment import Experiment, compare, shape_failure
 
-EXPERIMENTS = [
-    ("fig4", fig4),
-    ("fig5", fig5),
-    ("fig6", fig6),
-    ("table1", table1),
-    ("ablation_managers", ablation_managers),
-    ("ablation_pagesize", ablation_pagesize),
-    ("ablation_allocator", ablation_allocator),
-    ("ablation_loadbalance", ablation_loadbalance),
-    ("ablation_msgpass", ablation_msgpass),
-    ("ablation_overlap", ablation_overlap),
-    ("ablation_writepolicy", ablation_writepolicy),
+#: The paper's experiments in report order; each module declares one.
+EXPERIMENTS: list[Experiment] = [
+    importlib.import_module(f"repro.exps.{name}").EXPERIMENT
+    for name in (
+        "fig4", "fig5", "fig6", "table1",
+        "ablation_managers", "ablation_pagesize", "ablation_allocator",
+        "ablation_loadbalance", "ablation_msgpass", "ablation_overlap",
+        "ablation_writepolicy",
+    )
 ]
 
 
@@ -58,27 +43,23 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--check", metavar="REPORT",
         help="run the --full battery and compare its report against a "
-        "committed one; exit 1 with a unified diff on any difference",
+        "committed one; exit 1 naming every cell that differs",
     )
     args = parser.parse_args(argv)
 
     chunks: list[str] = []
-    saved_argv = sys.argv
-    for name, module in EXPERIMENTS:
+    problems: list[str] = []
+    for exp in EXPERIMENTS:
         started = time.time()
-        buffer = io.StringIO()
-        sys.argv = [name] + (["--full"] if args.full or args.check else [])
-        try:
-            with contextlib.redirect_stdout(buffer):
-                module.main()
-        finally:
-            sys.argv = saved_argv
-        body = buffer.getvalue().rstrip()
-        chunk = f"=== {name} ===\n{body}\n"
+        records = exp.run(args.full or args.check is not None)
+        chunk = f"=== {exp.name} ===\n{exp.render(records)}\n"
         chunks.append(chunk)
         print(chunk)
         # Host time is not part of the report: stdout stays comparable.
-        print(f"[{name}: {time.time() - started:.1f}s wall]\n", file=sys.stderr)
+        print(f"[{exp.name}: {time.time() - started:.1f}s wall]\n", file=sys.stderr)
+        failure = shape_failure(exp, records)
+        if failure:
+            problems.append(failure)
     report = "\n".join(chunks)
     if args.out:
         with open(args.out, "w") as fh:
@@ -86,14 +67,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"report written to {args.out}")
     if args.check:
         with open(args.check) as fh:
-            committed = fh.read()
-        diff = list(difflib.unified_diff(
-            committed.splitlines(keepends=True), report.splitlines(keepends=True),
-            fromfile=args.check, tofile="this run",
-        ))
-        if diff:
-            sys.stdout.writelines(diff)
-            return 1
+            problems += compare(EXPERIMENTS, fh.read(), report)
+    for problem in problems:
+        print(problem)
+    if problems:
+        return 1
+    if args.check:
         print(f"report matches {args.check}")
     return 0
 

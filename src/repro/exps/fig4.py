@@ -1,84 +1,61 @@
 """Figure 4 — super-linear speedup of the 3-D PDE solver.
 
-"The data structure for the problem is greater than the size of
-physical memory on a single processor, so when the program is run on
-one processor there is a large amount of paging between the physical
-memory and disk. ... the shared virtual memory can effectively exploit
-not only the available processors but also the combined physical
-memories."
+``python -m repro.obs report --app pde --capacity --nodes 1`` (or 2)
+shows where each run's simulated time goes.
 """
 
 from __future__ import annotations
 
-import argparse
-
+from repro.exps.experiment import Column, Experiment, Record, fixed2, main
 from repro.exps.presets import pde_capacity
-from repro.metrics.report import ascii_table
-from repro.metrics.speedup import SpeedupResult, measure_speedups, run_app
-
-__all__ = ["run", "profile", "main"]
+from repro.metrics.speedup import measure_speedups
 
 
-def run(quick: bool = True, procs: tuple[int, ...] = (1, 2, 4, 8)) -> SpeedupResult:
-    factory, config = pde_capacity(full=not quick)
-    return measure_speedups(factory, procs=procs, config=config)
+def run(full: bool) -> list[Record]:
+    factory, config = pde_capacity(full=full)
+    result = measure_speedups(factory, procs=(1, 2, 4, 8), config=config)
+    return [
+        {
+            "p": r.nprocs,
+            "speedup": result.speedup(r.nprocs),
+            "super_linear": result.speedup(r.nprocs) > r.nprocs,
+            "disk": r.counters["disk_reads"] + r.counters["disk_writes"],
+        }
+        for r in result.runs
+    ]
 
 
-def profile(quick: bool = True, procs: tuple[int, ...] = (1, 2, 4)) -> list[list[str]]:
-    """Per-processor-count cluster time attribution for the capacity-bound
-    PDE.  This is the profiler's explanation of the super-linear region:
-    at p=1 the node spends nearly all of its time on the disk; as the
-    combined memories absorb the working set the disk share collapses and
-    compute takes over — speedup greater than p falls out of removing the
-    disk component, not out of extra CPUs."""
-    from repro.obs import CATEGORIES, Observability
-
-    factory, config = pde_capacity(full=not quick)
-    rows = []
-    for p in procs:
-        obs = Observability()
-        res = run_app(factory, p, config=config, obs=obs)
-        cluster = Observability.cluster_breakdown(obs.breakdown(p, res.time_ns))
-        denom = res.time_ns * p
-        rows.append(
-            [p] + [f"{100.0 * cluster[c] / denom:.1f}%" for c in CATEGORIES]
-        )
-    return rows
+def shape(records: list[Record]) -> None:
+    curve = {r["p"]: r["speedup"] for r in records}
+    # Super-linear at every multi-processor point (the paper's headline).
+    assert curve[2] > 2.0, f"expected super-linear at p=2: {curve}"
+    assert curve[4] > 4.0, f"expected super-linear at p=4: {curve}"
+    assert curve[8] > 8.0, f"expected super-linear at p=8: {curve}"
+    # The effect is memory-capacity driven: only p=1 thrashes the disk.
+    disk = {r["p"]: r["disk"] for r in records}
+    assert disk[1] > 4 * disk[2], f"1-proc run must dominate disk traffic: {disk}"
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--full", action="store_true")
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="attribute each run's simulated time (repro.obs profiler)",
-    )
-    args = parser.parse_args()
-    result = run(quick=not args.full)
-    rows = []
-    for p, s in result.curve():
-        run_ = next(r for r in result.runs if r.nprocs == p)
-        disk = run_.counters["disk_reads"] + run_.counters["disk_writes"]
-        rows.append([p, f"{s:.2f}", "yes" if s > p else "no", disk])
-    print("Figure 4 — 3-D PDE speedup when the data set exceeds one node's memory")
-    print()
-    print(
-        ascii_table(
-            ["processors", "speedup", "super-linear?", "disk transfers"], rows
-        )
-    )
-    if args.profile:
-        from repro.obs import CATEGORIES
-
-        print()
-        print(
-            ascii_table(
-                ["processors"] + list(CATEGORIES),
-                profile(quick=not args.full),
-                title="cluster time attribution (the super-linear mechanism)",
-            )
-        )
-
+EXPERIMENT = Experiment(
+    name="fig4",
+    title="Figure 4 — 3-D PDE speedup when the data set exceeds one node's memory",
+    columns=(
+        Column("processors", "p"),
+        Column("speedup", "speedup", fixed2),
+        Column("super-linear?", "super_linear", lambda yes: "yes" if yes else "no"),
+        Column("disk transfers", "disk"),
+    ),
+    run=run,
+    shape=shape,
+    paper=(
+        '"The data structure for the problem is greater than the size of '
+        "physical memory on a single processor, so when the program is run "
+        "on one processor there is a large amount of paging between the "
+        "physical memory and disk. ... the shared virtual memory can "
+        "effectively exploit not only the available processors but also the "
+        'combined physical memories."'
+    ),
+)
 
 if __name__ == "__main__":
-    main()
+    main(EXPERIMENT)

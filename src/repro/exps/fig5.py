@@ -1,98 +1,74 @@
 """Figure 5 — speedup curves of the benchmark suite.
 
-Paper's claim: "parallel programs using a shared virtual memory yield
-almost linear and occasionally super-linear speedups"; the well-behaved
-programs (linear solver, PDE, TSP, matrix multiply) scale near-linearly
-while dot-product — lots of data movement, almost no computation —
-does not.
+The sweep is |apps| x |procs| independent simulations, so it goes
+through the parallel runner: job specs fan out across
+``REPRO_WORKERS`` worker processes or run serially in-process (the
+single-core fallback) — the merged curves are identical either way.
+Every run's numerical output is checked against the sequential golden.
 """
 
 from __future__ import annotations
 
-import argparse
-
+from repro.exps.experiment import Column, Experiment, Record, fixed2, main
 from repro.exps.parallel import Job, run_jobs
-from repro.exps.presets import fig5_factories, fig5_procs, fig5_specs
-from repro.metrics.report import ascii_table, format_speedup_table
-from repro.metrics.speedup import SpeedupResult, run_app
-
-__all__ = ["run", "profile", "main"]
+from repro.exps.presets import fig5_procs, fig5_specs
 
 
-def run(
-    quick: bool = True,
-    procs: tuple[int, ...] | None = None,
-    workers: int | None = None,
-) -> list[SpeedupResult]:
-    """The full sweep is |apps| x |procs| independent simulations, so it
-    goes through the parallel runner: job specs fan out across worker
-    processes (``workers`` > 1) or run serially in-process (the
-    single-core fallback) — the merged curves are identical either way."""
-    specs = fig5_specs(full=not quick)
-    procs = procs or fig5_procs(full=not quick)
+def run(full: bool) -> list[Record]:
     jobs = [
         Job(app, kwargs, nprocs=p, key=name)
-        for name, (app, kwargs) in specs.items()
-        for p in procs
+        for name, (app, kwargs) in fig5_specs(full=full).items()
+        for p in fig5_procs(full=full)
     ]
-    results = run_jobs(jobs, workers=workers)
-    by_name: dict[str, SpeedupResult] = {}
-    for job, res in zip(jobs, results):
-        curve = by_name.setdefault(job.key, SpeedupResult(app_name=job.key))
-        curve.runs.append(res)
-    return list(by_name.values())
+    times: dict[str, dict[int, int]] = {}
+    for job, res in zip(jobs, run_jobs(jobs)):
+        times.setdefault(job.key, {})[job.nprocs] = res.time_ns
+    return [
+        {"program": name, **{f"p={p}": t[1] / tp for p, tp in t.items()}}
+        for name, t in times.items()
+    ]
 
 
-def profile(quick: bool = True, nprocs: int = 2) -> list[list[str]]:
-    """Where each benchmark's simulated time goes at ``nprocs`` (one row
-    per app: % of cluster CPU-time per profiler category).  This is the
-    observability layer's explanation of the Figure 5 shapes: dot-product
-    scales poorly because its nodes sit in fault stalls, Jacobi scales
-    because its time is overwhelmingly compute."""
-    from repro.obs import CATEGORIES, Observability
+def shape(records: list[Record]) -> None:
+    by_name = {r["program"]: r for r in records}
+    # The well-behaved programs are "almost linear".
+    for name in ("linear eqn (jacobi)", "TSP", "matrix multiply"):
+        curve = by_name[name]
+        assert curve["p=2"] > 1.5, f"{name} should scale at p=2: {curve}"
+        assert curve["p=8"] > 3.5, f"{name} should keep scaling to p=8: {curve}"
+        assert curve["p=8"] > curve["p=2"], name
 
-    rows = []
-    for name, factory in fig5_factories(full=not quick).items():
-        obs = Observability()
-        res = run_app(factory, nprocs, obs=obs)
-        per_node = obs.breakdown(nprocs, res.time_ns)
-        cluster = Observability.cluster_breakdown(per_node)
-        denom = res.time_ns * nprocs
-        rows.append(
-            [name] + [f"{100.0 * cluster[c] / denom:.1f}%" for c in CATEGORIES]
-        )
-    return rows
+    pde = by_name["3-D PDE"]
+    assert pde["p=4"] > 1.8 and pde["p=8"] > 2.0, f"PDE should scale: {pde}"
+
+    # Dot-product is the deliberate weak case: little computation, lots
+    # of data movement.
+    dot = by_name["dot-product"]
+    assert dot["p=8"] < 1.5, f"dot-product must stay communication-bound: {dot}"
+
+    sort_curve = by_name["merge-split sort"]
+    assert 1.0 < sort_curve["p=4"] < 4.0, f"sort is sub-linear but positive: {sort_curve}"
+    # Ranking: the strong apps beat sort, sort beats dot-product.
+    assert by_name["matrix multiply"]["p=8"] > sort_curve["p=8"] > dot["p=8"]
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--full", action="store_true", help="paper-scale workloads")
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="also attribute each app's simulated time (repro.obs profiler)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes for the sweep (default: REPRO_WORKERS or cpu count)",
-    )
-    args = parser.parse_args()
-    results = run(quick=not args.full, workers=args.workers)
-    print("Figure 5 — speedups of the benchmark suite")
-    print("(every run's numerical output is checked against the sequential golden)")
-    print()
-    print(format_speedup_table(results))
-    if args.profile:
-        from repro.obs import CATEGORIES
-
-        print()
-        print(
-            ascii_table(
-                ["program"] + list(CATEGORIES),
-                profile(quick=not args.full),
-                title="simulated-time attribution at p=2 (cluster-wide %)",
-            )
-        )
-
+EXPERIMENT = Experiment(
+    name="fig5",
+    title="Figure 5 — speedups of the benchmark suite\n"
+    "(every run's numerical output is checked against the sequential golden)",
+    caption="Speedup = T(1) / T(p), simulated time",
+    columns=[Column("program", "program")]
+    + [Column(f"p={p}", f"p={p}", fixed2) for p in fig5_procs(full=True)],
+    run=run,
+    shape=shape,
+    paper=(
+        '"Parallel programs using a shared virtual memory yield almost linear '
+        'and occasionally super-linear speedups"; the well-behaved programs '
+        "(linear solver, PDE, TSP, matrix multiply) scale near-linearly while "
+        "dot-product, included \"to show the weak side of the shared virtual "
+        'memory system", does not.'
+    ),
+)
 
 if __name__ == "__main__":
-    main()
+    main(EXPERIMENT)

@@ -1,8 +1,6 @@
 """Figure 6 — speedup of the merge-split sort.
 
-"The curve does not look very good because even with no communication
-costs, the algorithm does not yield linear speedup."  The figure
-therefore carries two series: the measured speedup on the SVM and the
+The figure carries two series: the measured speedup on the SVM and the
 *algorithmic ideal* with communication free.
 
 Ideal model (comparisons only, which dominate): on one processor the
@@ -15,14 +13,11 @@ per process per phase).
 
 from __future__ import annotations
 
-import argparse
 import math
 
+from repro.exps.experiment import Column, Experiment, Record, fixed2, main
 from repro.exps.presets import sort_factory
-from repro.metrics.report import ascii_table
-from repro.metrics.speedup import SpeedupResult, measure_speedups
-
-__all__ = ["run", "ideal_speedup", "main"]
+from repro.metrics.speedup import measure_speedups
 
 
 def ideal_speedup(n: int, nprocs: int) -> float:
@@ -35,24 +30,44 @@ def ideal_speedup(n: int, nprocs: int) -> float:
     return t1 / tn
 
 
-def run(quick: bool = True, procs: tuple[int, ...] = (1, 2, 4, 8)) -> SpeedupResult:
-    return measure_speedups(sort_factory(full=not quick), procs=procs)
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--full", action="store_true")
-    args = parser.parse_args()
-    result = run(quick=not args.full)
-    n = sort_factory(full=args.full)(1).nrecords
-    rows = [
-        [p, f"{s:.2f}", f"{ideal_speedup(n, p):.2f}"]
-        for p, s in result.curve()
+def run(full: bool) -> list[Record]:
+    factory = sort_factory(full=full)
+    n = factory(1).nrecords
+    return [
+        {"p": p, "measured": s, "ideal": ideal_speedup(n, p)}
+        for p, s in measure_speedups(factory, procs=(1, 2, 4, 8)).curve()
     ]
-    print("Figure 6 — merge-split sort speedup (measured vs. no-communication ideal)")
-    print()
-    print(ascii_table(["processors", "measured", "ideal (no comm)"], rows))
 
+
+def shape(records: list[Record]) -> None:
+    curve = {r["p"]: r["measured"] for r in records}
+    for r in records[1:]:
+        p, ideal = r["p"], r["ideal"]
+        assert ideal < p, "the algorithm itself is sub-linear"
+        assert curve[p] < ideal + 0.05, (
+            f"measured cannot beat the no-communication ideal at p={p}"
+        )
+    # Positive but clearly sub-linear ("does not look very good").
+    assert curve[2] > 1.1
+    assert curve[4] > 1.3
+    assert curve[8] < 4.0
+
+
+EXPERIMENT = Experiment(
+    name="fig6",
+    title="Figure 6 — merge-split sort speedup (measured vs. no-communication ideal)",
+    columns=(
+        Column("processors", "p"),
+        Column("measured", "measured", fixed2),
+        Column("ideal (no comm)", "ideal", fixed2),
+    ),
+    run=run,
+    shape=shape,
+    paper=(
+        '"The curve does not look very good because even with no '
+        'communication costs, the algorithm does not yield linear speedup."'
+    ),
+)
 
 if __name__ == "__main__":
-    main()
+    main(EXPERIMENT)

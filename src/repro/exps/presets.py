@@ -15,7 +15,6 @@ from repro.config import ClusterConfig
 
 __all__ = [
     "fig5_specs",
-    "fig5_factories",
     "fig5_procs",
     "pde_capacity",
     "sort_factory",
@@ -42,8 +41,7 @@ SCALE_NODE_COUNTS = (64, 128, 256)
 
 #: Figure 5 workloads as **picklable specs** — ``(registry app name,
 #: constructor kwargs)`` per program, consumable by the parallel runner
-#: (`repro.exps.parallel.Job`).  The factory form below is derived from
-#: these, so the two views cannot drift.
+#: (`repro.exps.parallel.Job`).
 _FIG5_FULL: dict[str, tuple[str, dict[str, int]]] = {
     "linear eqn (jacobi)": ("jacobi", {"n": 512, "iters": 24}),
     "3-D PDE": ("pde3d", {"m": 48, "iters": 20}),
@@ -64,17 +62,6 @@ _FIG5_QUICK: dict[str, tuple[str, dict[str, int]]] = {
 def fig5_specs(full: bool = False) -> dict[str, tuple[str, dict[str, int]]]:
     """The Figure 5 suite as parallel-runner job specs."""
     return dict(_FIG5_FULL if full else _FIG5_QUICK)
-
-
-def fig5_factories(full: bool = False) -> dict[str, Callable[[int], object]]:
-    """App factories for the Figure 5 suite (derived from the specs)."""
-    from repro.exps.parallel import APP_REGISTRY
-
-    def make(app: str, kwargs: dict[str, int]) -> Callable[[int], object]:
-        ctor = APP_REGISTRY[app]
-        return lambda p: ctor(p, **kwargs)
-
-    return {name: make(app, kw) for name, (app, kw) in fig5_specs(full).items()}
 
 
 def fig5_procs(full: bool = False) -> tuple[int, ...]:

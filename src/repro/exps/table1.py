@@ -1,10 +1,5 @@
 """Table 1 — disk page transfers of the first six 3-D PDE iterations.
 
-Paper's numbers (50^3 problem on Apollos)::
-
-    1 processor :  699  2264  1702  1502  1586  1604   (steady thrash)
-    2 processors: 1452   928   781    91    54    14   (decays to ~0)
-
 We reproduce the *shape*: one processor sweeps a working set larger
 than its memory every iteration and pays disk transfers forever; with
 two processors the pages spread across the combined memories during the
@@ -13,21 +8,19 @@ first iterations and the disk traffic dies out.
 
 from __future__ import annotations
 
-import argparse
-
 from repro.api.ivy import Ivy
+from repro.exps.experiment import Column, Experiment, Record, main
 from repro.exps.presets import pde_capacity
 from repro.metrics.collect import EpochLog
-from repro.metrics.report import ascii_table
 
-__all__ = ["run", "main"]
+ITERS = 6
 
 
-def run(quick: bool = True, procs: tuple[int, ...] = (1, 2)) -> dict[int, list[int]]:
-    """Per-iteration total disk transfers for each processor count."""
-    factory, config = pde_capacity(full=not quick)
-    out: dict[int, list[int]] = {}
-    for p in procs:
+def run(full: bool) -> list[Record]:
+    """Per-iteration total disk transfers on one and on two processors."""
+    factory, config = pde_capacity(full=full)
+    records: list[Record] = []
+    for p in (1, 2):
         ivy = Ivy(config.replace(nodes=p))
         log = EpochLog([node.counters for node in ivy.cluster.nodes])
         app = factory(p)
@@ -36,25 +29,40 @@ def run(quick: bool = True, procs: tuple[int, ...] = (1, 2)) -> dict[int, list[i
         app.check(result)
         reads = log.series("disk_reads")
         writes = log.series("disk_writes")
-        out[p] = [r + w for (_, r), (_, w) in zip(reads, writes)][: app.iters]
-    return out
+        series = [r + w for (_, r), (_, w) in zip(reads, writes)][: app.iters]
+        records.append({
+            "configuration": f"{p} processor{'s' if p > 1 else ''}",
+            **{f"iter {i + 1}": n for i, n in enumerate(series)},
+        })
+    return records
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--full", action="store_true")
-    args = parser.parse_args()
-    data = run(quick=not args.full)
-    iters = max(len(v) for v in data.values())
-    headers = ["configuration"] + [f"iter {i + 1}" for i in range(iters)]
-    rows = [
-        [f"{p} processor{'s' if p > 1 else ''}"] + series
-        for p, series in sorted(data.items())
-    ]
-    print("Table 1 — disk page transfers of each 3-D PDE iteration")
-    print()
-    print(ascii_table(headers, rows))
+def shape(records: list[Record]) -> None:
+    one, two = ([r[f"iter {i + 1}"] for i in range(ITERS)] for r in records)
+    # 1 processor: steady thrash — late iterations stay high.
+    tail_1p = one[3:]
+    assert min(tail_1p) > 50, f"1-proc series must stay high: {one}"
+    # 2 processors: decays — the tail is a small fraction of iteration 1
+    # and far below the 1-processor tail.
+    tail_2p = two[3:]
+    assert max(tail_2p) < two[0] / 2, f"2-proc series must decay: {two}"
+    assert max(tail_2p) < min(tail_1p) / 4, f"2-proc tail must be far below 1-proc: {two} vs {one}"
+    # First iterations on 2 procs show real traffic (the spread-out phase).
+    assert two[0] > 20, f"2-proc iteration 1 moves the data set: {two}"
 
+
+EXPERIMENT = Experiment(
+    name="table1",
+    title="Table 1 — disk page transfers of each 3-D PDE iteration",
+    columns=[Column("configuration", "configuration")]
+    + [Column(f"iter {i + 1}", f"iter {i + 1}") for i in range(ITERS)],
+    run=run,
+    shape=shape,
+    paper="""disk page transfers, 50^3 problem on Apollos:
+
+    1 processor :  699  2264  1702  1502  1586  1604   (steady thrash)
+    2 processors: 1452   928   781    91    54    14   (decays to ~0)""",
+)
 
 if __name__ == "__main__":
-    main()
+    main(EXPERIMENT)

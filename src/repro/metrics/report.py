@@ -1,8 +1,10 @@
-"""ASCII report formatting for the experiment scripts.
+"""ASCII report formatting.
 
-Every ``repro.exps.*`` module prints its table/series through these
-helpers so the output format matches across experiments (and can be
-asserted on in tests).
+:func:`ascii_table` renders every paper experiment's table (through
+``repro.exps.experiment.Experiment.render``, which
+``repro.exps.all --check`` parses back cell by cell); the ``format_*``
+helpers render speedup curves and the observability reports of
+``repro.obs``.
 """
 
 from __future__ import annotations
