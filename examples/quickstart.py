@@ -55,4 +55,4 @@ if __name__ == "__main__":
     print(f"match               : {abs(parallel - sequential) < 1e-9}")
     print(f"simulated time      : {ivy.time_ns / 1e6:.2f} ms")
     print(f"page faults serviced: {total['read_faults']} reads, {total['write_faults']} writes")
-    print(f"ring messages       : {ivy.cluster.ring.stats.messages}")
+    print(f"ring messages       : {ivy.cluster.fabric.stats.messages}")

@@ -11,8 +11,9 @@ the live simulation (enable with ``ClusterConfig.checker = True``):
 - :mod:`repro.analysis.racedetect` — a vector-clock happens-before race
   detector over application-level shared-memory accesses and the IVY
   synchronisation primitives;
-- :mod:`repro.analysis.replay` — an offline checker that replays a
-  recorded :class:`repro.sim.trace.TraceRecorder` stream
+- :mod:`repro.analysis.replay` — an offline checker that replays the
+  protocol stream a checked run fed the oracle, saved by
+  ``python -m repro.analysis run --trace trace.jsonl``
   (``python -m repro.analysis replay trace.jsonl``);
 - :mod:`repro.analysis.explore` — a schedule explorer / model checker
   that drives small protocol configurations through many same-tick

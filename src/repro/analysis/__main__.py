@@ -6,7 +6,7 @@
     python -m repro.analysis replay trace.jsonl
 
     # Online: run a benchmark under the full checker (oracle + race
-    # detector), optionally recording the protocol trace for replay.
+    # detector), optionally saving the stream the oracle was fed.
     python -m repro.analysis run --app jacobi --algorithm dynamic \
         --nodes 4 --trace trace.jsonl
 
@@ -33,9 +33,10 @@ import sys
 from time import perf_counter
 from typing import Any
 
-from repro.analysis.replay import SVM_CATEGORIES, replay_file, summarize
+from repro.analysis.replay import record_stream, replay_file, summarize
 from repro.config import ClusterConfig
 from repro.metrics.collect import VIOLATION_PREFIX
+from repro.obs.jsonl import write_jsonl
 
 
 #: Constructor arguments per registered app.  Sizes are scaled down from
@@ -66,13 +67,12 @@ def _build_app(name: str, nprocs: int) -> Any:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.api.ivy import Ivy
-    from repro.sim.trace import TraceRecorder
 
     config = ClusterConfig(nodes=args.nodes, checker=True).with_svm(
         algorithm=args.algorithm
     )
-    trace = TraceRecorder(categories=set(SVM_CATEGORIES))
-    ivy = Ivy(config, trace=trace)
+    ivy = Ivy(config)
+    stream = record_stream(ivy.cluster)
     app = _build_app(args.app, args.nodes)
     result = ivy.run(app.main)
     app.check(result)
@@ -85,7 +85,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(
         f"{args.app} on {args.nodes} nodes ({args.algorithm}): result ok, "
         f"{oracle.checks_run if oracle else 0} oracle checks, "
-        f"{len(trace.events)} protocol events"
+        f"{len(stream)} protocol events"
     )
     if detector is not None:
         print(
@@ -98,7 +98,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     for race in races:
         print(race.format())
     if args.trace:
-        count = trace.save(args.trace)
+        count = write_jsonl(args.trace, stream)
         print(f"saved {count} events to {args.trace}")
     # Benign application-level races (TSP's optimistic best-bound read)
     # are findings about the *program*; only coherence violations mean
@@ -293,7 +293,7 @@ def main(argv: list[str] | None = None) -> int:
     run.set_defaults(func=_cmd_run)
 
     replay = sub.add_parser("replay", help="check a recorded trace offline")
-    replay.add_argument("trace", help="JSONL file written by TraceRecorder.save")
+    replay.add_argument("trace", help="JSONL file written by `run --trace`")
     replay.set_defaults(func=_cmd_replay)
 
     explore = sub.add_parser(

@@ -71,6 +71,7 @@ from repro.api.cluster import Cluster
 from repro.config import MILLISECOND, ClusterConfig, ConfigError
 from repro.net.packet import Message, extractor_errors, parse_delivery_label
 from repro.net.transport import TransportError
+from repro.obs.jsonl import read_jsonl, write_jsonl
 from repro.sim.kernel import DeadlockError, PendingEvent, Scheduler
 from repro.sim.process import Effect, Sleep, Task, TaskFailure
 from repro.svm.protocol import ProtocolError, _protocol_classes
@@ -1298,7 +1299,7 @@ def minimize_schedule(
 
 
 # ----------------------------------------------------------------------
-# replayable artifacts (JSONL, same conventions as repro.sim.trace)
+# replayable artifacts (JSON lines, repro.obs.jsonl)
 
 
 def save_counterexamples(
@@ -1310,35 +1311,22 @@ def save_counterexamples(
     """Write a replayable artifact: one scenario header line (stamped
     with the independence relation that explored it), then one line per
     violating schedule.  Returns the number of schedules."""
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            json.dumps(
-                {"kind": "scenario", **scenario.to_dict(), "relation": relation}
-            )
-            + "\n"
-        )
-        for ce in counterexamples:
-            fh.write(json.dumps(ce.to_dict()) + "\n")
-            count += 1
-    return count
+    header = {"kind": "scenario", **scenario.to_dict(), "relation": relation}
+    schedules = [ce.to_dict() for ce in counterexamples]
+    write_jsonl(path, [header, *schedules])
+    return len(schedules)
 
 
 def load_artifact(path: str) -> tuple[Scenario, list[Counterexample]]:
     scenario: Scenario | None = None
     schedules: list[Counterexample] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            raw = json.loads(line)
-            if raw.get("kind") == "scenario":
-                scenario = Scenario.from_dict(raw)
-            elif raw.get("kind") == "schedule":
-                schedules.append(Counterexample.from_dict(raw))
-            else:
-                raise ValueError(f"unknown artifact line kind: {raw.get('kind')!r}")
+    for raw in read_jsonl(path):
+        if raw.get("kind") == "scenario":
+            scenario = Scenario.from_dict(raw)
+        elif raw.get("kind") == "schedule":
+            schedules.append(Counterexample.from_dict(raw))
+        else:
+            raise ValueError(f"unknown artifact line kind: {raw.get('kind')!r}")
     if scenario is None:
         raise ValueError(f"artifact {path} has no scenario header line")
     return scenario, schedules

@@ -1,7 +1,8 @@
 """The coherence oracle: an online shadow of the SVM protocol.
 
-Two layers, sharing one event vocabulary (the ``svm.*`` trace
-categories listed in :mod:`repro.sim.trace`):
+Two layers, sharing one event vocabulary (the ``svm.*`` categories
+every node's protocol publishes through its ``checker`` hook, listed in
+:data:`repro.analysis.replay.SVM_CATEGORIES`):
 
 :class:`ShadowMachine`
     A pure event-driven state machine that mirrors what a *correct*
@@ -104,7 +105,7 @@ class ShadowMachine:
     Feed it normalised protocol events via :meth:`apply`; violations are
     collected in :attr:`violations` (and raised when ``strict``).
     Usable online (driven by the live oracle) and offline (driven by a
-    recorded trace stream).
+    recorded protocol stream).
     """
 
     def __init__(

@@ -71,7 +71,7 @@ __all__ = [
 #: these stay symbolic (``self.pager.disk``) so calls on them resolve to
 #: effects instead of degrading to ``unknown``.
 _NEUTRAL_ROOTS = frozenset({
-    "memory", "pager", "table", "remote", "obs", "trace", "checker",
+    "memory", "pager", "table", "remote", "obs", "checker",
     "sim", "config", "counters", "layout",
 })
 
@@ -630,7 +630,7 @@ class _MethodEvaluator:
         if receiver == "self.counters":
             self._emit("counter", "", "inc", expr)
             return "other"
-        if receiver in ("self.obs", "self.trace", "self.checker"):
+        if receiver in ("self.obs", "self.checker"):
             self._emit("obs", "", "note", expr)
             return "obs"
         if receiver == "self.remote" and meth in (

@@ -31,7 +31,6 @@ from repro.obs import NULL_OBS, Observability
 from repro.sim.kernel import Simulator
 from repro.sim.process import SimDriver, Task
 from repro.sim.rng import RngStreams
-from repro.sim.trace import NULL_TRACE, TraceRecorder
 from repro.svm.address_space import SharedAddressSpace
 from repro.svm.page import PageTable
 from repro.svm.protocol import CoherenceProtocol, make_protocol
@@ -59,7 +58,7 @@ class NodeContext:
                 else None
             ),
             # One buffer pool per fabric: read copies share frames.
-            pages=cluster.ring.pages,
+            pages=cluster.fabric.pages,
         )
         self.disk = Disk(
             config.disk, config.svm.page_size, self.counters,
@@ -69,12 +68,8 @@ class NodeContext:
         self.table = PageTable(
             node_id, cluster.layout.npages, config.svm.manager_node
         )
-        self.transport = Transport(
-            cluster.sim, cluster.driver, cluster.ring, node_id, config, cluster.trace
-        )
-        self.remote = RemoteOp(
-            self.transport, cluster.driver, config, cluster.trace, obs=cluster.obs
-        )
+        self.transport = Transport(cluster.sim, cluster.driver, cluster.fabric, node_id, config)
+        self.remote = RemoteOp(self.transport, cluster.driver, config, obs=cluster.obs)
         self.protocol: CoherenceProtocol = make_protocol(
             config.svm.algorithm,
             sim=cluster.sim,
@@ -87,7 +82,6 @@ class NodeContext:
             remote=self.remote,
             config=config,
             counters=self.counters,
-            trace=cluster.trace,
             obs=cluster.obs,
         )
         self.mem = SharedAddressSpace(
@@ -106,14 +100,12 @@ class Cluster:
     def __init__(
         self,
         config: ClusterConfig,
-        trace: TraceRecorder = NULL_TRACE,
         obs: Observability | None = None,
     ) -> None:
         if config.nodes < 1:
             raise ValueError("cluster needs at least one node")
         self.config = config
         self.sim = Simulator()
-        self.trace = trace
         #: Observability bundle (repro.obs): an explicit instance wins,
         #: else ``config.obs`` decides between a live one and NULL_OBS
         #: (an :class:`ObsConfig` additionally selects the timeline,
@@ -124,21 +116,14 @@ class Cluster:
             self.obs = Observability.from_config(config.obs)
         else:
             self.obs = Observability() if config.obs else NULL_OBS
-        clock = self.sim.clock()
-        trace.bind_clock(clock)
         if self.obs:  # never rebind the shared NULL_OBS
-            self.obs.bind_clock(clock)
+            self.obs.bind_clock(self.sim.clock())
         self.rngs = RngStreams(config.seed)
         self.driver = SimDriver(self.sim)
         self.layout = AddressLayout(
             config.svm.shared_base, config.svm.shared_size, config.svm.page_size
         )
-        self.fabric: Fabric = make_fabric(
-            self.sim, config, self.rngs, trace, obs=self.obs
-        )
-        #: Historical alias — the medium was a TokenRing before fabrics
-        #: became pluggable, and a lot of code reads ``cluster.ring``.
-        self.ring = self.fabric
+        self.fabric: Fabric = make_fabric(self.sim, config, self.rngs, obs=self.obs)
         self.nodes = [NodeContext(self, n) for n in range(config.nodes)]
         #: Online coherence oracle (set when ``config.checker`` is on).
         self.oracle: Any = None
@@ -148,15 +133,6 @@ class Cluster:
             self.oracle = CoherenceOracle(self)
             for node in self.nodes:
                 node.protocol.checker = self.oracle
-        if trace:
-            trace.emit(
-                "cluster.boot",
-                nodes=config.nodes,
-                manager=config.svm.manager_node,
-                algorithm=config.svm.algorithm,
-                write_policy=config.svm.write_policy,
-                page_size=config.svm.page_size,
-            )
 
     # ------------------------------------------------------------------
 

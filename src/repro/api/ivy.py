@@ -35,7 +35,6 @@ from repro.proc.migration import MigrationService
 from repro.proc.pcb import PCB, Pid
 from repro.proc.scheduler import NodeScheduler
 from repro.sim.process import Compute, Effect, Suspend, TaskFailure, YieldCpu
-from repro.sim.trace import NULL_TRACE, TraceRecorder
 from repro.sync import barrier as _barrier
 from repro.sync import eventcount as _ec
 from repro.sync import lock as _lock
@@ -52,11 +51,10 @@ class Ivy:
     def __init__(
         self,
         config: ClusterConfig,
-        trace: TraceRecorder = NULL_TRACE,
         obs: Observability | None = None,
     ) -> None:
         self.config = config
-        self.cluster = Cluster(config, trace, obs=obs)
+        self.cluster = Cluster(config, obs=obs)
         #: Observability bundle (live when ``obs`` was passed or
         #: ``config.obs`` is set; the shared NULL_OBS otherwise).
         self.obs = self.cluster.obs

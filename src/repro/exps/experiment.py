@@ -75,7 +75,7 @@ def run_program(config: ClusterConfig, program: Callable[..., Any], *counters: s
     ivy = Ivy(config)
     ivy.run(program)
     total = ivy.cluster.total_counters()
-    record: Record = {"time_ns": ivy.time_ns, "msgs": ivy.cluster.ring.stats.messages}
+    record: Record = {"time_ns": ivy.time_ns, "msgs": ivy.cluster.fabric.stats.messages}
     return record | {name: total[name] for name in counters}
 
 

@@ -3,8 +3,7 @@
 :func:`ascii_table` renders every paper experiment's table (through
 ``repro.exps.experiment.Experiment.render``, which
 ``repro.exps.all --check`` parses back cell by cell); the ``format_*``
-helpers render speedup curves and the observability reports of
-``repro.obs``.
+helpers render the observability reports of ``repro.obs``.
 """
 
 from __future__ import annotations
@@ -12,12 +11,9 @@ from __future__ import annotations
 from typing import Any, Sequence
 
 from repro.metrics.hist import Metrics
-from repro.metrics.speedup import SpeedupResult
 
 __all__ = [
     "ascii_table",
-    "format_speedup_table",
-    "format_series",
     "format_instruments",
     "format_profile",
     "format_window_profile",
@@ -45,24 +41,6 @@ def ascii_table(
     out.append(sep)
     out.extend(line(row) for row in cells[1:])
     return "\n".join(out)
-
-
-def format_speedup_table(results: Sequence[SpeedupResult]) -> str:
-    """One row per app, one column per processor count."""
-    procs = results[0].procs
-    headers = ["program"] + [f"p={p}" for p in procs]
-    rows = []
-    for res in results:
-        rows.append(
-            [res.app_name] + [f"{res.speedup(p):.2f}" for p in procs]
-        )
-    return ascii_table(headers, rows, title="Speedup = T(1) / T(p), simulated time")
-
-
-def format_series(
-    title: str, labels: Sequence[Any], values: Sequence[Any], label_hdr: str, value_hdr: str
-) -> str:
-    return ascii_table([label_hdr, value_hdr], list(zip(labels, values)), title=title)
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,6 @@ from repro.net.packet import BROADCAST, Message, delivery_label
 from repro.net.pool import MessagePool, PagePool
 from repro.obs import NULL_OBS, Observability
 from repro.sim.kernel import Simulator
-from repro.sim.trace import NULL_TRACE, TraceRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
@@ -132,8 +131,6 @@ class Fabric:
 
     #: Backend name (the ``ClusterConfig.fabric.backend`` key).
     name = "?"
-    #: Trace category of a lost frame (each medium keeps its own).
-    _DROP_EVENT = "?"
 
     def __init__(
         self,
@@ -141,7 +138,6 @@ class Fabric:
         config: "RingConfig | FabricConfig",
         nnodes: int,
         rng: "np.random.Generator | None" = None,
-        trace: TraceRecorder = NULL_TRACE,
         obs: Observability = NULL_OBS,
     ) -> None:
         if nnodes < 1:
@@ -153,7 +149,6 @@ class Fabric:
         #: Loss is configured once; a lossless medium skips the
         #: per-station random draw entirely.
         self._lossy = config.loss_rate > 0.0 and rng is not None
-        self.trace = trace
         self.obs = obs
         #: Windowed per-link busy accounting (None unless a timeline is
         #: configured); backends report each booked transmission to it.
@@ -246,7 +241,6 @@ class Fabric:
             forced = drop_policy is not None and drop_policy(msg, station)
             if forced or (lossy and self._drop()):
                 self.stats.lost_frames += 1
-                self.trace.emit(self._DROP_EVENT, src=msg.src, dst=station, op=msg.op)
             elif named is None or station in named:
                 schedule(
                     arrival - now, deliver, station, msg,
@@ -275,7 +269,6 @@ def make_fabric(
     sim: Simulator,
     config: "ClusterConfig",
     rngs: "RngStreams",
-    trace: TraceRecorder = NULL_TRACE,
     obs: Observability = NULL_OBS,
 ) -> Fabric:
     """Instantiate the configured network backend for one cluster.
@@ -294,14 +287,12 @@ def make_fabric(
         rng: "np.random.Generator | None" = (
             rngs.stream("ring") if config.ring.loss_rate > 0.0 else None
         )
-        return TokenRing(sim, config.ring, config.nodes, rng, trace, obs=obs)
+        return TokenRing(sim, config.ring, config.nodes, rng, obs=obs)
     if backend == "switched":
         from repro.net.fabric.switched import SwitchedFabric
 
         rng = rngs.stream("fabric") if config.fabric.loss_rate > 0.0 else None
-        return SwitchedFabric(
-            sim, config.fabric, config.nodes, rng, trace, obs=obs
-        )
+        return SwitchedFabric(sim, config.fabric, config.nodes, rng, obs=obs)
 
     from repro.config import ConfigError
 

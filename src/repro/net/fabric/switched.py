@@ -58,7 +58,6 @@ from repro.net.fabric import Fabric, LinkStats
 from repro.net.packet import BROADCAST, Message
 from repro.obs import NULL_OBS, Observability
 from repro.sim.kernel import Simulator
-from repro.sim.trace import NULL_TRACE, TraceRecorder
 
 __all__ = ["SwitchedFabric", "SwitchedStats"]
 
@@ -117,7 +116,6 @@ class SwitchedFabric(Fabric):
     """Crossbar-switched point-to-point network of ``nnodes`` stations."""
 
     name = "switched"
-    _DROP_EVENT = "fabric.drop"
 
     def __init__(
         self,
@@ -125,10 +123,9 @@ class SwitchedFabric(Fabric):
         config: FabricConfig,
         nnodes: int,
         rng: np.random.Generator | None = None,
-        trace: TraceRecorder = NULL_TRACE,
         obs: Observability = NULL_OBS,
     ) -> None:
-        super().__init__(sim, config, nnodes, rng, trace, obs)
+        super().__init__(sim, config, nnodes, rng, obs)
         self.stats: SwitchedStats = SwitchedStats(nnodes)
         #: Per-station port bookings: the absolute time each egress/
         #: ingress link becomes free.  FIFO queueing falls out of always
@@ -166,15 +163,6 @@ class SwitchedFabric(Fabric):
         arrivals = self._multicast(
             msg, stations, self.sim.now, self.occupancy_ns(msg.nbytes)
         )
-        if self.trace:
-            # Guarded: a disabled emit still packs its six keywords —
-            # ~0.8 us per send against ~0.08 us for this check (2.1 GHz
-            # Xeon, CPython 3.11); bench's scale_switched_n256 makes
-            # 29,664 sends, ~24 ms or 1.4 % of its wall_s.
-            self.trace.emit(
-                "fabric.send", src=msg.src, dst=msg.dst, op=msg.op,
-                kind=msg.kind, nbytes=msg.nbytes, arrival=arrivals[-1],
-            )
         self._fan_out(msg, stations, arrivals)
 
     def _multicast(

@@ -26,7 +26,6 @@ from repro.net.packet import HEADER_BYTES, Message
 from repro.net.transport import Transport
 from repro.obs import NULL_OBS, Observability, Span
 from repro.sim.process import Compute, Effect, SimDriver
-from repro.sim.trace import NULL_TRACE, TraceRecorder
 
 __all__ = ["RemoteOp", "Reply", "Forward", "NO_REPLY"]
 
@@ -67,13 +66,11 @@ class RemoteOp:
         transport: Transport,
         driver: SimDriver,
         config: ClusterConfig,
-        trace: TraceRecorder = NULL_TRACE,
         obs: Observability = NULL_OBS,
     ) -> None:
         self.transport = transport
         self.driver = driver
         self.config = config
-        self.trace = trace
         self.obs = obs
         self.node_id = transport.node_id
         self._handlers: dict[str, Callable[[int, Any], Generator[Effect, Any, Any]]] = {}
@@ -116,7 +113,6 @@ class RemoteOp:
         span: Span | int | None = None,
     ) -> Generator[Effect, Any, Any]:
         """Perform a remote operation and return its reply value."""
-        self.trace.emit("remoteop.request", src=self.node_id, dst=dst, op=op)
         hop = self.obs.span_begin(f"rpc:{op}", parent=span, node=self.node_id, dst=dst)
         try:
             value = yield from self.transport.request(
@@ -135,7 +131,6 @@ class RemoteOp:
         span: Span | int | None = None,
     ) -> Generator[Effect, Any, Any]:
         """Broadcast ``op``; reply handling per the paper's three schemes."""
-        self.trace.emit("remoteop.broadcast", src=self.node_id, op=op, scheme=scheme)
         hop = self.obs.span_begin(
             f"rpc:{op}", parent=span, node=self.node_id, scheme=scheme
         )
@@ -156,9 +151,6 @@ class RemoteOp:
         span: Span | int | None = None,
     ) -> Generator[Effect, Any, dict[int, Any]]:
         """Multicast ``op`` to ``targets``; one reply per target."""
-        self.trace.emit(
-            "remoteop.multicast", src=self.node_id, op=op, targets=tuple(targets)
-        )
         hop = self.obs.span_begin(
             f"rpc:{op}", parent=span, node=self.node_id, fanout=len(targets)
         )
@@ -188,10 +180,6 @@ class RemoteOp:
             yield Compute(self.config.server_dispatch_cost)
             result = yield from handler(msg.origin, msg.payload)
             if isinstance(result, Forward):
-                self.trace.emit(
-                    "remoteop.forward", node=self.node_id, dst=result.dst, op=msg.op,
-                    origin=msg.origin,
-                )
                 yield from self.transport.forward(result.dst, msg, span_id=span.sid)
             elif result is NO_REPLY:
                 if msg.kind != "bcast":

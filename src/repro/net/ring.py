@@ -31,7 +31,6 @@ from repro.net.fabric import Fabric, LinkStats
 from repro.net.packet import BROADCAST, Message
 from repro.obs import NULL_OBS, Observability
 from repro.sim.kernel import Simulator
-from repro.sim.trace import NULL_TRACE, TraceRecorder
 
 __all__ = ["TokenRing", "RingStats"]
 
@@ -78,7 +77,6 @@ class TokenRing(Fabric):
     """A serialised shared-medium network connecting ``nnodes`` stations."""
 
     name = "ring"
-    _DROP_EVENT = "ring.drop"
 
     def __init__(
         self,
@@ -86,10 +84,9 @@ class TokenRing(Fabric):
         config: RingConfig,
         nnodes: int,
         rng: np.random.Generator | None = None,
-        trace: TraceRecorder = NULL_TRACE,
         obs: Observability = NULL_OBS,
     ) -> None:
-        super().__init__(sim, config, nnodes, rng, trace, obs)
+        super().__init__(sim, config, nnodes, rng, obs)
         self.stats: RingStats = RingStats()
         self._free_at = 0  # medium is idle from this time onward
 
@@ -137,14 +134,5 @@ class TokenRing(Fabric):
             stations = [n for n in range(self.nnodes) if n != msg.src]
         else:
             stations = [msg.dst]
-        if self.trace:
-            # Guarded: a disabled emit still packs its six keywords —
-            # ~0.8 us per send against ~0.08 us for this check (2.1 GHz
-            # Xeon, CPython 3.11); bench's paper_ring_p8 makes 65,486
-            # sends, ~50 ms or 1.4 % of its wall_s.
-            self.trace.emit(
-                "ring.send", src=msg.src, dst=msg.dst, op=msg.op,
-                kind=msg.kind, nbytes=msg.nbytes, arrival=arrival,
-            )
         # One transmission passes every station at the same instant.
         self._fan_out(msg, stations, repeat(arrival))

@@ -43,7 +43,6 @@ from repro.net.packet import BROADCAST, HEADER_BYTES, Message, delivery_label, o
 from repro.sim.kernel import CancelHandle, Simulator
 from repro.sim.process import Compute, Effect, SimDriver
 from repro.sim.sync import Gate
-from repro.sim.trace import NULL_TRACE, TraceRecorder
 
 __all__ = ["Transport", "TransportError", "TransportStats"]
 
@@ -121,7 +120,6 @@ class Transport:
         ring: Fabric,
         node_id: int,
         config: ClusterConfig,
-        trace: TraceRecorder = NULL_TRACE,
     ) -> None:
         self.sim = sim
         self.driver = driver
@@ -132,7 +130,6 @@ class Transport:
         self.ring = ring
         self.node_id = node_id
         self.config = config
-        self.trace = trace
         self.stats = TransportStats()
         self._next_id = 0
         self._pending: dict[int, _Pending] = {}
@@ -362,10 +359,6 @@ class Transport:
             pending.gate.post(error)
             return
         self.stats.retransmits += 1
-        self.trace.emit(
-            "transport.retransmit", node=self.node_id,
-            op=pending.msg.op, msg_id=pending.msg.msg_id,
-        )
         self._transmit(pending.msg)
         self._arm_timer(pending)
 

@@ -27,12 +27,12 @@ observation:
 
 Enable it per run (``ClusterConfig(obs=True)`` or
 ``ClusterConfig(obs=ObsConfig(...))``, or pass an ``Observability`` to
-:class:`repro.api.ivy.Ivy` / ``run_app`` to keep the handle).  Like
-:data:`repro.sim.trace.NULL_TRACE`, the default :data:`NULL_OBS` is a
-disabled instance whose hooks are no-ops, so the hot paths pay one
-truthiness check and nothing else.  Every hook is pure observation — no
-simulation events, no effects, no RNG — so enabling observability never
-changes simulated times, event counts, or golden schedules.
+:class:`repro.api.ivy.Ivy` / ``run_app`` to keep the handle).  The
+default :data:`NULL_OBS` is a disabled instance whose hooks are no-ops,
+so the hot paths pay one truthiness check and nothing else.  Every hook
+is pure observation — no simulation events, no effects, no RNG — so
+enabling observability never changes simulated times, event counts, or
+golden schedules.
 
 Exporters live in :mod:`repro.obs.export` (Chrome trace-event JSON,
 loadable in Perfetto; timeline JSONL; OpenMetrics text) and the CLI in
@@ -242,5 +242,5 @@ class Observability:
         return out
 
 
-#: Shared disabled instance — the default everywhere, like NULL_TRACE.
+#: Shared disabled instance — the default everywhere.
 NULL_OBS = Observability(enabled=False)

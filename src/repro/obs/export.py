@@ -37,6 +37,7 @@ import json
 import re
 from typing import Any, TYPE_CHECKING
 
+from repro.obs.jsonl import write_jsonl
 from repro.obs.span import UNSTAMPED, Span
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
@@ -250,12 +251,7 @@ def save_timeline_jsonl(
     path: str, obs: "Observability", nnodes: int, total_ns: int
 ) -> int:
     """Write the timeline as JSON lines; returns the record count."""
-    records = timeline_records(obs, nnodes, total_ns)
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec))
-            fh.write("\n")
-    return len(records)
+    return write_jsonl(path, timeline_records(obs, nnodes, total_ns))
 
 
 def validate_timeline_jsonl(lines: list[str]) -> list[str]:

@@ -33,21 +33,24 @@ a positive id would, so a receiver can parent its handler span under a
 dropped ancestor and drop it too — whole causal trees are kept or
 dropped together (0 still means "no span at all").
 
-Like :class:`repro.sim.trace.TraceRecorder`, a tracer used before the
-cluster binds its clock stamps :data:`UNSTAMPED` rather than a plausible
-zero, and streams round-trip through :meth:`save` / :meth:`load` using
-the repo's JSONL conventions.
+A tracer used before the cluster binds its clock stamps
+:data:`UNSTAMPED` rather than a plausible zero, and streams round-trip
+through :meth:`save` / :meth:`load` as JSON lines
+(:mod:`repro.obs.jsonl`).
 """
 
 from __future__ import annotations
 
-import json
 from typing import Any, Callable, Iterator
 
+from repro.obs.jsonl import read_jsonl, write_jsonl
 from repro.obs.sample import keep_root
-from repro.sim.trace import UNSTAMPED, jsonable
 
 __all__ = ["Span", "SpanTracer", "NULL_SPAN", "UNSTAMPED"]
+
+#: Time of a record made before a clock was bound: a span or timeline
+#: sample taken before cluster boot is marked rather than claiming time 0.
+UNSTAMPED = -1
 
 
 class Span:
@@ -215,40 +218,32 @@ class SpanTracer:
         return [s for s in self.spans if s.open]
 
     # ------------------------------------------------------------------
-    # persistence (same JSONL conventions as TraceRecorder)
+    # persistence (repro.obs.jsonl)
 
     def save(self, path: str) -> int:
         """Write the spans as JSON lines; returns the span count."""
-        with open(path, "w", encoding="utf-8") as fh:
-            for s in self.spans:
-                fh.write(
-                    json.dumps(
-                        {
-                            "sid": s.sid, "parent": s.parent, "name": s.name,
-                            "node": s.node, "start": s.start, "end": s.end,
-                            "attrs": s.attrs,
-                        },
-                        default=jsonable,
-                    )
-                )
-                fh.write("\n")
-        return len(self.spans)
+        return write_jsonl(
+            path,
+            (
+                {
+                    "sid": s.sid, "parent": s.parent, "name": s.name,
+                    "node": s.node, "start": s.start, "end": s.end,
+                    "attrs": s.attrs,
+                }
+                for s in self.spans
+            ),
+        )
 
     @classmethod
     def load(cls, path: str) -> "SpanTracer":
         tracer = cls()
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                raw = json.loads(line)
-                span = Span(
-                    int(raw["sid"]), int(raw["parent"]), raw["name"],
-                    int(raw["node"]), int(raw["start"]), int(raw["end"]),
-                    raw.get("attrs") or {},
-                )
-                tracer.spans.append(span)
-                tracer._by_sid[span.sid] = span
-                tracer._next_sid = max(tracer._next_sid, span.sid)
+        for raw in read_jsonl(path):
+            span = Span(
+                int(raw["sid"]), int(raw["parent"]), raw["name"],
+                int(raw["node"]), int(raw["start"]), int(raw["end"]),
+                raw.get("attrs") or {},
+            )
+            tracer.spans.append(span)
+            tracer._by_sid[span.sid] = span
+            tracer._next_sid = max(tracer._next_sid, span.sid)
         return tracer

@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Callable, Iterable
 
 from repro.metrics.windowed import WindowedMetrics
-from repro.sim.trace import UNSTAMPED
+from repro.obs.span import UNSTAMPED
 
 __all__ = ["Timeline"]
 

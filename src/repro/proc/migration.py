@@ -56,7 +56,6 @@ class MigrationService:
         """
         if dst == self.node.node_id:
             raise ValueError("migration to the same processor")
-        src = self.node.node_id
         self.counters.inc("migrations_started")
         ok = yield from self.node.remote.request(
             dst, OP_MIGRATE, pcb, nbytes=request_size(PCB_WIRE_BYTES)
@@ -65,10 +64,6 @@ class MigrationService:
             self.sched.make_ready(pcb)
             return False
         self.sched.disown(pcb, dst)
-        if self.node.cluster.trace:
-            self.node.cluster.trace.emit(
-                "proc.migrate", pid=str(pcb.pid), src=src, dst=dst
-            )
         return True
 
     def resume_remote(self, pid: Pid, value: Any = None) -> Generator[Effect, Any, bool]:

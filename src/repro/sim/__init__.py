@@ -3,8 +3,10 @@
 This package is the substrate for the whole reproduction: a heap-based
 event queue with an integer-nanosecond clock (`repro.sim.kernel`),
 generator-based lightweight tasks with pluggable drivers
-(`repro.sim.process`), seeded per-component random streams
-(`repro.sim.rng`), and structured tracing (`repro.sim.trace`).
+(`repro.sim.process`), and seeded per-component random streams
+(`repro.sim.rng`).  Recording what a run did is the observability
+layer's job (`repro.obs` spans and counters); the coherence checker
+receives every protocol transition itself (`repro.analysis`).
 
 Determinism contract: for a fixed :class:`repro.config.ClusterConfig`
 (including its seed) every run produces bit-identical event orderings,
@@ -23,7 +25,6 @@ from repro.sim.process import (
     YieldCpu,
 )
 from repro.sim.rng import RngStreams
-from repro.sim.trace import TraceRecorder
 
 __all__ = [
     "Simulator",
@@ -36,5 +37,4 @@ __all__ = [
     "Suspend",
     "YieldCpu",
     "RngStreams",
-    "TraceRecorder",
 ]

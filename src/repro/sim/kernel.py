@@ -179,7 +179,7 @@ class Simulator:
     def clock(self) -> Callable[[], int]:
         """A zero-argument callable reading the current simulated time.
 
-        Observability layers (trace recorders, span tracers) bind this
+        Observability layers (span tracers, timelines) bind this
         rather than holding the simulator, so they can stamp records
         without any ability to perturb the schedule.
         """

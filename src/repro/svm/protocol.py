@@ -49,7 +49,6 @@ from repro.net.remoteop import Forward, NO_REPLY, RemoteOp, Reply
 from repro.obs import NULL_OBS, Observability, Span
 from repro.sim.kernel import Simulator
 from repro.sim.process import Compute, Effect
-from repro.sim.trace import NULL_TRACE, TraceRecorder
 from repro.svm.page import PageTable, PageTableEntry
 
 __all__ = ["CoherenceProtocol", "Op", "ProtocolError", "make_protocol"]
@@ -160,7 +159,6 @@ class CoherenceProtocol:
         remote: RemoteOp,
         config: ClusterConfig,
         counters: Counters,
-        trace: TraceRecorder = NULL_TRACE,
         obs: Observability = NULL_OBS,
     ) -> None:
         self.sim = sim
@@ -175,7 +173,6 @@ class CoherenceProtocol:
         self.remote = remote
         self.config = config
         self.counters = counters
-        self.trace = trace
         self.obs = obs
         self.page_size = layout.page_size
         #: Online coherence oracle (repro.analysis), attached by the
@@ -211,9 +208,7 @@ class CoherenceProtocol:
         pager.set_eviction_policy(self._evict)
 
     def _note(self, category: str, **fields: Any) -> None:
-        """Publish one protocol transition to the tracer and the checker."""
-        if self.trace:
-            self.trace.emit(category, **fields)
+        """Publish one protocol transition to the checker."""
         if self.checker is not None:
             self.checker.on_event(category, self.sim.now, fields)
 

@@ -4,28 +4,43 @@ clean; corrupted streams are flagged; the CLI gates on the verdict."""
 import pytest
 
 from repro.analysis.__main__ import main as analysis_main
-from repro.analysis.replay import SVM_CATEGORIES, replay_events, replay_file, summarize
+from repro.analysis.replay import record_stream, replay_events, replay_file, summarize
 from repro.api.ivy import Ivy
 from repro.apps.jacobi import JacobiApp
 from repro.config import ClusterConfig
-from repro.sim.trace import TraceEvent, TraceRecorder
+from repro.obs.jsonl import read_jsonl, write_jsonl
 
 
 def record_run(tmp_path):
-    trace = TraceRecorder(categories=set(SVM_CATEGORIES))
-    ivy = Ivy(ClusterConfig(nodes=3, checker=True), trace=trace)
+    ivy = Ivy(ClusterConfig(nodes=3, checker=True))
+    stream = record_stream(ivy.cluster)
     app = JacobiApp(3, n=32, iters=2)
     app.check(ivy.run(app.main))
     path = tmp_path / "trace.jsonl"
-    count = trace.save(str(path))
-    assert count == len(trace.events) > 0
-    return trace, path
+    count = write_jsonl(str(path), stream)
+    assert count == len(stream) > 0
+    return stream, path
+
+
+def stale_receipt(records):
+    """Append a stale invalidation receipt (epoch going backwards)."""
+    inv = [rec for rec in records if rec["category"] == "svm.inv_recv"]
+    assert inv, "jacobi under invalidate policy must invalidate copies"
+    last = inv[-1]
+    records.append(
+        {
+            "time": last["time"] + 1,
+            "category": "svm.inv_recv",
+            "fields": {**last["fields"], "epoch": 0},
+        }
+    )
+    return records
 
 
 def test_recorded_run_replays_clean(tmp_path):
-    trace, path = record_run(tmp_path)
+    stream, path = record_run(tmp_path)
     machine = replay_file(str(path))
-    assert machine.events_seen == len(trace.events)
+    assert machine.events_seen == len(stream)
     assert machine.violations == []
     assert "no invariant violations" in summarize(machine)
 
@@ -33,59 +48,52 @@ def test_recorded_run_replays_clean(tmp_path):
 def test_replay_flags_epoch_regress(tmp_path):
     """Appending a stale invalidation receipt (epoch going backwards)
     must be caught — that is the reordering bug the epochs exist for."""
-    trace, path = record_run(tmp_path)
-    loaded = TraceRecorder.load(str(path))
-    inv = [ev for ev in loaded.events if ev.category == "svm.inv_recv"]
-    assert inv, "jacobi under invalidate policy must invalidate copies"
-    last = inv[-1]
-    loaded.events.append(
-        TraceEvent(
-            last.time + 1,
-            "svm.inv_recv",
-            {**last.fields, "epoch": 0},
-        )
-    )
-    machine = replay_events(loaded.replay())
+    _, path = record_run(tmp_path)
+    machine = replay_events(stale_receipt(read_jsonl(str(path))))
     assert any(v.rule == "epoch-regress" for v in machine.violations)
 
 
 def test_replay_flags_grant_by_nonowner():
-    boot = TraceEvent(
-        0,
-        "cluster.boot",
-        {
+    boot = {
+        "time": 0,
+        "category": "cluster.boot",
+        "fields": {
             "nodes": 3,
             "manager": 0,
             "algorithm": "dynamic",
             "write_policy": "invalidate",
             "page_size": 256,
         },
-    )
-    rogue = TraceEvent(
-        5, "svm.grant", {"node": 2, "page": 4, "to": 1, "write": False}
-    )
+    }
+    rogue = {
+        "time": 5,
+        "category": "svm.grant",
+        "fields": {"node": 2, "page": 4, "to": 1, "write": False},
+    }
     machine = replay_events([boot, rogue])
     assert [v.rule for v in machine.violations] == ["grant-nonowner"]
 
 
+INVALIDATE_NONHOLDER = [
+    {"time": 0, "category": "cluster.boot", "fields": {"nodes": 2, "manager": 0}},
+    {
+        "time": 1,
+        "category": "svm.invalidate",
+        "fields": {"node": 0, "page": 1, "targets": [1]},
+    },
+]
+
+
 def test_replay_flags_invalidation_of_nonholder():
-    events = [
-        TraceEvent(0, "cluster.boot", {"nodes": 2, "manager": 0}),
-        TraceEvent(1, "svm.invalidate", {"node": 0, "page": 1, "targets": [1]}),
-    ]
-    machine = replay_events(events)
+    machine = replay_events(INVALIDATE_NONHOLDER)
     assert [v.rule for v in machine.violations] == ["invalidate-nonholder"]
 
 
 def test_replay_strict_raises_immediately():
     from repro.analysis import InvariantViolation
 
-    events = [
-        TraceEvent(0, "cluster.boot", {"nodes": 2, "manager": 0}),
-        TraceEvent(1, "svm.invalidate", {"node": 0, "page": 1, "targets": [1]}),
-    ]
     with pytest.raises(InvariantViolation):
-        replay_events(events, strict=True)
+        replay_events(INVALIDATE_NONHOLDER, strict=True)
 
 
 def test_cli_replay_exit_codes(tmp_path, capsys):
@@ -94,12 +102,7 @@ def test_cli_replay_exit_codes(tmp_path, capsys):
     assert "no invariant violations" in capsys.readouterr().out
 
     bad = tmp_path / "bad.jsonl"
-    loaded = TraceRecorder.load(str(path))
-    inv = [ev for ev in loaded.events if ev.category == "svm.inv_recv"][-1]
-    loaded.events.append(
-        TraceEvent(inv.time + 1, "svm.inv_recv", {**inv.fields, "epoch": 0})
-    )
-    loaded.save(str(bad))
+    write_jsonl(str(bad), stale_receipt(read_jsonl(str(path))))
     assert analysis_main(["replay", str(bad)]) == 1
     assert "epoch-regress" in capsys.readouterr().out
 

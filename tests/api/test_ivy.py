@@ -114,10 +114,10 @@ def test_eventcount_becomes_local_after_first_use():
         ec = yield from ctx.malloc(EC_RECORD_BYTES)
         yield from ctx.ec_init(ec)
         yield from ctx.ec_advance(ec)  # page now owned by node 0
-        before = ivy.cluster.ring.stats.messages
+        before = ivy.cluster.fabric.stats.messages
         for _ in range(5):
             yield from ctx.ec_advance(ec)
-        after = ivy.cluster.ring.stats.messages
+        after = ivy.cluster.fabric.stats.messages
         return before, after
 
     before, after = ivy.run(main)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.apps.jacobi import JacobiApp
 from repro.metrics.collect import Counters, EpochLog
-from repro.metrics.report import ascii_table, format_series, format_speedup_table
+from repro.metrics.report import ascii_table
 from repro.metrics.speedup import SpeedupResult, RunResult, measure_speedups
 
 
@@ -46,7 +46,6 @@ def test_ascii_table_alignment():
     lines = out.split("\n")
     assert lines[0] == "T"
     assert all(len(line) == len(lines[1]) for line in lines[1:])
-    assert format_series("S", [1, 2], [3, 4], "x", "y").startswith("S")
 
 
 def test_speedup_result_math():
@@ -77,9 +76,3 @@ def test_measure_speedups_checks_every_run():
 
     with pytest.raises(AssertionError, match="always wrong"):
         measure_speedups(lambda p: Lying(p, n=16, iters=1), procs=(1,))
-
-
-def test_format_speedup_table_rows():
-    res = measure_speedups(lambda p: JacobiApp(p, n=32, iters=2), procs=(1, 2))
-    table = format_speedup_table([res])
-    assert "jacobi" in table and "p=2" in table

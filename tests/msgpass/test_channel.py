@@ -80,10 +80,10 @@ def test_local_send_skips_the_ring():
     ivy, mp = make()
 
     def main(ctx):
-        before = ivy.cluster.ring.stats.messages
+        before = ivy.cluster.fabric.stats.messages
         yield from mp.send(ctx, ctx.node_id, 3, "x", nbytes=8)
         got = yield from mp.receive(ctx, port=3)
-        return got, ivy.cluster.ring.stats.messages - before
+        return got, ivy.cluster.fabric.stats.messages - before
 
     got, ring_msgs = ivy.run(main)
     assert got == "x"

@@ -6,9 +6,9 @@ The three acceptance properties of the observability layer:
    simulated runtime nor the number of events executed (hooks are pure
    observation: no scheduling, no effects, no RNG).
 2. *Span-root == latency* — every ``svm.read_fault`` / ``svm.write_fault``
-   trace event belongs to a span tree whose root duration equals the
-   fault's measured service latency (the ``ns`` field / the
-   ``*_fault_ns`` counters).
+   transition of the recorded protocol stream belongs to a span tree
+   whose root duration equals the fault's measured service latency (the
+   ``ns`` field / the ``*_fault_ns`` counters).
 3. *Exact attribution* — the profiler partitions each node's ``[0, T]``
    so the per-node breakdown sums to T with zero error.
 """
@@ -17,23 +17,20 @@ import json
 
 import pytest
 
+from repro.analysis.replay import record_stream
 from repro.api.ivy import Ivy
 from repro.apps.dotprod import DotProductApp
 from repro.config import ClusterConfig
 from repro.obs import Observability
 from repro.obs.export import validate_chrome_trace
-from repro.sim.trace import TraceRecorder
 
 NPROCS = 2
 
 
-def _run(obs: Observability | None = None, trace=None):
+def _run(obs: Observability | None = None):
     config = ClusterConfig(nodes=NPROCS)
     app = DotProductApp(NPROCS, n=2048)
-    kwargs = {}
-    if trace is not None:
-        kwargs["trace"] = trace
-    ivy = Ivy(config, obs=obs, **kwargs)
+    ivy = Ivy(config, obs=obs)
     result = ivy.run(app.main)
     app.check(result)
     return ivy
@@ -53,30 +50,35 @@ def test_observability_does_not_perturb_the_simulation():
 
 def test_every_fault_has_a_span_tree_rooted_at_its_latency():
     obs = Observability()
-    trace = TraceRecorder(categories={"svm.read_fault", "svm.write_fault"})
-    ivy = _run(obs=obs, trace=trace)
+    ivy = Ivy(ClusterConfig(nodes=NPROCS, checker=True), obs=obs)
+    stream = record_stream(ivy.cluster)
+    app = DotProductApp(NPROCS, n=2048)
+    app.check(ivy.run(app.main))
     del ivy
-    faults = list(trace)
+    faults = [
+        rec for rec in stream if rec["category"] in ("svm.read_fault", "svm.write_fault")
+    ]
     assert faults, "a 2-node dotprod run must fault"
     roots = [s for s in obs.spans.roots() if s.name.startswith("fault.")]
     # Match each fault event to a root span closing at the event's time
     # on the faulting node, for the same page, with duration == ns.
     unmatched = list(roots)
-    for ev in faults:
-        kind = "fault.read" if ev.category == "svm.read_fault" else "fault.write"
+    for rec in faults:
+        kind = "fault.read" if rec["category"] == "svm.read_fault" else "fault.write"
+        fields = rec["fields"]
         hit = next(
             (
                 s
                 for s in unmatched
                 if s.name == kind
-                and s.node == ev.fields["node"]
-                and s.attrs.get("page") == ev.fields["page"]
-                and s.end == ev.time
-                and s.duration == ev.fields["ns"]
+                and s.node == fields["node"]
+                and s.attrs.get("page") == fields["page"]
+                and s.end == rec["time"]
+                and s.duration == fields["ns"]
             ),
             None,
         )
-        assert hit is not None, f"no span tree for fault event {ev.fields}"
+        assert hit is not None, f"no span tree for fault event {fields}"
         unmatched.remove(hit)
         # The root's tree reaches the nodes that serviced the fault.
         subtree = obs.spans.subtree(hit)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.obs.timeline import Timeline
-from repro.sim.trace import UNSTAMPED
+from repro.obs.span import UNSTAMPED
 
 
 def test_window_width_must_be_positive():

@@ -128,8 +128,8 @@ def test_migrate_to_current_node_is_a_noop():
 
     def main(ctx):
         ctx.set_migratable(True)
-        before = ivy.cluster.ring.stats.messages
+        before = ivy.cluster.fabric.stats.messages
         yield from ctx.migrate_to(ctx.node_id)
-        return ivy.cluster.ring.stats.messages - before
+        return ivy.cluster.fabric.stats.messages - before
 
     assert ivy.run(main) == 0

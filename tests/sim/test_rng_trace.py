@@ -1,9 +1,9 @@
-"""Unit tests for seeded RNG streams and the trace recorder."""
+"""Unit tests for seeded RNG streams, and a checked cluster's recorded
+protocol stream."""
 
 import pytest
 
 from repro.sim.rng import RngStreams
-from repro.sim.trace import NULL_TRACE, TraceRecorder
 
 
 def test_streams_are_deterministic_per_seed_and_name():
@@ -52,42 +52,15 @@ def test_first_draws_of_the_named_streams_are_pinned(seed, name, first, second):
     assert int(gen.integers(1 << 62)) == second
 
 
-def test_trace_records_and_selects():
-    trace = TraceRecorder()
-    now = [0]
-    trace.bind_clock(lambda: now[0])
-    trace.emit("cat", a=1)
-    now[0] = 10
-    trace.emit("cat", a=2)
-    trace.emit("other", b=3)
-    assert trace.count("cat") == 2
-    assert trace.count("cat", a=2) == 1
-    assert trace.select("cat", a=2)[0].time == 10
-    assert trace.select("cat")[0]["a"] == 1
-    assert len(list(trace)) == 3
-
-
-def test_trace_category_filter():
-    trace = TraceRecorder(categories={"keep"})
-    trace.emit("keep", x=1)
-    trace.emit("drop", x=2)
-    assert trace.count("keep") == 1
-    assert trace.count("drop") == 0
-
-
-def test_null_trace_is_falsy_and_silent():
-    assert not NULL_TRACE
-    NULL_TRACE.emit("anything", x=1)
-    assert NULL_TRACE.events == []
-
-
 def test_cluster_trace_integration():
-    """A traced cluster records protocol events with simulated times."""
+    """A checked cluster's recorded protocol stream carries simulated
+    times, and the fabric counts the messages the fault sent."""
+    from repro.analysis.replay import record_stream
     from repro.api.cluster import Cluster
     from repro.config import ClusterConfig
 
-    trace = TraceRecorder()
-    cluster = Cluster(ClusterConfig(nodes=2), trace=trace)
+    cluster = Cluster(ClusterConfig(nodes=2, checker=True))
+    stream = record_stream(cluster)
     addr = cluster.config.svm.shared_base
 
     def writer():
@@ -96,35 +69,10 @@ def test_cluster_trace_integration():
     task = cluster.spawn_system(writer(), "w")
     cluster.run()
     assert task.error is None
-    faults = trace.select("svm.write_fault", node=1)
+    faults = [
+        rec for rec in stream
+        if rec["category"] == "svm.write_fault" and rec["fields"]["node"] == 1
+    ]
     assert len(faults) == 1
-    assert faults[0].time > 0
-    assert trace.count("ring.send") > 0
-
-
-def test_save_warns_about_unstamped_events(tmp_path):
-    """Events emitted before bind_clock carry UNSTAMPED; save() keeps
-    them (the stream stays complete) but warns with the exact count."""
-    trace = TraceRecorder()
-    trace.emit("svm.read_fault", node=0, page=1, ns=111)  # pre-boot
-    now = [0]
-    trace.bind_clock(lambda: now[0])
-    now[0] = 50
-    trace.emit("svm.read_fault", node=0, page=2, ns=40)
-
-    path = tmp_path / "trace.jsonl"
-    with pytest.warns(UserWarning, match="1 of 2 trace events are UNSTAMPED"):
-        assert trace.save(str(path)) == 2
-    # The unstamped event is saved, not dropped.
-    assert len(TraceRecorder.load(str(path)).events) == 2
-
-
-def test_save_of_fully_stamped_trace_is_silent(tmp_path):
-    import warnings
-
-    trace = TraceRecorder()
-    trace.bind_clock(lambda: 7)
-    trace.emit("svm.read_fault", node=0, page=1, ns=3)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert trace.save(str(tmp_path / "t.jsonl")) == 1
+    assert faults[0]["time"] > 0
+    assert cluster.fabric.stats.messages > 0

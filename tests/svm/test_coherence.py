@@ -207,7 +207,7 @@ def test_single_node_cluster_needs_no_messages(algorithm):
 
     got = run_task(cluster, job(), "solo")
     assert np.array_equal(got, np.arange(64))
-    assert cluster.ring.stats.messages == 0
+    assert cluster.fabric.stats.messages == 0
 
 
 def test_ownership_forwarding_chain_under_dynamic():

@@ -24,10 +24,10 @@ def test_broadcast_manager_finds_owner_with_one_broadcast():
         return v
 
     run_task(cluster, write(1, 77), "w1")
-    bcasts_before = cluster.ring.stats.broadcasts
+    bcasts_before = cluster.fabric.stats.broadcasts
     assert run_task(cluster, read(3), "r3") == 77
     # One location broadcast, answered only by the owner.
-    assert cluster.ring.stats.broadcasts == bcasts_before + 1
+    assert cluster.fabric.stats.broadcasts == bcasts_before + 1
     replies = sum(t.stats.replies_sent for t in
                   [cluster.node(n).transport for n in range(4)])
     cluster.check_coherence_invariants()
@@ -130,13 +130,13 @@ def test_take_ownership_moves_no_page_bytes(algorithm):
         yield from cluster.node(0).mem.write_i64(addr, 99)
 
     run_task(cluster, init(), "init")
-    bytes_before = cluster.ring.stats.bytes_sent
+    bytes_before = cluster.fabric.stats.bytes_sent
 
     def chown():
         yield from cluster.node(1).protocol.take_ownership(page)
 
     run_task(cluster, chown(), "chown")
-    moved = cluster.ring.stats.bytes_sent - bytes_before
+    moved = cluster.fabric.stats.bytes_sent - bytes_before
     page_size = cluster.config.svm.page_size
     assert moved < page_size, f"chown shipped {moved} bytes (a page is {page_size})"
     entry0 = cluster.node(0).table.entry(page)

@@ -77,9 +77,9 @@ def test_cached_reads_after_update_need_no_messages():
         yield from cluster.node(0).mem.write_i64(addr, 1)
         yield from cluster.node(1).mem.read_i64(addr)
         yield from cluster.node(0).mem.write_i64(addr, 2)
-        before = cluster.ring.stats.messages
+        before = cluster.fabric.stats.messages
         v = yield from cluster.node(1).mem.read_i64(addr)  # hits the copy
-        return v, cluster.ring.stats.messages - before
+        return v, cluster.fabric.stats.messages - before
 
     value, messages = run_task(cluster, seq(), "seq")
     assert value == 2
