@@ -12,8 +12,8 @@ Run:  python examples/jacobi_solver.py
 import numpy as np
 
 from repro.apps.jacobi import JacobiApp
+from repro.exps.parallel import Job, run_jobs
 from repro.metrics.report import ascii_table
-from repro.metrics.speedup import measure_speedups
 
 N = 256
 ITERS = 12
@@ -21,16 +21,16 @@ ITERS = 12
 
 def main() -> None:
     print(f"Jacobi solver: {N}x{N} dense system, {ITERS} iterations\n")
-    result = measure_speedups(
-        lambda p: JacobiApp(p, n=N, iters=ITERS), procs=(1, 2, 4, 8)
+    runs = run_jobs(
+        [Job("jacobi", {"n": N, "iters": ITERS}, nprocs=p) for p in (1, 2, 4, 8)]
     )
     rows = []
-    for run in result.runs:
+    for run in runs:
         rows.append(
             [
                 run.nprocs,
                 f"{run.time_ns / 1e9:.3f}s",
-                f"{result.speedup(run.nprocs):.2f}",
+                f"{runs[0].time_ns / run.time_ns:.2f}",
                 run.counters["read_faults"],
                 run.counters["write_faults"],
                 run.counters["invalidations_sent"],
@@ -44,7 +44,7 @@ def main() -> None:
     )
     # Prove the answer is right: residual of the parallel solution.
     app = JacobiApp(1, n=N, iters=ITERS)
-    x = result.runs[-1].result
+    x = runs[-1].result
     residual = float(np.linalg.norm(app.A @ x - app.b))
     print(f"\n||Ax - b|| after {ITERS} iterations (8-proc run): {residual:.3e}")
     print("(each run's solution vector is checked against the sequential golden)")

@@ -10,19 +10,20 @@ Run:  python examples/superlinear_pde.py
 """
 
 from repro.api.ivy import Ivy
-from repro.apps.pde3d import Pde3dApp
+from repro.exps.parallel import app_constructor
 from repro.exps.presets import pde_capacity
 from repro.metrics.collect import EpochLog
 from repro.metrics.report import ascii_table
 
 
 def main() -> None:
-    factory, config = pde_capacity(full=False)
-    sample = factory(1)
+    name, app_args, config = pde_capacity(full=False)
+    ctor = app_constructor(name)
+    m = app_args["m"]
     frames = config.memory.frames
-    dataset_pages = 3 * ((sample.m**3 * 8 + 1023) // 1024)
+    dataset_pages = 3 * ((m**3 * 8 + 1023) // 1024)
     print(
-        f"3-D PDE, {sample.m}^3 grid: data set ~{dataset_pages} pages, "
+        f"3-D PDE, {m}^3 grid: data set ~{dataset_pages} pages, "
         f"per-node memory {frames} frames\n"
     )
 
@@ -31,7 +32,7 @@ def main() -> None:
     for p in (1, 2, 4):
         ivy = Ivy(config.replace(nodes=p))
         log = EpochLog([node.counters for node in ivy.cluster.nodes])
-        app = factory(p)
+        app = ctor(p, **app_args)
         app.epoch_log = log
         result = ivy.run(app.main)
         app.check(result)

@@ -11,8 +11,8 @@ Run:  python examples/tsp_search.py
 """
 
 from repro.apps.tsp import TspApp
+from repro.exps.parallel import run_app
 from repro.metrics.report import ascii_table
-from repro.metrics.speedup import run_app
 
 CITIES = 12
 SEED = 33

@@ -28,7 +28,7 @@ __all__ = [
 
 
 class AppProtocol(Protocol):
-    """What the speedup harness requires of an app instance."""
+    """What ``repro.exps.parallel.run_app`` requires of an app instance."""
 
     #: Harness identifier ("jacobi", "pde3d", ...).
     name: str

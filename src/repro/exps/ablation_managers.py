@@ -12,30 +12,32 @@ same workload under each and reports fault latency and message traffic.
 
 from __future__ import annotations
 
-from repro.apps.jacobi import JacobiApp
 from repro.config import ClusterConfig
 from repro.exps.experiment import Column, Experiment, Record, main, seconds
-from repro.metrics.speedup import run_app
+from repro.exps.parallel import Job, run_jobs
 
 ALGORITHMS = ("centralized", "fixed", "dynamic", "dynamic+bcast", "broadcast")
 NPROCS = 4
 
 
+def _config(algorithm: str) -> ClusterConfig:
+    if algorithm == "dynamic+bcast":
+        return ClusterConfig().with_svm(algorithm="dynamic", dynamic_broadcast_period=4)
+    return ClusterConfig().with_svm(algorithm=algorithm)
+
+
 def run(full: bool) -> list[Record]:
     n, iters = (256, 16) if full else (128, 8)
+    jobs = [
+        Job("jacobi", {"n": n, "iters": iters}, nprocs=NPROCS, config=_config(a), key=a)
+        for a in ALGORITHMS
+    ]
     records = []
-    for algorithm in ALGORITHMS:
-        if algorithm == "dynamic+bcast":
-            config = ClusterConfig().with_svm(
-                algorithm="dynamic", dynamic_broadcast_period=4
-            )
-        else:
-            config = ClusterConfig().with_svm(algorithm=algorithm)
-        r = run_app(lambda p: JacobiApp(p, n=n, iters=iters), NPROCS, config=config)
+    for job, r in zip(jobs, run_jobs(jobs)):
         faults = r.counters["read_faults"] + r.counters["write_faults"]
         fault_ns = r.counters["read_fault_ns"] + r.counters["write_fault_ns"]
         records.append({
-            "algorithm": algorithm,
+            "algorithm": job.key,
             "time_ns": r.time_ns,
             "messages": r.ring_stats["messages"],
             "faults": faults,

@@ -24,11 +24,10 @@ from typing import Any
 import numpy as np
 
 from repro.api.ivy import Ivy
-from repro.apps.matmul import MatmulApp
 from repro.apps.mp_matmul import run_mp_matmul
 from repro.config import ClusterConfig
 from repro.exps.experiment import Column, Experiment, Record, main, run_program, seconds
-from repro.metrics.speedup import run_app
+from repro.exps.parallel import Job
 from repro.msgpass import MessagePassing
 from repro.sync.eventcount import EC_RECORD_BYTES
 
@@ -115,7 +114,7 @@ def run(full: bool) -> list[Record]:
     # per worker and its sends serialise, while SVM workers pull pages
     # concurrently on demand.
     n = 160 if full else 96
-    svm = run_app(lambda p: MatmulApp(p, n=n), NODES).time_ns
+    svm = Job("matmul", {"n": n}, nprocs=NODES).run().time_ns
     _, ivy = run_mp_matmul(NODES, n=n)
     return records + [_pair(f"matmul n={n} (flat arrays)", svm, ivy.time_ns)]
 

@@ -26,12 +26,9 @@ import json
 import sys
 from typing import Any
 
-from repro.apps.dotprod import DotProductApp
-from repro.apps.jacobi import JacobiApp
-from repro.apps.pde3d import Pde3dApp
-from repro.config import ClusterConfig
-from repro.exps.presets import PAGE_BYTES
-from repro.metrics.speedup import run_app
+from repro.exps.parallel import Job
+from repro.exps.presets import capacity_config
+from repro.exps.scale import DEFAULT_SLOS, observe, scale_jobs
 from repro.obs import CATEGORIES, Observability
 
 __all__ = ["run_bench", "main"]
@@ -52,27 +49,21 @@ KEY_COUNTERS = (
 )
 
 
-def _capacity_config(m: int) -> ClusterConfig:
-    # The Figure 4 regime at bench scale (see presets.pde_capacity).
-    vector_pages = (m**3 * 8 + PAGE_BYTES - 1) // PAGE_BYTES
-    return ClusterConfig().with_memory(
-        frames=int(1.8 * vector_pages), replacement="random"
-    )
-
-
-def _bench_cases() -> list[tuple[str, Any, int, ClusterConfig | None]]:
-    """(name, factory, nprocs, config) — small but representative."""
+def _bench_cases() -> list[tuple[str, Job]]:
+    """(name, job) — small but representative."""
+    # The Figure 4 regime at bench scale (see presets.capacity_config).
+    capacity = capacity_config(14)
     return [
-        ("dotprod_p1", lambda p: DotProductApp(p, n=32768), 1, None),
-        ("dotprod_p2", lambda p: DotProductApp(p, n=32768), 2, None),
-        ("jacobi_p1", lambda p: JacobiApp(p, n=128, iters=6), 1, None),
-        ("jacobi_p2", lambda p: JacobiApp(p, n=128, iters=6), 2, None),
-        ("pde_capacity_p1", lambda p: Pde3dApp(p, m=14, iters=4), 1, _capacity_config(14)),
-        ("pde_capacity_p2", lambda p: Pde3dApp(p, m=14, iters=4), 2, _capacity_config(14)),
+        ("dotprod_p1", Job("dotprod", {"n": 32768}, nprocs=1)),
+        ("dotprod_p2", Job("dotprod", {"n": 32768}, nprocs=2)),
+        ("jacobi_p1", Job("jacobi", {"n": 128, "iters": 6}, nprocs=1)),
+        ("jacobi_p2", Job("jacobi", {"n": 128, "iters": 6}, nprocs=2)),
+        ("pde_capacity_p1", Job("pde3d", {"m": 14, "iters": 4}, nprocs=1, config=capacity)),
+        ("pde_capacity_p2", Job("pde3d", {"m": 14, "iters": 4}, nprocs=2, config=capacity)),
     ]
 
 
-def _timeline_bench(nodes: int = 64, window_ms: int = 20, sample_every: int = 64) -> dict[str, Any]:
+def _timeline_bench(window_ms: int = 20, sample_every: int = 64) -> dict[str, Any]:
     """Windowed-telemetry section: one sampled ≥64-node switched run.
 
     The fig5-class scale point observed with a simulated-time timeline:
@@ -82,22 +73,11 @@ def _timeline_bench(nodes: int = 64, window_ms: int = 20, sample_every: int = 64
     link-occupancy targets.  Every value is deterministic (sampling is a
     pure hash of span ids), so drift here is behaviour change.
     """
-    from repro.config import MILLISECOND
-    from repro.exps.presets import scale_fig5
-    from repro.exps.parallel import APP_REGISTRY
-    from repro.exps.scale import DEFAULT_SLOS
     from repro.obs.slo import evaluate, parse_slo
 
-    app, app_args, config = scale_fig5(nodes, "switched")
-    ctor = APP_REGISTRY[app]
-    obs = Observability(
-        timeline_window_ns=window_ms * MILLISECOND,
-        sample_every=sample_every,
-        hist_backend="logbucket",
-    )
-    res = run_app(
-        lambda p: ctor(p, **app_args), nodes, config=config, check=True, obs=obs
-    )
+    (job,) = scale_jobs([64], ["fig5"], ["switched"])
+    nodes = job.nprocs
+    res, obs = observe(job, window_ms, sample_every)
     tl = obs.timeline
     assert tl is not None
     per_node = obs.window_breakdowns(nodes, res.time_ns)
@@ -113,7 +93,7 @@ def _timeline_bench(nodes: int = 64, window_ms: int = 20, sample_every: int = 64
         tl, res.time_ns, [parse_slo(text) for text in DEFAULT_SLOS]
     )
     return {
-        "case": f"fig5/n{nodes}/switched",
+        "case": job.key,
         "nodes": nodes,
         "fabric": "switched",
         "time_ns": res.time_ns,
@@ -134,12 +114,12 @@ def _timeline_bench(nodes: int = 64, window_ms: int = 20, sample_every: int = 64
 
 def run_bench() -> dict[str, Any]:
     runs: dict[str, Any] = {}
-    for name, factory, nprocs, config in _bench_cases():
+    for name, job in _bench_cases():
         obs = Observability()
-        res = run_app(factory, nprocs, config=config, obs=obs)
-        cluster = Observability.cluster_breakdown(obs.breakdown(nprocs, res.time_ns))
+        res = job.run(obs=obs)
+        cluster = Observability.cluster_breakdown(obs.breakdown(job.nprocs, res.time_ns))
         runs[name] = {
-            "nprocs": nprocs,
+            "nprocs": job.nprocs,
             "time_ns": res.time_ns,
             "events": res.events_executed,
             "counters": {k: res.counters[k] for k in KEY_COUNTERS},

@@ -1,27 +1,27 @@
 """Figure 4 — super-linear speedup of the 3-D PDE solver.
 
-``python -m repro.obs report --app pde --capacity --nodes 1`` (or 2)
+``python -m repro.obs report --app pde3d --capacity --nodes 1`` (or 2)
 shows where each run's simulated time goes.
 """
 
 from __future__ import annotations
 
 from repro.exps.experiment import Column, Experiment, Record, fixed2, main
+from repro.exps.parallel import Job, run_jobs
 from repro.exps.presets import pde_capacity
-from repro.metrics.speedup import measure_speedups
 
 
 def run(full: bool) -> list[Record]:
-    factory, config = pde_capacity(full=full)
-    result = measure_speedups(factory, procs=(1, 2, 4, 8), config=config)
+    app, app_args, config = pde_capacity(full=full)
+    runs = run_jobs([Job(app, app_args, nprocs=p, config=config) for p in (1, 2, 4, 8)])
     return [
         {
             "p": r.nprocs,
-            "speedup": result.speedup(r.nprocs),
-            "super_linear": result.speedup(r.nprocs) > r.nprocs,
+            "speedup": runs[0].time_ns / r.time_ns,
+            "super_linear": runs[0].time_ns / r.time_ns > r.nprocs,
             "disk": r.counters["disk_reads"] + r.counters["disk_writes"],
         }
-        for r in result.runs
+        for r in runs
     ]
 
 

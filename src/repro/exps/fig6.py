@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 
 from repro.exps.experiment import Column, Experiment, Record, fixed2, main
-from repro.exps.presets import sort_factory
-from repro.metrics.speedup import measure_speedups
+from repro.exps.parallel import Job, run_jobs
+from repro.exps.presets import sort_spec
 
 
 def ideal_speedup(n: int, nprocs: int) -> float:
@@ -31,11 +31,15 @@ def ideal_speedup(n: int, nprocs: int) -> float:
 
 
 def run(full: bool) -> list[Record]:
-    factory = sort_factory(full=full)
-    n = factory(1).nrecords
+    app, app_args = sort_spec(full=full)
+    runs = run_jobs([Job(app, app_args, nprocs=p) for p in (1, 2, 4, 8)])
     return [
-        {"p": p, "measured": s, "ideal": ideal_speedup(n, p)}
-        for p, s in measure_speedups(factory, procs=(1, 2, 4, 8)).curve()
+        {
+            "p": r.nprocs,
+            "measured": runs[0].time_ns / r.time_ns,
+            "ideal": ideal_speedup(app_args["nrecords"], r.nprocs),
+        }
+        for r in runs
     ]
 
 

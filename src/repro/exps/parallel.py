@@ -1,30 +1,30 @@
-"""Parallel experiment runner — fan independent simulations across processes.
+"""One run path for the paper's programs: specify, run, batch.
 
-Every experiment in this repo is a *batch of independent simulations*
-(one per app × processor-count × config point).  Each simulation is
-single-threaded and deterministic, so the batch is embarrassingly
-parallel: the only thing parallelism may never change is the *results*.
-This module guarantees that by construction:
+"The speedup of a program is the ratio of the execution time of the
+program on a single processor to that on the shared virtual memory
+system. ... all the programs in the experiments partition their
+problems by creating a certain number of processes according to the
+number of processors used."  So :func:`run_app` runs the *same
+workload* on a fresh p-node cluster with p worker processes and checks
+its output against the sequential golden; a speedup is
+``T(1) / T(p)`` in simulated time.
 
-- a :class:`Job` is a **picklable spec** (app name + constructor kwargs
-  + cluster config), not a closure — the worker process rebuilds the app
-  factory from the registry, so parent and worker run byte-identical
-  simulations;
-- results are **merged by job index**, not completion order: the output
-  of :func:`run_jobs` is position-for-position what a serial loop would
-  produce, regardless of which worker finished first;
-- with one worker (or one job) the pool is skipped entirely and jobs run
-  in-process — the serial fallback for single-core machines, and the
-  reason ``workers=None`` is always safe to pass.
-
-Simulated clocks are unaffected — parallelism here buys *wall-clock*
-time on multi-core machines running sweeps (Figure 5 is |apps| × |procs|
-independent runs), never different numbers.
+- a :class:`Job` is a **picklable spec** of one run (app name +
+  constructor kwargs + cluster config), not a closure — a worker
+  process rebuilds the app from the registry, so parent and worker run
+  byte-identical simulations;
+- :func:`run_jobs` runs a batch of independent, deterministic jobs and
+  **merges results by job index**, not completion order, so its output
+  is what a serial loop would produce.  With one worker (or one job)
+  the pool is skipped and jobs run in-process — the serial fallback,
+  and the reason ``workers=None`` is always safe to pass.  Parallelism
+  buys wall-clock time, never different numbers.
 
 ::
 
     jobs = [Job("jacobi", {"n": 256, "iters": 12}, nprocs=p) for p in (1, 2, 4, 8)]
-    results = run_jobs(jobs, workers=4)   # list[RunResult], in job order
+    runs = run_jobs(jobs, workers=4)   # list[RunResult], in job order
+    speedups = [runs[0].time_ns / r.time_ns for r in runs]
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
+from repro.api.ivy import Ivy
+from repro.apps.common import AppProtocol
 from repro.apps.dotprod import DotProductApp
 from repro.apps.jacobi import JacobiApp
 from repro.apps.matmul import MatmulApp
@@ -40,13 +42,15 @@ from repro.apps.pde3d import Pde3dApp
 from repro.apps.sort import MergeSplitSortApp
 from repro.apps.tsp import TspApp
 from repro.config import ClusterConfig, ConfigError
-from repro.metrics.speedup import RunResult, run_app
+from repro.metrics.collect import Counters
 
 __all__ = [
     "APP_REGISTRY",
     "Job",
+    "RunResult",
     "app_constructor",
     "resolve_workers",
+    "run_app",
     "run_jobs",
 ]
 
@@ -74,12 +78,55 @@ def app_constructor(name: str) -> Callable[..., Any]:
     return ctor
 
 
+@dataclass
+class RunResult:
+    """One program execution on one cluster size."""
+
+    nprocs: int
+    time_ns: int
+    counters: Counters
+    #: Flat medium counters (``FabricStats.snapshot()``).  The field
+    #: name predates pluggable fabrics; the keys depend on the backend.
+    ring_stats: dict[str, int]
+    result: Any = None
+    #: Simulator events executed (the deterministic work measure that
+    #: ``repro.exps.scale`` turns into events per simulated second).
+    events_executed: int = 0
+
+
+def run_app(
+    app_factory: Callable[[int], AppProtocol],
+    nprocs: int,
+    config: ClusterConfig | None = None,
+    obs: Any = None,
+) -> RunResult:
+    """Run one app instance on a fresh ``nprocs``-node cluster and check
+    its output against the sequential golden.
+
+    Pass an :class:`repro.obs.Observability` as ``obs`` to trace the run
+    and keep the handle (spans, instruments, profiler) afterwards.
+    """
+    cluster_config = (config or ClusterConfig()).replace(nodes=nprocs)
+    app = app_factory(nprocs)
+    ivy = Ivy(cluster_config, obs=obs)
+    result = ivy.run(app.main)
+    app.check(result)
+    return RunResult(
+        nprocs=nprocs,
+        time_ns=ivy.time_ns,
+        counters=ivy.cluster.total_counters(),
+        ring_stats=ivy.cluster.fabric.stats.snapshot(),
+        result=result,
+        events_executed=ivy.cluster.sim.events_executed,
+    )
+
+
 @dataclass(frozen=True)
 class Job:
     """One independent simulation, as a picklable spec.
 
     ``app`` names an :data:`APP_REGISTRY` entry; ``app_args`` are the
-    constructor kwargs *besides* ``nprocs`` (which the speedup harness
+    constructor kwargs *besides* ``nprocs`` (which :func:`run_app`
     injects).  ``key`` is an opaque caller label carried through to the
     result merge (e.g. ``("dot-product", 4)`` in a Figure 5 sweep).
     """
@@ -88,29 +135,27 @@ class Job:
     app_args: dict[str, Any] = field(default_factory=dict)
     nprocs: int = 1
     config: ClusterConfig | None = None
-    check: bool = True
     key: Any = None
 
     def factory(self) -> Callable[[int], Any]:
-        """The ``nprocs -> app`` factory the speedup harness expects."""
-        ctor = APP_REGISTRY.get(self.app)
-        if ctor is None:
-            known = ", ".join(sorted(APP_REGISTRY))
-            raise KeyError(f"unknown app {self.app!r} (registered: {known})")
+        """The ``nprocs -> app`` factory :func:`run_app` expects; an
+        unknown app is a :class:`repro.config.ConfigError`."""
+        ctor = app_constructor(self.app)
         args = self.app_args
         return lambda p: ctor(p, **args)
 
-
-def _execute(job: Job) -> RunResult:
-    """Run one job (worker-process entry point; must stay module-level
-    so the pool can pickle it by reference)."""
-    return run_app(job.factory(), job.nprocs, config=job.config, check=job.check)
+    def run(self, obs: Any = None) -> RunResult:
+        """Run this job in the current process (see :func:`run_app`)."""
+        return run_app(self.factory(), self.nprocs, config=self.config, obs=obs)
 
 
 def resolve_workers(workers: int | None, njobs: int) -> int:
     """Effective worker count: explicit > ``REPRO_WORKERS`` > cpu count,
-    never more than there are jobs.  A ``REPRO_WORKERS`` that is not an
-    integer >= 1 raises :class:`repro.config.ConfigError`."""
+    never more than there are jobs.  An explicit count or a
+    ``REPRO_WORKERS`` that is not an integer >= 1 raises
+    :class:`repro.config.ConfigError`."""
+    if workers is not None and workers < 1:
+        raise ConfigError("workers", workers, ("an integer >= 1",))
     if workers is None:
         env = os.environ.get("REPRO_WORKERS")
         if not env:
@@ -128,12 +173,12 @@ def run_jobs(jobs: Sequence[Job], workers: int | None = None) -> list[RunResult]
     With an effective worker count of 1 (single-core machine, one job,
     or ``workers=1``) this is a plain serial loop in the current
     process — no pool, no pickling, bit-identical to calling
-    :func:`repro.metrics.speedup.run_app` yourself.
+    :meth:`Job.run` yourself.
     """
     jobs = list(jobs)
     nworkers = resolve_workers(workers, len(jobs))
     if nworkers <= 1:
-        return [_execute(job) for job in jobs]
+        return [job.run() for job in jobs]
 
     import multiprocessing
 
@@ -143,5 +188,5 @@ def run_jobs(jobs: Sequence[Job], workers: int | None = None) -> list[RunResult]
     ctx = multiprocessing.get_context(method)
     with ctx.Pool(processes=nworkers) as pool:
         # Pool.map returns results positionally: completion order cannot
-        # leak into the merge.
-        return pool.map(_execute, jobs)
+        # leak into the merge.  ``Job.run`` pickles by reference.
+        return pool.map(Job.run, jobs)

@@ -7,17 +7,14 @@ are the calibrated headline configurations recorded in EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from typing import Callable
-
-from repro.apps.pde3d import Pde3dApp
-from repro.apps.sort import MergeSplitSortApp
 from repro.config import ClusterConfig
 
 __all__ = [
     "fig5_specs",
     "fig5_procs",
+    "capacity_config",
     "pde_capacity",
-    "sort_factory",
+    "sort_spec",
     "scale_fig5",
     "scale_fig4",
     "PAGE_BYTES",
@@ -68,32 +65,39 @@ def fig5_procs(full: bool = False) -> tuple[int, ...]:
     return (1, 2, 3, 4, 5, 6, 7, 8) if full else (1, 2, 4, 8)
 
 
-def pde_capacity(full: bool = False) -> tuple[Callable[[int], Pde3dApp], ClusterConfig]:
-    """The Figure 4 / Table 1 configuration: the PDE data set exceeds one
-    node's physical memory (frames = 1.8 of the three-vector working set
-    per vector), with the Aegis-style randomised replacement."""
-    m = 24 if full else 20
-    iters = 6
-    vector_pages = (m**3 * 8 + PAGE_BYTES - 1) // PAGE_BYTES
-    config = ClusterConfig().with_memory(
+def capacity_config(
+    m: int, page_bytes: int = PAGE_BYTES, base: ClusterConfig | None = None
+) -> ClusterConfig:
+    """The Figure 4 / Table 1 memory regime for an ``m``-cubed PDE: each
+    node's frames hold 1.8 of one solution vector's pages — the
+    three-vector working set exceeds one node's physical memory — with
+    the Aegis-style randomised replacement."""
+    vector_pages = (m**3 * 8 + page_bytes - 1) // page_bytes
+    return (base or ClusterConfig()).with_memory(
         frames=int(1.8 * vector_pages), replacement="random"
     )
-    return (lambda p: Pde3dApp(p, m=m, iters=iters)), config
 
 
-def sort_factory(full: bool = False) -> Callable[[int], MergeSplitSortApp]:
-    nrecords = 8192 if full else 4096
-    return lambda p: MergeSplitSortApp(p, nrecords=nrecords)
+def pde_capacity(full: bool = False) -> tuple[str, dict[str, int], ClusterConfig]:
+    """The Figure 4 / Table 1 workload, a PDE whose data set exceeds one
+    node's physical memory, as an ``(app, app_args, config)`` job spec."""
+    m = 24 if full else 20
+    return "pde3d", {"m": m, "iters": 6}, capacity_config(m)
+
+
+def sort_spec(full: bool = False) -> tuple[str, dict[str, int]]:
+    """The Figure 6 workload as an ``(app, app_args)`` spec."""
+    return "sort", {"nrecords": 8192 if full else 4096}
 
 
 # ---------------------------------------------------------------------------
 # 64–256-node scale-out presets (the pluggable-fabric sweep)
 
 
-def _scale_config(nodes: int, backend: str, frames: int | None = None) -> ClusterConfig:
+def _scale_config(nodes: int, backend: str) -> ClusterConfig:
     from repro.config import SECOND
 
-    config = (
+    return (
         ClusterConfig(nodes=nodes)
         .with_svm(page_size=SCALE_PAGE_BYTES)
         .with_fabric(backend=backend)
@@ -105,9 +109,6 @@ def _scale_config(nodes: int, backend: str, frames: int | None = None) -> Cluste
         # it is for: loss recovery.
         .replace(retransmit_timeout=30 * SECOND)
     )
-    if frames is not None:
-        config = config.with_memory(frames=frames, replacement="random")
-    return config
 
 
 def scale_fig5(nodes: int, backend: str) -> tuple[str, dict[str, int], ClusterConfig]:
@@ -142,6 +143,5 @@ def scale_fig4(nodes: int, backend: str) -> tuple[str, dict[str, int], ClusterCo
     :class:`repro.exps.parallel.Job`.
     """
     m = _SCALE_FIG4_M.get(nodes, max(32, min(128, nodes)))
-    vector_pages = (m**3 * 8 + SCALE_PAGE_BYTES - 1) // SCALE_PAGE_BYTES
-    config = _scale_config(nodes, backend, frames=int(1.8 * vector_pages))
+    config = capacity_config(m, SCALE_PAGE_BYTES, base=_scale_config(nodes, backend))
     return "pde3d", {"m": m, "iters": 2}, config

@@ -35,10 +35,10 @@ Runs are driven through :func:`repro.exps.parallel.run_jobs` — each
 point is an independent deterministic simulation, so the sweep
 parallelises across cores where available and falls back to a serial
 loop on single-core machines, with identical numbers either way.
-``--timeline`` mode instead runs its points serially in-process (the
-observability handle holds the windowed series and cannot cross a
-process boundary); the simulated numbers are identical either way
-because observation is pure.
+``--timeline`` mode instead runs its points serially in-process through
+:func:`observe` (the observability handle holds the windowed series and
+cannot cross a process boundary); the simulated numbers are identical
+either way because observation is pure.
 """
 
 from __future__ import annotations
@@ -48,11 +48,12 @@ import json
 import sys
 from typing import Any, Sequence
 
-from repro.exps.parallel import Job, run_jobs
+from repro.config import MILLISECOND
+from repro.exps.parallel import Job, RunResult, run_jobs
 from repro.exps.presets import SCALE_NODE_COUNTS, scale_fig4, scale_fig5
-from repro.metrics.speedup import RunResult
+from repro.obs import Observability
 
-__all__ = ["scale_jobs", "run_scale", "run_timeline", "check_scale", "main"]
+__all__ = ["scale_jobs", "observe", "run_scale", "run_timeline", "check_scale", "main"]
 
 BACKENDS = ("ring", "switched")
 
@@ -72,24 +73,28 @@ def scale_jobs(
     """One :class:`Job` per workload class x node count x backend."""
     jobs: list[Job] = []
     for klass, preset in CLASSES.items():
-        if classes is not None and klass not in classes:
-            continue
         for nodes in nodes_list:
             for backend in BACKENDS:
-                if backends is not None and backend not in backends:
-                    continue
-                app, app_args, config = preset(nodes, backend)
-                jobs.append(
-                    Job(
-                        app,
-                        app_args,
-                        nprocs=nodes,
-                        config=config,
-                        check=True,
-                        key=f"{klass}/n{nodes}/{backend}",
-                    )
-                )
+                if (classes is None or klass in classes) and (
+                    backends is None or backend in backends
+                ):
+                    app, app_args, config = preset(nodes, backend)
+                    key = f"{klass}/n{nodes}/{backend}"
+                    jobs.append(Job(app, app_args, nodes, config, key))
     return jobs
+
+
+def observe(
+    job: Job, window_ms: float, sample_every: int
+) -> tuple[RunResult, Observability]:
+    """Run one scale point in-process under a simulated-time timeline of
+    ``window_ms`` windows, keeping ~1/``sample_every`` of span trees."""
+    obs = Observability(
+        timeline_window_ns=int(window_ms * MILLISECOND),
+        sample_every=sample_every,
+        hist_backend="logbucket",
+    )
+    return job.run(obs=obs), obs
 
 
 def _events_per_sim_sec(result: RunResult) -> float:
@@ -106,9 +111,10 @@ def run_scale(
     results = run_jobs(jobs, workers=workers)
     runs: dict[str, Any] = {}
     for job, result in zip(jobs, results):
+        assert job.config is not None
         runs[str(job.key)] = {
             "nodes": result.nprocs,
-            "fabric": result.fabric,
+            "fabric": job.config.fabric.backend,
             "time_ns": result.time_ns,
             "events": result.events_executed,
             "events_per_sim_sec": round(_events_per_sim_sec(result), 1),
@@ -145,56 +151,34 @@ def run_timeline(
     """
     import os
 
-    from repro.config import MILLISECOND
-    from repro.exps.parallel import APP_REGISTRY
     from repro.metrics.report import format_busiest_links, format_slo_report
-    from repro.metrics.speedup import run_app
-    from repro.obs import Observability
     from repro.obs.export import openmetrics, save_timeline_jsonl
     from repro.obs.slo import evaluate, parse_slo
 
     specs = [parse_slo(text) for text in slos]
     os.makedirs(out_dir, exist_ok=True)
-    npoints = 0
-    for klass, preset in CLASSES.items():
-        if classes is not None and klass not in classes:
-            continue
-        for nodes in nodes_list:
-            for backend in BACKENDS:
-                if backends is not None and backend not in backends:
-                    continue
-                app, app_args, config = preset(nodes, backend)
-                ctor = APP_REGISTRY[app]
-                obs = Observability(
-                    timeline_window_ns=int(window_ms * MILLISECOND),
-                    sample_every=sample_every,
-                    hist_backend="logbucket",
-                )
-                result = run_app(
-                    lambda p: ctor(p, **app_args),
-                    nodes, config=config, check=True, obs=obs,
-                )
-                tl = obs.timeline
-                assert tl is not None
-                stem = os.path.join(out_dir, f"{klass}_n{nodes}_{backend}")
-                nrec = save_timeline_jsonl(
-                    f"{stem}.jsonl", obs, nodes, result.time_ns
-                )
-                with open(f"{stem}.om", "w", encoding="utf-8") as fh:
-                    fh.write(openmetrics(obs, nodes, result.time_ns))
-                print(
-                    f"{klass}/n{nodes}/{backend}: "
-                    f"{result.time_ns / 1e9:.2f} s simulated, "
-                    f"{tl.nwindows(result.time_ns)} windows, "
-                    f"{len(obs.spans)} spans recorded "
-                    f"({obs.spans.dropped} sampled out), "
-                    f"{nrec} records -> {stem}.jsonl"
-                )
-                print(format_busiest_links(tl.busiest_links(result.time_ns)))
-                print(format_slo_report(evaluate(tl, result.time_ns, specs)))
-                print()
-                npoints += 1
-    return npoints
+    jobs = scale_jobs(nodes_list, classes=classes, backends=backends)
+    for job in jobs:
+        result, obs = observe(job, window_ms, sample_every)
+        tl = obs.timeline
+        assert tl is not None
+        nodes = job.nprocs
+        stem = os.path.join(out_dir, str(job.key).replace("/", "_"))
+        nrec = save_timeline_jsonl(f"{stem}.jsonl", obs, nodes, result.time_ns)
+        with open(f"{stem}.om", "w", encoding="utf-8") as fh:
+            fh.write(openmetrics(obs, nodes, result.time_ns))
+        print(
+            f"{job.key}: "
+            f"{result.time_ns / 1e9:.2f} s simulated, "
+            f"{tl.nwindows(result.time_ns)} windows, "
+            f"{len(obs.spans)} spans recorded "
+            f"({obs.spans.dropped} sampled out), "
+            f"{nrec} records -> {stem}.jsonl"
+        )
+        print(format_busiest_links(tl.busiest_links(result.time_ns)))
+        print(format_slo_report(evaluate(tl, result.time_ns, specs)))
+        print()
+    return len(jobs)
 
 
 def check_scale(doc: dict[str, Any], baseline: dict[str, Any]) -> list[str]:

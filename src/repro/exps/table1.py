@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from repro.api.ivy import Ivy
 from repro.exps.experiment import Column, Experiment, Record, main
+from repro.exps.parallel import app_constructor
 from repro.exps.presets import pde_capacity
 from repro.metrics.collect import EpochLog
 
@@ -18,12 +19,13 @@ ITERS = 6
 
 def run(full: bool) -> list[Record]:
     """Per-iteration total disk transfers on one and on two processors."""
-    factory, config = pde_capacity(full=full)
+    name, app_args, config = pde_capacity(full=full)
+    ctor = app_constructor(name)
     records: list[Record] = []
     for p in (1, 2):
         ivy = Ivy(config.replace(nodes=p))
         log = EpochLog([node.counters for node in ivy.cluster.nodes])
-        app = factory(p)
+        app = ctor(p, **app_args)
         app.epoch_log = log
         result = ivy.run(app.main)
         app.check(result)

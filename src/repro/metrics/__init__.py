@@ -1,7 +1,7 @@
-"""Measurement infrastructure: counters, epochs, speedup harness, reports.
+"""Measurement infrastructure: counters, epochs, histograms, reports.
 
-`repro.metrics.speedup` and `repro.metrics.report` are imported lazily by
-their users to keep this package import-light for the machine substrate.
+`repro.metrics.report` is imported lazily by its users to keep this
+package import-light for the machine substrate.
 """
 
 from repro.metrics.collect import Counters, EpochLog

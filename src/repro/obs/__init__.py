@@ -27,7 +27,7 @@ observation:
 
 Enable it per run (``ClusterConfig(obs=True)`` or
 ``ClusterConfig(obs=ObsConfig(...))``, or pass an ``Observability`` to
-:class:`repro.api.ivy.Ivy` / ``run_app`` to keep the handle).  The
+:class:`repro.api.ivy.Ivy` / ``repro.exps.parallel.Job.run`` to keep the handle).  The
 default :data:`NULL_OBS` is a disabled instance whose hooks are no-ops,
 so the hot paths pay one truthiness check and nothing else.  Every hook
 is pure observation — no simulation events, no effects, no RNG — so

@@ -9,8 +9,8 @@
 
     # The Figure 4 story: run the PDE under memory pressure and watch
     # the disk share collapse from one node to two.
-    python -m repro.obs report --app pde --capacity --nodes 1
-    python -m repro.obs report --app pde --capacity --nodes 2
+    python -m repro.obs report --app pde3d --capacity --nodes 1
+    python -m repro.obs report --app pde3d --capacity --nodes 2
 
     # Export a Perfetto-loadable Chrome trace (open at ui.perfetto.dev),
     # optionally alongside the raw span stream (JSONL):
@@ -51,6 +51,8 @@ import sys
 from typing import Any
 
 from repro.config import MILLISECOND, ClusterConfig
+from repro.exps.parallel import Job, RunResult
+from repro.exps.presets import capacity_config
 from repro.obs import Observability
 from repro.obs.export import (
     openmetrics,
@@ -61,35 +63,18 @@ from repro.obs.export import (
     validate_timeline_jsonl,
 )
 
-#: Pages of one PDE vector at the smoke sizes below (for --capacity).
-_PDE_M = 14
+#: Registry app -> constructor kwargs besides ``nprocs``.  Sizes are
+#: scaled down from the paper's: observability multiplies nothing, but
+#: the CLI is for interactive looks, not calibration.
+SIZES: dict[str, dict[str, int]] = {
+    "dotprod": {"n": 8192},
+    "jacobi": {"n": 64, "iters": 4},
+    "tsp": {"ncities": 8},
+    "pde3d": {"m": 14, "iters": 4},
+}
 
 
-def _build_app(name: str, nprocs: int) -> Any:
-    # Sizes are scaled down from the paper's: observability multiplies
-    # nothing, but the CLI is for interactive looks, not calibration.
-    if name == "dotprod":
-        from repro.apps.dotprod import DotProductApp
-
-        return DotProductApp(nprocs, n=8192)
-    if name == "jacobi":
-        from repro.apps.jacobi import JacobiApp
-
-        return JacobiApp(nprocs, n=64, iters=4)
-    if name == "tsp":
-        from repro.apps.tsp import TspApp
-
-        return TspApp(nprocs, ncities=8)
-    if name == "pde":
-        from repro.apps.pde3d import Pde3dApp
-
-        return Pde3dApp(nprocs, m=_PDE_M, iters=4)
-    raise SystemExit(f"unknown app {name!r} (expected dotprod, jacobi, tsp or pde)")
-
-
-def _run_observed(args: argparse.Namespace) -> tuple[Any, Observability]:
-    from repro.api.ivy import Ivy
-
+def _run_observed(args: argparse.Namespace) -> tuple[RunResult, Observability]:
     config = ClusterConfig(nodes=args.nodes, obs=True).with_svm(
         algorithm=args.algorithm
     )
@@ -97,32 +82,23 @@ def _run_observed(args: argparse.Namespace) -> tuple[Any, Observability]:
     if fabric != "ring":
         config = config.with_fabric(backend=fabric)
     if getattr(args, "capacity", False):
-        # The Figure 4 / Table 1 regime: one node's frames hold ~1.8 of
-        # the working set per vector, with Aegis-style randomised
-        # replacement (see repro.exps.presets.pde_capacity).
-        page = config.svm.page_size
-        vector_pages = (_PDE_M**3 * 8 + page - 1) // page
-        config = config.with_memory(
-            frames=int(1.8 * vector_pages), replacement="random"
-        )
+        # The Figure 4 / Table 1 regime, sized for the PDE below.
+        config = capacity_config(SIZES["pde3d"]["m"], config.svm.page_size, base=config)
     window_ms = getattr(args, "window_ms", 0.0)
     obs = Observability(
         timeline_window_ns=int(window_ms * MILLISECOND),
         sample_every=getattr(args, "sample_every", 1),
         hist_backend=getattr(args, "hist_backend", "exact"),
     )
-    ivy = Ivy(config, obs=obs)
-    app = _build_app(args.app, args.nodes)
-    result = ivy.run(app.main)
-    app.check(result)
-    return ivy, obs
+    job = Job(args.app, SIZES[args.app], nprocs=args.nodes, config=config)
+    return job.run(obs=obs), obs
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.metrics.report import format_instruments, format_profile
 
-    ivy, obs = _run_observed(args)
-    total = ivy.time_ns
+    res, obs = _run_observed(args)
+    total = res.time_ns
     print(
         f"{args.app} on {args.nodes} nodes ({args.algorithm}): "
         f"T = {total / 1e6:.1f} ms simulated, {len(obs.spans)} spans"
@@ -135,8 +111,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    ivy, obs = _run_observed(args)
-    count = save_chrome_trace(args.out, obs, total_ns=ivy.time_ns)
+    res, obs = _run_observed(args)
+    count = save_chrome_trace(args.out, obs, total_ns=res.time_ns)
     print(f"saved {count} trace events to {args.out} (open at ui.perfetto.dev)")
     if args.spans:
         n = obs.spans.save(args.spans)
@@ -147,10 +123,10 @@ def _cmd_export(args: argparse.Namespace) -> int:
 def _cmd_top(args: argparse.Namespace) -> int:
     from repro.metrics.report import format_span_stats
 
-    ivy, obs = _run_observed(args)
+    res, obs = _run_observed(args)
     print(
         f"{args.app} on {args.nodes} nodes ({args.algorithm}): "
-        f"T = {ivy.time_ns / 1e6:.1f} ms simulated"
+        f"T = {res.time_ns / 1e6:.1f} ms simulated"
     )
     print()
     print(format_span_stats(obs.span_stats(), limit=args.limit))
@@ -201,9 +177,9 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
     from repro.obs.slo import evaluate
 
     specs = _parse_specs(args.slo)
-    ivy, obs = _run_observed(args)
+    res, obs = _run_observed(args)
     tl = _timeline_or_die(obs)
-    total = ivy.time_ns
+    total = res.time_ns
     print(
         f"{args.app} on {args.nodes} nodes ({args.algorithm}, {args.fabric}): "
         f"T = {total / 1e6:.1f} ms simulated, {tl.nwindows(total)} windows of "
@@ -239,9 +215,9 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     if not args.spec:
         raise SystemExit("pass at least one --spec")
     specs = _parse_specs(args.spec)
-    ivy, obs = _run_observed(args)
+    res, obs = _run_observed(args)
     tl = _timeline_or_die(obs)
-    report = evaluate(tl, ivy.time_ns, specs)
+    report = evaluate(tl, res.time_ns, specs)
     print(format_slo_report(report))
     if args.fail_on_violation and not report.ok:
         return 1
@@ -285,7 +261,7 @@ def _cmd_validate_metrics(args: argparse.Namespace) -> int:
 
 
 def _add_run_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--app", default="dotprod", help="dotprod | jacobi | tsp | pde")
+    parser.add_argument("--app", default="dotprod", choices=sorted(SIZES))
     parser.add_argument("--nodes", type=int, default=2)
     parser.add_argument(
         "--algorithm", default="dynamic",

@@ -12,7 +12,7 @@ from repro.apps.pde3d import Pde3dApp
 from repro.apps.sort import MergeSplitSortApp
 from repro.apps.tsp import TspApp
 from repro.config import ClusterConfig
-from repro.metrics.speedup import run_app
+from repro.exps.parallel import run_app
 
 SMALL = {
     "jacobi": lambda p: JacobiApp(p, n=48, iters=3),

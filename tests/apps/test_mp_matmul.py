@@ -5,7 +5,7 @@ import pytest
 
 from repro.apps.matmul import MatmulApp
 from repro.apps.mp_matmul import MpMatmulApp, run_mp_matmul
-from repro.metrics.speedup import run_app
+from repro.exps.parallel import run_app
 
 
 @pytest.mark.parametrize("nprocs", [1, 2, 4])

@@ -16,7 +16,7 @@ import pytest
 import repro.apps.tsp as tsp
 from repro.api.ivy import IvyProcessContext
 from repro.apps.tsp import MAX_CITIES, TspApp, mst_weight
-from repro.metrics.speedup import run_app
+from repro.exps.parallel import run_app
 
 
 def masks(n, rng, count=24):

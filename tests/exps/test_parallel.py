@@ -1,13 +1,13 @@
-"""The parallel experiment runner: picklable jobs, deterministic merging
-and the serial fallback."""
+"""The one run path: a checked run, picklable jobs, deterministic
+merging and the serial fallback."""
 
 import pickle
 
 import pytest
 
+from repro.apps.jacobi import JacobiApp
 from repro.config import ClusterConfig, ConfigError
-from repro.exps.parallel import Job, resolve_workers, run_jobs
-from repro.metrics.speedup import run_app
+from repro.exps.parallel import Job, resolve_workers, run_app, run_jobs
 
 
 def test_job_spec_is_picklable():
@@ -19,8 +19,17 @@ def test_job_spec_is_picklable():
     assert clone == job
 
 
+def test_run_app_checks_the_result():
+    class Lying(JacobiApp):
+        def check(self, result):
+            raise AssertionError("always wrong")
+
+    with pytest.raises(AssertionError, match="always wrong"):
+        run_app(lambda p: Lying(p, n=16, iters=1), 1)
+
+
 def test_unknown_app_is_a_loud_error():
-    with pytest.raises(KeyError, match="unknown app 'nope'"):
+    with pytest.raises(ConfigError, match="unknown app 'nope'"):
         Job("nope").factory()
 
 
@@ -28,7 +37,6 @@ def test_resolve_workers_caps_at_job_count(monkeypatch):
     monkeypatch.delenv("REPRO_WORKERS", raising=False)
     assert resolve_workers(8, njobs=3) == 3
     assert resolve_workers(1, njobs=100) == 1
-    assert resolve_workers(0, njobs=5) == 1  # never below one
     monkeypatch.setenv("REPRO_WORKERS", "2")
     assert resolve_workers(None, njobs=10) == 2
 
@@ -43,6 +51,16 @@ def test_bad_repro_workers_is_a_config_error(monkeypatch, value):
     assert "REPRO_WORKERS" in str(excinfo.value) and value in str(excinfo.value)
     # An explicit count never consults the environment.
     assert resolve_workers(3, njobs=4) == 3
+
+
+@pytest.mark.parametrize("workers", [0, -2])
+def test_explicit_workers_below_one_is_a_config_error(monkeypatch, workers):
+    monkeypatch.delenv("REPRO_WORKERS", raising=False)
+    with pytest.raises(ConfigError) as excinfo:
+        resolve_workers(workers, njobs=4)
+    assert excinfo.value.field == "workers"
+    assert excinfo.value.value == workers
+    assert excinfo.value.known == ("an integer >= 1",)
 
 
 def test_serial_fallback_matches_direct_run_app():

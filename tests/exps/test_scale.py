@@ -3,9 +3,11 @@ throughput metric, and the committed-artifact check logic."""
 
 import copy
 
+from repro.exps.bench import _bench_cases
 from repro.exps.presets import (
     SCALE_NODE_COUNTS,
     SCALE_PAGE_BYTES,
+    pde_capacity,
     scale_fig4,
     scale_fig5,
 )
@@ -24,7 +26,6 @@ def test_scale_jobs_cover_the_class_x_nodes_x_backend_grid():
         assert job.config is not None
         assert job.config.nodes == job.nprocs
         assert job.config.svm.page_size == SCALE_PAGE_BYTES
-        assert job.check  # numerical output verified against the golden
 
 
 def test_scale_presets_pick_the_backend():
@@ -41,6 +42,26 @@ def test_fig4_preset_is_capacity_bound():
     # One vector does not fit; the three-vector working set is far out.
     assert config.memory.frames < 2 * vector_pages
     assert config.memory.replacement == "random"
+
+
+def test_capacity_presets_keep_their_frame_counts():
+    # Every capacity point shares one formula (frames = 1.8 x one
+    # vector's pages); these are the counts its figures were measured at.
+    configs = {
+        "pde quick": pde_capacity(full=False)[2],
+        "pde full": pde_capacity(full=True)[2],
+        **{f"scale n{n}": scale_fig4(n, "switched")[2] for n in SCALE_NODE_COUNTS},
+        "bench m=14": dict(_bench_cases())["pde_capacity_p1"].config,
+    }
+    assert {name: c.memory.frames for name, c in configs.items()} == {
+        "pde quick": 113,
+        "pde full": 194,
+        "scale n64": 460,
+        "scale n128": 1555,
+        "scale n256": 3686,
+        "bench m=14": 39,
+    }
+    assert {c.memory.replacement for c in configs.values()} == {"random"}
 
 
 def test_eventcount_capacity_fits_a_256_node_barrier():

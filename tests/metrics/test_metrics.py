@@ -1,11 +1,7 @@
-"""Unit tests for counters, epoch logs, the speedup harness and reports."""
+"""Unit tests for counters, epoch logs and reports."""
 
-import pytest
-
-from repro.apps.jacobi import JacobiApp
 from repro.metrics.collect import Counters, EpochLog
 from repro.metrics.report import ascii_table
-from repro.metrics.speedup import SpeedupResult, RunResult, measure_speedups
 
 
 def test_counters_basic():
@@ -46,33 +42,3 @@ def test_ascii_table_alignment():
     lines = out.split("\n")
     assert lines[0] == "T"
     assert all(len(line) == len(lines[1]) for line in lines[1:])
-
-
-def test_speedup_result_math():
-    res = SpeedupResult(
-        app_name="x",
-        runs=[
-            RunResult(1, 1000, Counters(), {}),
-            RunResult(2, 400, Counters(), {}),
-        ],
-    )
-    assert res.base_time == 1000
-    assert res.speedup(2) == pytest.approx(2.5)
-    assert res.curve() == [(1, 1.0), (2, 2.5)]
-    with pytest.raises(KeyError):
-        res.speedup(4)
-
-
-def test_speedup_result_requires_base_run():
-    res = SpeedupResult(app_name="x", runs=[RunResult(2, 400, Counters(), {})])
-    with pytest.raises(ValueError):
-        res.base_time
-
-
-def test_measure_speedups_checks_every_run():
-    class Lying(JacobiApp):
-        def check(self, result):
-            raise AssertionError("always wrong")
-
-    with pytest.raises(AssertionError, match="always wrong"):
-        measure_speedups(lambda p: Lying(p, n=16, iters=1), procs=(1,))

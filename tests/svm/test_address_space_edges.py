@@ -110,7 +110,7 @@ def test_app_level_determinism():
     """Two identical full-stack runs produce bit-identical simulated
     times and counters (the repository's determinism contract)."""
     from repro.apps.jacobi import JacobiApp
-    from repro.metrics.speedup import run_app
+    from repro.exps.parallel import run_app
 
     runs = [run_app(lambda p: JacobiApp(p, n=64, iters=3), 3) for _ in range(2)]
     assert runs[0].time_ns == runs[1].time_ns

@@ -184,7 +184,7 @@ def test_random_programs_stay_coherent_under_update_policy(program, algorithm, f
 
 def test_apps_work_under_update_policy():
     from repro.apps.jacobi import JacobiApp
-    from repro.metrics.speedup import run_app
+    from repro.exps.parallel import run_app
 
     config = ClusterConfig().with_svm(write_policy="update")
     run_app(lambda p: JacobiApp(p, n=48, iters=3), 3, config=config)
