@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Any, Generator
 
-from repro.config import ClusterConfig, ObsConfig
+from repro.config import ClusterConfig, ConfigError, ObsConfig
 from repro.machine.disk import Disk
 from repro.machine.memory import PhysicalMemory
 from repro.machine.mmu import AddressLayout
@@ -104,6 +104,10 @@ class Cluster:
     ) -> None:
         if config.nodes < 1:
             raise ValueError("cluster needs at least one node")
+        if not 0 <= config.svm.manager_node < config.nodes:
+            raise ConfigError(
+                "svm.manager_node", config.svm.manager_node, ("an integer in 0..N-1",)
+            )
         self.config = config
         self.sim = Simulator()
         #: Observability bundle (repro.obs): an explicit instance wins,

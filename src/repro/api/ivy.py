@@ -27,7 +27,7 @@ from typing import Any, Callable, Generator
 from repro.alloc.firstfit import CentralAllocator
 from repro.alloc.twolevel import TwoLevelAllocator
 from repro.api.cluster import Cluster, NodeContext
-from repro.config import ClusterConfig
+from repro.config import ClusterConfig, ConfigError
 from repro.net.packet import request_size
 from repro.obs import Observability
 from repro.proc.loadbalance import LoadBalancer
@@ -92,7 +92,9 @@ class Ivy:
             elif config.sched.allocator == "central":
                 self.allocators.append(central)
             else:
-                raise ValueError(f"unknown allocator {config.sched.allocator!r}")
+                raise ConfigError.unknown(
+                    "sched.allocator", config.sched.allocator, ("central", "twolevel")
+                )
             node.remote.register(OP_SPAWN, self._make_spawn_server(node))
 
     # ------------------------------------------------------------------

@@ -40,6 +40,7 @@ from collections import OrderedDict
 
 import numpy as np
 
+from repro.config import ConfigError
 from repro.net.pool import PagePool
 
 __all__ = ["PhysicalMemory", "FramePressure"]
@@ -63,7 +64,7 @@ class PhysicalMemory:
         if frames is not None and frames < 2:
             raise ValueError("a node needs at least 2 page frames")
         if replacement not in ("lru", "random"):
-            raise ValueError(f"unknown replacement policy {replacement!r}")
+            raise ConfigError.unknown("memory.replacement", replacement, ("lru", "random"))
         if replacement == "random" and rng is None:
             raise ValueError(
                 'replacement policy "random" needs an rng to draw victims from'

@@ -28,6 +28,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, Union
 
+from repro.config import ConfigError
+
 __all__ = [
     "Histogram",
     "LogBucketHistogram",
@@ -270,7 +272,7 @@ def make_histogram(
         return Histogram(name)
     if backend == "logbucket":
         return LogBucketHistogram(name, alpha=alpha)
-    raise ValueError(f"unknown histogram backend {backend!r}; known: {HIST_BACKENDS}")
+    raise ConfigError.unknown("obs.hist_backend", backend, HIST_BACKENDS)
 
 
 class Gauge:
@@ -299,10 +301,7 @@ class Metrics:
 
     def __init__(self, default_backend: str = "exact", alpha: float = 0.01) -> None:
         if default_backend not in HIST_BACKENDS:
-            raise ValueError(
-                f"unknown histogram backend {default_backend!r}; "
-                f"known: {HIST_BACKENDS}"
-            )
+            raise ConfigError.unknown("obs.hist_backend", default_backend, HIST_BACKENDS)
         self.histograms: dict[str, AnyHistogram] = {}
         self.gauges: dict[str, Gauge] = {}
         self.default_backend = default_backend

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.config import FabricConfig
+from repro.config import ConfigError, FabricConfig
 from repro.net.fabric import Fabric, LinkStats
 from repro.net.packet import BROADCAST, Message
 from repro.obs import NULL_OBS, Observability
@@ -125,6 +125,10 @@ class SwitchedFabric(Fabric):
         rng: np.random.Generator | None = None,
         obs: Observability = NULL_OBS,
     ) -> None:
+        if config.multicast_fanout < 1:
+            raise ConfigError(
+                "fabric.multicast_fanout", config.multicast_fanout, ("an integer >= 1",)
+            )
         super().__init__(sim, config, nnodes, rng, obs)
         self.stats: SwitchedStats = SwitchedStats(nnodes)
         #: Per-station port bookings: the absolute time each egress/

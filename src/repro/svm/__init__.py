@@ -8,22 +8,24 @@ page granularity, exactly as in IVY:
 - a page with write access lives on exactly one processor (its owner);
 - before a processor writes, every read copy is invalidated.
 
-Three ownership-location algorithms from the paper (and Li & Hudak's
+Four ownership-location algorithms from the paper (and Li & Hudak's
 companion TOCS article) are implemented:
 
 - :class:`repro.svm.centralized.CentralizedProtocol` — the *improved*
-  centralized manager: one processor maps every page to its owner and
-  forwards faults; the copy set travels with the owner, eliminating the
-  confirmation message of the naive version.
-- :class:`repro.svm.fixed.FixedDistributedProtocol` — manager duty
-  statically distributed by ``H(p) = p mod N``.
+  centralized manager: one processor ``H(p)`` maps every page to its
+  owner and forwards faults; the copy set travels with the owner,
+  eliminating the confirmation message of the naive version.
+- :class:`repro.svm.fixed.FixedDistributedProtocol` — the same
+  algorithm with manager duty statically distributed by ``H(p) = p mod N``.
+- :class:`repro.svm.broadcast.BroadcastProtocol` — no ownership
+  information: a fault is broadcast and only the true owner answers.
 - :class:`repro.svm.dynamic.DynamicDistributedProtocol` — ownership
   found by chasing per-node ``probOwner`` hints, updated on every
   forward, relinquish and invalidation (the algorithm IVY favours).
 
 `repro.svm.address_space` provides the client-visible typed memory API;
 `repro.svm.protocol` holds the fault/serve/invalidate machinery shared
-by all three algorithms.
+by all four algorithms.
 """
 
 from repro.svm.page import PageTable, PageTableEntry

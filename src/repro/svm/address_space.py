@@ -16,15 +16,16 @@ charges ``ns_per_byte_copy`` per byte (the memcpy the program would
 execute).  Arithmetic is charged separately by applications as flops,
 so there is no double counting.
 
-Every accessor has a *no-fault fast path*: when each spanned page
-already holds sufficient access, the operation copies straight against
-the frames and yields its single cost effect without entering the
-per-span fault machinery.  The fast path is schedule-preserving by
-construction — ``has_access`` is pure, the per-page ``data()`` touches
-happen in the same span order, and exactly the same one ``Compute`` is
-yielded — it only removes Python interpreter work, never a simulated
-event.  Scalar reads/writes additionally skip the array round-trip with
-a fixed-width struct view of the frame.
+One load path and one store path serve every accessor: a plain-call
+probe-and-copy (``_copy_out`` / ``_copy_in``) copies straight against
+the frames when each spanned page already holds sufficient access, and
+a faulting generator (``_fault_out`` / ``_fault_in``, which also holds
+the update policy's ``locked_store`` loop) handles the rest.  The
+no-fault path is schedule-preserving by construction — ``has_access`` is
+pure, the per-page ``data()`` touches happen in the same span order, and
+exactly the same one ``Compute`` is yielded — it only removes Python
+interpreter work, never a simulated event.  Scalar reads/writes skip the
+array round-trip with a fixed-width struct view of the frame.
 
 All generators here must be driven with ``yield from`` inside a
 simulated process.  Scalar helpers exist for the common cases; prefer
@@ -58,6 +59,9 @@ _WRITE = Access.WRITE
 _F64 = struct.Struct("<d")
 _I64 = struct.Struct("<q")
 
+#: ``AddressLayout.spans_list`` pieces: (page, offset, buffer offset, length).
+_Spans = list[tuple[int, int, int, int]]
+
 
 class SharedAddressSpace:
     """One node's window onto the single shared address space."""
@@ -85,31 +89,76 @@ class SharedAddressSpace:
         self._recency_move = protocol.memory.raw_recency().move_to_end
 
     # ------------------------------------------------------------------
+    # the data plane: one plain-call probe-and-copy and one faulting loop per direction
+
+    def _copy_out(self, spans: _Spans, out: np.ndarray) -> bool:
+        """No-fault read: copy ``spans`` into ``out``, or touch nothing and return False."""
+        entries_get = self._entries_get
+        frames = self._frames_map
+        for span in spans:
+            e = entries_get(span[0])
+            if e is None or e.access < _READ or span[0] not in frames:
+                return False
+        move = self._recency_move
+        for page, off, boff, length in spans:
+            move(page)
+            out[boff : boff + length] = frames[page][off : off + length]
+        return True
+
+    def _fault_out(self, spans: _Spans, out: np.ndarray) -> Generator[Effect, Any, None]:
+        """The faulting read: take a read fault on each page that needs one."""
+        protocol = self.protocol
+        has_access = protocol.has_access
+        data = self._memory.data
+        for page, off, boff, length in spans:
+            if not has_access(page, False):
+                yield from protocol.ensure_read(page)
+            out[boff : boff + length] = data(page)[off : off + length]
+
+    def _copy_in(self, spans: _Spans, buf: np.ndarray) -> bool:
+        """No-fault write: copy ``buf`` in, or touch nothing and return False
+        (always, under the update policy)."""
+        if self.protocol.update_policy:
+            return False
+        entries_get = self._entries_get
+        frames = self._frames_map
+        for span in spans:
+            e = entries_get(span[0])
+            if e is None or e.access < _WRITE or span[0] not in frames:
+                return False
+        move = self._recency_move
+        for page, off, boff, length in spans:
+            move(page)
+            frames[page][off : off + length] = buf[boff : boff + length]
+        return True
+
+    def _fault_in(self, spans: _Spans, buf: np.ndarray) -> Generator[Effect, Any, None]:
+        """The faulting write: per page, a write fault or an update-policy ``locked_store``."""
+        protocol = self.protocol
+        if protocol.update_policy:
+            for page, off, boff, length in spans:
+                # Runs inside locked_store, before the loop moves on.
+                def writer(frame: np.ndarray) -> None:
+                    frame[off : off + length] = buf[boff : boff + length]
+
+                yield from protocol.locked_store(page, writer)
+            return
+        has_access = protocol.has_access
+        data = self._memory.data
+        for page, off, boff, length in spans:
+            if not has_access(page, True):
+                yield from protocol.ensure_write(page)
+            data(page)[off : off + length] = buf[boff : boff + length]
+
+    # ------------------------------------------------------------------
     # byte-granular primitives
 
     def read_bytes(self, addr: int, nbytes: int) -> Generator[Effect, Any, np.ndarray]:
         """Read ``nbytes`` starting at ``addr``; returns a uint8 array."""
         spans = self.layout.spans_list(addr, nbytes)
         out = np.empty(nbytes, dtype=np.uint8)
-        entries_get = self._entries_get
-        frames = self._frames_map
-        for span in spans:
-            e = entries_get(span[0])
-            if e is None or e.access < _READ or span[0] not in frames:
-                # Slow path: at least one page needs the fault handler.
-                protocol = self.protocol
-                has_access = protocol.has_access
-                data = self._memory.data
-                for page, off, boff, length in spans:
-                    if not has_access(page, False):
-                        yield from protocol.ensure_read(page)
-                    out[boff : boff + length] = data(page)[off : off + length]
-                break
-        else:
-            move = self._recency_move
-            for page, off, boff, length in spans:
-                move(page)
-                out[boff : boff + length] = frames[page][off : off + length]
+        if not self._copy_out(spans, out):
+            yield from self._fault_out(spans, out)
         self.counters.inc("shared_bytes_read", nbytes)
         yield Compute(nbytes * self.cpu.ns_per_byte_copy)
         return out
@@ -121,35 +170,9 @@ class SharedAddressSpace:
             dtype=np.uint8,
         ).reshape(-1)
         nbytes = len(buf)
-        protocol = self.protocol
         spans = self.layout.spans_list(addr, nbytes)
-        if protocol.update_policy:
-            for page, off, boff, length in spans:
-                def writer(
-                    frame: np.ndarray, off: int = off, boff: int = boff,
-                    length: int = length,
-                ) -> None:
-                    frame[off : off + length] = buf[boff : boff + length]
-
-                yield from protocol.locked_store(page, writer)
-        else:
-            entries_get = self._entries_get
-            frames = self._frames_map
-            for span in spans:
-                e = entries_get(span[0])
-                if e is None or e.access < _WRITE or span[0] not in frames:
-                    has_access = protocol.has_access
-                    data = self._memory.data
-                    for page, off, boff, length in spans:
-                        if not has_access(page, True):
-                            yield from protocol.ensure_write(page)
-                        data(page)[off : off + length] = buf[boff : boff + length]
-                    break
-            else:
-                move = self._recency_move
-                for page, off, boff, length in spans:
-                    move(page)
-                    frames[page][off : off + length] = buf[boff : boff + length]
+        if not self._copy_in(spans, buf):
+            yield from self._fault_in(spans, buf)
         self.counters.inc("shared_bytes_written", nbytes)
         yield Compute(nbytes * self.cpu.ns_per_byte_copy)
 
@@ -188,129 +211,65 @@ class SharedAddressSpace:
         nbytes = dt.itemsize * count
         spans = self.layout.spans_list(addr, nbytes)
         out = np.empty(nbytes, dtype=np.uint8)
-        entries_get = self._entries_get
-        frames = self._frames_map
-        for span in spans:
-            e = entries_get(span[0])
-            if e is None or e.access < _READ or span[0] not in frames:
-                protocol = self.protocol
-                has_access = protocol.has_access
-                data = self._memory.data
-                for page, off, boff, length in spans:
-                    if not has_access(page, False):
-                        yield from protocol.ensure_read(page)
-                    out[boff : boff + length] = data(page)[off : off + length]
-                break
-        else:
-            move = self._recency_move
-            for page, off, boff, length in spans:
-                move(page)
-                out[boff : boff + length] = frames[page][off : off + length]
+        if not self._copy_out(spans, out):
+            yield from self._fault_out(spans, out)
         yield Compute(len(spans) * self.cpu.ns_per_op)
         return out.view(dt)
 
     def store_array(self, addr: int, values: np.ndarray) -> Generator[Effect, Any, None]:
         """Write kernel output in place (coherence costs only)."""
-        arr = np.ascontiguousarray(values)
-        buf = arr.view(np.uint8).reshape(-1)
-        nbytes = len(buf)
-        protocol = self.protocol
-        spans = self.layout.spans_list(addr, nbytes)
-        if protocol.update_policy:
-            for page, off, boff, length in spans:
-                def writer(
-                    frame: np.ndarray, off: int = off, boff: int = boff,
-                    length: int = length,
-                ) -> None:
-                    frame[off : off + length] = buf[boff : boff + length]
-
-                yield from protocol.locked_store(page, writer)
-        else:
-            entries_get = self._entries_get
-            frames = self._frames_map
-            for span in spans:
-                e = entries_get(span[0])
-                if e is None or e.access < _WRITE or span[0] not in frames:
-                    has_access = protocol.has_access
-                    data = self._memory.data
-                    for page, off, boff, length in spans:
-                        if not has_access(page, True):
-                            yield from protocol.ensure_write(page)
-                        data(page)[off : off + length] = buf[boff : boff + length]
-                    break
-            else:
-                move = self._recency_move
-                for page, off, boff, length in spans:
-                    move(page)
-                    frames[page][off : off + length] = buf[boff : boff + length]
+        buf = np.ascontiguousarray(values).view(np.uint8).reshape(-1)
+        spans = self.layout.spans_list(addr, len(buf))
+        if not self._copy_in(spans, buf):
+            yield from self._fault_in(spans, buf)
         yield Compute(len(spans) * self.cpu.ns_per_op)
 
     # ------------------------------------------------------------------
-    # scalar helpers
+    # scalar helpers: one struct-codec fast path per direction, falling
+    # back to the array path when the word is not local or spans pages
+
+    def _read_scalar(
+        self, addr: int, codec: struct.Struct, dtype: Any
+    ) -> Generator[Effect, Any, Any]:
+        span = self.layout.single_span(addr, 8)
+        if span is not None:
+            e = self._entries_get(span[0])
+            frame = self._frames_map.get(span[0])
+            if e is not None and frame is not None and e.access >= _READ:
+                self._recency_move(span[0])
+                value = codec.unpack_from(frame, span[1])[0]
+                self.counters.inc("shared_bytes_read", 8)
+                yield Compute(8 * self.cpu.ns_per_byte_copy)
+                return value
+        arr = yield from self.read_array(addr, dtype, 1)
+        return arr[0].item()
+
+    def _write_scalar(
+        self, addr: int, codec: struct.Struct, dtype: Any, value: Any
+    ) -> Generator[Effect, Any, None]:
+        span = self.layout.single_span(addr, 8)
+        if span is not None and not self.protocol.update_policy:
+            e = self._entries_get(span[0])
+            frame = self._frames_map.get(span[0])
+            if e is not None and frame is not None and e.access >= _WRITE:
+                self._recency_move(span[0])
+                codec.pack_into(frame, span[1], value)
+                self.counters.inc("shared_bytes_written", 8)
+                yield Compute(8 * self.cpu.ns_per_byte_copy)
+                return
+        yield from self.write_array(addr, np.array([value], dtype=dtype))
 
     def read_f64(self, addr: int) -> Generator[Effect, Any, float]:
-        span = self.layout.single_span(addr, 8)
-        if span is not None:
-            e = self._entries_get(span[0])
-            frame = self._frames_map.get(span[0])
-        else:
-            e = frame = None
-        if e is not None and frame is not None and e.access >= _READ:
-            self._recency_move(span[0])
-            value = _F64.unpack_from(frame, span[1])[0]
-            self.counters.inc("shared_bytes_read", 8)
-            yield Compute(8 * self.cpu.ns_per_byte_copy)
-            return value
-        arr = yield from self.read_array(addr, np.float64, 1)
-        return float(arr[0])
+        return self._read_scalar(addr, _F64, np.float64)
 
     def write_f64(self, addr: int, value: float) -> Generator[Effect, Any, None]:
-        span = self.layout.single_span(addr, 8)
-        protocol = self.protocol
-        if span is not None and not protocol.update_policy:
-            e = self._entries_get(span[0])
-            frame = self._frames_map.get(span[0])
-        else:
-            e = frame = None
-        if e is not None and frame is not None and e.access >= _WRITE:
-            self._recency_move(span[0])
-            _F64.pack_into(frame, span[1], value)
-            self.counters.inc("shared_bytes_written", 8)
-            yield Compute(8 * self.cpu.ns_per_byte_copy)
-            return
-        yield from self.write_array(addr, np.array([value], dtype=np.float64))
+        return self._write_scalar(addr, _F64, np.float64, value)
 
     def read_i64(self, addr: int) -> Generator[Effect, Any, int]:
-        span = self.layout.single_span(addr, 8)
-        if span is not None:
-            e = self._entries_get(span[0])
-            frame = self._frames_map.get(span[0])
-        else:
-            e = frame = None
-        if e is not None and frame is not None and e.access >= _READ:
-            self._recency_move(span[0])
-            value = _I64.unpack_from(frame, span[1])[0]
-            self.counters.inc("shared_bytes_read", 8)
-            yield Compute(8 * self.cpu.ns_per_byte_copy)
-            return value
-        arr = yield from self.read_array(addr, np.int64, 1)
-        return int(arr[0])
+        return self._read_scalar(addr, _I64, np.int64)
 
     def write_i64(self, addr: int, value: int) -> Generator[Effect, Any, None]:
-        span = self.layout.single_span(addr, 8)
-        protocol = self.protocol
-        if span is not None and not protocol.update_policy:
-            e = self._entries_get(span[0])
-            frame = self._frames_map.get(span[0])
-        else:
-            e = frame = None
-        if e is not None and frame is not None and e.access >= _WRITE:
-            self._recency_move(span[0])
-            _I64.pack_into(frame, span[1], value)
-            self.counters.inc("shared_bytes_written", 8)
-            yield Compute(8 * self.cpu.ns_per_byte_copy)
-            return
-        yield from self.write_array(addr, np.array([value], dtype=np.int64))
+        return self._write_scalar(addr, _I64, np.int64, value)
 
     # ------------------------------------------------------------------
     # atomic single-page sections (substrate for repro.sync)

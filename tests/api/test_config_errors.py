@@ -1,0 +1,44 @@
+"""Bad config values are refused up front with a structured
+:class:`~repro.config.ConfigError`, never a crash inside a task."""
+
+import pytest
+
+from repro.api.cluster import Cluster
+from repro.api.ivy import Ivy
+from repro.config import ClusterConfig, ConfigError, ObsConfig
+
+
+@pytest.mark.parametrize("manager_node", [9, -1])
+def test_manager_node_outside_the_cluster_is_refused(manager_node):
+    # 9 used to die sending to a station that does not exist, -1 with
+    # an allocation request reaching a non-manager node.
+    with pytest.raises(ConfigError) as excinfo:
+        Cluster(ClusterConfig(nodes=4).with_svm(manager_node=manager_node))
+    assert excinfo.value.field == "svm.manager_node"
+    assert excinfo.value.value == manager_node
+
+
+def test_zero_multicast_fanout_is_refused():
+    # Used to be a ZeroDivisionError on the first broadcast.
+    config = ClusterConfig(nodes=4).with_fabric(backend="switched", multicast_fanout=0)
+    with pytest.raises(ConfigError) as excinfo:
+        Cluster(config)
+    assert excinfo.value.field == "fabric.multicast_fanout"
+    assert excinfo.value.value == 0
+
+
+@pytest.mark.parametrize(
+    "field,config,suggestion",
+    [
+        ("memory.replacement", ClusterConfig(nodes=2).with_memory(replacement="rnadom"), "random"),
+        ("sched.allocator", ClusterConfig(nodes=2).with_sched(allocator="twolevle"), "twolevel"),
+        ("obs.hist_backend", ClusterConfig(nodes=2, obs=ObsConfig(hist_backend="exatc")), "exact"),
+    ],
+    ids=["memory.replacement", "sched.allocator", "obs.hist_backend"],
+)
+def test_unknown_enumerated_value_suggests_the_closest(field, config, suggestion):
+    with pytest.raises(ConfigError) as excinfo:
+        Ivy(config)
+    assert excinfo.value.field == field
+    assert excinfo.value.suggestion == suggestion
+    assert f"did you mean {suggestion!r}?" in str(excinfo.value)

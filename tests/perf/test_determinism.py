@@ -25,6 +25,8 @@ import pytest
 from repro.api.ivy import Ivy
 from repro.apps.dotprod import DotProductApp
 from repro.apps.jacobi import JacobiApp
+from repro.apps.matmul import MatmulApp
+from repro.apps.sort import MergeSplitSortApp
 from repro.apps.tsp import TspApp
 from repro.config import ClusterConfig
 
@@ -38,6 +40,23 @@ APPS = {
 }
 MANAGERS = ("centralized", "fixed", "dynamic")
 
+#: ``golden_write_policy.json``: both write policies on the two
+#: manager-table algorithms, with matmul and sort added for the
+#: mapped-array (``fetch_array``/``store_array``) and record-copy paths.
+POLICY_PATH = Path(__file__).parent / "golden_write_policy.json"
+POLICY_GOLDEN = json.loads(POLICY_PATH.read_text())
+POLICY_APPS = {
+    **APPS,
+    "matmul": lambda p: MatmulApp(p, n=48),
+    "sort": lambda p: MergeSplitSortApp(p, nrecords=1024),
+}
+POLICY_CASES = [
+    (app_name, manager, policy)
+    for app_name in POLICY_APPS
+    for manager in ("centralized", "fixed")
+    for policy in ("invalidate", "update")
+]
+
 
 def _run(
     app_name: str,
@@ -47,13 +66,16 @@ def _run(
     replacement: str = "lru",
     obs=None,
     checker: bool = False,
+    write_policy: str = "invalidate",
 ):
-    cfg = ClusterConfig().replace(nodes=nprocs).with_svm(algorithm=manager)
+    cfg = ClusterConfig().replace(nodes=nprocs).with_svm(
+        algorithm=manager, write_policy=write_policy
+    )
     if frames is not None:
         cfg = cfg.with_memory(frames=frames, replacement=replacement)
     if checker:
         cfg = cfg.replace(checker=True)
-    app = APPS[app_name](nprocs)
+    app = POLICY_APPS[app_name](nprocs)
     ivy = Ivy(cfg, obs=obs)
     result = ivy.run(app.main)
     app.check(result)
@@ -78,6 +100,18 @@ CASES = [
 )
 def test_schedule_matches_golden(app_name, manager, nprocs):
     assert _run(app_name, manager, nprocs) == GOLDEN[f"{app_name}/{manager}/p{nprocs}"]
+
+
+@pytest.mark.parametrize(
+    "app_name,manager,write_policy",
+    POLICY_CASES,
+    ids=[f"{a}-{m}-{w}" for a, m, w in POLICY_CASES],
+)
+def test_write_policy_schedule_matches_golden(app_name, manager, write_policy):
+    # The update policy stores through ``locked_store``; the invalidation
+    # policy through the faulting/no-fault store loops.
+    got = _run(app_name, manager, 3, write_policy=write_policy)
+    assert got == POLICY_GOLDEN[f"{app_name}/{manager}/p3/{write_policy}"]
 
 
 @pytest.mark.parametrize("replacement", ["lru", "random"])
