@@ -1,37 +1,27 @@
-"""The exhaustive explore-smoke sweeps as a committed, checkable record.
+"""The exhaustive explore-smoke sweeps as a committed record.
 
 Runs every sweep of :data:`SWEEPS` under the explorer's independence
 relation — the statically proven matrix (:func:`certified_relation`) —
-and records the outcome in machine-readable form
-(``BENCH_explore.json``, committed).  CI gates on two properties:
-
-- **completeness**: no sweep is truncated (a truncated sweep proves
-  nothing);
-- **stability**: the committed baseline must match exactly — schedule
-  counts, statuses, violations and the set of distinct final-state
-  fingerprints (compared by content hash).  DFS is deterministic, so
-  any drift means the explorer's semantics changed and the baseline
-  needs a reviewed update.
-
-The ``matrix`` section records what the relation is built from: per
-algorithm, the proven fan-out set and the number of proven same-node
-commuting pairs.  (On the token ring those same-node pairs can never
-tie — distinct frames serialise on the medium and same-destination
-arrivals preserve send order — so they reduce the state space only on
-a transport where same-node ties exist.)
+and records each outcome: schedule, event and pruned-child counts,
+statuses, violations and the distinct final-state fingerprints (as one
+content hash).  DFS is a pure function of the scenario, for any number
+of worker processes, so the record holds no host time and the file
+written by ``python -m repro.analysis explore-bench --out
+BENCH_explore.json`` must equal the committed one byte for byte (CI runs
+``git diff --exit-code`` on it); any difference means the explorer's
+semantics changed and the record needs a reviewed update.  The CLI also
+exits 1, naming the sweep, when a sweep is truncated: a truncated sweep
+proves nothing.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-from time import perf_counter
 from typing import Any
 
 from repro.analysis import explore as ex
-from repro.analysis.static.commute import build_matrix
 
-__all__ = ["SWEEPS", "run_bench", "check_bench", "save_bench", "load_bench"]
+__all__ = ["SWEEPS", "run_bench"]
 
 
 def _key(scenario: ex.Scenario) -> str:
@@ -71,9 +61,9 @@ def _fingerprint_hash(fingerprints: set[str]) -> str:
     return digest.hexdigest()
 
 
-def _side(result: ex.ExplorationResult, wall: float) -> dict[str, Any]:
+def _sweep(scenario: ex.Scenario, result: ex.ExplorationResult) -> dict[str, Any]:
     return {
-        "relation": result.relation,
+        "scenario": scenario.to_dict(),
         "schedules": result.schedules,
         "events": result.events,
         "sleep_pruned": result.sleep_pruned,
@@ -90,7 +80,6 @@ def _side(result: ex.ExplorationResult, wall: float) -> dict[str, Any]:
             }
             for ce in result.violations
         ],
-        "wall_s": round(wall, 3),
     }
 
 
@@ -98,96 +87,16 @@ def run_bench(
     sweeps: tuple[ex.Scenario, ...] = SWEEPS, jobs: int | None = None
 ) -> dict[str, Any]:
     """Run every sweep (on ``jobs`` processes each, see
-    :func:`repro.analysis.explore.explore_dfs`: every exact key is the
-    same for any number); returns the bench dict."""
-    matrix = build_matrix()
-    out: dict[str, Any] = {
-        "version": 1,
-        "generator": "repro.analysis.explorebench",
-        "matrix": {
-            name: {
-                "fanout_safe": entry["fanout_safe"],
-                "same_node_commuting_pairs": len(entry["same_node_commutes"]),
-            }
-            for name, entry in sorted(matrix["algorithms"].items())
+    :func:`repro.analysis.explore.explore_dfs`: the record is the same
+    for any number); returns the record."""
+    return {
+        "schema": "repro.explore/2",
+        "sweeps": {
+            _key(scenario): _sweep(
+                scenario,
+                # far above the largest sweep (864)
+                ex.explore_dfs(scenario, max_schedules=50_000, jobs=jobs),
+            )
+            for scenario in sweeps
         },
-        "sweeps": {},
     }
-    for scenario in sweeps:
-        t0 = perf_counter()
-        result = ex.explore_dfs(
-            scenario,
-            max_schedules=50_000,  # far above the largest sweep (864)
-            relation=ex.certified_relation(scenario.algorithm, matrix),
-            jobs=jobs,
-        )
-        out["sweeps"][_key(scenario)] = {
-            "scenario": scenario.to_dict(),
-            "certified": _side(result, perf_counter() - t0),
-        }
-    return out
-
-
-#: Keys that must be identical between a run and the committed baseline
-#: (wall time is excluded: it is real).
-_EXACT_KEYS = (
-    "schedules",
-    "events",
-    "sleep_pruned",
-    "statuses",
-    "states",
-    "fingerprint_sha256",
-    "violations",
-)
-
-
-def check_bench(bench: dict[str, Any]) -> list[str]:
-    """Internal consistency: nothing truncated.  Returns human-readable
-    errors (empty = pass)."""
-    return [
-        f"{key}: truncated sweep proves nothing"
-        for key, sweep in sorted(bench.get("sweeps", {}).items())
-        if sweep["certified"]["truncated"]
-    ]
-
-
-def compare_bench(
-    current: dict[str, Any], baseline: dict[str, Any]
-) -> list[str]:
-    """Drift against the committed baseline (exact: DFS is a pure
-    function of the scenario)."""
-    errors: list[str] = []
-    cur_sweeps = current.get("sweeps", {})
-    base_sweeps = baseline.get("sweeps", {})
-    for key in sorted(set(cur_sweeps) | set(base_sweeps)):
-        if key not in cur_sweeps:
-            errors.append(f"{key}: in baseline but not in this run")
-            continue
-        if key not in base_sweeps:
-            errors.append(f"{key}: new sweep missing from committed baseline")
-            continue
-        cur, base = cur_sweeps[key]["certified"], base_sweeps[key]["certified"]
-        for field in _EXACT_KEYS:
-            # .get: a baseline recorded before a field existed has drifted.
-            if cur.get(field) != base.get(field):
-                errors.append(
-                    f"{key}: {field} drifted from baseline: "
-                    f"{base.get(field)!r} -> {cur.get(field)!r}"
-                )
-    if current.get("matrix") != baseline.get("matrix"):
-        errors.append(
-            "matrix summary drifted from baseline: "
-            f"{baseline.get('matrix')!r} -> {current.get('matrix')!r}"
-        )
-    return errors
-
-
-def save_bench(bench: dict[str, Any], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(bench, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_bench(path: str) -> dict[str, Any]:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)

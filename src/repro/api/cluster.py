@@ -102,8 +102,14 @@ class Cluster:
         config: ClusterConfig,
         obs: Observability | None = None,
     ) -> None:
-        if config.nodes < 1:
-            raise ValueError("cluster needs at least one node")
+        obs_config = config.obs if isinstance(config.obs, ObsConfig) else ObsConfig()
+        for field_name, value, least in (
+            ("nodes", config.nodes, 1),
+            ("obs.timeline_window_ns", obs_config.timeline_window_ns, 0),
+            ("obs.sample_every", obs_config.sample_every, 1),
+        ):
+            if value < least:
+                raise ConfigError(field_name, value, (f"an integer >= {least}",))
         if not 0 <= config.svm.manager_node < config.nodes:
             raise ConfigError(
                 "svm.manager_node", config.svm.manager_node, ("an integer in 0..N-1",)

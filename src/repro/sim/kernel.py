@@ -30,6 +30,13 @@ an event joins is decided from what the kernel observes at
   it are gone, not (as in the heap) only when its own deadline is the
   earliest left.
 
+The lanes pay for their merge: against a heap-only kernel (every event
+pushed to the heap, same goldens), ten interleaved pairs of ``python -m
+bench`` at seed 7 on a 2-vCPU VM read median ``wall_s`` +6.7 % on
+``paper_ring_p8`` and +7.3 % on ``scale_switched_n256`` without them
+(slower in 9 and 10 of 10 pairs; every run is in ``records/``, the
+``*_kernel_lanes_*.json`` files).
+
 The lanes exist only while no :class:`Scheduler` is installed:
 :meth:`Simulator._run_controlled` folds both deques back into the heap
 (entries keep their seqs) and ``schedule`` then pushes straight to the

@@ -1,4 +1,4 @@
-"""Invalidation-based page coherence: the machinery shared by all three
+"""Invalidation-based page coherence: the machinery shared by all four
 manager algorithms.
 
 The structure follows Li & Hudak's pseudocode: every fault handler and
@@ -220,7 +220,7 @@ class CoherenceProtocol:
         return None
 
     # ------------------------------------------------------------------
-    # policy hooks (implemented by the three manager algorithms)
+    # policy hooks (implemented by the four manager algorithms)
 
     def fault_target(self, page: int, entry: PageTableEntry, write: bool) -> int:
         """Processor a faulting node sends its request to.

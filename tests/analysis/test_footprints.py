@@ -216,49 +216,61 @@ class TestEndToEnd:
         assert header["relation"] == "certified"
 
 
+#: What each sweep of BENCH_explore.json records: every value is a pure
+#: function of the scenario, none is host time.
+SWEEP_KEYS = {
+    "scenario", "schedules", "events", "sleep_pruned", "truncated",
+    "statuses", "states", "fingerprint_sha256", "violations",
+}
+
+
 class TestBenchChecks:
-    def _bench(self, schedules=4, fingerprint="h", truncated=False):
-        return {
-            "matrix": {},
-            "sweeps": {
-                "s": {
-                    "certified": {
-                        "schedules": schedules,
-                        "truncated": truncated,
-                        "statuses": {"ok": schedules},
-                        "states": 1,
-                        "fingerprint_sha256": fingerprint,
-                        "violations": [],
-                    }
-                }
-            },
-        }
+    """``explore-bench`` writes a record that CI diffs against the
+    committed file; the command itself gates only on truncation."""
 
-    def test_clean_bench_passes(self):
-        assert eb.check_bench(self._bench()) == []
+    SMALL = (ex.Scenario("fixed", 2, 1, "rw"),)
 
-    def test_truncated_sweep_fails(self):
-        errors = eb.check_bench(self._bench(truncated=True))
-        assert any("truncated" in e for e in errors)
+    def _cli(self, monkeypatch, argv, max_schedules=None):
+        from repro.analysis.__main__ import main
 
-    def test_verdict_mismatch_fails(self):
-        errors = eb.compare_bench(self._bench(fingerprint="other"), self._bench())
-        assert any("fingerprint_sha256" in e for e in errors)
+        run_bench, explore_dfs = eb.run_bench, ex.explore_dfs
+        monkeypatch.setattr(eb, "run_bench", lambda jobs: run_bench(self.SMALL, jobs=jobs))
+        if max_schedules is not None:
+            monkeypatch.setattr(
+                ex, "explore_dfs",
+                lambda *a, **k: explore_dfs(*a, **{**k, "max_schedules": max_schedules}),
+            )
+        return main(["explore-bench", *argv])
 
-    def test_baseline_drift_fails(self):
-        current, baseline = self._bench(), self._bench(schedules=8)
-        errors = eb.compare_bench(current, baseline)
-        assert any("drifted" in e for e in errors)
-        assert eb.compare_bench(current, self._bench()) == []
+    def test_clean_bench_passes(self, monkeypatch, tmp_path, capsys):
+        out = tmp_path / "bench.json"
+        assert self._cli(monkeypatch, ["--out", str(out)]) == 0
+        assert "explore-bench ok: no sweep truncated" in capsys.readouterr().out
+        monkeypatch.undo()
+        record = json.loads(out.read_text())
+        assert record == eb.run_bench(self.SMALL)
+        assert record["schema"] == "repro.explore/2"
+        assert set(record["sweeps"]["fixed-n2-p1-rw"]) == SWEEP_KEYS  # no wall_s
+
+    def test_truncated_sweep_fails(self, monkeypatch, tmp_path, capsys):
+        out = tmp_path / "bench.json"
+        assert self._cli(monkeypatch, ["--out", str(out)], max_schedules=1) == 1
+        stdout = capsys.readouterr().out
+        assert "FAIL fixed-n2-p1-rw: truncated sweep proves nothing" in stdout
+        assert "explore-bench ok" not in stdout
+        assert json.loads(out.read_text())["sweeps"]["fixed-n2-p1-rw"]["truncated"]
 
     def test_committed_baseline_has_only_the_certified_side(self):
-        baseline = eb.load_bench(
-            str(Path(__file__).resolve().parents[2] / "BENCH_explore.json")
+        """The certified relation is the explorer's only one, so the
+        record names none: one flat entry per sweep of SWEEPS."""
+        baseline = json.loads(
+            (Path(__file__).resolve().parents[2] / "BENCH_explore.json").read_text()
         )
+        assert set(baseline) == {"schema", "sweeps"}
         assert set(eb.SWEEPS) == {
             ex.Scenario.from_dict(sweep["scenario"])
             for sweep in baseline["sweeps"].values()
         }
         for sweep in baseline["sweeps"].values():
-            assert set(sweep) == {"scenario", "certified"}
-            assert sweep["certified"]["relation"] == "certified"
+            assert set(sweep) == SWEEP_KEYS
+            assert not sweep["truncated"]

@@ -18,6 +18,25 @@ def test_manager_node_outside_the_cluster_is_refused(manager_node):
     assert excinfo.value.value == manager_node
 
 
+@pytest.mark.parametrize(
+    "field,value,config",
+    [
+        ("nodes", 0, ClusterConfig(nodes=0)),
+        ("obs.timeline_window_ns", -5, ClusterConfig(nodes=2, obs=ObsConfig(timeline_window_ns=-5))),
+        ("obs.sample_every", 0, ClusterConfig(nodes=2, obs=ObsConfig(sample_every=0))),
+    ],
+    ids=["nodes", "obs.timeline_window_ns", "obs.sample_every"],
+)
+def test_out_of_range_count_is_refused(field, value, config):
+    # nodes=0 and sample_every=0 used to be bare ValueErrors from inside
+    # Cluster and SpanTracer; a negative window silently ran without a
+    # timeline.
+    with pytest.raises(ConfigError) as excinfo:
+        Cluster(config)
+    assert excinfo.value.field == field
+    assert excinfo.value.value == value
+
+
 def test_zero_multicast_fanout_is_refused():
     # Used to be a ZeroDivisionError on the first broadcast.
     config = ClusterConfig(nodes=4).with_fabric(backend="switched", multicast_fanout=0)
