@@ -35,7 +35,7 @@ from time import perf_counter
 from typing import Any
 
 from repro.analysis.replay import record_stream, replay_file, summarize
-from repro.config import ClusterConfig
+from repro.config import ClusterConfig, ConfigError
 from repro.metrics.collect import VIOLATION_PREFIX
 from repro.obs.jsonl import write_jsonl
 
@@ -375,7 +375,10 @@ def main(argv: list[str] | None = None) -> int:
     replay_schedule.set_defaults(func=_cmd_replay_schedule)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -198,7 +198,7 @@ class LockChecker:
                 continue
             if func.attr == "release_page_write":
                 held = {tok for tok in held if tok.kind != "pw"}
-            elif func.attr in ("span_end", "span_account") and node.args:
+            elif func.attr == "span_end" and node.args:
                 arg = node.args[0]
                 if isinstance(arg, ast.Name):
                     bound = _env_get(state, arg.id)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Any, Generator
 
-from repro.config import ClusterConfig, ConfigError, ObsConfig
+from repro.config import ClusterConfig, ConfigError
 from repro.machine.disk import Disk
 from repro.machine.memory import PhysicalMemory
 from repro.machine.mmu import AddressLayout
@@ -97,35 +97,18 @@ class NodeContext:
 class Cluster:
     """A simulated loosely-coupled multiprocessor running the SVM."""
 
-    def __init__(
-        self,
-        config: ClusterConfig,
-        obs: Observability | None = None,
-    ) -> None:
-        obs_config = config.obs if isinstance(config.obs, ObsConfig) else ObsConfig()
-        for field_name, value, least in (
-            ("nodes", config.nodes, 1),
-            ("obs.timeline_window_ns", obs_config.timeline_window_ns, 0),
-            ("obs.sample_every", obs_config.sample_every, 1),
-        ):
-            if value < least:
-                raise ConfigError(field_name, value, (f"an integer >= {least}",))
+    def __init__(self, config: ClusterConfig) -> None:
+        if config.nodes < 1:
+            raise ConfigError("nodes", config.nodes, ("an integer >= 1",))
         if not 0 <= config.svm.manager_node < config.nodes:
             raise ConfigError(
                 "svm.manager_node", config.svm.manager_node, ("an integer in 0..N-1",)
             )
         self.config = config
         self.sim = Simulator()
-        #: Observability bundle (repro.obs): an explicit instance wins,
-        #: else ``config.obs`` decides between a live one and NULL_OBS
-        #: (an :class:`ObsConfig` additionally selects the timeline,
-        #: span sampling, and histogram backend).
-        if obs is not None:
-            self.obs = obs
-        elif isinstance(config.obs, ObsConfig) and config.obs:
-            self.obs = Observability.from_config(config.obs)
-        else:
-            self.obs = Observability() if config.obs else NULL_OBS
+        #: Observability bundle (repro.obs), built from ``config.obs``
+        #: (the shared NULL_OBS when it is off).
+        self.obs = Observability(config.obs) if config.obs else NULL_OBS
         if self.obs:  # never rebind the shared NULL_OBS
             self.obs.bind_clock(self.sim.clock())
         self.rngs = RngStreams(config.seed)

@@ -29,7 +29,6 @@ from repro.alloc.twolevel import TwoLevelAllocator
 from repro.api.cluster import Cluster, NodeContext
 from repro.config import ClusterConfig, ConfigError
 from repro.net.packet import request_size
-from repro.obs import Observability
 from repro.proc.loadbalance import LoadBalancer
 from repro.proc.migration import MigrationService
 from repro.proc.pcb import PCB, Pid
@@ -48,15 +47,11 @@ OP_SPAWN = "proc.spawn"
 class Ivy:
     """A booted IVY system on a simulated cluster."""
 
-    def __init__(
-        self,
-        config: ClusterConfig,
-        obs: Observability | None = None,
-    ) -> None:
+    def __init__(self, config: ClusterConfig) -> None:
         self.config = config
-        self.cluster = Cluster(config, obs=obs)
-        #: Observability bundle (live when ``obs`` was passed or
-        #: ``config.obs`` is set; the shared NULL_OBS otherwise).
+        self.cluster = Cluster(config)
+        #: Observability bundle (live when ``config.obs`` is set; the
+        #: shared NULL_OBS otherwise).
         self.obs = self.cluster.obs
         #: Vector-clock race detector (repro.analysis), enabled together
         #: with the coherence oracle by ``ClusterConfig.checker``.

@@ -39,12 +39,14 @@ __all__ = [
 class ConfigError(ValueError):
     """A structured configuration error.
 
-    Raised when a config field names something the system does not
-    provide (e.g. an unknown network backend).  Carries the offending
-    ``field`` and ``value``, the ``known`` legal values, and — when one
-    of them is close enough to be a likely typo — an exact-name
-    ``suggestion``, so drivers can render a precise message and tests
-    can assert on structure instead of prose.
+    Raised when a config field holds a value outside its legal range
+    (``ConfigError("nodes", 0, ("an integer >= 1",))`` reads "nodes must
+    be an integer >= 1, got 0") or names something the system does not
+    provide (:meth:`unknown`, e.g. an unknown network backend).  Carries
+    the offending ``field`` and ``value``, the ``known`` legal values,
+    and — when one of them is close enough to be a likely typo — an
+    exact-name ``suggestion``, so drivers can render a precise message
+    and tests can assert on structure instead of prose.
     """
 
     def __init__(
@@ -53,14 +55,14 @@ class ConfigError(ValueError):
         value: object,
         known: tuple[str, ...],
         suggestion: str | None = None,
+        message: str | None = None,
     ) -> None:
         self.field = field_name
         self.value = value
         self.known = known
         self.suggestion = suggestion
-        hint = f"; did you mean {suggestion!r}?" if suggestion else ""
         super().__init__(
-            f"unknown {field_name} {value!r} (known: {', '.join(known)}){hint}"
+            message or f"{field_name} must be {' or '.join(known)}, got {value!r}"
         )
 
     @classmethod
@@ -71,7 +73,12 @@ class ConfigError(ValueError):
 
         known = tuple(sorted(known))
         close = difflib.get_close_matches(str(value), known, n=1, cutoff=0.6)
-        return cls(field_name, value, known, close[0] if close else None)
+        suggestion = close[0] if close else None
+        hint = f"; did you mean {suggestion!r}?" if suggestion else ""
+        return cls(
+            field_name, value, known, suggestion,
+            f"unknown {field_name} {value!r} (known: {', '.join(known)}){hint}",
+        )
 
 #: One microsecond of simulated time, in simulation ticks (nanoseconds).
 MICROSECOND = 1_000
@@ -281,12 +288,10 @@ class SchedConfig:
 class CheckerConfig:
     """Fine-grained control over the online correctness checkers.
 
-    ``ClusterConfig.checker`` accepts either a plain bool (all-default
-    checking) or one of these.  Truthiness equals :attr:`enabled`, so
-    existing ``if config.checker`` gates keep working.
+    ``ClusterConfig.checker`` is ``False`` (off), ``True`` (on, these
+    defaults) or one of these (on, with these settings).
     """
 
-    enabled: bool = True
     #: Labels of *declared* benign data races.  An application declares a
     #: race-by-design region with ``ctx.declare_benign_race(label, addr,
     #: nbytes)`` (e.g. TSP's optimistic best-bound read, label
@@ -299,22 +304,18 @@ class CheckerConfig:
     #: an application cannot silence itself.
     known_races: tuple[str, ...] = ()
 
-    def __bool__(self) -> bool:
-        return self.enabled
-
 
 @dataclass(frozen=True)
 class ObsConfig:
-    """Fine-grained control over the observability layer.
+    """What the observability layer records.
 
-    ``ClusterConfig.obs`` accepts either a plain bool (whole-run
-    aggregates only) or one of these.  Truthiness equals
-    :attr:`enabled`, so existing ``if config.obs`` gates keep working.
-    Every option is pure observation: the simulated schedule is
-    bit-for-bit identical whatever is set here.
+    ``ClusterConfig.obs`` is ``False`` (off), ``True`` (on, these
+    defaults: whole-run aggregates only) or one of these (on, with these
+    settings); the cluster builds its :class:`repro.obs.Observability`
+    from it.  Every option is pure observation: the simulated schedule
+    is bit-for-bit identical whatever is set here.
     """
 
-    enabled: bool = True
     #: Width of one timeline window in simulated ns; 0 disables the
     #: windowed timeline (whole-run aggregates only).  With a timeline,
     #: instruments, closed-span time, per-link busy-ns, and the
@@ -331,9 +332,6 @@ class ObsConfig:
     #: "logbucket" keeps O(log range) counters with a bounded relative
     #: error — the right choice at 64+ nodes.
     hist_backend: str = "exact"
-
-    def __bool__(self) -> bool:
-        return self.enabled
 
 
 @dataclass(frozen=True)
@@ -357,9 +355,10 @@ class ClusterConfig:
     #: — no effects, no RNG — so enabling it never changes simulated
     #: times, event counts, or golden schedules.  Pass an
     #: :class:`ObsConfig` instead of ``True`` to enable the windowed
-    #: timeline, span sampling, or the bounded-memory histogram backend;
-    #: pass an :class:`repro.obs.Observability` to ``Cluster``/``Ivy``
-    #: directly to keep the handle for querying after the run.
+    #: timeline, span sampling, or the bounded-memory histogram backend.
+    #: This is the only switch: the run's handle is ``Ivy.obs`` (or
+    #: ``RunResult.obs`` from ``repro.exps.parallel``), queryable after
+    #: the run.
     obs: bool | ObsConfig = False
     cpu: CpuConfig = field(default_factory=CpuConfig)
     ring: RingConfig = field(default_factory=RingConfig)

@@ -39,7 +39,7 @@ def run(full: bool) -> list[Record]:
         records.append({
             "algorithm": job.key,
             "time_ns": r.time_ns,
-            "messages": r.ring_stats["messages"],
+            "messages": r.fabric_stats["messages"],
             "faults": faults,
             "forwards": r.counters["faults_forwarded"],
             "mean_fault_us": (fault_ns / faults / 1000.0) if faults else 0.0,

@@ -26,10 +26,11 @@ import json
 import sys
 from typing import Any
 
+from repro.config import ClusterConfig
 from repro.exps.parallel import Job
 from repro.exps.presets import capacity_config
 from repro.exps.scale import DEFAULT_SLOS, observe, scale_jobs
-from repro.obs import CATEGORIES, Observability
+from repro.obs import CATEGORIES
 
 __all__ = ["run_bench", "main"]
 
@@ -50,14 +51,15 @@ KEY_COUNTERS = (
 
 
 def _bench_cases() -> list[tuple[str, Job]]:
-    """(name, job) — small but representative."""
+    """(name, job) — small but representative, each run observed."""
+    observed = ClusterConfig(obs=True)
     # The Figure 4 regime at bench scale (see presets.capacity_config).
-    capacity = capacity_config(14)
+    capacity = capacity_config(14, base=observed)
     return [
-        ("dotprod_p1", Job("dotprod", {"n": 32768}, nprocs=1)),
-        ("dotprod_p2", Job("dotprod", {"n": 32768}, nprocs=2)),
-        ("jacobi_p1", Job("jacobi", {"n": 128, "iters": 6}, nprocs=1)),
-        ("jacobi_p2", Job("jacobi", {"n": 128, "iters": 6}, nprocs=2)),
+        ("dotprod_p1", Job("dotprod", {"n": 32768}, nprocs=1, config=observed)),
+        ("dotprod_p2", Job("dotprod", {"n": 32768}, nprocs=2, config=observed)),
+        ("jacobi_p1", Job("jacobi", {"n": 128, "iters": 6}, nprocs=1, config=observed)),
+        ("jacobi_p2", Job("jacobi", {"n": 128, "iters": 6}, nprocs=2, config=observed)),
         ("pde_capacity_p1", Job("pde3d", {"m": 14, "iters": 4}, nprocs=1, config=capacity)),
         ("pde_capacity_p2", Job("pde3d", {"m": 14, "iters": 4}, nprocs=2, config=capacity)),
     ]
@@ -77,7 +79,8 @@ def _timeline_bench(window_ms: int = 20, sample_every: int = 64) -> dict[str, An
 
     (job,) = scale_jobs([64], ["fig5"], ["switched"])
     nodes = job.nprocs
-    res, obs = observe(job, window_ms, sample_every)
+    res = observe(job, window_ms, sample_every)
+    obs = res.obs
     tl = obs.timeline
     assert tl is not None
     per_node = obs.window_breakdowns(nodes, res.time_ns)
@@ -115,9 +118,9 @@ def _timeline_bench(window_ms: int = 20, sample_every: int = 64) -> dict[str, An
 def run_bench() -> dict[str, Any]:
     runs: dict[str, Any] = {}
     for name, job in _bench_cases():
-        obs = Observability()
-        res = job.run(obs=obs)
-        cluster = Observability.cluster_breakdown(obs.breakdown(job.nprocs, res.time_ns))
+        res = job.run()
+        obs = res.obs
+        cluster = obs.cluster_breakdown(obs.breakdown(job.nprocs, res.time_ns))
         runs[name] = {
             "nprocs": job.nprocs,
             "time_ns": res.time_ns,

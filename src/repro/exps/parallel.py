@@ -43,6 +43,7 @@ from repro.apps.sort import MergeSplitSortApp
 from repro.apps.tsp import TspApp
 from repro.config import ClusterConfig, ConfigError
 from repro.metrics.collect import Counters
+from repro.obs import NULL_OBS, Observability
 
 __all__ = [
     "APP_REGISTRY",
@@ -85,39 +86,43 @@ class RunResult:
     nprocs: int
     time_ns: int
     counters: Counters
-    #: Flat medium counters (``FabricStats.snapshot()``).  The field
-    #: name predates pluggable fabrics; the keys depend on the backend.
-    ring_stats: dict[str, int]
+    #: Flat medium counters (``FabricStats.snapshot()``); the keys
+    #: depend on the backend.
+    fabric_stats: dict[str, int]
     result: Any = None
     #: Simulator events executed (the deterministic work measure that
     #: ``repro.exps.scale`` turns into events per simulated second).
     events_executed: int = 0
+    #: The run's observability handle (spans, instruments, profiler,
+    #: timeline) as ``config.obs`` set it up; NULL_OBS when off.
+    obs: Observability = NULL_OBS
 
 
 def run_app(
     app_factory: Callable[[int], AppProtocol],
     nprocs: int,
     config: ClusterConfig | None = None,
-    obs: Any = None,
 ) -> RunResult:
     """Run one app instance on a fresh ``nprocs``-node cluster and check
-    its output against the sequential golden.
-
-    Pass an :class:`repro.obs.Observability` as ``obs`` to trace the run
-    and keep the handle (spans, instruments, profiler) afterwards.
-    """
+    its output against the sequential golden.  With ``config.obs`` set,
+    the result carries the run's observability handle."""
     cluster_config = (config or ClusterConfig()).replace(nodes=nprocs)
     app = app_factory(nprocs)
-    ivy = Ivy(cluster_config, obs=obs)
+    ivy = Ivy(cluster_config)
     result = ivy.run(app.main)
     app.check(result)
+    if ivy.obs:
+        # The run is over: unbinding the simulator's clock leaves a
+        # record that pickles back from a run_jobs worker.
+        ivy.obs.bind_clock(None)
     return RunResult(
         nprocs=nprocs,
         time_ns=ivy.time_ns,
         counters=ivy.cluster.total_counters(),
-        ring_stats=ivy.cluster.fabric.stats.snapshot(),
+        fabric_stats=ivy.cluster.fabric.stats.snapshot(),
         result=result,
         events_executed=ivy.cluster.sim.events_executed,
+        obs=ivy.obs,
     )
 
 
@@ -144,9 +149,9 @@ class Job:
         args = self.app_args
         return lambda p: ctor(p, **args)
 
-    def run(self, obs: Any = None) -> RunResult:
+    def run(self) -> RunResult:
         """Run this job in the current process (see :func:`run_app`)."""
-        return run_app(self.factory(), self.nprocs, config=self.config, obs=obs)
+        return run_app(self.factory(), self.nprocs, config=self.config)
 
 
 def resolve_workers(workers: int | None, njobs: int) -> int:

@@ -45,14 +45,14 @@ either way because observation is pure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Any, Sequence
 
-from repro.config import MILLISECOND
+from repro.config import MILLISECOND, ClusterConfig, ObsConfig
 from repro.exps.parallel import Job, RunResult, run_jobs
 from repro.exps.presets import SCALE_NODE_COUNTS, scale_fig4, scale_fig5
-from repro.obs import Observability
 
 __all__ = ["scale_jobs", "observe", "run_scale", "run_timeline", "main"]
 
@@ -85,17 +85,17 @@ def scale_jobs(
     return jobs
 
 
-def observe(
-    job: Job, window_ms: float, sample_every: int
-) -> tuple[RunResult, Observability]:
+def observe(job: Job, window_ms: float, sample_every: int) -> RunResult:
     """Run one scale point in-process under a simulated-time timeline of
-    ``window_ms`` windows, keeping ~1/``sample_every`` of span trees."""
-    obs = Observability(
+    ``window_ms`` windows, keeping ~1/``sample_every`` of span trees;
+    the handle is ``RunResult.obs``."""
+    obs = ObsConfig(
         timeline_window_ns=int(window_ms * MILLISECOND),
         sample_every=sample_every,
         hist_backend="logbucket",
     )
-    return job.run(obs=obs), obs
+    config = (job.config or ClusterConfig()).replace(obs=obs)
+    return dataclasses.replace(job, config=config).run()
 
 
 def _events_per_sim_sec(result: RunResult) -> float:
@@ -120,7 +120,7 @@ def run_scale(
             "events": result.events_executed,
             "events_per_sim_sec": round(_events_per_sim_sec(result), 1),
             "medium": {
-                k: result.ring_stats[k]
+                k: result.fabric_stats[k]
                 for k in ("messages", "broadcasts", "bytes_sent", "busy_ns")
             },
         }
@@ -160,7 +160,8 @@ def run_timeline(
     os.makedirs(out_dir, exist_ok=True)
     jobs = scale_jobs(nodes_list, classes=classes, backends=backends)
     for job in jobs:
-        result, obs = observe(job, window_ms, sample_every)
+        result = observe(job, window_ms, sample_every)
+        obs = result.obs
         tl = obs.timeline
         assert tl is not None
         nodes = job.nprocs

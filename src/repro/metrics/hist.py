@@ -10,7 +10,7 @@ Two histogram backends share one duck-typed surface:
   at small scale) and reports nearest-rank percentiles;
 - :class:`LogBucketHistogram` is the bounded-memory alternative for
   256-node runs: DDSketch-style logarithmic buckets with a guaranteed
-  relative-error bound ``alpha`` on every reported quantile, O(log
+  relative-error bound :data:`ALPHA` on every reported quantile, O(log
   range) memory no matter how many observations arrive.
 
 A :class:`Gauge` tracks the latest value of a sampled level (resident
@@ -38,6 +38,7 @@ __all__ = [
     "Metrics",
     "make_histogram",
     "HIST_BACKENDS",
+    "ALPHA",
 ]
 
 #: The percentiles every report prints.
@@ -46,6 +47,11 @@ REPORT_PERCENTILES = (50.0, 95.0, 99.0)
 #: Selectable histogram backends (`exact` keeps every sample,
 #: `logbucket` keeps O(log range) counters with bounded relative error).
 HIST_BACKENDS = ("exact", "logbucket")
+
+#: The log-bucket backend's relative-error bound on every quantile.
+ALPHA = 0.01
+_GAMMA = (1.0 + ALPHA) / (1.0 - ALPHA)
+_LOG_GAMMA = math.log(_GAMMA)
 
 
 class Histogram:
@@ -121,27 +127,20 @@ class LogBucketHistogram:
     """Bounded-memory histogram with logarithmic buckets.
 
     DDSketch-style: value ``v > 0`` lands in bucket ``ceil(log_γ v)``
-    with ``γ = (1 + α) / (1 - α)``, whose representative midpoint
-    ``2·γ^b / (γ + 1)`` is within relative error ``α`` of every value
-    the bucket holds.  Percentiles walk the sorted bucket keys by
-    cumulative count, so any reported quantile is within ``α`` of the
-    exact nearest-rank answer.  Non-positive values share one exact
-    "zero" bucket (simulated durations are never negative; zeros are
-    common and must not be distorted).  Count/sum/min/max stay exact.
+    with ``γ = (1 + α) / (1 - α)`` and ``α =`` :data:`ALPHA`, whose
+    representative midpoint ``2·γ^b / (γ + 1)`` is within relative
+    error ``α`` of every value the bucket holds.  Percentiles walk the
+    sorted bucket keys by cumulative count, so any reported quantile is
+    within ``α`` of the exact nearest-rank answer.  Non-positive values
+    share one exact "zero" bucket (simulated durations are never
+    negative; zeros are common and must not be distorted).
+    Count/sum/min/max stay exact.
     """
 
-    __slots__ = (
-        "name", "alpha", "_gamma", "_log_gamma", "_buckets", "_zero",
-        "_count", "_total", "_min", "_max",
-    )
+    __slots__ = ("name", "_buckets", "_zero", "_count", "_total", "_min", "_max")
 
-    def __init__(self, name: str, alpha: float = 0.01) -> None:
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha {alpha} out of (0, 1)")
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.alpha = alpha
-        self._gamma = (1.0 + alpha) / (1.0 - alpha)
-        self._log_gamma = math.log(self._gamma)
         self._buckets: dict[int, int] = {}
         self._zero = 0
         self._count = 0
@@ -149,11 +148,13 @@ class LogBucketHistogram:
         self._min: float | None = None
         self._max: float | None = None
 
-    def _key(self, value: float) -> int:
-        return math.ceil(math.log(value) / self._log_gamma)
+    @staticmethod
+    def _key(value: float) -> int:
+        return math.ceil(math.log(value) / _LOG_GAMMA)
 
-    def _representative(self, key: int) -> float:
-        return 2.0 * self._gamma**key / (self._gamma + 1.0)
+    @staticmethod
+    def _representative(key: int) -> float:
+        return 2.0 * _GAMMA**key / (_GAMMA + 1.0)
 
     def observe(self, value: float) -> None:
         if value <= 0.0:
@@ -190,7 +191,7 @@ class LogBucketHistogram:
         return len(self._buckets) + (1 if self._zero else 0)
 
     def percentile(self, q: float) -> float | None:
-        """Nearest-rank percentile within relative error ``alpha``."""
+        """Nearest-rank percentile within relative error :data:`ALPHA`."""
         if not self._count:
             return None
         if not 0.0 <= q <= 100.0:
@@ -226,7 +227,7 @@ class LogBucketHistogram:
     def values(self) -> list[float]:
         """Representative samples (bucket midpoints), one per count.
 
-        Lossy by construction — each value is within ``alpha`` of the
+        Lossy by construction — each value is within :data:`ALPHA` of the
         original — but lets log-bucketed instruments merge into exact
         ones and feed value-oriented reports.
         """
@@ -241,7 +242,7 @@ class LogBucketHistogram:
         return out
 
     def merge_from(self, other: "AnyHistogram") -> None:
-        if isinstance(other, LogBucketHistogram) and other.alpha == self.alpha:
+        if isinstance(other, LogBucketHistogram):
             for key, n in other._buckets.items():
                 self._buckets[key] = self._buckets.get(key, 0) + n
             self._zero += other._zero
@@ -264,14 +265,12 @@ class LogBucketHistogram:
 AnyHistogram = Union[Histogram, LogBucketHistogram]
 
 
-def make_histogram(
-    name: str, backend: str = "exact", alpha: float = 0.01
-) -> AnyHistogram:
+def make_histogram(name: str, backend: str = "exact") -> AnyHistogram:
     """Build a histogram of the requested backend."""
     if backend == "exact":
         return Histogram(name)
     if backend == "logbucket":
-        return LogBucketHistogram(name, alpha=alpha)
+        return LogBucketHistogram(name)
     raise ConfigError.unknown("obs.hist_backend", backend, HIST_BACKENDS)
 
 
@@ -299,20 +298,17 @@ class Metrics:
     created instruments.
     """
 
-    def __init__(self, default_backend: str = "exact", alpha: float = 0.01) -> None:
+    def __init__(self, default_backend: str = "exact") -> None:
         if default_backend not in HIST_BACKENDS:
             raise ConfigError.unknown("obs.hist_backend", default_backend, HIST_BACKENDS)
         self.histograms: dict[str, AnyHistogram] = {}
         self.gauges: dict[str, Gauge] = {}
         self.default_backend = default_backend
-        self.alpha = alpha
 
     def histogram(self, name: str) -> AnyHistogram:
         hist = self.histograms.get(name)
         if hist is None:
-            hist = self.histograms[name] = make_histogram(
-                name, self.default_backend, self.alpha
-            )
+            hist = self.histograms[name] = make_histogram(name, self.default_backend)
         return hist
 
     def observe(self, name: str, value: float) -> None:
@@ -337,22 +333,19 @@ class Metrics:
         """Pool observations across nodes into a cluster-wide view.
 
         Histograms merge per name, preserving each instrument's backend
-        (log buckets add count-wise when the error bounds match); gauges
-        keep the largest peak (levels on different nodes do not sum
-        meaningfully).
+        (log buckets add count-wise); gauges keep the largest peak
+        (levels on different nodes do not sum meaningfully).
         """
         total = Metrics()
         for part in parts:
             total.default_backend = part.default_backend
-            total.alpha = part.alpha
             for name, hist in part.histograms.items():
                 target = total.histograms.get(name)
                 if target is None:
-                    if isinstance(hist, LogBucketHistogram):
-                        target = make_histogram(name, "logbucket", hist.alpha)
-                    else:
-                        target = make_histogram(name, "exact")
-                    total.histograms[name] = target
+                    target = total.histograms[name] = make_histogram(
+                        name,
+                        "logbucket" if isinstance(hist, LogBucketHistogram) else "exact",
+                    )
                 target.merge_from(hist)
             for name, g in part.gauges.items():
                 tg = total.gauges.get(name)

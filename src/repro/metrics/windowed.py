@@ -70,34 +70,28 @@ class WindowedGauge:
 class WindowedHistogram:
     """One histogram per window, lazily created."""
 
-    __slots__ = ("name", "backend", "alpha", "windows")
+    __slots__ = ("name", "backend", "windows")
 
-    def __init__(self, name: str, backend: str = "exact", alpha: float = 0.01) -> None:
+    def __init__(self, name: str, backend: str = "exact") -> None:
         self.name = name
         self.backend = backend
-        self.alpha = alpha
         self.windows: dict[int, AnyHistogram] = {}
 
     def observe(self, window: int, value: float) -> None:
         hist = self.windows.get(window)
         if hist is None:
-            hist = self.windows[window] = make_histogram(
-                self.name, self.backend, self.alpha
-            )
+            hist = self.windows[window] = make_histogram(self.name, self.backend)
         hist.observe(value)
 
 
 class WindowedMetrics:
     """A registry of windowed instruments sharing one window width."""
 
-    def __init__(
-        self, window_ns: int, hist_backend: str = "exact", alpha: float = 0.01
-    ) -> None:
+    def __init__(self, window_ns: int, hist_backend: str = "exact") -> None:
         if window_ns <= 0:
             raise ValueError(f"window_ns must be positive, got {window_ns}")
         self.window_ns = window_ns
         self.hist_backend = hist_backend
-        self.alpha = alpha
         self.counters: dict[str, WindowedCounter] = {}
         self.gauges: dict[str, WindowedGauge] = {}
         self.histograms: dict[str, WindowedHistogram] = {}
@@ -123,9 +117,7 @@ class WindowedMetrics:
     def observe(self, name: str, t: int, value: float) -> None:
         h = self.histograms.get(name)
         if h is None:
-            h = self.histograms[name] = WindowedHistogram(
-                name, self.hist_backend, self.alpha
-            )
+            h = self.histograms[name] = WindowedHistogram(name, self.hist_backend)
         h.observe(self.window_of(t), value)
 
     # ------------------------------------------------------------------

@@ -98,7 +98,7 @@ class FabricStats(Protocol):
     """What every medium's statistics object must expose.
 
     The flat counters keep the historical ``RingStats`` names so
-    existing consumers (ablation tables, ``RunResult.ring_stats``) work
+    existing consumers (ablation tables, ``RunResult.fabric_stats``) work
     on any backend; :meth:`links` is the generalisation — the shared
     ring is a single link named ``"medium"``, the switched fabric one
     egress (``tx[i]``) and one ingress (``rx[i]``) link per station.

@@ -197,8 +197,8 @@ class RemoteOp:
             else:
                 yield from self.transport.send_reply(msg, result)
         finally:
-            # Accumulation-first close: under head-based sampling this
-            # span may be dropped (negative id), but its service time
-            # must still reach the profiler's network attribution and
-            # the timeline's per-window series.
-            self.obs.span_account(span)
+            # Under head-based sampling this span may be dropped
+            # (negative id), but span_end still feeds its service time
+            # to the profiler's network attribution and the timeline's
+            # per-window series.
+            self.obs.span_end(span)

@@ -21,16 +21,17 @@ observation:
 - deterministic **head-based span sampling** (``sample_every > 1``)
   keeping ~1/N of root-span trees by a pure hash of the span id
   (:mod:`repro.obs.sample`).  Dropped spans still feed the profiler
-  and the timeline at close time via :meth:`Observability.span_end`
-  / :meth:`Observability.span_account`, so attribution stays complete
-  while the recorded span list shrinks ~N-fold.
+  and the timeline when :meth:`Observability.span_end` closes them, so
+  attribution stays complete while the recorded span list shrinks
+  ~N-fold.
 
-Enable it per run (``ClusterConfig(obs=True)`` or
-``ClusterConfig(obs=ObsConfig(...))``, or pass an ``Observability`` to
-:class:`repro.api.ivy.Ivy` / ``repro.exps.parallel.Job.run`` to keep the handle).  The
-default :data:`NULL_OBS` is a disabled instance whose hooks are no-ops,
-so the hot paths pay one truthiness check and nothing else.  Every hook
-is pure observation — no simulation events, no effects, no RNG — so
+Observation has one switch, ``ClusterConfig.obs``: ``False`` is off,
+``True`` the :class:`repro.config.ObsConfig` defaults, an ``ObsConfig``
+on with its settings.  The cluster builds the run's handle from it;
+read it back as ``Ivy.obs`` or ``RunResult.obs``.  Off, the handle is
+:data:`NULL_OBS`, a disabled instance whose hooks are no-ops, so the
+hot paths pay one truthiness check and nothing else.  Every hook is
+pure observation — no simulation events, no effects, no RNG — so
 enabling observability never changes simulated times, event counts, or
 golden schedules.
 
@@ -41,15 +42,13 @@ loadable in Perfetto; timeline JSONL; OpenMetrics text) and the CLI in
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
+from repro.config import ConfigError, ObsConfig
 from repro.metrics.hist import Metrics
 from repro.obs.profiler import CATEGORIES, PRECEDENCE, SimProfiler
 from repro.obs.span import NULL_SPAN, UNSTAMPED, Span, SpanTracer
 from repro.obs.timeline import Timeline
-
-if TYPE_CHECKING:
-    from repro.config import ObsConfig
 
 __all__ = [
     "Observability",
@@ -79,39 +78,33 @@ def _span_category(name: str) -> str | None:
 
 
 class Observability:
-    """Spans + instruments + profiler behind one opt-in handle."""
+    """Spans + instruments + profiler behind one opt-in handle.
 
-    def __init__(
-        self,
-        enabled: bool = True,
-        *,
-        timeline_window_ns: int = 0,
-        sample_every: int = 1,
-        hist_backend: str = "exact",
-    ) -> None:
-        self.enabled = enabled
-        self.spans = SpanTracer(enabled=enabled, sample_every=sample_every)
-        self.metrics = Metrics(default_backend=hist_backend)
+    Built from the value of ``ClusterConfig.obs``: ``False`` is the
+    disabled :data:`NULL_OBS`, ``True`` (the default) the
+    :class:`ObsConfig` defaults, an ``ObsConfig`` its settings.  A value
+    out of range is a :class:`ConfigError` naming the ``obs.*`` field.
+    """
+
+    def __init__(self, config: bool | ObsConfig = True) -> None:
+        settings = config if isinstance(config, ObsConfig) else ObsConfig()
+        window_ns = settings.timeline_window_ns
+        if window_ns < 0:
+            raise ConfigError("obs.timeline_window_ns", window_ns, ("an integer >= 0",))
+        self.enabled = config is not False
+        self.spans = SpanTracer(settings.sample_every)
+        self.metrics = Metrics(settings.hist_backend)
         self.profiler = SimProfiler()
         self.timeline: Timeline | None = (
-            Timeline(timeline_window_ns, hist_backend=hist_backend)
-            if enabled and timeline_window_ns > 0
+            Timeline(window_ns, settings.hist_backend)
+            if self.enabled and window_ns > 0
             else None
-        )
-
-    @classmethod
-    def from_config(cls, config: "ObsConfig") -> "Observability":
-        return cls(
-            enabled=config.enabled,
-            timeline_window_ns=config.timeline_window_ns,
-            sample_every=config.sample_every,
-            hist_backend=config.hist_backend,
         )
 
     def __bool__(self) -> bool:
         return self.enabled
 
-    def bind_clock(self, clock: Callable[[], int]) -> None:
+    def bind_clock(self, clock: Callable[[], int] | None) -> None:
         self.spans.bind_clock(clock)
         if self.timeline is not None:
             self.timeline.bind_clock(clock)
@@ -132,21 +125,12 @@ class Observability:
         return self.spans.span_begin(name, parent=parent, node=node, start=start, **attrs)
 
     def span_end(self, span: Span, end: int | None = None) -> None:
+        """Close a span and fold its interval into the aggregates — also
+        a sampled-out (negative-id) one, whose time still belongs to the
+        profiler's attribution and the timeline's per-window series."""
         self.spans.span_end(span, end=end)
         if span.sid != 0:
             self._account(span)
-
-    def span_account(self, span: Span, end: int | None = None) -> None:
-        """Close a span *and* fold its interval into the aggregates.
-
-        The explicit name for sites where the aggregates — not the span
-        record — are the point: under head-based sampling the span
-        itself may be dropped (negative id), but its time still feeds
-        the profiler's attribution and the timeline's per-window series.
-        :meth:`span_end` does the same accounting; this alias exists so
-        accumulation-first call sites read as what they are.
-        """
-        self.span_end(span, end=end)
 
     def _account(self, span: Span) -> None:
         """Fold one just-closed span into profiler/timeline aggregates.
@@ -215,7 +199,7 @@ class Observability:
         timeline's window width; requires a timeline."""
         if self.timeline is None:
             raise ValueError("window_breakdowns requires a timeline "
-                             "(Observability(timeline_window_ns=...))")
+                             "(ClusterConfig(obs=ObsConfig(timeline_window_ns=...)))")
         return self._profile(total_ns).per_node_windows(
             nnodes, total_ns, self.timeline.window_ns
         )
@@ -243,4 +227,4 @@ class Observability:
 
 
 #: Shared disabled instance — the default everywhere.
-NULL_OBS = Observability(enabled=False)
+NULL_OBS = Observability(False)

@@ -20,27 +20,26 @@
     # Aggregate spans: where does simulated time actually go?
     python -m repro.obs top --app jacobi --nodes 4
 
-    # Validate an exported trace against the trace-event schema:
-    python -m repro.obs validate dotprod_trace.json
-
     # Windowed timeline: per-window profile, busiest links over time,
     # SLO verdicts; JSONL + OpenMetrics exports.  --sample-every keeps
-    # 1/N of span trees (pure hash of the span id — reproducible).
+    # 1/N of span trees (pure hash of the span id — reproducible);
+    # --fail-on-violation exits 1 when an SLO is violated.
     python -m repro.obs timeline --app dotprod --nodes 64 \
         --fabric switched --window-ms 500 --sample-every 64 \
         --slo "p99(fault.read_ns) < 60ms" --slo "link_utilisation < 90%" \
         --out timeline.jsonl --metrics-out metrics.om
 
-    # Evaluate SLOs only (exit 1 on violation with --fail-on-violation):
-    python -m repro.obs slo --app jacobi --nodes 4 --window-ms 20 \
-        --spec "p99(fault.read_ns) < 10ms"
+    # Validate any export against its schema; the format (Chrome trace,
+    # timeline JSONL, OpenMetrics) is read from the content:
+    python -m repro.obs validate dotprod_trace.json
+    python -m repro.obs validate timeline.jsonl
+    python -m repro.obs validate metrics.om
 
-    # Validate exported artifacts against their schemas:
-    python -m repro.obs validate-timeline timeline.jsonl
-    python -m repro.obs validate-metrics metrics.om
-
-Exit status is non-zero when a run fails its numerical check or a trace
-fails validation, so CI can gate on it (the ``obs-smoke`` job does).
+Exit status is non-zero when a run fails its numerical check, an SLO
+fails under --fail-on-violation, or an export fails validation, so CI
+can gate on it (the ``obs-smoke`` job does).  A bad flag value (``--nodes
+0``, ``--sample-every 0``, an unknown ``--algorithm``) is a usage error:
+one line naming the config field, exit 2.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ import json
 import sys
 from typing import Any
 
-from repro.config import MILLISECOND, ClusterConfig
+from repro.config import MILLISECOND, ClusterConfig, ConfigError, ObsConfig
 from repro.exps.parallel import Job, RunResult
 from repro.exps.presets import capacity_config
 from repro.obs import Observability
@@ -74,31 +73,26 @@ SIZES: dict[str, dict[str, int]] = {
 }
 
 
-def _run_observed(args: argparse.Namespace) -> tuple[RunResult, Observability]:
-    config = ClusterConfig(nodes=args.nodes, obs=True).with_svm(
-        algorithm=args.algorithm
+def _run_observed(args: argparse.Namespace) -> RunResult:
+    obs = ObsConfig(
+        timeline_window_ns=int(args.window_ms * MILLISECOND),
+        sample_every=args.sample_every,
+        hist_backend=args.hist_backend,
     )
-    fabric = getattr(args, "fabric", "ring")
-    if fabric != "ring":
-        config = config.with_fabric(backend=fabric)
-    if getattr(args, "capacity", False):
+    config = ClusterConfig(nodes=args.nodes, obs=obs).with_svm(algorithm=args.algorithm)
+    if args.fabric != "ring":
+        config = config.with_fabric(backend=args.fabric)
+    if args.capacity:
         # The Figure 4 / Table 1 regime, sized for the PDE below.
         config = capacity_config(SIZES["pde3d"]["m"], config.svm.page_size, base=config)
-    window_ms = getattr(args, "window_ms", 0.0)
-    obs = Observability(
-        timeline_window_ns=int(window_ms * MILLISECOND),
-        sample_every=getattr(args, "sample_every", 1),
-        hist_backend=getattr(args, "hist_backend", "exact"),
-    )
-    job = Job(args.app, SIZES[args.app], nprocs=args.nodes, config=config)
-    return job.run(obs=obs), obs
+    return Job(args.app, SIZES[args.app], nprocs=args.nodes, config=config).run()
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.metrics.report import format_instruments, format_profile
 
-    res, obs = _run_observed(args)
-    total = res.time_ns
+    res = _run_observed(args)
+    obs, total = res.obs, res.time_ns
     print(
         f"{args.app} on {args.nodes} nodes ({args.algorithm}): "
         f"T = {total / 1e6:.1f} ms simulated, {len(obs.spans)} spans"
@@ -111,11 +105,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    res, obs = _run_observed(args)
-    count = save_chrome_trace(args.out, obs, total_ns=res.time_ns)
+    res = _run_observed(args)
+    count = save_chrome_trace(args.out, res.obs, total_ns=res.time_ns)
     print(f"saved {count} trace events to {args.out} (open at ui.perfetto.dev)")
     if args.spans:
-        n = obs.spans.save(args.spans)
+        n = res.obs.spans.save(args.spans)
         print(f"saved {n} spans to {args.spans}")
     return 0
 
@@ -123,33 +117,53 @@ def _cmd_export(args: argparse.Namespace) -> int:
 def _cmd_top(args: argparse.Namespace) -> int:
     from repro.metrics.report import format_span_stats
 
-    res, obs = _run_observed(args)
+    res = _run_observed(args)
     print(
         f"{args.app} on {args.nodes} nodes ({args.algorithm}): "
         f"T = {res.time_ns / 1e6:.1f} ms simulated"
     )
     print()
-    print(format_span_stats(obs.span_stats(), limit=args.limit))
+    print(format_span_stats(res.obs.span_stats(), limit=args.limit))
     return 0
+
+
+def _validate(text: str) -> tuple[str, list[str], str]:
+    """(format, problems, size) of an export, its format read from the
+    content: a first record of kind ``meta`` is timeline JSONL, other
+    JSON is a Chrome trace, anything else is OpenMetrics text."""
+    first = text.lstrip().split("\n", 1)[0]
+    try:
+        head = json.loads(first)
+    except json.JSONDecodeError:
+        head = None
+    if isinstance(head, dict) and head.get("kind") == "meta":
+        lines = text.split("\n")
+        nrecords = sum(1 for line in lines if line.strip())
+        return "timeline JSONL", validate_timeline_jsonl(lines), f"{nrecords} records"
+    if first[:1] in ("{", "["):
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            return "trace-event JSON", [f"not valid JSON: {exc}"], ""
+        problems = validate_chrome_trace(doc)
+        return "trace-event JSON", problems, "" if problems else f"{len(doc['traceEvents'])} events"
+    nsamples = sum(1 for line in text.split("\n") if line and not line.startswith("#"))
+    return "OpenMetrics exposition", validate_openmetrics(text), f"{nsamples} samples"
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     try:
-        with open(args.trace, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(args.file, encoding="utf-8") as fh:
+            text = fh.read()
     except FileNotFoundError:
-        raise SystemExit(f"no such trace file: {args.trace}")
-    except json.JSONDecodeError as exc:
-        print(f"{args.trace}: not valid JSON: {exc}")
-        return 1
-    problems = validate_chrome_trace(doc)
+        raise SystemExit(f"no such file: {args.file}")
+    kind, problems, size = _validate(text)
     for problem in problems:
-        print(f"{args.trace}: {problem}")
+        print(f"{args.file}: {problem}")
     if problems:
-        print(f"{len(problems)} problem(s)")
+        print(f"{len(problems)} problem(s) in {kind}")
         return 1
-    events = doc.get("traceEvents", [])
-    print(f"{args.trace}: valid trace-event JSON ({len(events)} events)")
+    print(f"{args.file}: valid {kind} ({size})")
     return 0
 
 
@@ -177,9 +191,9 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
     from repro.obs.slo import evaluate
 
     specs = _parse_specs(args.slo)
-    res, obs = _run_observed(args)
+    res = _run_observed(args)
+    obs, total = res.obs, res.time_ns
     tl = _timeline_or_die(obs)
-    total = res.time_ns
     print(
         f"{args.app} on {args.nodes} nodes ({args.algorithm}, {args.fabric}): "
         f"T = {total / 1e6:.1f} ms simulated, {tl.nwindows(total)} windows of "
@@ -194,9 +208,10 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
     )
     print()
     print(format_busiest_links(tl.busiest_links(total)))
-    if specs:
+    report = evaluate(tl, total, specs) if specs else None
+    if report is not None:
         print()
-        print(format_slo_report(evaluate(tl, total, specs)))
+        print(format_slo_report(report))
     if args.out:
         n = save_timeline_jsonl(args.out, obs, args.nodes, total)
         print(f"\nsaved {n} timeline records to {args.out}")
@@ -205,59 +220,7 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
         with open(args.metrics_out, "w", encoding="utf-8") as fh:
             fh.write(text)
         print(f"saved OpenMetrics exposition to {args.metrics_out}")
-    return 0
-
-
-def _cmd_slo(args: argparse.Namespace) -> int:
-    from repro.metrics.report import format_slo_report
-    from repro.obs.slo import evaluate
-
-    if not args.spec:
-        raise SystemExit("pass at least one --spec")
-    specs = _parse_specs(args.spec)
-    res, obs = _run_observed(args)
-    tl = _timeline_or_die(obs)
-    report = evaluate(tl, res.time_ns, specs)
-    print(format_slo_report(report))
-    if args.fail_on_violation and not report.ok:
-        return 1
-    return 0
-
-
-def _cmd_validate_timeline(args: argparse.Namespace) -> int:
-    try:
-        with open(args.file, encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except FileNotFoundError:
-        raise SystemExit(f"no such timeline file: {args.file}")
-    problems = validate_timeline_jsonl(lines)
-    for problem in problems:
-        print(f"{args.file}: {problem}")
-    if problems:
-        print(f"{len(problems)} problem(s)")
-        return 1
-    nrecords = sum(1 for line in lines if line.strip())
-    print(f"{args.file}: valid timeline JSONL ({nrecords} records)")
-    return 0
-
-
-def _cmd_validate_metrics(args: argparse.Namespace) -> int:
-    try:
-        with open(args.file, encoding="utf-8") as fh:
-            text = fh.read()
-    except FileNotFoundError:
-        raise SystemExit(f"no such metrics file: {args.file}")
-    problems = validate_openmetrics(text)
-    for problem in problems:
-        print(f"{args.file}: {problem}")
-    if problems:
-        print(f"{len(problems)} problem(s)")
-        return 1
-    nsamples = sum(
-        1 for line in text.split("\n") if line and not line.startswith("#")
-    )
-    print(f"{args.file}: valid OpenMetrics exposition ({nsamples} samples)")
-    return 0
+    return 1 if args.fail_on_violation and report is not None and not report.ok else 0
 
 
 def _add_run_args(parser: argparse.ArgumentParser) -> None:
@@ -311,8 +274,12 @@ def main(argv: list[str] | None = None) -> int:
     top.add_argument("-n", "--limit", type=int, default=20)
     top.set_defaults(func=_cmd_top)
 
-    validate = sub.add_parser("validate", help="check an exported Chrome trace")
-    validate.add_argument("trace", help="JSON file written by `export`")
+    validate = sub.add_parser(
+        "validate", help="check a Chrome trace, timeline JSONL or OpenMetrics export"
+    )
+    validate.add_argument(
+        "file", help="written by `export --out`, `timeline --out` or `--metrics-out`"
+    )
     validate.set_defaults(func=_cmd_validate)
 
     timeline = sub.add_parser(
@@ -328,35 +295,17 @@ def main(argv: list[str] | None = None) -> int:
     timeline.add_argument(
         "--metrics-out", default="", help="OpenMetrics exposition path"
     )
+    timeline.add_argument(
+        "--fail-on-violation", action="store_true",
+        help="exit 1 when any --slo is violated in any window",
+    )
     timeline.set_defaults(func=_cmd_timeline)
 
-    slo = sub.add_parser("slo", help="evaluate SLO specs over a windowed run")
-    _add_run_args(slo)
-    slo.set_defaults(window_ms=50.0)
-    slo.add_argument(
-        "--spec", action="append", default=[],
-        help='SLO spec, repeatable (e.g. "link_utilisation < 90%%")',
-    )
-    slo.add_argument(
-        "--fail-on-violation", action="store_true",
-        help="exit 1 when any spec is violated in any window",
-    )
-    slo.set_defaults(func=_cmd_slo)
-
-    vtl = sub.add_parser(
-        "validate-timeline", help="check a timeline JSONL export"
-    )
-    vtl.add_argument("file", help="JSONL file written by `timeline --out`")
-    vtl.set_defaults(func=_cmd_validate_timeline)
-
-    vom = sub.add_parser(
-        "validate-metrics", help="check an OpenMetrics exposition"
-    )
-    vom.add_argument("file", help="file written by `timeline --metrics-out`")
-    vom.set_defaults(func=_cmd_validate_metrics)
-
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -193,7 +193,7 @@ def timeline_records(
     tl = obs.timeline
     if tl is None:
         raise ValueError("timeline export requires a timeline "
-                         "(Observability(timeline_window_ns=...))")
+                         "(ClusterConfig(obs=ObsConfig(timeline_window_ns=...)))")
     nwin = tl.nwindows(total_ns)
     meta: dict[str, Any] = {
         "kind": "meta",

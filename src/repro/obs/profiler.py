@@ -44,13 +44,19 @@ CATEGORIES = ("compute", "fault", "network", "disk", "idle")
 PRECEDENCE = ("disk", "compute", "network", "fault")
 
 
+def _by_category() -> defaultdict[str, list[tuple[int, int]]]:
+    # A module-level factory, not a lambda: a finished run's profiler
+    # pickles back from a worker process.
+    return defaultdict(list)
+
+
 class SimProfiler:
     """Per-node interval store + line-sweep attribution."""
 
     def __init__(self) -> None:
         #: node -> category -> list of (start, end) in simulated ns.
         self._intervals: defaultdict[int, defaultdict[str, list[tuple[int, int]]]] = (
-            defaultdict(lambda: defaultdict(list))
+            defaultdict(_by_category)
         )
 
     def interval(self, node: int, category: str, start: int, end: int) -> None:

@@ -17,12 +17,13 @@ allocated in emission order; id 0 means "no span" (the :data:`NULL_SPAN`
 parent of roots, and the id that rides on messages when observability is
 off).
 
-Tracing is opt-in with a no-op fast path: a disabled tracer hands back
-:data:`NULL_SPAN` from :meth:`SpanTracer.span_begin` and ignores it in
-:meth:`SpanTracer.span_end`, so instrumented code needs no conditionals
-and the hot path pays one attribute check.  Recording is pure
-observation — it never schedules events, yields effects, or consumes
-RNG, so enabling it cannot change simulated times or event counts.
+Tracing is opt-in with a no-op fast path: the disabled
+:data:`repro.obs.NULL_OBS` facade hands back :data:`NULL_SPAN` instead
+of calling :meth:`SpanTracer.span_begin`, and :meth:`SpanTracer.span_end`
+ignores it, so instrumented code needs no conditionals and the hot path
+pays one attribute check.  Recording is pure observation — it never
+schedules events, yields effects, or consumes RNG, so enabling it
+cannot change simulated times or event counts.
 
 Head-based sampling (``sample_every > 1``) keeps ~1/N of root spans by
 a pure hash of the span id (:func:`repro.obs.sample.keep_root`).  Ids
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterator
 
+from repro.config import ConfigError
 from repro.obs.jsonl import read_jsonl, write_jsonl
 from repro.obs.sample import keep_root
 
@@ -95,18 +97,17 @@ class Span:
         )
 
 
-#: The span handed out by a disabled tracer (and the parent of roots).
-#: Its id 0 is what rides on messages when observability is off.
+#: The span handed out when observability is off (and the parent of
+#: roots).  Its id 0 is what rides on messages then.
 NULL_SPAN = Span(0, 0, "", -1, UNSTAMPED, UNSTAMPED, {})
 
 
 class SpanTracer:
-    """Collects spans; disabled instances are no-ops returning NULL_SPAN."""
+    """Collects spans, keeping ~1 root tree in ``sample_every``."""
 
-    def __init__(self, enabled: bool = True, sample_every: int = 1) -> None:
+    def __init__(self, sample_every: int = 1) -> None:
         if sample_every < 1:
-            raise ValueError(f"sample_every must be >= 1, got {sample_every}")
-        self.enabled = enabled
+            raise ConfigError("obs.sample_every", sample_every, ("an integer >= 1",))
         self.sample_every = sample_every
         self.spans: list[Span] = []
         self.dropped = 0
@@ -114,11 +115,9 @@ class SpanTracer:
         self._next_sid = 0
         self._clock: Callable[[], int] | None = None
 
-    def __bool__(self) -> bool:
-        return self.enabled
-
-    def bind_clock(self, clock: Callable[[], int]) -> None:
-        """Attach the simulator clock; called by the cluster at boot."""
+    def bind_clock(self, clock: Callable[[], int] | None) -> None:
+        """Attach the simulator clock; called by the cluster at boot
+        (``None`` detaches it once the run is over)."""
         self._clock = clock
 
     def _now(self) -> int:
@@ -135,7 +134,7 @@ class SpanTracer:
         start: int | None = None,
         **attrs: Any,
     ) -> Span:
-        """Open a span; returns :data:`NULL_SPAN` when disabled.
+        """Open a span (a dropped one when sampling says so).
 
         ``parent`` accepts a :class:`Span`, a raw span id (e.g. the id
         that arrived on a message), or None (a root).  ``start``
@@ -144,8 +143,6 @@ class SpanTracer:
         before the owner-materialisation step that decides whether the
         fault is real).
         """
-        if not self.enabled:
-            return NULL_SPAN
         pid = parent.sid if isinstance(parent, Span) else int(parent or 0)
         self._next_sid += 1
         sid = self._next_sid

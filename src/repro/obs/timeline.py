@@ -36,18 +36,14 @@ __all__ = ["Timeline"]
 class Timeline:
     """Windowed counters/gauges/histograms plus link and span series."""
 
-    def __init__(
-        self, window_ns: int, hist_backend: str = "exact", alpha: float = 0.01
-    ) -> None:
-        if window_ns <= 0:
-            raise ValueError(f"window_ns must be positive, got {window_ns}")
+    def __init__(self, window_ns: int, hist_backend: str = "exact") -> None:
+        self.metrics = WindowedMetrics(window_ns, hist_backend)  # checks window_ns > 0
         self.window_ns = window_ns
-        self.metrics = WindowedMetrics(window_ns, hist_backend, alpha)
         #: link name -> window -> busy ns inside that window
         self._links: dict[str, dict[int, int]] = {}
         self._clock: Callable[[], int] | None = None
 
-    def bind_clock(self, clock: Callable[[], int]) -> None:
+    def bind_clock(self, clock: Callable[[], int] | None) -> None:
         self._clock = clock
 
     def _now(self) -> int:

@@ -1,7 +1,7 @@
-"""Accumulation-first span close: ``span_account`` is a documented
-alias of ``span_end`` used where a sampled-out (negative-id) span must
-still feed the profiler and timeline — the lock/span rule accepts it
-as a closer on every exit path."""
+"""Accumulation-first span close: a server span is closed with
+``span_end`` on every exit path, so a sampled-out (negative-id) span
+still feeds the profiler and the timeline — the lock/span rule accepts
+the ``finally`` close."""
 
 
 def serve(self, msg):
@@ -10,4 +10,4 @@ def serve(self, msg):
     try:
         yield from self.handle(msg.origin, msg.payload)
     finally:
-        obs.span_account(span)
+        obs.span_end(span)

@@ -100,9 +100,14 @@ def test_cli_takes_every_registered_app(capsys):
     out = capsys.readouterr().out
     assert "sort on 2 nodes (dynamic): result ok" in out
     assert "race: " in out and " words / " in out
-    with pytest.raises(ConfigError) as exc:
+    # A typo is a usage error (exit 2) whose cause is the ConfigError.
+    with pytest.raises(SystemExit) as exc:
         main(["run", "--app", "sorrt"])
-    assert exc.value.field == "app" and exc.value.suggestion == "sort"
+    assert exc.value.code == 2
+    error = exc.value.__context__
+    assert isinstance(error, ConfigError)
+    assert error.field == "app" and error.suggestion == "sort"
+    assert "error: unknown app 'sorrt'" in capsys.readouterr().err
 
 
 def test_checker_off_leaves_no_hooks():

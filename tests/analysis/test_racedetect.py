@@ -255,9 +255,11 @@ def test_allowlist_without_declaration_suppresses_nothing():
 
 
 def test_checker_config_truthiness_gates_the_checkers():
+    # False is off; True and any CheckerConfig are on.
     from repro.config import CheckerConfig
 
-    assert not Ivy(ClusterConfig(nodes=2, checker=CheckerConfig(enabled=False))).races
+    assert Ivy(ClusterConfig(nodes=2, checker=False)).races is None
+    assert Ivy(ClusterConfig(nodes=2, checker=True)).races is not None
     assert Ivy(ClusterConfig(nodes=2, checker=CheckerConfig())).races is not None
 
 

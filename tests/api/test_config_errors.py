@@ -6,6 +6,7 @@ import pytest
 from repro.api.cluster import Cluster
 from repro.api.ivy import Ivy
 from repro.config import ClusterConfig, ConfigError, ObsConfig
+from repro.exps.parallel import resolve_workers
 
 
 @pytest.mark.parametrize("manager_node", [9, -1])
@@ -61,3 +62,58 @@ def test_unknown_enumerated_value_suggests_the_closest(field, config, suggestion
     assert excinfo.value.field == field
     assert excinfo.value.suggestion == suggestion
     assert f"did you mean {suggestion!r}?" in str(excinfo.value)
+
+
+def _refusal(build):
+    with pytest.raises(ConfigError) as excinfo:
+        build()
+    return excinfo.value
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: Cluster(ClusterConfig(nodes=0)), "nodes must be an integer >= 1, got 0"),
+        (
+            lambda: Cluster(ClusterConfig(nodes=2, obs=ObsConfig(timeline_window_ns=-5))),
+            "obs.timeline_window_ns must be an integer >= 0, got -5",
+        ),
+        (
+            lambda: Cluster(ClusterConfig(nodes=2, obs=ObsConfig(sample_every=0))),
+            "obs.sample_every must be an integer >= 1, got 0",
+        ),
+        (
+            lambda: Cluster(ClusterConfig(nodes=4).with_svm(manager_node=9)),
+            "svm.manager_node must be an integer in 0..N-1, got 9",
+        ),
+        (
+            lambda: Cluster(
+                ClusterConfig(nodes=4).with_fabric(backend="switched", multicast_fanout=0)
+            ),
+            "fabric.multicast_fanout must be an integer >= 1, got 0",
+        ),
+        (lambda: resolve_workers(0, njobs=4), "workers must be an integer >= 1, got 0"),
+    ],
+    ids=["nodes", "obs.timeline_window_ns", "obs.sample_every", "svm.manager_node",
+         "fabric.multicast_fanout", "workers"],
+)
+def test_a_range_violation_reads_as_a_range(build, message):
+    error = _refusal(build)
+    assert str(error) == message
+    assert error.field == message.split()[0]
+    assert error.known and error.suggestion is None
+
+
+def test_a_bad_repro_workers_reads_as_a_range(monkeypatch):
+    monkeypatch.setenv("REPRO_WORKERS", "two")
+    error = _refusal(lambda: resolve_workers(None, njobs=4))
+    assert str(error) == "REPRO_WORKERS must be an integer >= 1, got 'two'"
+    assert (error.field, error.value, error.known) == ("REPRO_WORKERS", "two", ("an integer >= 1",))
+
+
+def test_an_unknown_name_still_reads_as_unknown():
+    error = _refusal(lambda: Ivy(ClusterConfig(nodes=2).with_sched(allocator="twolevle")))
+    assert str(error) == (
+        "unknown sched.allocator 'twolevle' (known: central, twolevel); "
+        "did you mean 'twolevel'?"
+    )

@@ -93,3 +93,24 @@ def test_per_job_config_is_honoured():
     # Different page sizes change fault counts — configs reached the runs.
     faults = lambda r: r.counters["read_faults"] + r.counters["write_faults"]
     assert faults(r_small) != faults(r_big)
+
+
+def test_observed_jobs_return_their_handle_from_a_pool():
+    # The handle rides RunResult back from a worker; observing changes
+    # no number, and each ObsConfig field reached the worker's run.
+    from repro.config import ObsConfig
+
+    obs = ObsConfig(timeline_window_ns=20_000_000, sample_every=4, hist_backend="logbucket")
+    jobs = [
+        Job("dotprod", {"n": 2048}, nprocs=p, config=ClusterConfig(obs=obs)) for p in (2, 1)
+    ]
+    plain = run_jobs([Job(j.app, j.app_args, j.nprocs) for j in jobs], workers=1)
+    serial = run_jobs(jobs, workers=1)
+    pooled = run_jobs(jobs, workers=2)
+    for ref, one, two in zip(plain, serial, pooled):
+        assert (one.time_ns, one.events_executed) == (ref.time_ns, ref.events_executed)
+        assert (two.time_ns, two.events_executed) == (ref.time_ns, ref.events_executed)
+        assert not ref.obs and one.obs and two.obs
+        assert two.obs.timeline.window_ns == 20_000_000
+        assert [s.sid for s in two.obs.spans] == [s.sid for s in one.obs.spans]
+        assert two.obs.metrics.snapshot() == one.obs.metrics.snapshot()

@@ -5,6 +5,7 @@ the log-bucket backend's relative-error guarantee."""
 import pytest
 
 from repro.metrics.hist import (
+    ALPHA,
     HIST_BACKENDS,
     Gauge,
     Histogram,
@@ -124,13 +125,13 @@ def _lat_samples():
     return out
 
 
-@pytest.mark.parametrize("alpha", [0.01, 0.05])
+@pytest.mark.parametrize("alpha", [ALPHA])
 @pytest.mark.parametrize("q", [50, 90, 95, 99, 100])
 def test_logbucket_percentile_relative_error_is_bounded(alpha, q):
-    # The satellite's contract: every reported quantile is within
-    # `alpha` relative error of the exact nearest-rank answer.
+    # The contract: every reported quantile is within ALPHA relative
+    # error of the exact nearest-rank answer.
     exact = Histogram("exact")
-    sketch = LogBucketHistogram("sketch", alpha=alpha)
+    sketch = LogBucketHistogram("sketch")
     for v in _lat_samples():
         exact.observe(v)
         sketch.observe(v)
@@ -141,7 +142,7 @@ def test_logbucket_percentile_relative_error_is_bounded(alpha, q):
 
 
 def test_logbucket_memory_is_bounded_by_range_not_count():
-    sketch = LogBucketHistogram("mem", alpha=0.01)
+    sketch = LogBucketHistogram("mem")
     for i in range(50_000):
         sketch.observe(100 + (i * 37) % 10_000)
     assert sketch.count == 50_000
@@ -150,20 +151,21 @@ def test_logbucket_memory_is_bounded_by_range_not_count():
 
 
 def test_logbucket_empty_single_and_nonpositive():
-    sketch = LogBucketHistogram("edge", alpha=0.02)
+    sketch = LogBucketHistogram("edge")
     assert sketch.count == 0 and sketch.percentile(50) is None
     sketch.observe(0)
     sketch.observe(-5)
     # Non-positive values land in the exact zero bucket.
     assert sketch.count == 2
     assert sketch.percentile(50) == 0
-    sketch.observe(42)
-    assert sketch.min == -5 and sketch.max == 42
-    assert sketch.percentile(100) == 42  # clamped to the observed max
+    # 43's bucket midpoint lies above 43 (42's lies below 42).
+    sketch.observe(43)
+    assert sketch.min == -5 and sketch.max == 43
+    assert sketch.percentile(100) == 43  # clamped to the observed max
 
 
 def test_logbucket_min_max_total_are_exact():
-    sketch = LogBucketHistogram("exactish", alpha=0.01)
+    sketch = LogBucketHistogram("exactish")
     for v in (5, 17, 900):
         sketch.observe(v)
     assert sketch.min == 5 and sketch.max == 900
@@ -172,8 +174,8 @@ def test_logbucket_min_max_total_are_exact():
 
 
 def test_logbucket_merge_same_alpha_is_bucketwise():
-    a = LogBucketHistogram("a", alpha=0.01)
-    b = LogBucketHistogram("b", alpha=0.01)
+    a = LogBucketHistogram("a")
+    b = LogBucketHistogram("b")
     for v in (10, 100, 1000):
         a.observe(v)
     for v in (20, 200):
@@ -182,12 +184,12 @@ def test_logbucket_merge_same_alpha_is_bucketwise():
     assert a.count == 5
     assert a.max == 1000 and a.min == 10
     p50 = a.percentile(50)
-    assert p50 is not None and abs(p50 - 100) / 100 <= 0.01
+    assert p50 is not None and abs(p50 - 100) / 100 <= ALPHA
 
 
 def test_make_histogram_selects_backend():
     assert isinstance(make_histogram("x", "exact"), Histogram)
-    assert isinstance(make_histogram("x", "logbucket", 0.03), LogBucketHistogram)
+    assert isinstance(make_histogram("x", "logbucket"), LogBucketHistogram)
     with pytest.raises(ValueError):
         make_histogram("x", "tdigest")
     assert set(HIST_BACKENDS) == {"exact", "logbucket"}
@@ -207,8 +209,8 @@ def test_metrics_registry_backend_is_registry_wide():
 
 
 def test_metrics_merge_preserves_logbucket_backend():
-    a = Metrics(default_backend="logbucket", alpha=0.02)
-    b = Metrics(default_backend="logbucket", alpha=0.02)
+    a = Metrics(default_backend="logbucket")
+    b = Metrics(default_backend="logbucket")
     for v in (10, 20, 30):
         a.observe("lat", v)
     b.observe("lat", 40)

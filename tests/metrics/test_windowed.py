@@ -68,11 +68,10 @@ def test_histogram_is_per_window():
 def test_histogram_backend_is_inherited_from_registry():
     from repro.metrics.hist import LogBucketHistogram
 
-    wm = WindowedMetrics(100, hist_backend="logbucket", alpha=0.05)
+    wm = WindowedMetrics(100, hist_backend="logbucket")
     wm.observe("lat", t=10, value=123)
     hist = wm.hist_window("lat", 0)
     assert isinstance(hist, LogBucketHistogram)
-    assert hist.alpha == 0.05
 
 
 def test_max_window_spans_all_instrument_kinds():

@@ -3,6 +3,7 @@ lane nesting, and the validator's teeth."""
 
 import json
 
+from repro.config import ObsConfig
 from repro.obs import Observability
 from repro.obs.export import chrome_trace, save_chrome_trace, validate_chrome_trace
 
@@ -115,7 +116,7 @@ def test_validator_rejects_broken_documents():
 
 def _windowed_obs() -> tuple[Observability, int]:
     """A small observed 'run': 2 nodes, 3 windows of 1000 ns."""
-    obs = Observability(timeline_window_ns=1000)
+    obs = Observability(ObsConfig(timeline_window_ns=1000))
     now = [0]
     obs.bind_clock(lambda: now[0])
     span = obs.span_begin("fault.read", node=0, page=7)

@@ -21,16 +21,15 @@ from repro.analysis.replay import record_stream
 from repro.api.ivy import Ivy
 from repro.apps.dotprod import DotProductApp
 from repro.config import ClusterConfig
-from repro.obs import Observability
 from repro.obs.export import validate_chrome_trace
 
 NPROCS = 2
 
 
-def _run(obs: Observability | None = None):
-    config = ClusterConfig(nodes=NPROCS)
+def _run(obs: bool = False):
+    config = ClusterConfig(nodes=NPROCS, obs=obs)
     app = DotProductApp(NPROCS, n=2048)
-    ivy = Ivy(config, obs=obs)
+    ivy = Ivy(config)
     result = ivy.run(app.main)
     app.check(result)
     return ivy
@@ -38,7 +37,7 @@ def _run(obs: Observability | None = None):
 
 def test_observability_does_not_perturb_the_simulation():
     base = _run()
-    observed = _run(obs=Observability())
+    observed = _run(obs=True)
     assert observed.time_ns == base.time_ns
     assert (
         observed.cluster.sim.events_executed == base.cluster.sim.events_executed
@@ -49,8 +48,8 @@ def test_observability_does_not_perturb_the_simulation():
 
 
 def test_every_fault_has_a_span_tree_rooted_at_its_latency():
-    obs = Observability()
-    ivy = Ivy(ClusterConfig(nodes=NPROCS, checker=True), obs=obs)
+    ivy = Ivy(ClusterConfig(nodes=NPROCS, checker=True, obs=True))
+    obs = ivy.obs
     stream = record_stream(ivy.cluster)
     app = DotProductApp(NPROCS, n=2048)
     app.check(ivy.run(app.main))
@@ -86,8 +85,8 @@ def test_every_fault_has_a_span_tree_rooted_at_its_latency():
 
 
 def test_fault_latency_histograms_cross_check_the_counters():
-    obs = Observability()
-    ivy = _run(obs=obs)
+    ivy = _run(obs=True)
+    obs = ivy.obs
     totals = ivy.cluster.total_counters()
     hists = obs.metrics.histograms
     assert hists["fault.read_ns"].count == totals["read_faults"]
@@ -98,8 +97,8 @@ def test_fault_latency_histograms_cross_check_the_counters():
 
 
 def test_no_spans_left_open_and_profile_sums_exactly():
-    obs = Observability()
-    ivy = _run(obs=obs)
+    ivy = _run(obs=True)
+    obs = ivy.obs
     assert obs.spans.open_spans() == []
     total = ivy.time_ns
     per_node = obs.breakdown(NPROCS, total)
@@ -158,10 +157,127 @@ def test_config_obs_flag_enables_a_private_bundle():
     "algorithm", ["centralized", "fixed", "dynamic", "broadcast"]
 )
 def test_all_manager_algorithms_close_their_spans(algorithm):
-    config = ClusterConfig(nodes=NPROCS).with_svm(algorithm=algorithm)
-    obs = Observability()
+    config = ClusterConfig(nodes=NPROCS, obs=True).with_svm(algorithm=algorithm)
     app = DotProductApp(NPROCS, n=1024)
-    ivy = Ivy(config, obs=obs)
+    ivy = Ivy(config)
     app.check(ivy.run(app.main))
+    obs = ivy.obs
     assert obs.spans.open_spans() == []
     assert [s for s in obs.spans.roots() if s.name.startswith("fault.")]
+
+
+def test_every_obs_config_field_reaches_the_handle():
+    from repro.config import ObsConfig
+    from repro.metrics.hist import LogBucketHistogram
+
+    settings = ObsConfig(timeline_window_ns=5_000_000, sample_every=8, hist_backend="logbucket")
+    ivy = Ivy(ClusterConfig(nodes=NPROCS, obs=settings))
+    app = DotProductApp(NPROCS, n=2048)
+    app.check(ivy.run(app.main))
+    assert ivy.obs.timeline.window_ns == 5_000_000
+    assert ivy.obs.spans.sample_every == 8
+    assert isinstance(ivy.obs.metrics.histograms["fault.read_ns"], LogBucketHistogram)
+
+
+def test_the_handle_follows_the_value_of_cluster_config_obs():
+    from repro.config import ConfigError, ObsConfig
+    from repro.obs import Observability
+
+    assert not Observability(False)
+    assert Observability() and Observability(True).timeline is None
+    assert Observability(ObsConfig(timeline_window_ns=10)).timeline.window_ns == 10
+    with pytest.raises(ConfigError) as excinfo:
+        Observability(ObsConfig(timeline_window_ns=-5))
+    assert excinfo.value.field == "obs.timeline_window_ns"
+
+
+@pytest.mark.parametrize(
+    "argv,field",
+    [
+        (["report", "--nodes", "0"], "nodes"),
+        (["report", "--sample-every", "0"], "obs.sample_every"),
+        (["report", "--algorithm", "bogus"], "svm.algorithm"),
+    ],
+    ids=["nodes", "sample-every", "algorithm"],
+)
+def test_cli_bad_flag_is_a_usage_error(argv, field, capsys):
+    from repro.obs.__main__ import main
+
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    (line,) = [line for line in err.splitlines() if "error:" in line]
+    assert f"error: {field}" in line or f"error: unknown {field}" in line
+    assert "Traceback" not in err
+
+
+def test_analysis_cli_bad_nodes_is_a_usage_error(capsys):
+    from repro.analysis.__main__ import main
+
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--nodes", "0"])
+    assert excinfo.value.code == 2
+    assert "error: nodes must be an integer >= 1, got 0" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def timeline_exports(tmp_path_factory):
+    """A windowed 2-node run's timeline JSONL and OpenMetrics exports."""
+    from repro.obs.__main__ import main
+
+    out = tmp_path_factory.mktemp("exports")
+    jsonl, om = out / "run.jsonl", out / "run.om"
+    argv = ["timeline", "--nodes", "2", "--window-ms", "5",
+            "--out", str(jsonl), "--metrics-out", str(om)]
+    assert main(argv) == 0
+    return jsonl, om
+
+
+def test_cli_validate_reads_timeline_jsonl_from_its_content(timeline_exports, capsys):
+    from repro.obs.__main__ import main
+
+    jsonl, _ = timeline_exports
+    capsys.readouterr()
+    assert main(["validate", str(jsonl)]) == 0
+    assert "valid timeline JSONL" in capsys.readouterr().out
+
+
+def test_cli_validate_rejects_broken_timeline_jsonl(timeline_exports, tmp_path, capsys):
+    from repro.obs.__main__ import main
+
+    jsonl, _ = timeline_exports
+    meta = jsonl.read_text().splitlines()[0]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(meta + '\n{"kind": "nonsense"}\n')
+    assert main(["validate", str(bad)]) == 1
+    assert "problem(s) in timeline JSONL" in capsys.readouterr().out
+
+
+def test_cli_validate_reads_openmetrics_from_its_content(timeline_exports, capsys):
+    from repro.obs.__main__ import main
+
+    _, om = timeline_exports
+    capsys.readouterr()
+    assert main(["validate", str(om)]) == 0
+    assert "valid OpenMetrics exposition" in capsys.readouterr().out
+
+
+def test_cli_validate_rejects_broken_openmetrics(timeline_exports, tmp_path, capsys):
+    from repro.obs.__main__ import main
+
+    _, om = timeline_exports
+    bad = tmp_path / "bad.om"
+    bad.write_text(om.read_text().replace("# EOF\n", ""))
+    assert main(["validate", str(bad)]) == 1
+    out = capsys.readouterr().out
+    assert "must end with '# EOF'" in out and "problem(s) in OpenMetrics" in out
+
+
+def test_cli_timeline_fails_on_violation_only_when_asked(capsys):
+    from repro.obs.__main__ import main
+
+    argv = ["timeline", "--nodes", "2", "--window-ms", "5", "--slo", "p99(fault.read_ns) < 1us"]
+    assert main(argv) == 0
+    assert main([*argv, "--fail-on-violation"]) == 1
+    assert main(["timeline", "--nodes", "2", "--fail-on-violation"]) == 0  # no --slo

@@ -3,6 +3,7 @@ and the accounting contract for dropped spans."""
 
 import pytest
 
+from repro.config import ObsConfig
 from repro.obs import Observability
 from repro.obs.sample import keep_root, mix64
 from repro.obs.span import SpanTracer
@@ -71,7 +72,7 @@ def test_dropped_categorized_spans_reach_the_profiler():
     # The tentpole's completeness guarantee: sampling must not bias the
     # profiler's attribution, only the kept span *records*.
     def run(sample_every):
-        obs = Observability(sample_every=sample_every)
+        obs = Observability(ObsConfig(sample_every=sample_every))
         now = [0]
         obs.bind_clock(lambda: now[0])
         for i in range(64):
@@ -89,7 +90,7 @@ def test_dropped_categorized_spans_reach_the_profiler():
 
 def test_dropped_spans_reach_the_timeline():
     def run(sample_every):
-        obs = Observability(timeline_window_ns=1000, sample_every=sample_every)
+        obs = Observability(ObsConfig(timeline_window_ns=1000, sample_every=sample_every))
         now = [0]
         obs.bind_clock(lambda: now[0])
         for i in range(64):

@@ -13,13 +13,15 @@ def _clocked(start: int = 0) -> tuple[SpanTracer, list[int]]:
 
 
 def test_disabled_tracer_hands_back_null_span():
-    tracer = SpanTracer(enabled=False)
-    assert not tracer
-    span = tracer.span_begin("fault.read", node=1)
+    # Off, the facade hands back NULL_SPAN without reaching its tracer,
+    # and a tracer ignores NULL_SPAN on close.
+    span = NULL_OBS.span_begin("fault.read", node=1)
     assert span is NULL_SPAN
+    tracer = SpanTracer()
     tracer.span_end(span)  # must not blow up or mutate NULL_SPAN
+    NULL_OBS.span_end(span)
     assert NULL_SPAN.start == UNSTAMPED and NULL_SPAN.end == UNSTAMPED
-    assert len(tracer) == 0
+    assert len(tracer) == 0 and len(NULL_OBS.spans) == 0
 
 
 def test_null_obs_is_falsy_and_silent():

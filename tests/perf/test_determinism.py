@@ -28,7 +28,7 @@ from repro.apps.jacobi import JacobiApp
 from repro.apps.matmul import MatmulApp
 from repro.apps.sort import MergeSplitSortApp
 from repro.apps.tsp import TspApp
-from repro.config import ClusterConfig
+from repro.config import ClusterConfig, ObsConfig
 
 GOLDEN_PATH = Path(__file__).parent / "golden_schedules.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
@@ -58,17 +58,17 @@ POLICY_CASES = [
 ]
 
 
-def _run(
+def _ivy(
     app_name: str,
     manager: str,
     nprocs: int,
     frames: int | None = None,
     replacement: str = "lru",
-    obs=None,
+    obs: bool | ObsConfig = False,
     checker: bool = False,
     write_policy: str = "invalidate",
-):
-    cfg = ClusterConfig().replace(nodes=nprocs).with_svm(
+) -> Ivy:
+    cfg = ClusterConfig(obs=obs).replace(nodes=nprocs).with_svm(
         algorithm=manager, write_policy=write_policy
     )
     if frames is not None:
@@ -76,13 +76,21 @@ def _run(
     if checker:
         cfg = cfg.replace(checker=True)
     app = POLICY_APPS[app_name](nprocs)
-    ivy = Ivy(cfg, obs=obs)
+    ivy = Ivy(cfg)
     result = ivy.run(app.main)
     app.check(result)
+    return ivy
+
+
+def _schedule(ivy: Ivy) -> dict[str, int]:
     return {
         "events_executed": ivy.cluster.sim.events_executed,
         "time_ns": ivy.time_ns,
     }
+
+
+def _run(*args, **kwargs) -> dict[str, int]:
+    return _schedule(_ivy(*args, **kwargs))
 
 
 CASES = [
@@ -124,22 +132,14 @@ def test_schedule_matches_golden_under_eviction(replacement):
 
 def test_observability_does_not_perturb_schedule():
     # Span tracing rides the messages; recording must not shift a tick.
-    from repro.obs import Observability
-
-    obs = Observability()
-    got = _run("tsp", "dynamic", 3, obs=obs)
-    assert got == GOLDEN["tsp/dynamic/p3"]
-    assert obs.spans  # actually traced something
+    ivy = _ivy("tsp", "dynamic", 3, obs=True)
+    assert _schedule(ivy) == GOLDEN["tsp/dynamic/p3"]
+    assert len(ivy.obs.spans)  # actually traced something
 
 
-def _full_obs():
-    # Every observational feature at once: windowed timeline, per-link
-    # window accounting, head-based sampling, log-bucketed histograms.
-    from repro.obs import Observability
-
-    return Observability(
-        timeline_window_ns=200_000_000, sample_every=4, hist_backend="logbucket"
-    )
+#: Every observational feature at once: windowed timeline, per-link
+#: window accounting, head-based sampling, log-bucketed histograms.
+FULL_OBS = ObsConfig(timeline_window_ns=200_000_000, sample_every=4, hist_backend="logbucket")
 
 
 @pytest.mark.parametrize(
@@ -151,15 +151,14 @@ def test_timeline_and_sampling_preserve_schedule(app_name, manager, nprocs):
     # The tentpole's soundness claim, asserted against every ring golden:
     # with the timeline, windowed link accounting, and span sampling all
     # enabled, (events_executed, time_ns) still match bit-for-bit.
-    got = _run(app_name, manager, nprocs, obs=_full_obs())
+    got = _run(app_name, manager, nprocs, obs=FULL_OBS)
     assert got == GOLDEN[f"{app_name}/{manager}/p{nprocs}"]
 
 
 @pytest.mark.parametrize("replacement", ["lru", "random"])
 def test_timeline_preserves_schedule_under_eviction(replacement):
     got = _run(
-        "jacobi", "dynamic", 2, frames=12, replacement=replacement,
-        obs=_full_obs(),
+        "jacobi", "dynamic", 2, frames=12, replacement=replacement, obs=FULL_OBS
     )
     assert got == GOLDEN[f"jacobi/dynamic/p2/frames12-{replacement}"]
 
@@ -168,20 +167,18 @@ def test_sampled_span_set_is_reproducible():
     # Head-based sampling is a pure hash of span ids: two identical runs
     # must keep exactly the same spans, and strictly fewer than an
     # unsampled run (i.e. the sampler actually dropped something).
-    from repro.obs import Observability
-
     def sids(obs):
         return [span.sid for span in obs.spans]
 
-    first, second = _full_obs(), _full_obs()
-    assert _run("jacobi", "dynamic", 2, obs=first) == _run(
-        "jacobi", "dynamic", 2, obs=second
-    )
+    first_run, second_run = (_ivy("jacobi", "dynamic", 2, obs=FULL_OBS) for _ in range(2))
+    assert _schedule(first_run) == _schedule(second_run)
+    first, second = first_run.obs, second_run.obs
     assert sids(first) == sids(second)
     assert first.spans.dropped == second.spans.dropped > 0
 
-    unsampled = Observability(timeline_window_ns=200_000_000)
-    _run("jacobi", "dynamic", 2, obs=unsampled)
+    unsampled = _ivy(
+        "jacobi", "dynamic", 2, obs=ObsConfig(timeline_window_ns=200_000_000)
+    ).obs
     assert 0 < len(first.spans.spans) < len(unsampled.spans.spans)
     # Same sid allocation either way: the kept set is a subset.
     assert set(sids(first)) < set(sids(unsampled))
@@ -193,19 +190,19 @@ def test_timeline_and_sampling_draw_no_rng():
     # unobserved run leaves them (same streams, same generator state).
     def stream_states(obs):
         cfg = (
-            ClusterConfig().replace(nodes=2).with_svm(algorithm="dynamic")
+            ClusterConfig(obs=obs).replace(nodes=2).with_svm(algorithm="dynamic")
             .with_memory(frames=12, replacement="random")
         )
         app = APPS["jacobi"](2)
-        ivy = Ivy(cfg, obs=obs)
+        ivy = Ivy(cfg)
         app.check(ivy.run(app.main))
         return {
             name: gen.bit_generator.state
             for name, gen in ivy.cluster.rngs._streams.items()
         }
 
-    plain = stream_states(None)
-    observed = stream_states(_full_obs())
+    plain = stream_states(False)
+    observed = stream_states(FULL_OBS)
     assert plain.keys() == observed.keys()
     assert plain == observed
 

@@ -23,7 +23,7 @@ from repro.api.ivy import Ivy
 from repro.apps.dotprod import DotProductApp
 from repro.apps.jacobi import JacobiApp
 from repro.apps.tsp import TspApp
-from repro.config import ClusterConfig
+from repro.config import ClusterConfig, ObsConfig
 
 GOLDEN_PATH = Path(__file__).parent / "golden_switched.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
@@ -36,9 +36,12 @@ APPS = {
 MANAGERS = ("centralized", "dynamic", "broadcast")
 
 
-def _run(app_name: str, manager: str, nprocs: int, checker: bool = False, obs=None):
+def _ivy(
+    app_name: str, manager: str, nprocs: int, checker: bool = False,
+    obs: bool | ObsConfig = False,
+) -> Ivy:
     cfg = (
-        ClusterConfig()
+        ClusterConfig(obs=obs)
         .replace(nodes=nprocs)
         .with_svm(algorithm=manager)
         .with_fabric(backend="switched")
@@ -46,9 +49,14 @@ def _run(app_name: str, manager: str, nprocs: int, checker: bool = False, obs=No
     if checker:
         cfg = cfg.replace(checker=True)
     app = APPS[app_name](nprocs)
-    ivy = Ivy(cfg, obs=obs)
+    ivy = Ivy(cfg)
     result = ivy.run(app.main)
     app.check(result)
+    return ivy
+
+
+def _run(*args, **kwargs) -> dict[str, int]:
+    ivy = _ivy(*args, **kwargs)
     return {
         "events_executed": ivy.cluster.sim.events_executed,
         "time_ns": ivy.time_ns,
@@ -81,22 +89,15 @@ def test_timeline_and_sampling_preserve_switched_schedule(app_name, manager, npr
     # Pure-observation proof on the switched backend: per-port window
     # accounting in _hop, the timeline, and head-based span sampling
     # must not move a single tick on any golden fixture.
-    from repro.obs import Observability
-
-    obs = Observability(
-        timeline_window_ns=200_000_000, sample_every=4, hist_backend="logbucket"
-    )
+    obs = ObsConfig(timeline_window_ns=200_000_000, sample_every=4, hist_backend="logbucket")
     got = _run(app_name, manager, nprocs, obs=obs)
     assert got == GOLDEN[f"{app_name}/{manager}/p{nprocs}"]
 
 
 def test_switched_timeline_sees_port_links():
     # The windowed link series really is per-port on this backend.
-    from repro.obs import Observability
-
-    obs = Observability(timeline_window_ns=200_000_000)
-    _run("dotprod", "dynamic", 2, obs=obs)
-    links = obs.timeline.links()
+    ivy = _ivy("dotprod", "dynamic", 2, obs=ObsConfig(timeline_window_ns=200_000_000))
+    links = ivy.obs.timeline.links()
     assert any(name.startswith("tx[") for name in links)
     assert any(name.startswith("rx[") for name in links)
 

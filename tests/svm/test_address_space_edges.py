@@ -115,4 +115,4 @@ def test_app_level_determinism():
     runs = [run_app(lambda p: JacobiApp(p, n=64, iters=3), 3) for _ in range(2)]
     assert runs[0].time_ns == runs[1].time_ns
     assert runs[0].counters.snapshot() == runs[1].counters.snapshot()
-    assert runs[0].ring_stats == runs[1].ring_stats
+    assert runs[0].fabric_stats == runs[1].fabric_stats

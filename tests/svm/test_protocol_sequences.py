@@ -11,7 +11,6 @@ span whose parent is the ``serve:<op>`` span of another node.
 
 from repro.api.cluster import Cluster
 from repro.config import ClusterConfig
-from repro.obs import Observability
 
 from tests.svm.conftest import run_task
 
@@ -19,11 +18,11 @@ PAGE = 256
 
 
 def traced_cluster(nodes=4, algorithm="dynamic"):
-    obs = Observability()
-    config = ClusterConfig(nodes=nodes).with_svm(
+    config = ClusterConfig(nodes=nodes, obs=True).with_svm(
         algorithm=algorithm, page_size=PAGE, shared_size=PAGE * 1024
     )
-    return Cluster(config, obs=obs), obs.spans
+    cluster = Cluster(config)
+    return cluster, cluster.obs.spans
 
 
 def rpcs(spans, op, kind):
