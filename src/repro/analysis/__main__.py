@@ -37,6 +37,7 @@ from typing import Any
 from repro.analysis.replay import record_stream, replay_file, summarize
 from repro.config import ClusterConfig, ConfigError
 from repro.metrics.collect import VIOLATION_PREFIX
+from repro.net.fabric import FABRIC_BACKENDS
 from repro.obs.jsonl import write_jsonl
 
 
@@ -317,7 +318,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     explore.add_argument(
         "--fabric", default="ring",
-        help="network backend to explore on: ring | switched",
+        help=f"network backend to explore on: {' | '.join(FABRIC_BACKENDS)}",
     )
     explore.add_argument(
         "--jobs", type=_positive, default=None, metavar="N",

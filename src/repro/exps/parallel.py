@@ -86,8 +86,8 @@ class RunResult:
     nprocs: int
     time_ns: int
     counters: Counters
-    #: Flat medium counters (``FabricStats.snapshot()``); the keys
-    #: depend on the backend.
+    #: Flat medium counters (``FabricStats.snapshot()``, the same keys
+    #: on every backend).
     fabric_stats: dict[str, int]
     result: Any = None
     #: Simulator events executed (the deterministic work measure that

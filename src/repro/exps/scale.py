@@ -53,10 +53,11 @@ from typing import Any, Sequence
 from repro.config import MILLISECOND, ClusterConfig, ObsConfig
 from repro.exps.parallel import Job, RunResult, run_jobs
 from repro.exps.presets import SCALE_NODE_COUNTS, scale_fig4, scale_fig5
+from repro.net.fabric import FABRIC_BACKENDS
 
 __all__ = ["scale_jobs", "observe", "run_scale", "run_timeline", "main"]
 
-BACKENDS = ("ring", "switched")
+BACKENDS = tuple(FABRIC_BACKENDS)
 
 CLASSES = {"fig5": scale_fig5, "fig4": scale_fig4}
 

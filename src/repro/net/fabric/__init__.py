@@ -4,13 +4,17 @@ Everything above the medium — the reliable transport, the remote-
 operation layer, the coherence protocols — speaks to the network
 through the :class:`Fabric` interface: ``attach`` a delivery callback
 per station, ``send`` a :class:`repro.net.packet.Message`, read
-aggregate :class:`FabricStats`.  What the medium *is* is a backend
-choice (``ClusterConfig.fabric.backend``):
+:class:`FabricStats` (flat counters and per-link :class:`LinkStats`,
+one shape on every backend).  ``Fabric.send`` is the one send path:
+it checks addressing, counts the frame, lists the stations it passes,
+asks the backend's ``_book`` for their arrival times and hands them to
+the shared drop/deliver loop.  What the medium *is* is a backend choice
+(``ClusterConfig.fabric.backend``, one of :data:`FABRIC_BACKENDS`):
 
-- ``"ring"`` — :class:`repro.net.ring.TokenRing`, the Apollo Domain
-  12 Mbit/s shared medium of the paper.  One frame in flight at a time;
-  broadcast is free snooping.  The default, and the backend every
-  committed golden schedule assumes.
+- ``"ring"`` — :class:`repro.net.fabric.ring.TokenRing`, the Apollo
+  Domain 12 Mbit/s shared medium of the paper.  One frame in flight at
+  a time; broadcast is free snooping.  The default, and the backend
+  every committed golden schedule assumes.
 - ``"switched"`` — :class:`repro.net.fabric.switched.SwitchedFabric`,
   a switched point-to-point interconnect: per-station full-duplex
   links into a crossbar, concurrent transmission on disjoint links,
@@ -49,8 +53,9 @@ The contract every backend must honour (and the transport relies on):
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, Protocol
+from typing import TYPE_CHECKING, Callable, Iterable
 
+from repro.config import ClusterConfig, ConfigError, FabricConfig, RingConfig
 from repro.net.packet import BROADCAST, Message, delivery_label
 from repro.net.pool import MessagePool, PagePool
 from repro.obs import NULL_OBS, Observability
@@ -59,7 +64,6 @@ from repro.sim.kernel import Simulator
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
 
-    from repro.config import ClusterConfig, FabricConfig, RingConfig
     from repro.sim.rng import RngStreams
 
 __all__ = [
@@ -94,36 +98,52 @@ class LinkStats:
         )
 
 
-class FabricStats(Protocol):
-    """What every medium's statistics object must expose.
+_FLAT_COUNTERS = ("messages", "broadcasts", "bytes_sent", "busy_ns", "lost_frames", "relays")
 
-    The flat counters keep the historical ``RingStats`` names so
-    existing consumers (ablation tables, ``RunResult.fabric_stats``) work
-    on any backend; :meth:`links` is the generalisation — the shared
-    ring is a single link named ``"medium"``, the switched fabric one
-    egress (``tx[i]``) and one ingress (``rx[i]``) link per station.
+
+class FabricStats:
+    """One medium's statistics: flat counters plus its per-link map.
+
+    The links are built once, by the backend, and booked in place: the
+    shared ring is a single link named ``"medium"``, the switched fabric
+    one egress (``tx[i]``) and one ingress (``rx[i]``) link per station.
+    ``busy_ns`` is their summed occupancy, computed when read (on the
+    switched fabric it can exceed wall-clock time — that is the
+    concurrency the crossbar buys).  ``relays`` counts multicast-tree
+    re-transmissions (0 on the ring, where broadcast is snooping).
     """
 
-    messages: int
-    broadcasts: int
-    bytes_sent: int
-    lost_frames: int
+    __slots__ = ("messages", "broadcasts", "bytes_sent", "lost_frames", "relays", "_links")
+
+    def __init__(self, links: dict[str, LinkStats]) -> None:
+        self.messages = 0
+        self.broadcasts = 0
+        self.bytes_sent = 0
+        self.lost_frames = 0
+        self.relays = 0
+        self._links = links
+
+    @property
+    def busy_ns(self) -> int:
+        return sum(link.busy_ns for link in self._links.values())
 
     def snapshot(self) -> dict[str, int]:
-        """Flat counter dict (stable keys per backend)."""
-        ...  # pragma: no cover - protocol
+        """Flat counter dict; the same keys on every backend."""
+        return {name: getattr(self, name) for name in _FLAT_COUNTERS}
 
     def links(self) -> dict[str, LinkStats]:
-        """Per-link utilisation/queueing map, keyed by link name."""
-        ...  # pragma: no cover - protocol
+        """Per-link utilisation/queueing map, keyed by link name (the
+        live objects the backend books)."""
+        return dict(self._links)
 
 
 class Fabric:
     """Base class for transmission media connecting ``nnodes`` stations.
 
-    Subclasses implement :meth:`send` — book the medium, then hand the
-    stations the frame passes to :meth:`_fan_out` — and set
-    :attr:`stats`; station attachment, address validation, the
+    Subclasses implement :meth:`_book` — book the medium for the
+    stations a frame passes and return their arrival times — and set
+    :attr:`stats` and the two link parameters :meth:`occupancy_ns`
+    reads; station attachment, address validation, counting, the
     per-station drop/deliver loop and delivery dispatch are shared here
     so the transport — and the schedule explorer — see identical
     behaviour on every backend.
@@ -131,11 +151,15 @@ class Fabric:
 
     #: Backend name (the ``ClusterConfig.fabric.backend`` key).
     name = "?"
+    #: One link's speed and per-fragment overhead, set by the backend
+    #: from its config section.
+    _bandwidth_bps: int
+    _frame_overhead: int
 
     def __init__(
         self,
         sim: Simulator,
-        config: "RingConfig | FabricConfig",
+        config: RingConfig | FabricConfig,
         nnodes: int,
         rng: "np.random.Generator | None" = None,
         obs: Observability = NULL_OBS,
@@ -192,10 +216,30 @@ class Fabric:
         Returns immediately (the sending *software* cost is charged by
         the transport layer, not here — the medium only models wire
         time)."""
-        raise NotImplementedError
+        self._check_addressing(msg)
+        stats = self.stats
+        stats.messages += 1
+        if msg.dst == BROADCAST:
+            stats.broadcasts += 1
+            # Every broadcast frame passes every other station, whoever
+            # it names: only the named ones are woken (see _fan_out).
+            stations = [n for n in range(self.nnodes) if n != msg.src]
+        else:
+            stations = [msg.dst]
+        self._fan_out(msg, stations, self._book(msg, stations))
 
     def occupancy_ns(self, nbytes: int) -> int:
-        """Medium time one message of ``nbytes`` occupies one link for."""
+        """Medium time one message of ``nbytes`` occupies one link for:
+        the backend's per-fragment overhead plus wire time at its
+        bandwidth."""
+        fragments = max(1, -(-nbytes // self.config.max_frame_bytes))  # ceil div
+        wire = (nbytes * 8 * 1_000_000_000) // self._bandwidth_bps
+        return fragments * self._frame_overhead + wire
+
+    def _book(self, msg: Message, stations: list[int]) -> Iterable[int]:
+        """Book the medium for ``msg`` passing ``stations`` (ascending),
+        add its ``bytes_sent``, and return each station's absolute
+        arrival time."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -221,16 +265,10 @@ class Fabric:
     def _fan_out(
         self, msg: Message, stations: Iterable[int], arrivals: Iterable[int]
     ) -> None:
-        """The one per-station drop/deliver loop, shared by every medium.
-
-        ``stations`` are the stations ``msg`` passes, ascending, each
-        paired with its absolute arrival time; the medium has already
-        been booked for all of them.  Every station gets its drop
-        decision — explorer ``drop_policy`` first, then the random loss
-        draw — so attempt numbering and the loss stream are independent
-        of addressing; only a station the frame names (all of them, for
-        a frame without ``targets``) gets a delivery event, labelled for
-        the schedule explorer."""
+        """The one per-station drop/deliver loop, shared by every medium:
+        ``stations`` (ascending, already booked) paired with their
+        absolute arrival times, dropped and delivered as the module
+        docstring's contract says."""
         drop_policy = self.drop_policy
         lossy = self._lossy
         named = msg.targets
@@ -257,17 +295,25 @@ class Fabric:
         receiver(msg)
 
 
-#: Known backend names -> human summary (the registry ``make_fabric``
-#: dispatches on; the summaries feed error messages and docs).
-FABRIC_BACKENDS: dict[str, str] = {
-    "ring": "shared-medium token ring (the paper's Apollo Domain hardware)",
-    "switched": "switched point-to-point crossbar with multicast-tree broadcast",
+# The backends subclass Fabric, so they are imported once it exists.
+from repro.net.fabric.ring import TokenRing  # noqa: E402
+from repro.net.fabric.switched import SwitchedFabric  # noqa: E402
+
+#: Backend name -> (class, the ``ClusterConfig`` section holding its
+#: parameters).  The one list of backends: ``make_fabric`` dispatches on
+#: it and every command line reads its names from it, in this order.
+#: The section also names the loss stream; the ring's predates the
+#: fabric abstraction, and keeping it preserves every committed golden
+#: schedule bit-for-bit.
+FABRIC_BACKENDS: dict[str, tuple[type[Fabric], str]] = {
+    "ring": (TokenRing, "ring"),
+    "switched": (SwitchedFabric, "fabric"),
 }
 
 
 def make_fabric(
     sim: Simulator,
-    config: "ClusterConfig",
+    config: ClusterConfig,
     rngs: "RngStreams",
     obs: Observability = NULL_OBS,
 ) -> Fabric:
@@ -275,25 +321,13 @@ def make_fabric(
 
     An unknown ``config.fabric.backend`` raises a structured
     :class:`repro.config.ConfigError` carrying the known names and, for
-    near-misses, the exact name the caller probably meant.
+    near-misses, the exact name the caller probably meant.  A lossless
+    medium never draws, so it builds no stream.
     """
     backend = config.fabric.backend
-    if backend == "ring":
-        from repro.net.ring import TokenRing
-
-        # A lossless medium never draws, so it builds no stream.  The
-        # ring's stream name predates the fabric abstraction; keeping it
-        # preserves every committed golden schedule bit-for-bit.
-        rng: "np.random.Generator | None" = (
-            rngs.stream("ring") if config.ring.loss_rate > 0.0 else None
-        )
-        return TokenRing(sim, config.ring, config.nodes, rng, obs=obs)
-    if backend == "switched":
-        from repro.net.fabric.switched import SwitchedFabric
-
-        rng = rngs.stream("fabric") if config.fabric.loss_rate > 0.0 else None
-        return SwitchedFabric(sim, config.fabric, config.nodes, rng, obs=obs)
-
-    from repro.config import ConfigError
-
-    raise ConfigError.unknown("fabric.backend", backend, FABRIC_BACKENDS)
+    if backend not in FABRIC_BACKENDS:
+        raise ConfigError.unknown("fabric.backend", backend, FABRIC_BACKENDS)
+    cls, section = FABRIC_BACKENDS[backend]
+    medium: RingConfig | FabricConfig = getattr(config, section)
+    rng = rngs.stream(section) if medium.loss_rate > 0.0 else None
+    return cls(sim, medium, config.nodes, rng, obs=obs)

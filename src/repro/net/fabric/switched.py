@@ -11,7 +11,7 @@ past the ring's hard O(N) wall to hundred-node runs.
 
 One station-to-station transmission is three hops, all computed
 arithmetically at ``send`` time by the one booking loop,
-``_multicast`` (no intermediate simulator events — only the final
+``_book`` (no intermediate simulator events — only the final
 delivery is an event, exactly like the ring):
 
 1. **egress** — the frame waits for the sender's tx port
@@ -40,13 +40,9 @@ interface filters the frame, the host never sees it.  Pruning the tree
 to the named stations would be a different (cheaper) network model, not
 an optimisation of this one.
 
-Loss semantics match the ring: the drop decision (explorer
-``drop_policy`` first, then the random draw) is made once per *station
-on the tree*, named or not, in ascending order, and a drop suppresses
-only that station's delivery event — the NIC-level tree forwarding has
-already happened by the time host software loses the frame, so timing
-and port bookkeeping are independent of loss and the transport's
-retransmission protocol recovers exactly the dropped receiver.
+Loss follows the contract every medium shares (:mod:`repro.net.fabric`):
+the whole tree is booked before any station's drop is decided, so a drop
+suppresses only that station's delivery event and moves nobody's timing.
 """
 
 from __future__ import annotations
@@ -54,62 +50,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.config import ConfigError, FabricConfig
-from repro.net.fabric import Fabric, LinkStats
-from repro.net.packet import BROADCAST, Message
+from repro.net.fabric import Fabric, FabricStats, LinkStats
+from repro.net.packet import Message
 from repro.obs import NULL_OBS, Observability
 from repro.sim.kernel import Simulator
 
-__all__ = ["SwitchedFabric", "SwitchedStats"]
-
-
-class SwitchedStats:
-    """Aggregate and per-port statistics for the switched fabric.
-
-    The flat counters mirror :class:`repro.net.ring.RingStats` so every
-    existing consumer works unchanged; ``busy_ns`` here is *summed link
-    occupancy* across all ports (it can exceed wall-clock time — that
-    is the concurrency the crossbar buys).  ``relays`` counts multicast
-    tree re-transmissions, the real cost of broadcast off-ring.
-    """
-
-    __slots__ = (
-        "messages",
-        "broadcasts",
-        "bytes_sent",
-        "busy_ns",
-        "lost_frames",
-        "relays",
-        "_tx",
-        "_rx",
-    )
-
-    def __init__(self, nnodes: int) -> None:
-        self.messages = 0
-        self.broadcasts = 0
-        self.bytes_sent = 0
-        self.busy_ns = 0
-        self.lost_frames = 0
-        self.relays = 0
-        self._tx = [LinkStats() for _ in range(nnodes)]
-        self._rx = [LinkStats() for _ in range(nnodes)]
-
-    def snapshot(self) -> dict[str, int]:
-        return {
-            "messages": self.messages,
-            "broadcasts": self.broadcasts,
-            "bytes_sent": self.bytes_sent,
-            "busy_ns": self.busy_ns,
-            "lost_frames": self.lost_frames,
-            "relays": self.relays,
-        }
-
-    def links(self) -> dict[str, LinkStats]:
-        out: dict[str, LinkStats] = {}
-        for i, link in enumerate(self._tx):
-            out[f"tx[{i}]"] = link
-        for i, link in enumerate(self._rx):
-            out[f"rx[{i}]"] = link
-        return out
+__all__ = ["SwitchedFabric"]
 
 
 class SwitchedFabric(Fabric):
@@ -130,7 +76,14 @@ class SwitchedFabric(Fabric):
                 "fabric.multicast_fanout", config.multicast_fanout, ("an integer >= 1",)
             )
         super().__init__(sim, config, nnodes, rng, obs)
-        self.stats: SwitchedStats = SwitchedStats(nnodes)
+        self._bandwidth_bps = config.link_bandwidth_bps
+        self._frame_overhead = config.link_overhead
+        self._tx_links = [LinkStats() for _ in range(nnodes)]
+        self._rx_links = [LinkStats() for _ in range(nnodes)]
+        self.stats = FabricStats({
+            **{f"tx[{i}]": link for i, link in enumerate(self._tx_links)},
+            **{f"rx[{i}]": link for i, link in enumerate(self._rx_links)},
+        })
         #: Per-station port bookings: the absolute time each egress/
         #: ingress link becomes free.  FIFO queueing falls out of always
         #: booking at ``max(ready, free_at)``.
@@ -139,41 +92,11 @@ class SwitchedFabric(Fabric):
 
     # ------------------------------------------------------------------
 
-    def occupancy_ns(self, nbytes: int) -> int:
-        """Link time one message of ``nbytes`` occupies one port for."""
-        cfg = self.config
-        fragments = max(1, -(-nbytes // cfg.max_frame_bytes))  # ceil div
-        wire = (nbytes * 8 * 1_000_000_000) // cfg.link_bandwidth_bps
-        return fragments * cfg.link_overhead + wire
-
-    # ------------------------------------------------------------------
-
-    def send(self, msg: Message) -> None:
-        """Queue ``msg`` for transmission; delivery is scheduled events.
-
-        Returns immediately (the sending *software* cost is charged by
-        the transport layer, not here — the medium only models wire
-        time)."""
-        self._check_addressing(msg)
-        stats = self.stats
-        stats.messages += 1
-        if msg.dst == BROADCAST:
-            stats.broadcasts += 1
-            # Every broadcast frame rides the full tree, whoever it
-            # names: the NICs forward it, only the named hosts hear it.
-            stations = [n for n in range(self.nnodes) if n != msg.src]
-        else:
-            stations = [msg.dst]  # a unicast is a tree of one position
-        arrivals = self._multicast(
-            msg, stations, self.sim.now, self.occupancy_ns(msg.nbytes)
-        )
-        self._fan_out(msg, stations, arrivals)
-
-    def _multicast(
-        self, msg: Message, stations: list[int], now: int, occupancy: int
-    ) -> list[int]:
+    def _book(self, msg: Message, stations: list[int]) -> list[int]:
         """Book the k-ary tree over ``stations`` (ascending) — every tx
         and rx port on the way — and return each station's arrival time.
+        Every broadcast frame rides the full tree, whoever it names; a
+        unicast is a tree of one position.
 
         Tree position ``p < k`` is fed directly by the source; position
         ``p >= k`` is fed by the station at position ``p // k - 1``, which
@@ -183,6 +106,8 @@ class SwitchedFabric(Fabric):
         (a unicast passes one station), so everything loop-invariant is
         read once and the aggregate counters are added once per call.
         """
+        now = self.sim.now
+        occupancy = self.occupancy_ns(msg.nbytes)
         cfg = self.config
         k = cfg.multicast_fanout
         relay_cost = cfg.relay_cost
@@ -190,7 +115,7 @@ class SwitchedFabric(Fabric):
         delivery_latency = cfg.delivery_latency
         stats = self.stats
         tx_free, rx_free = self._tx_free, self._rx_free
-        tx_links, rx_links = stats._tx, stats._rx
+        tx_links, rx_links = self._tx_links, self._rx_links
         # Guarded once per send, not per hop: a disabled observe is still
         # a Python call (~60 ns on the host above; bench's
         # scale_switched_n256 books 249,120 hops, ~15 ms or 0.9 % of its
@@ -244,7 +169,6 @@ class SwitchedFabric(Fabric):
 
         hops = len(arrivals)
         stats.bytes_sent += hops * msg.nbytes
-        stats.busy_ns += 2 * hops * occupancy
         if hops > k:
             stats.relays += hops - k
         return arrivals

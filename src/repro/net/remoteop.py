@@ -24,7 +24,7 @@ from typing import Any, Callable, Generator
 from repro.config import ClusterConfig
 from repro.net.packet import HEADER_BYTES, Message
 from repro.net.transport import Transport
-from repro.obs import NULL_OBS, Observability, Span
+from repro.obs import NULL_OBS, NULL_SPAN, Observability, Span
 from repro.sim.process import Compute, Effect, SimDriver
 
 __all__ = ["RemoteOp", "Reply", "Forward", "NO_REPLY"]
@@ -75,7 +75,7 @@ class RemoteOp:
         self.node_id = transport.node_id
         self._handlers: dict[str, Callable[[int, Any], Generator[Effect, Any, Any]]] = {}
         self._local_probes: dict[str, Callable[[Any], bool]] = {}
-        transport.set_request_handler(self._dispatch)
+        transport.request_handler = self._dispatch
         transport.duplicate_probe = self._probe
 
     # ------------------------------------------------------------------
@@ -113,14 +113,7 @@ class RemoteOp:
         span: Span | int | None = None,
     ) -> Generator[Effect, Any, Any]:
         """Perform a remote operation and return its reply value."""
-        hop = self.obs.span_begin(f"rpc:{op}", parent=span, node=self.node_id, dst=dst)
-        try:
-            value = yield from self.transport.request(
-                dst, op, payload, nbytes, span_id=hop.sid
-            )
-            return value
-        finally:
-            self.obs.span_end(hop)
+        return self._rpc(op, span, "dst", dst, self.transport.request, (dst, op, payload, nbytes))
 
     def broadcast(
         self,
@@ -131,16 +124,9 @@ class RemoteOp:
         span: Span | int | None = None,
     ) -> Generator[Effect, Any, Any]:
         """Broadcast ``op``; reply handling per the paper's three schemes."""
-        hop = self.obs.span_begin(
-            f"rpc:{op}", parent=span, node=self.node_id, scheme=scheme
+        return self._rpc(
+            op, span, "scheme", scheme, self.transport.broadcast, (op, payload, nbytes, scheme)
         )
-        try:
-            value = yield from self.transport.broadcast(
-                op, payload, nbytes, scheme, span_id=hop.sid
-            )
-            return value
-        finally:
-            self.obs.span_end(hop)
 
     def multicast(
         self,
@@ -151,16 +137,33 @@ class RemoteOp:
         span: Span | int | None = None,
     ) -> Generator[Effect, Any, dict[int, Any]]:
         """Multicast ``op`` to ``targets``; one reply per target."""
-        hop = self.obs.span_begin(
-            f"rpc:{op}", parent=span, node=self.node_id, fanout=len(targets)
+        return self._rpc(
+            op, span, "fanout", len(targets), self.transport.multicast,
+            (targets, op, payload, nbytes),
         )
+
+    def _rpc(
+        self,
+        op: str,
+        parent: Span | int | None,
+        attr: str,
+        value: Any,
+        call: Callable[..., Generator[Effect, Any, Any]],
+        args: tuple[Any, ...],
+    ) -> Generator[Effect, Any, Any]:
+        """The one ``rpc:<op>`` span (its one call-specific attribute is
+        ``attr=value``) around a transport call, whose messages carry the
+        span's id on the wire."""
+        obs = self.obs
+        # A disabled tracer hands back NULL_SPAN; asking it would cost a
+        # keyword-unpacking call on every remote operation.
+        hop = obs.span_begin(
+            f"rpc:{op}", parent=parent, node=self.node_id, **{attr: value}
+        ) if obs.enabled else NULL_SPAN
         try:
-            value = yield from self.transport.multicast(
-                targets, op, payload, nbytes, span_id=hop.sid
-            )
-            return value
+            return (yield from call(*args, span_id=hop.sid))
         finally:
-            self.obs.span_end(hop)
+            obs.span_end(hop)
 
     # ------------------------------------------------------------------
 

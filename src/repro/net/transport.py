@@ -27,7 +27,7 @@ needs that ordinary RPC lacks:
 - **Load hints**: every outgoing message carries the sender's current
   process count; receivers feed it to the scheduler's hint table.
 
-Requests made to the local node bypass the ring with a small local
+Requests made to the local node bypass the fabric with a small local
 delivery delay, so protocol code treats all destinations uniformly
 (e.g. when the fixed distributed manager maps a page to the faulting
 processor itself).
@@ -46,7 +46,7 @@ from repro.sim.sync import Gate
 
 __all__ = ["Transport", "TransportError", "TransportStats"]
 
-#: Delivery delay for messages a node sends to itself (no ring involved).
+#: Delivery delay for messages a node sends to itself (no fabric involved).
 LOCAL_DELIVERY_NS = 20 * MICROSECOND
 
 
@@ -117,17 +117,16 @@ class Transport:
         self,
         sim: Simulator,
         driver: SimDriver,
-        ring: Fabric,
+        fabric: Fabric,
         node_id: int,
         config: ClusterConfig,
     ) -> None:
         self.sim = sim
         self.driver = driver
-        #: The transmission medium.  Kept under the historical name
-        #: ``ring`` (the attribute predates pluggable fabrics) but typed
-        #: against the backend-agnostic Fabric interface — retransmission
-        #: and labelling below never assume a shared medium.
-        self.ring = ring
+        #: The transmission medium, typed against the backend-agnostic
+        #: Fabric interface — retransmission and labelling below never
+        #: assume a shared medium.
+        self.fabric = fabric
         self.node_id = node_id
         self.config = config
         self.stats = TransportStats()
@@ -135,7 +134,7 @@ class Transport:
         self._pending: dict[int, _Pending] = {}
         self._reply_cache: dict[tuple[int, int], tuple[Any, ...]] = {}
         #: Upcall into the remote-operation layer for incoming requests.
-        self._request_handler: Callable[[Message], None] | None = None
+        self.request_handler: Callable[[Message], None] | None = None
         #: Asked on duplicates of *forwarded* requests: "would this node
         #: execute the operation locally now?"  If yes the stale sticky
         #: route is discarded and the handler re-runs — breaking the
@@ -147,17 +146,11 @@ class Transport:
         self.load_provider: Callable[[], int] = lambda: 0
         #: Consumes load hints observed on incoming messages.
         self.hint_sink: Callable[[int, int], None] = lambda src, load: None
-        ring.attach(node_id, self._on_message)
-
-    # ------------------------------------------------------------------
-    # wiring
-
-    def set_request_handler(self, handler: Callable[[Message], None]) -> None:
-        self._request_handler = handler
+        fabric.attach(node_id, self._on_message)
 
     def close(self) -> None:
         """Forget the remote-operation layer's upcalls (it refers back here)."""
-        self._request_handler = None
+        self.request_handler = None
         self.duplicate_probe = lambda msg: False
 
     # ------------------------------------------------------------------
@@ -171,26 +164,8 @@ class Transport:
         nbytes: int = HEADER_BYTES,
         span_id: int = 0,
     ) -> Generator[Effect, Any, Any]:
-        """Send a request and wait for the (possibly forwarded) reply.
-
-        Runs in the caller's task; the caller's CPU is busy for the
-        software send cost, then released until the reply arrives.
-        """
-        self._next_id += 1
-        msg = Message(
-            self.node_id, dst, "req", op, self.node_id, self._next_id,
-            payload, nbytes, span=span_id,
-        )
-        pending = _Pending(msg, want=1)
-        self._pending[msg.msg_id] = pending
-        self.stats.requests_sent += 1
-        yield Compute(self.config.transport_cpu)
-        self._transmit(msg)
-        self._arm_timer(pending)
-        value = yield from pending.gate.wait()
-        if isinstance(value, TransportError):
-            raise value
-        return value
+        """Send a request and wait for the (possibly forwarded) reply."""
+        return self._send_and_wait(dst, op, payload, nbytes, span_id)
 
     def broadcast(
         self,
@@ -203,34 +178,13 @@ class Transport:
         """Broadcast a request to every other station.
 
         Returns the single winning reply for ``scheme="any"``, a dict
-        ``{station: value}`` for ``"all"``, and ``None`` immediately for
+        ``{station: value}`` for ``"all"``, and ``None`` once sent for
         ``"none"``.  On a single-node cluster there is nobody to hear the
         broadcast: "any" would wait forever, so it is rejected.
         """
-        others = self.ring.nnodes - 1
         if scheme not in ("any", "all", "none"):
             raise ValueError(f"unknown reply scheme {scheme!r}")
-        self._next_id += 1
-        msg = Message(
-            self.node_id, BROADCAST, "bcast", op, self.node_id, self._next_id,
-            payload, nbytes, reply_scheme=scheme, span=span_id,
-        )
-        self.stats.broadcasts_sent += 1
-        yield Compute(self.config.transport_cpu)
-        if others == 0:
-            if scheme == "any":
-                raise TransportError("broadcast 'any' with no other stations")
-            return {} if scheme == "all" else None
-        self._transmit(msg)
-        if scheme == "none":
-            return None
-        pending = _Pending(msg, want=1 if scheme == "any" else others)
-        self._pending[msg.msg_id] = pending
-        self._arm_timer(pending)
-        value = yield from pending.gate.wait()
-        if isinstance(value, TransportError):
-            raise value
-        return value
+        return self._send_and_wait(BROADCAST, op, payload, nbytes, span_id, scheme)
 
     def multicast(
         self,
@@ -251,18 +205,51 @@ class Transport:
         and fails in ``Fabric.send`` with a ``ValueError``.
         """
         targets = tuple(sorted(set(targets)))
-        if not targets:
+        return self._send_and_wait(BROADCAST, op, payload, nbytes, span_id, "all", targets)
+
+    def _send_and_wait(
+        self,
+        dst: int,
+        op: str,
+        payload: Any,
+        nbytes: int,
+        span_id: int,
+        scheme: str | None = None,
+        targets: tuple[int, ...] | None = None,
+    ) -> Generator[Effect, Any, Any]:
+        """The one body behind request (``scheme`` None), broadcast and
+        multicast, run in the caller's task.
+
+        Allocate the id, count the send, keep the caller's CPU busy for
+        the software send cost, transmit, arm the retransmit timer and
+        release the CPU until the replies arrive.  An empty multicast
+        does nothing; a broadcast nobody can hear is not transmitted; a
+        ``"none"`` broadcast neither waits nor arms a timer.
+        """
+        if targets == ():
             return {}
         self._next_id += 1
         msg = Message(
-            self.node_id, BROADCAST, "bcast", op, self.node_id, self._next_id,
-            payload, nbytes, reply_scheme="all", targets=targets, span=span_id,
+            self.node_id, dst, "req" if scheme is None else "bcast", op, self.node_id,
+            self._next_id, payload, nbytes, reply_scheme=scheme or "all", targets=targets,
+            span=span_id,
         )
-        pending = _Pending(msg, want=len(targets))
-        self._pending[msg.msg_id] = pending
-        self.stats.broadcasts_sent += 1
+        if scheme is None:
+            want = 1
+            self.stats.requests_sent += 1
+        else:
+            want = len(targets) if targets else self.fabric.nnodes - 1
+            self.stats.broadcasts_sent += 1
         yield Compute(self.config.transport_cpu)
+        if want == 0:
+            if scheme == "any":
+                raise TransportError("broadcast 'any' with no other stations")
+            return {} if scheme == "all" else None
         self._transmit(msg)
+        if scheme == "none":
+            return None
+        pending = _Pending(msg, want=1 if scheme == "any" else want)
+        self._pending[msg.msg_id] = pending
         self._arm_timer(pending)
         value = yield from pending.gate.wait()
         if isinstance(value, TransportError):
@@ -334,7 +321,7 @@ class Transport:
                 label=(delivery_label, self.node_id, msg),
             )
         else:
-            self.ring.send(msg)
+            self.fabric.send(msg)
 
     def _arm_timer(self, pending: _Pending) -> None:
         # The timer event is labelled so the schedule explorer can order a
@@ -395,9 +382,9 @@ class Transport:
         cached = self._reply_cache.get(key)
         if cached is None:
             self._reply_cache[key] = _IN_PROGRESS
-            if self._request_handler is None:
+            if self.request_handler is None:
                 raise RuntimeError(f"node {self.node_id}: no request handler")
-            self._request_handler(msg)
+            self.request_handler(msg)
             return
         if cached is _IN_PROGRESS:
             self.stats.duplicates_dropped += 1

@@ -39,7 +39,10 @@ Exit status is non-zero when a run fails its numerical check, an SLO
 fails under --fail-on-violation, or an export fails validation, so CI
 can gate on it (the ``obs-smoke`` job does).  A bad flag value (``--nodes
 0``, ``--sample-every 0``, an unknown ``--algorithm``) is a usage error:
-one line naming the config field, exit 2.
+one line naming the config field, exit 2.  So are a ``--window-ms``
+below one simulated nanosecond (0 means no timeline, except under
+``timeline``, which needs one) and ``--capacity`` with any app but
+pde3d, whose working set it is sized for.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from typing import Any
 from repro.config import MILLISECOND, ClusterConfig, ConfigError, ObsConfig
 from repro.exps.parallel import Job, RunResult
 from repro.exps.presets import capacity_config
-from repro.obs import Observability
+from repro.net.fabric import FABRIC_BACKENDS
 from repro.obs.export import (
     openmetrics,
     save_chrome_trace,
@@ -79,11 +82,14 @@ def _run_observed(args: argparse.Namespace) -> RunResult:
         sample_every=args.sample_every,
         hist_backend=args.hist_backend,
     )
-    config = ClusterConfig(nodes=args.nodes, obs=obs).with_svm(algorithm=args.algorithm)
-    if args.fabric != "ring":
-        config = config.with_fabric(backend=args.fabric)
+    config = (
+        ClusterConfig(nodes=args.nodes, obs=obs)
+        .with_svm(algorithm=args.algorithm)
+        .with_fabric(backend=args.fabric)
+    )
     if args.capacity:
-        # The Figure 4 / Table 1 regime, sized for the PDE below.
+        # The Figure 4 / Table 1 regime, sized for the PDE (main() refuses
+        # --capacity with any other app).
         config = capacity_config(SIZES["pde3d"]["m"], config.svm.page_size, base=config)
     return Job(args.app, SIZES[args.app], nprocs=args.nodes, config=config).run()
 
@@ -167,12 +173,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _timeline_or_die(obs: Observability) -> Any:
-    if obs.timeline is None:
-        raise SystemExit("this command needs a timeline; pass --window-ms > 0")
-    return obs.timeline
-
-
 def _parse_specs(texts: list[str]) -> list[Any]:
     from repro.obs.slo import parse_slo
 
@@ -193,7 +193,8 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
     specs = _parse_specs(args.slo)
     res = _run_observed(args)
     obs, total = res.obs, res.time_ns
-    tl = _timeline_or_die(obs)
+    tl = obs.timeline
+    assert tl is not None  # main() refused a window under 1 ns
     print(
         f"{args.app} on {args.nodes} nodes ({args.algorithm}, {args.fabric}): "
         f"T = {total / 1e6:.1f} ms simulated, {tl.nwindows(total)} windows of "
@@ -232,10 +233,11 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--capacity", action="store_true",
-        help="bound frames below the working set (the Figure 4 regime)",
+        help="bound frames below pde3d's working set (the Figure 4 regime; "
+        "--app pde3d only)",
     )
     parser.add_argument(
-        "--fabric", default="ring", choices=("ring", "switched"),
+        "--fabric", default="ring", choices=tuple(FABRIC_BACKENDS),
         help="network backend (default ring)",
     )
     parser.add_argument(
@@ -250,6 +252,16 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
         "--hist-backend", default="exact", choices=("exact", "logbucket"),
         help="histogram backend (logbucket = bounded memory)",
     )
+
+
+def _check_run_args(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Usage errors (exit 2) no single flag can see on its own."""
+    if args.capacity and args.app != "pde3d":
+        parser.error(f"--capacity sizes frames for pde3d; it cannot run --app {args.app}")
+    # 0 means no timeline (the default outside `timeline`); any other
+    # window must be at least one simulated nanosecond.
+    if (args.window_ms or args.command == "timeline") and args.window_ms * MILLISECOND < 1:
+        parser.error(f"--window-ms must be at least 1e-06 (1 ns), not {args.window_ms:g}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -302,6 +314,8 @@ def main(argv: list[str] | None = None) -> int:
     timeline.set_defaults(func=_cmd_timeline)
 
     args = parser.parse_args(argv)
+    if args.command != "validate":
+        _check_run_args(parser, args)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -181,12 +181,12 @@ class CoherenceProtocol:
         #: run inside servers and fault handlers without perturbing
         #: simulated time.
         self.checker = None
-        #: Page buffers and image reference counts, shared fabric-wide
-        #: (repro.net.pool); every node's frames come from it.  A read
+        #: Page buffers and image reference counts (repro.net.pool): the
+        #: pool this node's frames come from, shared cluster-wide.  A read
         #: reply carries the owner's frame itself as a shared image; the
         #: requester's reference passes to its frame at install, or is
         #: released if the copy went stale in flight.
-        self._pages = remote.transport.ring.pages
+        self._pages = memory.pages
         if config.svm.write_policy not in WRITE_POLICIES:
             raise ConfigError.unknown(
                 "svm.write_policy", config.svm.write_policy, WRITE_POLICIES

@@ -75,7 +75,7 @@ def test_determinism_lint_covers_the_fabric_backends():
     for tail in (
         "repro/net/fabric/__init__.py",
         "repro/net/fabric/switched.py",
-        "repro/net/ring.py",
+        "repro/net/fabric/ring.py",
     ):
         assert any(p.endswith(tail) for p in loaded), tail
 

@@ -6,7 +6,7 @@ import pytest
 from repro.config import ClusterConfig
 from repro.net.fabric.switched import SwitchedFabric
 from repro.net.remoteop import RemoteOp
-from repro.net.ring import TokenRing
+from repro.net.fabric.ring import TokenRing
 from repro.net.transport import Transport
 from repro.sim.kernel import Simulator
 from repro.sim.process import SimDriver

@@ -10,7 +10,7 @@ from repro.config import ClusterConfig, ConfigError, FabricConfig
 from repro.net.fabric import FABRIC_BACKENDS, Fabric, make_fabric
 from repro.net.fabric.switched import SwitchedFabric
 from repro.net.packet import BROADCAST, Message
-from repro.net.ring import TokenRing
+from repro.net.fabric.ring import TokenRing
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngStreams
 
@@ -69,6 +69,19 @@ def test_unknown_backend_raises_structured_config_error():
     assert err.known == ("ring", "switched")
     assert err.suggestion == "switched"
     assert "did you mean 'switched'?" in str(err)
+
+
+def test_every_command_line_reads_the_backend_names_from_the_registry():
+    import argparse
+
+    from repro.exps import scale
+    from repro.obs import __main__ as obs_cli
+
+    assert scale.BACKENDS == tuple(FABRIC_BACKENDS) == ("ring", "switched")
+    parser = argparse.ArgumentParser()
+    obs_cli._add_run_args(parser)
+    (fabric,) = [a for a in parser._actions if a.dest == "fabric"]
+    assert tuple(fabric.choices) == tuple(FABRIC_BACKENDS)
 
 
 def test_unrelated_backend_name_gets_no_suggestion():
@@ -399,6 +412,28 @@ def test_ring_stats_expose_a_single_medium_link():
     assert links["medium"].busy_ns == ring.stats.busy_ns
     # The second send queued behind the first: backlog was observed.
     assert links["medium"].peak_backlog_ns > 0
+
+
+@pytest.mark.parametrize("backend", ["ring", "switched"])
+def test_stats_are_one_shape_booked_on_live_links(backend):
+    """Both media keep one stats type: ``links()`` hands back the very
+    objects the medium books (not copies made per call), ``busy_ns`` is
+    their sum, and ``snapshot()`` has the same keys on every backend."""
+    fabric, _ = make_attached(backend, 3)
+    links = fabric.stats.links()
+    fabric.send(msg(0, 1, nbytes=500))
+    fabric.send(msg(2, BROADCAST))
+    fabric.sim.run()
+    again = fabric.stats.links()
+    assert list(again) == list(links)
+    assert all(again[name] is link for name, link in links.items())
+    assert sum(link.busy_ns for link in links.values()) == fabric.stats.busy_ns > 0
+    if backend == "ring":
+        assert links["medium"].busy_ns == fabric.stats.busy_ns
+        assert links["medium"].messages == fabric.stats.messages == 2
+    assert set(fabric.stats.snapshot()) == {
+        "messages", "broadcasts", "bytes_sent", "busy_ns", "lost_frames", "relays",
+    }
 
 
 def test_switched_stats_expose_per_port_links():

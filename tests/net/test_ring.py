@@ -5,7 +5,7 @@ import pytest
 
 from repro.config import RingConfig
 from repro.net.packet import BROADCAST, Message
-from repro.net.ring import TokenRing
+from repro.net.fabric.ring import TokenRing
 from repro.sim.kernel import Simulator
 
 

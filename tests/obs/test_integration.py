@@ -197,8 +197,22 @@ def test_the_handle_follows_the_value_of_cluster_config_obs():
         (["report", "--nodes", "0"], "nodes"),
         (["report", "--sample-every", "0"], "obs.sample_every"),
         (["report", "--algorithm", "bogus"], "svm.algorithm"),
+        # A window that would truncate to 0 ns is refused before anything
+        # runs, as `exps.scale --timeline` refuses it; 0 keeps meaning "no
+        # timeline" everywhere but `timeline`.
+        (["timeline", "--window-ms", "0.0000001"], "--window-ms"),
+        (["timeline", "--window-ms", "0"], "--window-ms"),
+        (["report", "--window-ms", "0.0000001"], "--window-ms"),
+        (["export", "--window-ms", "-5"], "--window-ms"),
+        (["top", "--window-ms", "-0.0000001"], "--window-ms"),
+        # The frame bound is sized for pde3d's working set.
+        (["report", "--app", "dotprod", "--capacity"], "--capacity"),
+        (["top", "--app", "tsp", "--capacity"], "--capacity"),
     ],
-    ids=["nodes", "sample-every", "algorithm"],
+    ids=[
+        "nodes", "sample-every", "algorithm", "timeline-sub-ns", "timeline-zero",
+        "report-sub-ns", "export-negative", "top-negative", "capacity-dotprod", "capacity-tsp",
+    ],
 )
 def test_cli_bad_flag_is_a_usage_error(argv, field, capsys):
     from repro.obs.__main__ import main

@@ -33,7 +33,7 @@ from repro.apps.tsp import TspApp
 from repro.config import ClusterConfig
 from repro.net.fabric.switched import SwitchedFabric
 from repro.net.packet import Message, delivery_label
-from repro.net.ring import TokenRing
+from repro.net.fabric.ring import TokenRing
 
 
 class ReferenceFabric:
