@@ -3,15 +3,14 @@
 Every experiment in the repro is replayable — same config and seed,
 same event trace, byte-identical metrics.  Four classes of constructs
 silently break that contract inside the simulated world
-(``repro.sim``/``svm``/``net``/``proc``) and are banned there:
+(``repro.sim``/``svm``/``net``/``proc``) and in what observes it
+(``repro.obs``/``metrics``, whose exports are asserted bit-for-bit), and
+are banned there:
 
 ``det-wallclock``
     ``time.time()``/``monotonic()``/``perf_counter()`` and
     ``datetime.now()`` read the host clock; simulated code must read
-    ``sim.now``.  (Profiling of the *simulator itself* lives in
-    ``repro.obs`` and is exempt by path — except the deterministic
-    timeline/sampling/SLO modules, whose exports CI asserts
-    bit-for-bit and which are therefore opted back in.)
+    ``sim.now``.
 
 ``det-unseeded-random``
     the global ``random`` module, ``random.Random()``,

@@ -10,11 +10,10 @@ Three path sets, matching how strict each tree's contract is:
 - **determinism**: everything that executes inside simulated time —
   ``repro/sim``, ``svm``, ``net`` (including the ``repro.net.fabric``
   backends, whose per-link timing arithmetic must be a pure function
-  of the seed), ``proc``, plus the *observational* obs modules whose
-  outputs are asserted bit-for-bit (``timeline``/``sample``/``slo`` —
-  windowed series, hash-based sampling, SLO evaluation).  (The rest of
-  ``repro.obs`` profiles the simulator itself with real clocks and is
-  deliberately exempt.)
+  of the seed), ``proc`` — plus all of ``repro/obs`` and
+  ``repro/metrics``, which observe it: their outputs (span streams,
+  windowed series, profiles, ``BENCH_obs.json``, every export) are
+  asserted bit-for-bit, and none of them reads a host clock.
 
 :func:`run_default` is the CI entry point (exhaustive, fixed paths);
 :func:`run_explicit` runs every analysis over caller-chosen paths (the
@@ -53,12 +52,8 @@ DETERMINISM_PATHS = [
     "src/repro/svm",
     "src/repro/net",
     "src/repro/proc",
-    # Deterministic-by-contract obs modules: their exports are asserted
-    # bit-for-bit in CI, so the wall-clock/RNG bans apply file-by-file
-    # (the rest of repro.obs stays exempt — it may time the simulator).
-    "src/repro/obs/timeline.py",
-    "src/repro/obs/sample.py",
-    "src/repro/obs/slo.py",
+    "src/repro/obs",
+    "src/repro/metrics",
 ]
 
 

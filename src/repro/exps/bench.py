@@ -30,7 +30,7 @@ from repro.config import ClusterConfig
 from repro.exps.parallel import Job
 from repro.exps.presets import capacity_config
 from repro.exps.scale import DEFAULT_SLOS, observe, scale_jobs
-from repro.obs import CATEGORIES
+from repro.obs import SimProfiler
 
 __all__ = ["run_bench", "main"]
 
@@ -86,10 +86,7 @@ def _timeline_bench(window_ms: int = 20, sample_every: int = 64) -> dict[str, An
     per_node = obs.window_breakdowns(nodes, res.time_ns)
     nwin = tl.nwindows(res.time_ns)
     profile = [
-        {cat: sum(
-            windows[w].get(cat, 0)
-            for windows in per_node.values() if w < len(windows)
-        ) for cat in CATEGORIES}
+        SimProfiler.cluster(ws[w] for ws in per_node.values() if w < len(ws))
         for w in range(nwin)
     ]
     report = evaluate(
@@ -120,13 +117,14 @@ def run_bench() -> dict[str, Any]:
     for name, job in _bench_cases():
         res = job.run()
         obs = res.obs
-        cluster = obs.cluster_breakdown(obs.breakdown(job.nprocs, res.time_ns))
         runs[name] = {
             "nprocs": job.nprocs,
             "time_ns": res.time_ns,
             "events": res.events_executed,
             "counters": {k: res.counters[k] for k in KEY_COUNTERS},
-            "profile_ns": {cat: cluster[cat] for cat in CATEGORIES},
+            "profile_ns": SimProfiler.cluster(
+                obs.breakdown(job.nprocs, res.time_ns).values()
+            ),
             "spans": len(obs.spans),
         }
     # Simulated times are deterministic; derived ratios are free to add.

@@ -108,9 +108,10 @@ class Pager:
                 vetoed.add(victim)
                 continue
             self.counters.inc("evictions")
-            # Frame-pool occupancy sampled at eviction time: under
-            # capacity pressure this histogram hugs the frame budget.
-            self.obs.observe("frames.occupancy", len(self.memory))
+            if self.obs.enabled:
+                # Frame-pool occupancy sampled at eviction time: under
+                # capacity pressure this histogram hugs the frame budget.
+                self.obs.observe("frames.occupancy", len(self.memory))
             if victim in self.memory:
                 raise RuntimeError(
                     f"eviction policy failed to release frame of page {victim}"

@@ -80,7 +80,7 @@ class EpochLog:
         now = self._totals()
         delta = {
             name: now.get(name, 0) - self._last.get(name, 0)
-            for name in set(now) | set(self._last)
+            for name in sorted(set(now) | set(self._last))
         }
         delta = {k: v for k, v in delta.items() if v}
         self.epochs.append((label, delta))

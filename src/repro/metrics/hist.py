@@ -14,9 +14,9 @@ Two histogram backends share one duck-typed surface:
   range) memory no matter how many observations arrive.
 
 A :class:`Gauge` tracks the latest value of a sampled level (resident
-frames).  :class:`Metrics` is the per-run registry, merged across nodes
-the same way :meth:`Counters.merge` is; the backend is selectable per
-registry and per instrument via :func:`make_histogram`.
+frames).  :class:`Metrics` is the run's one registry (every node
+observes into it; nothing is merged); its backend, chosen once per
+registry, builds every histogram through :func:`make_histogram`.
 
 These instruments are pure observation: observing never schedules
 simulation events, consumes RNG, or yields effects, so enabling them
@@ -26,7 +26,7 @@ cannot change simulated times or event counts.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Union
+from typing import Union
 
 from repro.config import ConfigError
 
@@ -52,6 +52,27 @@ HIST_BACKENDS = ("exact", "logbucket")
 ALPHA = 0.01
 _GAMMA = (1.0 + ALPHA) / (1.0 - ALPHA)
 _LOG_GAMMA = math.log(_GAMMA)
+
+
+def _rank(q: float, count: int) -> int:
+    """The nearest rank of percentile ``q`` (in [0, 100]) among
+    ``count`` samples: ``ceil(q * count / 100)``, at least 1."""
+    if not 0.0 <= q <= 100.0:
+        raise ValueError(f"percentile {q} out of [0, 100]")
+    return max(1, -(-int(q * count) // 100))
+
+
+def _summary(hist: AnyHistogram) -> dict[str, float | int | None]:
+    """The reporting summary, the same for both backends."""
+    out: dict[str, float | int | None] = {
+        "count": hist.count,
+        "sum": hist.total,
+        "min": hist.min,
+        "max": hist.max,
+    }
+    for q in REPORT_PERCENTILES:
+        out[f"p{q:g}"] = hist.percentile(q)
+    return out
 
 
 class Histogram:
@@ -96,31 +117,17 @@ class Histogram:
         """
         if not self._values:
             return None
-        if not 0.0 <= q <= 100.0:
-            raise ValueError(f"percentile {q} out of [0, 100]")
+        rank = _rank(q, len(self._values))
         if not self._sorted:
             self._values.sort()
             self._sorted = True
-        rank = max(1, -(-int(q * len(self._values)) // 100))  # ceil(q*n/100)
         return self._values[rank - 1]
 
     def summary(self) -> dict[str, float | int | None]:
-        out: dict[str, float | int | None] = {
-            "count": self.count,
-            "sum": self.total,
-            "min": self.min,
-            "max": self.max,
-        }
-        for q in REPORT_PERCENTILES:
-            out[f"p{q:g}"] = self.percentile(q)
-        return out
+        return _summary(self)
 
     def values(self) -> list[float]:
         return list(self._values)
-
-    def merge_from(self, other: "AnyHistogram") -> None:
-        for value in other.values():
-            self.observe(value)
 
 
 class LogBucketHistogram:
@@ -194,9 +201,7 @@ class LogBucketHistogram:
         """Nearest-rank percentile within relative error :data:`ALPHA`."""
         if not self._count:
             return None
-        if not 0.0 <= q <= 100.0:
-            raise ValueError(f"percentile {q} out of [0, 100]")
-        rank = max(1, -(-int(q * self._count) // 100))  # ceil(q*n/100)
+        rank = _rank(q, self._count)
         if rank <= self._zero:
             return 0.0
         seen = self._zero
@@ -214,51 +219,7 @@ class LogBucketHistogram:
         return self._max  # pragma: no cover - counts always cover rank
 
     def summary(self) -> dict[str, float | int | None]:
-        out: dict[str, float | int | None] = {
-            "count": self.count,
-            "sum": self.total,
-            "min": self.min,
-            "max": self.max,
-        }
-        for q in REPORT_PERCENTILES:
-            out[f"p{q:g}"] = self.percentile(q)
-        return out
-
-    def values(self) -> list[float]:
-        """Representative samples (bucket midpoints), one per count.
-
-        Lossy by construction — each value is within :data:`ALPHA` of the
-        original — but lets log-bucketed instruments merge into exact
-        ones and feed value-oriented reports.
-        """
-        out: list[float] = [0.0] * self._zero
-        for key in sorted(self._buckets):
-            rep = self._representative(key)
-            if self._min is not None:
-                rep = max(rep, self._min)
-            if self._max is not None:
-                rep = min(rep, self._max)
-            out.extend([rep] * self._buckets[key])
-        return out
-
-    def merge_from(self, other: "AnyHistogram") -> None:
-        if isinstance(other, LogBucketHistogram):
-            for key, n in other._buckets.items():
-                self._buckets[key] = self._buckets.get(key, 0) + n
-            self._zero += other._zero
-            self._count += other._count
-            self._total += other._total
-            if other._min is not None:
-                self._min = (
-                    other._min if self._min is None else min(self._min, other._min)
-                )
-            if other._max is not None:
-                self._max = (
-                    other._max if self._max is None else max(self._max, other._max)
-                )
-        else:
-            for value in other.values():
-                self.observe(value)
+        return _summary(self)
 
 
 #: Either histogram backend; both expose the same reporting surface.
@@ -292,7 +253,7 @@ class Gauge:
 
 
 class Metrics:
-    """A registry of named instruments (one per node, merged per run).
+    """The run's registry of named instruments, shared by every node.
 
     ``default_backend`` picks the histogram implementation for lazily
     created instruments.
@@ -327,33 +288,3 @@ class Metrics:
         for name, g in sorted(self.gauges.items()):
             out[name] = {"value": g.value, "peak": g.peak, "updates": g.updates}
         return out
-
-    @staticmethod
-    def merge(parts: Iterable["Metrics"]) -> "Metrics":
-        """Pool observations across nodes into a cluster-wide view.
-
-        Histograms merge per name, preserving each instrument's backend
-        (log buckets add count-wise); gauges keep the largest peak
-        (levels on different nodes do not sum meaningfully).
-        """
-        total = Metrics()
-        for part in parts:
-            total.default_backend = part.default_backend
-            for name, hist in part.histograms.items():
-                target = total.histograms.get(name)
-                if target is None:
-                    target = total.histograms[name] = make_histogram(
-                        name,
-                        "logbucket" if isinstance(hist, LogBucketHistogram) else "exact",
-                    )
-                target.merge_from(hist)
-            for name, g in part.gauges.items():
-                tg = total.gauges.get(name)
-                if tg is None:
-                    tg = total.gauges[name] = Gauge(name)
-                if g.value is not None:
-                    tg.value = g.value if tg.value is None else max(tg.value, g.value)
-                if g.peak is not None:
-                    tg.peak = g.peak if tg.peak is None else max(tg.peak, g.peak)
-                tg.updates += g.updates
-        return total

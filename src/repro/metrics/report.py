@@ -102,7 +102,7 @@ def format_profile(
         row(str(node), counts, total_ns)
         for node, counts in sorted(per_node.items())
     ]
-    cluster = SimProfiler.cluster(per_node)
+    cluster = SimProfiler.cluster(per_node.values())
     rows.append(row("cluster", cluster, total_ns * max(1, len(per_node))))
     return ascii_table(headers, rows, title=title)
 
@@ -119,17 +119,15 @@ def format_window_profile(
     column per category, so saturation reads as the fault/network share
     climbing down the table.
     """
-    from repro.obs.profiler import CATEGORIES
+    from repro.obs.profiler import CATEGORIES, SimProfiler
 
     nwin = max((len(windows) for windows in per_node_windows.values()), default=0)
     nnodes = max(1, len(per_node_windows))
     rows: list[list[str]] = []
     for w in range(nwin):
-        totals = dict.fromkeys(CATEGORIES, 0)
-        for windows in per_node_windows.values():
-            if w < len(windows):
-                for cat, ns in windows[w].items():
-                    totals[cat] += ns
+        totals = SimProfiler.cluster(
+            ws[w] for ws in per_node_windows.values() if w < len(ws)
+        )
         width = min(window_ns, max(1, total_ns - w * window_ns)) * nnodes
         cells = [f"{w}", f"{w * window_ns / 1e6:.0f}"]
         for cat in CATEGORIES:

@@ -68,9 +68,10 @@ class TokenRing(Fabric):
         free_at = self._free_at
         start = now if now >= free_at else free_at
         backlog = start - now
-        # Queueing delay behind the shared medium — the contention that
-        # caps dot-product's speedup (histogrammed in ns).
-        self.obs.observe("ring.queue_ns", backlog)
+        if self.obs.enabled:
+            # Queueing delay behind the shared medium — the contention
+            # that caps dot-product's speedup (histogrammed in ns).
+            self.obs.observe("ring.queue_ns", backlog)
         occupancy = self.occupancy_ns(msg.nbytes)
         self._free_at = free_at = start + occupancy
         if self._timeline is not None:

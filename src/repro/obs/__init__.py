@@ -42,12 +42,13 @@ loadable in Perfetto; timeline JSONL; OpenMetrics text) and the CLI in
 
 from __future__ import annotations
 
+import copy
 from typing import Any, Callable
 
 from repro.config import ConfigError, ObsConfig
 from repro.metrics.hist import Metrics
 from repro.obs.profiler import CATEGORIES, PRECEDENCE, SimProfiler
-from repro.obs.span import NULL_SPAN, UNSTAMPED, Span, SpanTracer
+from repro.obs.span import NULL_SPAN, UNSTAMPED, Span, SpanTracer, span_kind
 from repro.obs.timeline import Timeline
 
 __all__ = [
@@ -73,8 +74,7 @@ SPAN_CATEGORIES = {"fault": "fault", "serve": "network", "disk": "disk"}
 
 
 def _span_category(name: str) -> str | None:
-    prefix = name.split(".", 1)[0].split(":", 1)[0]
-    return SPAN_CATEGORIES.get(prefix)
+    return SPAN_CATEGORIES.get(span_kind(name))
 
 
 class Observability:
@@ -127,27 +127,27 @@ class Observability:
     def span_end(self, span: Span, end: int | None = None) -> None:
         """Close a span and fold its interval into the aggregates — also
         a sampled-out (negative-id) one, whose time still belongs to the
-        profiler's attribution and the timeline's per-window series."""
+        profiler's attribution and the timeline's per-window series.
+        :data:`NULL_SPAN`, all a disabled handle hands out, returns here."""
+        if span.sid == 0:
+            return
         self.spans.span_end(span, end=end)
-        if span.sid != 0:
-            self._account(span)
+        self._account(span)
 
     def _account(self, span: Span) -> None:
-        """Fold one just-closed span into profiler/timeline aggregates.
+        """Fold one just-closed span into the profiler and the timeline.
 
-        Kept spans reach the profiler later via :meth:`_profile`;
-        dropped (negative-id) spans are not in the tracer's list, so
-        their categorised interval is recorded here — whole-run and
+        Kept and dropped (negative-id) spans alike, so whole-run and
         windowed attribution stay complete at any sampling rate.
         """
-        if span.start == UNSTAMPED or span.end == UNSTAMPED:
+        start, end = span.start, span.end
+        if start == UNSTAMPED or end == UNSTAMPED or end <= start:
             return
-        if span.sid < 0:
-            category = _span_category(span.name)
-            if category is not None:
-                self.profiler.interval(span.node, category, span.start, span.end)
-        if self.timeline is not None and span.end > span.start:
-            self.timeline.span(span.name, span.start, span.end)
+        category = _span_category(span.name)
+        if category is not None:
+            self.profiler.interval(span.node, category, start, end)
+        if self.timeline is not None:
+            self.timeline.span(span.name, start, end)
 
     # ------------------------------------------------------------------
     # instruments
@@ -172,25 +172,25 @@ class Observability:
             self.profiler.interval(node, category, start, end)
 
     def _profile(self, total_ns: int) -> SimProfiler:
-        """The recorded intervals plus the categorised spans, with open
-        spans clamped to the end of the run."""
-        merged = self.profiler.merged(SimProfiler())
-        for span in self.spans:
-            category = _span_category(span.name)
-            if category is None or span.start == span.end:
-                continue
-            end = total_ns if span.open else span.end
-            merged.interval(span.node, category, span.start, end)
-        return merged
+        """The recorded intervals plus the categorised spans still open,
+        clamped to the end of the run (closed ones were recorded as they
+        closed); a copy only when some span is open."""
+        still_open = [
+            (span.node, category, span.start)
+            for span in self.spans.open_spans()
+            if (category := _span_category(span.name)) is not None
+        ]
+        if not still_open:
+            return self.profiler
+        profile = copy.deepcopy(self.profiler)
+        for node, category, start in still_open:
+            profile.interval(node, category, start, total_ns)
+        return profile
 
     def breakdown(self, nnodes: int, total_ns: int) -> dict[int, dict[str, int]]:
         """Per-node partition of ``[0, total_ns]``; each node's values
         sum to ``total_ns`` exactly (see :mod:`repro.obs.profiler`)."""
         return self._profile(total_ns).per_node(nnodes, total_ns)
-
-    @staticmethod
-    def cluster_breakdown(per_node: dict[int, dict[str, int]]) -> dict[str, int]:
-        return SimProfiler.cluster(per_node)
 
     def window_breakdowns(
         self, nnodes: int, total_ns: int

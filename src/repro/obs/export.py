@@ -38,7 +38,7 @@ import re
 from typing import Any, TYPE_CHECKING
 
 from repro.obs.jsonl import write_jsonl
-from repro.obs.span import UNSTAMPED, Span
+from repro.obs.span import UNSTAMPED, Span, span_kind
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
     from repro.obs import Observability
@@ -54,10 +54,6 @@ __all__ = [
     "openmetrics",
     "validate_openmetrics",
 ]
-
-
-def _span_category(name: str) -> str:
-    return name.split(".", 1)[0].split(":", 1)[0] or "span"
 
 
 def _assign_lanes(spans: list[Span], total_ns: int) -> dict[int, int]:
@@ -111,7 +107,7 @@ def chrome_trace(obs: "Observability", total_ns: int | None = None) -> dict[str,
         events.append(
             {
                 "name": span.name,
-                "cat": _span_category(span.name),
+                "cat": span_kind(span.name) or "span",
                 "ph": "X",
                 "ts": span.start / 1e3,
                 "dur": max(0, end - span.start) / 1e3,
@@ -204,18 +200,18 @@ def timeline_records(
         "nodes": nnodes,
     }
     body: list[dict[str, Any]] = []
-    for name, wh in tl.metrics.histograms.items():
-        for window, hist in wh.windows.items():
+    for name, hists in tl.histograms.items():
+        for window, hist in hists.items():
             rec: dict[str, Any] = {"kind": "hist", "window": window, "name": name}
             rec.update(hist.summary())
             body.append(rec)
-    for name, wc in tl.metrics.counters.items():
-        for window, value in wc.windows.items():
+    for name, counts in tl.counters.items():
+        for window, value in counts.items():
             body.append(
                 {"kind": "counter", "window": window, "name": name, "value": value}
             )
-    for name, wg in tl.metrics.gauges.items():
-        for window, (last, peak) in wg.windows.items():
+    for name, levels in tl.gauges.items():
+        for window, (last, peak) in levels.items():
             body.append(
                 {
                     "kind": "gauge", "window": window, "name": name,
@@ -424,18 +420,18 @@ def openmetrics(obs: "Observability", nnodes: int, total_ns: int) -> str:
 
     tl = obs.timeline
     if tl is not None:
-        for name, wh in sorted(tl.metrics.histograms.items()):
+        for name, hists in sorted(tl.histograms.items()):
             base = f"repro_tl_{_om_name(name)}"
             for stat in ("p99", "count"):
                 fam = f"{base}_{stat}"
                 family(fam, "gauge", f"per-window {stat} of {name}")
-                for window, hist in sorted(wh.windows.items()):
+                for window, hist in sorted(hists.items()):
                     value = hist.count if stat == "count" else hist.percentile(99.0)
                     out.append(f"{fam}{_om_labels(window=window)} {_om_value(value)}")
-        for name, wc in sorted(tl.metrics.counters.items()):
+        for name, counts in sorted(tl.counters.items()):
             fam = f"repro_tl_{_om_name(name)}"
             family(fam, "gauge", f"per-window count of {name}")
-            for window, value in sorted(wc.windows.items()):
+            for window, value in sorted(counts.items()):
                 out.append(f"{fam}{_om_labels(window=window)} {value}")
         if tl.links():
             family("repro_link_busy_ns", "gauge", "per-window link busy time")

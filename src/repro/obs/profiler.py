@@ -34,6 +34,9 @@ activity (migration traffic, timers), which is not worth a category.
 from __future__ import annotations
 
 from collections import defaultdict
+from typing import Iterable
+
+from repro.obs.timeline import split
 
 __all__ = ["SimProfiler", "CATEGORIES", "PRECEDENCE"]
 
@@ -69,18 +72,6 @@ class SimProfiler:
             return
         self._intervals[node][category].append((start, end))
 
-    def nodes(self) -> list[int]:
-        return sorted(self._intervals)
-
-    def merged(self, other: "SimProfiler") -> "SimProfiler":
-        """A new profiler holding both interval stores (self unchanged)."""
-        out = SimProfiler()
-        for src in (self, other):
-            for node, cats in src._intervals.items():
-                for cat, spans in cats.items():
-                    out._intervals[node][cat].extend(spans)
-        return out
-
     # ------------------------------------------------------------------
 
     def _deltas(
@@ -103,39 +94,18 @@ class SimProfiler:
                 deltas[end][cat] -= 1
         return deltas
 
-    def breakdown(self, node: int, total_ns: int) -> dict[str, int]:
-        """Partition ``[0, total_ns]`` of one node's timeline.
-
-        Returns ``{category: ns}`` over :data:`CATEGORIES`; the values
-        sum to ``total_ns`` exactly.
-        """
-        out = {cat: 0 for cat in CATEGORIES}
-        if total_ns <= 0:
-            return out
-        deltas = self._deltas(node, total_ns)
-        active = {cat: 0 for cat in PRECEDENCE}
-        prev = 0
-        for t in sorted(deltas):
-            if t > prev:
-                out[self._pick(active)] += t - prev
-                prev = t
-            for cat, d in deltas[t].items():
-                active[cat] += d
-        if prev < total_ns:
-            out[self._pick(active)] += total_ns - prev
-        return out
-
     def window_breakdown(
         self, node: int, total_ns: int, window_ns: int
     ) -> list[dict[str, int]]:
         """Per-window partition of one node's ``[0, total_ns]`` timeline.
 
-        The same line sweep as :meth:`breakdown`, but each attributed
-        segment is credited across the window boundaries it crosses.
-        Returns one ``{category: ns}`` dict per window of width
-        ``window_ns``; every full window's values sum to ``window_ns``
-        exactly, and the final (possibly partial) window's values sum to
-        ``total_ns - (nwindows - 1) * window_ns``.
+        The line sweep: at each instant the node is attributed to the
+        highest-precedence active category, and each attributed segment
+        is credited across the window boundaries it crosses.  Returns
+        one ``{category: ns}`` dict per window of width ``window_ns``;
+        every full window's values sum to ``window_ns`` exactly, and the
+        final (possibly partial) window's values sum to ``total_ns -
+        (nwindows - 1) * window_ns``.
         """
         if window_ns <= 0:
             raise ValueError(f"window_ns must be positive, got {window_ns}")
@@ -145,14 +115,8 @@ class SimProfiler:
             return out
 
         def credit(start: int, end: int, cat: str) -> None:
-            win = start // window_ns
-            at = start
-            while at < end:
-                edge = (win + 1) * window_ns
-                stop = end if end < edge else edge
-                out[win][cat] += stop - at
-                at = stop
-                win += 1
+            for win, ns in split(start, end, window_ns):
+                out[win][cat] += ns
 
         deltas = self._deltas(node, total_ns)
         active = {cat: 0 for cat in PRECEDENCE}
@@ -167,16 +131,21 @@ class SimProfiler:
             credit(prev, total_ns, self._pick(active))
         return out
 
+    def breakdown(self, node: int, total_ns: int) -> dict[str, int]:
+        """Partition ``[0, total_ns]`` of one node's timeline: the
+        one-window case of :meth:`window_breakdown`.
+
+        Returns ``{category: ns}`` over :data:`CATEGORIES`; the values
+        sum to ``total_ns`` exactly.
+        """
+        return self.window_breakdown(node, total_ns, max(1, total_ns))[0]
+
     @staticmethod
     def _pick(active: dict[str, int]) -> str:
         for cat in PRECEDENCE:
             if active[cat] > 0:
                 return cat
         return "idle"
-
-    def per_node(self, nnodes: int, total_ns: int) -> dict[int, dict[str, int]]:
-        """Breakdown for every node id in ``range(nnodes)``."""
-        return {node: self.breakdown(node, total_ns) for node in range(nnodes)}
 
     def per_node_windows(
         self, nnodes: int, total_ns: int, window_ns: int
@@ -187,11 +156,18 @@ class SimProfiler:
             for node in range(nnodes)
         }
 
+    def per_node(self, nnodes: int, total_ns: int) -> dict[int, dict[str, int]]:
+        """Breakdown for every node id in ``range(nnodes)``: the
+        one-window case of :meth:`per_node_windows`."""
+        per_node = self.per_node_windows(nnodes, total_ns, max(1, total_ns))
+        return {node: windows[0] for node, windows in per_node.items()}
+
     @staticmethod
-    def cluster(per_node: dict[int, dict[str, int]]) -> dict[str, int]:
-        """Sum a per-node breakdown into a cluster-wide one."""
+    def cluster(breakdowns: Iterable[dict[str, int]]) -> dict[str, int]:
+        """Sum per-node breakdowns (of one run or one window) into a
+        cluster-wide one."""
         out = {cat: 0 for cat in CATEGORIES}
-        for counts in per_node.values():
+        for counts in breakdowns:
             for cat, ns in counts.items():
                 out[cat] += ns
         return out

@@ -148,12 +148,12 @@ def _window_value(tl: Timeline, spec: SloSpec, window: int) -> float | None:
     if spec.agg == "link_utilisation":
         util = tl.link_utilisation(window)
         return util if util > 0.0 else (0.0 if tl.links() else None)
-    hist = tl.metrics.hist_window(spec.instrument, window)
+    hist = tl.hist_window(spec.instrument, window)
     if hist is None:
         if spec.agg == "count":
-            c = tl.metrics.counters.get(spec.instrument)
-            if c is not None and window in c.windows:
-                return float(c.windows[window])
+            busy = tl.counters.get(spec.instrument, {}).get(window)
+            if busy is not None:
+                return float(busy)
         return None
     if spec.agg == "count":
         return float(hist.count)

@@ -48,11 +48,17 @@ from repro.config import ConfigError
 from repro.obs.jsonl import read_jsonl, write_jsonl
 from repro.obs.sample import keep_root
 
-__all__ = ["Span", "SpanTracer", "NULL_SPAN", "UNSTAMPED"]
+__all__ = ["Span", "SpanTracer", "NULL_SPAN", "UNSTAMPED", "span_kind"]
 
 #: Time of a record made before a clock was bound: a span or timeline
 #: sample taken before cluster boot is marked rather than claiming time 0.
 UNSTAMPED = -1
+
+
+def span_kind(name: str) -> str:
+    """A span name's leading word: ``fault`` for ``fault.read``,
+    ``serve`` for ``serve:svm.read``."""
+    return name.split(".", 1)[0].split(":", 1)[0]
 
 
 class Span:

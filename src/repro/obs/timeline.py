@@ -2,19 +2,28 @@
 
 The whole-run instruments in :mod:`repro.obs` answer "how much, in
 total"; saturation is a *when* question.  A :class:`Timeline` buckets
-every observation into fixed-width simulated-time windows (via
-:class:`repro.metrics.windowed.WindowedMetrics`) and additionally
-accounts two interval-shaped series that plain instruments cannot
-express:
+every observation into fixed-width simulated-time windows (``window =
+t // window_ns``), so an instrument becomes a series of per-window
+summaries instead of one number.  Every series is a sparse dict keyed
+by window index — a quiet window costs nothing, and memory is
+O(active windows × series), independent of the observation count under
+the ``logbucket`` histogram backend:
 
+- ``histograms`` — one histogram per window of each observed
+  instrument, for per-window percentiles;
+- ``gauges`` — last value and peak per window of a sampled level;
+- ``counters`` — **span time**: closed spans credit
+  ``span.<name>.busy_ns`` to each window they cross, and observe their
+  duration at the window they closed in, so fault/serve/disk activity
+  is visible per window even when head-based sampling drops the span
+  record itself;
 - **link busy time** — fabric backends report every booked transmission
-  as ``link_busy(link, start, end)``; the busy nanoseconds are credited
-  to each window the interval crosses, making per-link utilisation a
-  curve and "busiest links over time" a report;
-- **span time** — closed spans are credited the same way (busy-ns per
-  window plus a per-window duration histogram at the closing window),
-  so fault/serve/disk activity becomes visible per window even when
-  head-based sampling drops the span record itself.
+  as ``link_busy(link, start, end)``, credited to each window the
+  interval crosses, making per-link utilisation a curve and "busiest
+  links over time" a report.
+
+Interval-shaped series are split at window edges by :func:`split`, the
+one window splitter (the profiler's per-window attribution uses it too).
 
 Feeding a timeline is pure observation: every timestamp is simulated
 (from the bound cluster clock or an interval already stamped by the
@@ -25,20 +34,40 @@ the timeline on or off.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
-from repro.metrics.windowed import WindowedMetrics
+from repro.metrics.hist import AnyHistogram, make_histogram
 from repro.obs.span import UNSTAMPED
 
-__all__ = ["Timeline"]
+__all__ = ["Timeline", "split"]
+
+
+def split(start: int, end: int, window_ns: int) -> Iterator[tuple[int, int]]:
+    """The pieces of ``[start, end)`` per window: ``(window, ns)`` pairs,
+    in window order (nothing for an empty interval)."""
+    win = start // window_ns
+    while start < end:
+        edge = (win + 1) * window_ns
+        stop = end if end < edge else edge
+        yield win, stop - start
+        start = stop
+        win += 1
 
 
 class Timeline:
-    """Windowed counters/gauges/histograms plus link and span series."""
+    """Windowed histograms, gauges, span time and link busy time."""
 
     def __init__(self, window_ns: int, hist_backend: str = "exact") -> None:
-        self.metrics = WindowedMetrics(window_ns, hist_backend)  # checks window_ns > 0
+        if window_ns <= 0:
+            raise ValueError(f"window_ns must be positive, got {window_ns}")
         self.window_ns = window_ns
+        self.hist_backend = hist_backend
+        #: instrument -> window -> histogram of the values observed there
+        self.histograms: dict[str, dict[int, AnyHistogram]] = {}
+        #: gauge -> window -> (last value, peak value)
+        self.gauges: dict[str, dict[int, tuple[float, float]]] = {}
+        #: ``span.<name>.busy_ns`` -> window -> busy ns inside that window
+        self.counters: dict[str, dict[int, int]] = {}
         #: link name -> window -> busy ns inside that window
         self._links: dict[str, dict[int, int]] = {}
         self._clock: Callable[[], int] | None = None
@@ -46,63 +75,60 @@ class Timeline:
     def bind_clock(self, clock: Callable[[], int] | None) -> None:
         self._clock = clock
 
-    def _now(self) -> int:
-        return self._clock() if self._clock is not None else UNSTAMPED
+    def _window(self, t: int | None) -> int | None:
+        """The window of ``t`` (of now when None); None for a time
+        that is not stamped, such as any before the clock is bound."""
+        if t is None:
+            t = self._clock() if self._clock is not None else UNSTAMPED
+        return None if t == UNSTAMPED else t // self.window_ns
 
     # ------------------------------------------------------------------
     # recording
 
     def observe(self, name: str, value: float, t: int | None = None) -> None:
-        at = self._now() if t is None else t
-        if at != UNSTAMPED:
-            self.metrics.observe(name, at, value)
-
-    def count(self, name: str, by: int = 1, t: int | None = None) -> None:
-        at = self._now() if t is None else t
-        if at != UNSTAMPED:
-            self.metrics.count(name, at, by)
+        win = self._window(t)
+        if win is None:
+            return
+        per = self.histograms.get(name)
+        if per is None:
+            per = self.histograms[name] = {}
+        hist = per.get(win)
+        if hist is None:
+            hist = per[win] = make_histogram(name, self.hist_backend)
+        hist.observe(value)
 
     def gauge(self, name: str, value: float, t: int | None = None) -> None:
-        at = self._now() if t is None else t
-        if at != UNSTAMPED:
-            self.metrics.gauge(name, at, value)
+        win = self._window(t)
+        if win is None:
+            return
+        per = self.gauges.get(name)
+        if per is None:
+            per = self.gauges[name] = {}
+        prev = per.get(win)
+        per[win] = (value, value if prev is None else max(prev[1], value))
 
     def _credit(
-        self, out: dict[int, int], start: int, end: int
+        self, series: dict[str, dict[int, int]], name: str, start: int, end: int
     ) -> None:
-        """Split ``[start, end)`` across window boundaries into ``out``."""
-        if end <= start:
-            return
-        w = self.window_ns
-        win = start // w
-        at = start
-        while at < end:
-            edge = (win + 1) * w
-            stop = end if end < edge else edge
-            out[win] = out.get(win, 0) + (stop - at)
-            at = stop
-            win += 1
+        per = series.get(name)
+        if per is None:
+            per = series[name] = {}
+        for win, ns in split(start, end, self.window_ns):
+            per[win] = per.get(win, 0) + ns
 
     def link_busy(self, link: str, start: int, end: int) -> None:
         """Credit a booked transmission on ``link`` to its windows."""
         if start == UNSTAMPED or end == UNSTAMPED or end <= start:
             return
-        per = self._links.get(link)
-        if per is None:
-            per = self._links[link] = {}
-        self._credit(per, start, end)
+        self._credit(self._links, link, start, end)
 
     def span(self, name: str, start: int, end: int) -> None:
         """Credit a closed span: busy-ns per window it crosses, plus its
         duration observed at the window it closed in."""
         if start == UNSTAMPED or end == UNSTAMPED or end < start:
             return
-        c = self.metrics.counters.get(f"span.{name}.busy_ns")
-        if c is None:
-            self.metrics.count(f"span.{name}.busy_ns", start, 0)
-            c = self.metrics.counters[f"span.{name}.busy_ns"]
-        self._credit(c.windows, start, end)
-        self.metrics.observe(f"span.{name}.ns", end, end - start)
+        self._credit(self.counters, f"span.{name}.busy_ns", start, end)
+        self.observe(f"span.{name}.ns", end - start, t=end)
 
     # ------------------------------------------------------------------
     # queries
@@ -114,11 +140,16 @@ class Timeline:
         return max(1, by_time, by_data)
 
     def max_window(self) -> int:
-        out = self.metrics.max_window()
-        for per in self._links.values():
-            if per:
-                out = max(out, max(per))
-        return out
+        """Largest window index holding any data (-1 when empty)."""
+        series = (self.histograms, self.gauges, self.counters, self._links)
+        return max(
+            (max(per) for kind in series for per in kind.values() if per),
+            default=-1,
+        )
+
+    def hist_window(self, name: str, window: int) -> AnyHistogram | None:
+        per = self.histograms.get(name)
+        return per.get(window) if per is not None else None
 
     def links(self) -> list[str]:
         return sorted(self._links)

@@ -376,7 +376,8 @@ class CoherenceProtocol:
                     break
                 latency = self.sim.now - started
                 self.counters.inc("read_fault_ns", latency)
-                self.obs.observe("fault.read_ns", latency)
+                if self.obs.enabled:
+                    self.obs.observe("fault.read_ns", latency)
                 self._note("svm.read_fault", node=self.node_id, page=page, owner=owner, ns=latency)
             finally:
                 self.obs.span_end(span)
@@ -446,7 +447,8 @@ class CoherenceProtocol:
                     entry.copy_set = set()
                     latency = self.sim.now - started
                     self.counters.inc("write_fault_ns", latency)
-                    self.obs.observe("fault.write_ns", latency)
+                    if self.obs.enabled:
+                        self.obs.observe("fault.write_ns", latency)
                     self._grant(page, entry, _WRITE)
                     self._note(
                         "svm.write_upgrade",
@@ -486,7 +488,8 @@ class CoherenceProtocol:
             self._grant(page, entry, _WRITE)
             latency = self.sim.now - started
             self.counters.inc("write_fault_ns", latency)
-            self.obs.observe("fault.write_ns", latency)
+            if self.obs.enabled:
+                self.obs.observe("fault.write_ns", latency)
         finally:
             self.obs.span_end(span)
         self.on_became_owner(page, entry)
@@ -537,7 +540,8 @@ class CoherenceProtocol:
         targets = tuple(sorted(holders))
         self.counters.inc("invalidations_sent", len(targets))
         self._note("svm.invalidate", node=self.node_id, page=page, targets=targets)
-        self.obs.observe("inv.fanout", len(targets))
+        if self.obs.enabled:
+            self.obs.observe("inv.fanout", len(targets))
         ispan = self.obs.span_begin(
             "inv", parent=span, node=self.node_id, page=page, fanout=len(targets)
         )
@@ -697,7 +701,8 @@ class CoherenceProtocol:
                 entry.copy_set = set()
                 self._grant(page, entry, _WRITE)
                 self.counters.inc("ownership_transfers")
-                self.obs.observe("fault.chown_ns", self.sim.now - started)
+                if self.obs.enabled:
+                    self.obs.observe("fault.chown_ns", self.sim.now - started)
             finally:
                 self.obs.span_end(span)
             self.on_became_owner(page, entry)
@@ -749,7 +754,8 @@ class CoherenceProtocol:
         data = self._pages.copy_of(self.memory.data(page))
         yield Compute(self.page_size * self.config.cpu.ns_per_byte_copy)
         self.counters.inc("updates_sent", len(entry.copy_set))
-        self.obs.observe("update.fanout", len(entry.copy_set))
+        if self.obs.enabled:
+            self.obs.observe("update.fanout", len(entry.copy_set))
         try:
             yield from self.remote.multicast(
                 tuple(sorted(entry.copy_set)), OP_UPDATE, (page, data),

@@ -99,22 +99,20 @@ def test_determinism_lint_covers_the_event_kernel_hot_path():
 
 
 def test_determinism_lint_covers_the_deterministic_obs_modules():
-    """The timeline/sampling/SLO modules are observational but their
-    exports are asserted bit-for-bit in CI, so they are opted back into
-    the determinism sweep file-by-file (the rest of repro.obs stays
-    exempt — it may legitimately time the simulator with real clocks)."""
+    """Every obs and metrics module observes simulated time and none
+    reads a host clock; their exports (span streams, windowed series,
+    profiles, BENCH_obs.json) are asserted bit-for-bit, so the whole of
+    both trees is inside the determinism sweep."""
     from repro.analysis.static import facts as facts_mod
     from repro.analysis.static.engine import DETERMINISM_PATHS
 
     paths = [str(REPO_ROOT / p) for p in DETERMINISM_PATHS]
     loaded = {Path(m.path).as_posix() for m in facts_mod.load_modules(paths)}
-    for tail in (
-        "repro/obs/timeline.py",
-        "repro/obs/sample.py",
-        "repro/obs/slo.py",
-    ):
-        assert any(p.endswith(tail) for p in loaded), tail
-    assert not any(p.endswith("repro/obs/profiler.py") for p in loaded)
+    src = REPO_ROOT / "src"
+    for package in ("repro/obs", "repro/metrics"):
+        for module in sorted((src / package).glob("*.py")):
+            tail = module.relative_to(src).as_posix()
+            assert any(p.endswith(tail) for p in loaded), tail
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))

@@ -89,26 +89,6 @@ def test_metrics_registry_reuses_instruments():
     assert snap["level"] == {"value": 3, "peak": 3, "updates": 1}
 
 
-def test_metrics_merge_pools_histograms_and_keeps_gauge_peaks():
-    a, b = Metrics(), Metrics()
-    a.observe("lat", 1)
-    a.observe("lat", 3)
-    b.observe("lat", 2)
-    a.gauge("level", 10)
-    b.gauge("level", 4)
-    b.gauge("only_b", 7)
-    merged = Metrics.merge([a, b])
-    assert merged.histograms["lat"].count == 3
-    assert merged.histograms["lat"].percentile(50) == 2
-    # Gauges keep the largest peak — levels on different nodes don't sum.
-    assert merged.gauges["level"].peak == 10
-    assert merged.gauges["level"].updates == 2
-    assert merged.gauges["only_b"].value == 7
-    # Merge is a snapshot, not a live view.
-    a.observe("lat", 99)
-    assert merged.histograms["lat"].count == 3
-
-
 # ---------------------------------------------------------------------------
 # log-bucket (DDSketch-style) backend
 
@@ -173,20 +153,6 @@ def test_logbucket_min_max_total_are_exact():
     assert sketch.mean() == pytest.approx(922 / 3)
 
 
-def test_logbucket_merge_same_alpha_is_bucketwise():
-    a = LogBucketHistogram("a")
-    b = LogBucketHistogram("b")
-    for v in (10, 100, 1000):
-        a.observe(v)
-    for v in (20, 200):
-        b.observe(v)
-    a.merge_from(b)
-    assert a.count == 5
-    assert a.max == 1000 and a.min == 10
-    p50 = a.percentile(50)
-    assert p50 is not None and abs(p50 - 100) / 100 <= ALPHA
-
-
 def test_make_histogram_selects_backend():
     assert isinstance(make_histogram("x", "exact"), Histogram)
     assert isinstance(make_histogram("x", "logbucket"), LogBucketHistogram)
@@ -206,17 +172,6 @@ def test_metrics_registry_backend_is_registry_wide():
     )
     with pytest.raises(ValueError):
         Metrics(default_backend="nope")
-
-
-def test_metrics_merge_preserves_logbucket_backend():
-    a = Metrics(default_backend="logbucket")
-    b = Metrics(default_backend="logbucket")
-    for v in (10, 20, 30):
-        a.observe("lat", v)
-    b.observe("lat", 40)
-    merged = Metrics.merge([a, b])
-    assert isinstance(merged.histograms["lat"], LogBucketHistogram)
-    assert merged.histograms["lat"].count == 4
 
 
 def test_format_instruments_renders_percentile_columns():

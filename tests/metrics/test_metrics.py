@@ -37,6 +37,35 @@ def test_epoch_log_deltas_and_series():
     assert log.series("disk") == [("e1", 3), ("e2", 2), ("e3", 0)]
 
 
+def test_epoch_deltas_are_ordered_independent_of_the_hash_seed():
+    # A delta dict's key order must not come from set iteration, which
+    # follows PYTHONHASHSEED: the same run must log the same epochs.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = (
+        "from repro.metrics.collect import Counters, EpochLog\n"
+        "c = Counters()\n"
+        "log = EpochLog([c])\n"
+        "for name in ('svm.read_fault', 'disk.read', 'net.msgs', 'svm.inv',\n"
+        "             'disk.write', 'proc.spawn', 'alloc.malloc', 'sync.wait'):\n"
+        "    c.inc(name)\n"
+        "print(list(log.mark('e')))\n"
+    )
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    outputs = set()
+    for seed in ("0", "1", "2", "3", "4"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, check=True,
+        )
+        outputs.add(done.stdout)
+    assert len(outputs) == 1, outputs
+
+
 def test_ascii_table_alignment():
     out = ascii_table(["name", "v"], [["a", 1], ["long", 22]], title="T")
     lines = out.split("\n")

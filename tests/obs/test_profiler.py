@@ -1,6 +1,11 @@
 """Profiler unit tests: the partition invariant (each node's breakdown
 sums to T exactly), overlap precedence, and interval hygiene."""
 
+import json
+from pathlib import Path
+
+import pytest
+
 from repro.obs import CATEGORIES, PRECEDENCE, Observability
 from repro.obs.profiler import SimProfiler
 
@@ -56,24 +61,13 @@ def test_zero_length_run_reports_all_zero():
     assert sum(prof.breakdown(0, 0).values()) == 0
 
 
-def test_merged_combines_without_mutating_sources():
-    a, b = SimProfiler(), SimProfiler()
-    a.interval(0, "compute", 0, 5)
-    b.interval(0, "disk", 5, 10)
-    both = a.merged(b)
-    assert both.breakdown(0, 10) == {
-        "compute": 5, "disk": 5, "fault": 0, "network": 0, "idle": 0,
-    }
-    assert a.breakdown(0, 10)["disk"] == 0  # a unchanged
-
-
 def test_per_node_and_cluster_sums():
     prof = SimProfiler()
     prof.interval(0, "compute", 0, 60)
     prof.interval(1, "fault", 0, 25)
     per_node = prof.per_node(2, 100)
     assert all(sum(counts.values()) == 100 for counts in per_node.values())
-    cluster = SimProfiler.cluster(per_node)
+    cluster = SimProfiler.cluster(per_node.values())
     assert sum(cluster.values()) == 200
     assert cluster["compute"] == 60 and cluster["fault"] == 25
 
@@ -110,3 +104,24 @@ def test_open_spans_clamp_to_end_of_run():
     obs.span_begin("disk.write", node=0)  # never closed
     out = obs.breakdown(1, 50)[0]
     assert out["disk"] == 30 and sum(out.values()) == 50
+
+
+@pytest.mark.parametrize(
+    "case", ["dotprod_p1", "dotprod_p2", "pde_capacity_p1", "pde_capacity_p2"]
+)
+def test_whole_run_breakdown_is_the_sum_of_its_windows(case):
+    # One line sweep serves both shapes: the whole-run breakdown is its
+    # one-window case, so any window width must sum back to it — and to
+    # the cluster profile BENCH_obs.json committed for the same run.
+    from repro.exps.bench import _bench_cases
+
+    job = dict(_bench_cases())[case]
+    res = job.run()
+    per_node = res.obs.breakdown(job.nprocs, res.time_ns)
+    for window_ns in (1_000_000, 7_777_777):
+        windows = res.obs._profile(res.time_ns).per_node_windows(
+            job.nprocs, res.time_ns, window_ns
+        )
+        assert {node: SimProfiler.cluster(w) for node, w in windows.items()} == per_node
+    committed = json.loads((Path(__file__).parents[2] / "BENCH_obs.json").read_text())
+    assert SimProfiler.cluster(per_node.values()) == committed["runs"][case]["profile_ns"]

@@ -24,6 +24,25 @@ def test_disabled_tracer_hands_back_null_span():
     assert len(tracer) == 0 and len(NULL_OBS.spans) == 0
 
 
+def test_disabled_span_end_is_one_call(monkeypatch):
+    # Off, closing a span stops at the facade: an unobserved p=2 dot
+    # product (208 span closes) never reaches the tracer, so a disabled
+    # span_end costs one call, not two.
+    from repro.exps.parallel import Job
+
+    closes = []
+    real = SpanTracer.span_end
+
+    def counting(self, span, end=None):
+        closes.append(span.name)
+        real(self, span, end)
+
+    monkeypatch.setattr(SpanTracer, "span_end", counting)
+    res = Job("dotprod", {"n": 8192}, nprocs=2).run()
+    assert not res.obs and res.events_executed > 0
+    assert closes == []
+
+
 def test_null_obs_is_falsy_and_silent():
     assert not NULL_OBS
     span = NULL_OBS.span_begin("fault.read", node=0)

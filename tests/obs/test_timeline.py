@@ -33,12 +33,11 @@ def test_link_busy_ignores_unstamped_and_empty_intervals():
 def test_span_credits_busy_and_observes_duration_at_close():
     tl = Timeline(100)
     tl.span("fault.read", 80, 180)
-    counter = tl.metrics.counters["span.fault.read.busy_ns"]
-    assert counter.windows == {0: 20, 1: 80}
-    hist = tl.metrics.hist_window("span.fault.read.ns", 1)
+    assert tl.counters["span.fault.read.busy_ns"] == {0: 20, 1: 80}
+    hist = tl.hist_window("span.fault.read.ns", 1)
     assert hist is not None and hist.count == 1 and hist.max == 100
     # Nothing observed in the opening window's histogram.
-    assert tl.metrics.hist_window("span.fault.read.ns", 0) is None
+    assert tl.hist_window("span.fault.read.ns", 0) is None
 
 
 def test_span_guards_unstamped_and_negative_duration():
@@ -46,10 +45,10 @@ def test_span_guards_unstamped_and_negative_duration():
     tl.span("x", UNSTAMPED, 50)
     tl.span("x", 50, UNSTAMPED)
     tl.span("x", 90, 10)
-    assert tl.metrics.counters == {} and tl.metrics.histograms == {}
+    assert tl.counters == {} and tl.histograms == {}
     # Zero-length spans still count (duration 0 at the close window).
     tl.span("x", 40, 40)
-    assert tl.metrics.hist_window("span.x.ns", 0).count == 1
+    assert tl.hist_window("span.x.ns", 0).count == 1
 
 
 def test_nwindows_covers_both_time_and_data():
@@ -91,13 +90,12 @@ def test_link_series_is_dense_over_requested_windows():
 
 def test_clock_bound_recording_skips_until_bound():
     tl = Timeline(100)
-    tl.count("ev")  # no clock bound yet: UNSTAMPED, dropped
-    assert tl.metrics.counters == {}
+    tl.observe("lat", 7.0)  # no clock bound yet: UNSTAMPED, dropped
+    tl.gauge("lvl", 3.0)
+    assert tl.histograms == {} and tl.gauges == {}
     now = [250]
     tl.bind_clock(lambda: now[0])
-    tl.count("ev")
     tl.observe("lat", 7.0)
     tl.gauge("lvl", 3.0)
-    assert tl.metrics.counter_window("ev", 2) == 1
-    assert tl.metrics.hist_window("lat", 2).count == 1
-    assert tl.metrics.gauge_window("lvl", 2) == (3.0, 3.0)
+    assert tl.hist_window("lat", 2).count == 1
+    assert tl.gauges["lvl"] == {2: (3.0, 3.0)}
