@@ -11,7 +11,8 @@
         --nodes 4 --trace trace.jsonl
 
     # Model-check a small configuration across many schedules (a big
-    # DFS sweep on --jobs processes, default one per CPU; same result).
+    # DFS sweep on --jobs processes, default REPRO_WORKERS or one per
+    # CPU; same result).
     python -m repro.analysis explore --algorithm dynamic --nodes 2 \
         --pages 1 --workload rw --strategy dfs
 
@@ -24,7 +25,9 @@
     python -m repro.analysis replay-schedule counterexamples.jsonl
 
 Exit status is non-zero when any invariant violation (or, for ``run``,
-an unexpected benchmark result) is found, so CI can gate on it.
+an unexpected benchmark result; for ``explore``, a truncated sweep) is
+found, so CI can gate on it.  A flag value out of range is a usage
+error, exit 2.
 """
 
 from __future__ import annotations
@@ -51,14 +54,6 @@ _APP_ARGS: dict[str, dict[str, int]] = {
     "sort": {"nrecords": 1024},
     "tsp": {"ncities": 8},
 }
-
-
-def _positive(text: str) -> int:
-    """argparse type for ``--jobs``: an integer of at least one."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
-    return value
 
 
 def _build_app(name: str, nprocs: int) -> Any:
@@ -198,7 +193,9 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             args.out, scenario, violations, relation=result.relation
         )
         print(f"saved {count} schedule(s) to {args.out}")
-    return 1 if result.violations else 0
+    if result.truncated:
+        print("FAIL: truncated sweep proves nothing")
+    return 0 if result.clean else 1
 
 
 def _cmd_explore_bench(args: argparse.Namespace) -> int:
@@ -321,10 +318,10 @@ def main(argv: list[str] | None = None) -> int:
         help=f"network backend to explore on: {' | '.join(FABRIC_BACKENDS)}",
     )
     explore.add_argument(
-        "--jobs", type=_positive, default=None, metavar="N",
+        "--jobs", type=int, default=None, metavar="N",
         help="processes a dfs sweep executes its schedules on (default: "
-        "the CPUs this process may run on); the result is the same for "
-        "every N",
+        "REPRO_WORKERS, else the CPUs this process may run on); the "
+        "result is the same for every N",
     )
     explore.add_argument("--max-schedules", type=int, default=10_000)
     explore.add_argument("--max-events", type=int, default=50_000)
@@ -353,10 +350,10 @@ def main(argv: list[str] | None = None) -> int:
         "--out", default="", help="write the bench results (JSON)"
     )
     bench.add_argument(
-        "--jobs", type=_positive, default=None, metavar="N",
-        help="processes executing each sweep's schedules (default: the "
-        "CPUs this process may run on); the record is the same for "
-        "every N",
+        "--jobs", type=int, default=None, metavar="N",
+        help="processes executing each sweep's schedules (default: "
+        "REPRO_WORKERS, else the CPUs this process may run on); the "
+        "record is the same for every N",
     )
     bench.set_defaults(func=_cmd_explore_bench)
 

@@ -47,28 +47,22 @@ import contextlib
 import dataclasses
 import functools
 import json
-import os
 import random
 import re
-import signal
-import sys
-import threading
-import traceback
 from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
     Generator,
     Iterable,
-    Iterator,
     NamedTuple,
     Sequence,
-    TypeVar,
 )
 
 from repro.analysis.violation import InvariantViolation
 from repro.api.cluster import Cluster
 from repro.config import MILLISECOND, ClusterConfig, ConfigError
+from repro.exps.parallel import fork_map, worker_count
 from repro.net.packet import Message, extractor_errors, parse_delivery_label
 from repro.net.transport import TransportError
 from repro.obs.jsonl import read_jsonl, write_jsonl
@@ -84,8 +78,6 @@ __all__ = [
     "RunResult",
     "Counterexample",
     "ExplorationResult",
-    "ExploreWorkerError",
-    "default_jobs",
     "run_scenario",
     "explore_dfs",
     "explore_pct",
@@ -173,7 +165,7 @@ def _cluster_config(scenario: Scenario) -> ClusterConfig:
     every run and every sweep does, before a cluster or a worker exists:
     a name the system does not provide is a :class:`ConfigError` with
     the known names and the likely typo, not a ``KeyError`` from
-    wherever the name is first looked up."""
+    wherever the name is first looked up; so is a sweep over no page."""
     named: list[tuple[str, str, Iterable[str]]] = [
         ("svm.algorithm", scenario.algorithm, _protocol_classes()),
         ("scenario.workload", scenario.workload, WORKLOADS),
@@ -183,6 +175,8 @@ def _cluster_config(scenario: Scenario) -> ClusterConfig:
     for field_name, value, known in named:
         if value not in known:
             raise ConfigError.unknown(field_name, value, known)
+    if scenario.pages < 1:  # a sweep over no page checks nothing
+        raise ConfigError("scenario.pages", scenario.pages, ("an integer >= 1",))
     return ClusterConfig(
         nodes=scenario.nodes, seed=scenario.seed, checker=True
     ).with_svm(
@@ -191,6 +185,19 @@ def _cluster_config(scenario: Scenario) -> ClusterConfig:
         shared_size=PAGE_SIZE * 64,
         dynamic_broadcast_period=scenario.hint_period,
     ).with_fabric(backend=scenario.fabric)
+
+
+def _check_limits(max_events: int, max_schedules: int = 1, samples: int = 0) -> None:
+    """A strategy's run limits, checked before its first run: every run
+    may fire at least one event, every sweep record at least one
+    schedule; PCT may sample nothing beyond its probe run."""
+    for name, value, floor in (
+        ("max_events", max_events, 1),
+        ("max_schedules", max_schedules, 1),
+        ("samples", samples, 0),
+    ):
+        if value < floor:
+            raise ConfigError(name, value, (f"an integer >= {floor}",))
 
 
 def _build_cluster(scenario: Scenario) -> Cluster:
@@ -801,158 +808,11 @@ def _extractor_error_delta(before: dict[str, int]) -> dict[str, int]:
     }
 
 
-# ----------------------------------------------------------------------
-# independent subtrees on forked workers, results in a fixed order
-
-
-class ExploreWorkerError(RuntimeError):
-    """A forked exploration worker raised or died.  The message names
-    the prefix of the subtree it held and the worker's exception or exit
-    status; the other workers have been stopped and reaped by the time
-    it propagates."""
-
-
-def default_jobs() -> int:
-    """Worker processes an exploration uses unless told otherwise: the
-    CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not every platform has affinity masks
-        return os.cpu_count() or 1
-
-
-def _workers(jobs: int | None) -> int:
-    """How many processes ``jobs`` comes to here.  Workers are forked —
-    they inherit the scenario, the relation and whatever a test
-    monkeypatched, none of which need pickle — so it is one where
-    forking is not possible or not safe: no ``os.fork``; a daemonic
-    process, which may not have children (only ``multiprocessing`` makes
-    those: a process that never imported it is not one); a process with
-    other threads, whose locks a fork would copy in whatever state they
-    are in."""
-    mp = sys.modules.get("multiprocessing")
-    if (
-        not hasattr(os, "fork")
-        or (mp and mp.current_process().daemon)
-        or threading.active_count() > 1
-    ):
-        return 1
-    return max(default_jobs() if jobs is None else jobs, 1)
-
-
 #: One DFS stack entry: the prescribed prefix and the sleep set at its
 #: end.  Everything below it is a function of the entry alone, which is
 #: what makes subtrees independent work.
 _Entry = tuple[tuple[int, ...], frozenset[str]]
 _ROOT: _Entry = ((), frozenset())
-
-_R = TypeVar("_R")
-
-
-def _serve(
-    conn: Any,
-    parent_ends: Sequence[Any],
-    fn: Callable[[_Entry], Any],
-    items: Sequence[_Entry],
-) -> None:
-    """A worker's life: compute ``fn(items[i])`` for every index the
-    parent sends, until it sends None.  An exception goes back as text;
-    anything worse ends the process, which the parent sees as EOF."""
-    # The terminal's Ctrl-C reaches every process of the group: the
-    # parent handles it and stops the workers.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    for end in parent_ends:  # inherited; held open here they would hide
-        end.close()  # the parent's death from every worker
-    try:
-        for index in iter(conn.recv, None):
-            try:
-                reply = (True, fn(items[index]))
-            except Exception as exc:
-                reply = (
-                    False,
-                    f"raised {type(exc).__name__}: {exc}\n{traceback.format_exc()}",
-                )
-            conn.send(reply)
-    except (EOFError, OSError):
-        pass  # the parent is gone (killed: it stops its workers otherwise)
-
-
-def _in_order(
-    fn: Callable[[_Entry], _R], items: Sequence[_Entry], workers: int
-) -> Iterator[_R]:
-    """Yield ``fn(item)`` for every item, in item order.
-
-    With fewer than two ``workers`` that is ``map``: in-process, each
-    result computed when it is asked for.  Otherwise that many forked
-    workers take the items in order, one at a time each, and results
-    are yielded as soon as every earlier one has been — so what the
-    consumer sees never depends on which worker finished first, and a
-    consumer that stops early (``close()`` the iterator) wastes at most
-    what was in flight.  Workers live for one call: whether the iterator
-    is exhausted, closed or interrupted, or a worker fails
-    (:class:`ExploreWorkerError`), every one is terminated and reaped
-    before control returns.
-    """
-    if workers < 2:
-        yield from map(fn, items)
-        return
-    import multiprocessing
-    from multiprocessing.connection import wait
-
-    ctx = multiprocessing.get_context("fork")
-    owner = os.getpid()
-    procs: dict[Any, Any] = {}  # parent's pipe end -> worker process
-    held: dict[Any, int] = {}  # pipe end -> index its worker is computing
-    unsent = iter(range(len(items)))
-
-    def hand(conn: Any) -> None:
-        index = next(unsent, None)
-        if index is not None:
-            held[conn] = index
-        conn.send(index)
-
-    done: dict[int, _R] = {}
-    try:
-        for _ in range(workers):
-            ours, theirs = ctx.Pipe()
-            proc = ctx.Process(
-                target=_serve, args=(theirs, [*procs, ours], fn, items), daemon=True
-            )
-            proc.start()
-            theirs.close()  # so a dead worker reads as EOF on ours
-            procs[ours] = proc
-            hand(ours)
-        for due in range(len(items)):
-            while due not in done:
-                for conn in wait(list(held)):
-                    index = held.pop(conn)
-                    try:
-                        ok, value = conn.recv()
-                    except (EOFError, OSError):
-                        procs[conn].join()
-                        ok, value = False, f"exited with status {procs[conn].exitcode}"
-                    if not ok:
-                        raise ExploreWorkerError(
-                            f"worker on prefix {list(items[index][0])} {value}"
-                        )
-                    done[index] = value
-                    hand(conn)
-            yield done.pop(due)
-    finally:
-        # An iterator abandoned half-way is finalized whenever the
-        # collector finds it — which may be in a worker forked by a later
-        # call, where these are somebody else's children.
-        if os.getpid() == owner:
-            for proc in procs.values():
-                proc.terminate()
-            for conn, proc in procs.items():
-                proc.join()
-                proc.close()
-                conn.close()
-
-
-# ----------------------------------------------------------------------
-# exploration strategies
 
 #: Unexplored subtrees a parallel sweep is split into before anything is
 #: forked.  A constant, not a function of ``jobs``: the part of the tree
@@ -1109,11 +969,14 @@ def explore_dfs(
     ``relation`` is the independence relation the sleep sets use
     (default: :func:`certified_relation` for the scenario's algorithm).
 
-    ``jobs`` is how many processes execute schedules (default:
-    :func:`default_jobs`).  With one, this process runs the stack loop.
+    ``jobs`` is how many processes execute schedules, as
+    :func:`repro.exps.parallel.worker_count` settles it (default:
+    ``REPRO_WORKERS``, else the CPUs this process may run on; one where
+    forking is unsafe).  With one, this process runs the stack loop.
     With more, it executes the top of the tree itself (:func:`_split`),
-    forks workers that each run the same loop on one unexplored subtree
-    at a time, and records everything in the sequential pop order — so
+    and :func:`repro.exps.parallel.fork_map` forks workers that each run
+    the same loop on one unexplored subtree at a time; everything is
+    recorded in the sequential pop order — so
     the result is equal for every ``jobs``, violations in the same list
     order, truncated or not.  (A truncated parallel sweep may *execute*
     schedules it does not report: each subtree is cut just past
@@ -1122,6 +985,7 @@ def explore_dfs(
     never forks.
     """
     _cluster_config(scenario)  # a bad scenario fails here, not in a worker
+    _check_limits(max_events, max_schedules)
     rel = relation if relation is not None else certified_relation(scenario.algorithm)
     result = ExplorationResult(
         scenario=scenario,
@@ -1129,7 +993,8 @@ def explore_dfs(
         relation=getattr(rel, "name", getattr(rel, "__name__", "custom")),
     )
     step = functools.partial(_step, scenario, por, rel, max_events)
-    if _workers(jobs) == 1:
+    workers = worker_count(jobs, FRONTIER, name="jobs")
+    if workers == 1:
         result.truncated = _dfs(step, _ROOT, max_schedules, result._record_visit)
         return result
 
@@ -1142,8 +1007,8 @@ def explore_dfs(
 
     order = _split(step, max_schedules)
     leaves = [item for item in order if not isinstance(item, _Visit)]
-    workers = min(_workers(jobs), len(leaves))
-    with contextlib.closing(_in_order(subtree, leaves, workers)) as subtrees:
+    workers = min(workers, len(leaves))
+    with contextlib.closing(fork_map(subtree, leaves, workers)) as subtrees:
         for item in order:
             if isinstance(item, _Visit):
                 visits = [item]
@@ -1168,6 +1033,7 @@ def explore_pct(
     """Randomized PCT-style sampling: ``samples`` independent runs, each
     with fresh class priorities and ``depth - 1`` random change points
     over the schedule length observed in a probe run."""
+    _check_limits(max_events, samples=samples)
     result = ExplorationResult(scenario=scenario, strategy="pct")
     errors_before = extractor_errors()
     base_seed = scenario.seed if seed is None else seed
@@ -1202,6 +1068,7 @@ def explore_delay(
     its peers — a class of reordering the same-tick scheduler cannot
     produce, because it moves events *across* ticks.
     """
+    _check_limits(max_events, max_schedules)
     result = ExplorationResult(scenario=scenario, strategy="delay")
     errors_before = extractor_errors()
     probe = run_scenario(scenario, max_events=max_events)

@@ -104,6 +104,12 @@ class Cluster:
             raise ConfigError(
                 "svm.manager_node", config.svm.manager_node, ("an integer in 0..N-1",)
             )
+        if config.svm.dynamic_broadcast_period < 0:  # x % -1 == 0: a hint every transfer
+            raise ConfigError(
+                "svm.dynamic_broadcast_period",
+                config.svm.dynamic_broadcast_period,
+                ("an integer >= 0",),
+            )
         self.config = config
         self.sim = Simulator()
         #: Observability bundle (repro.obs), built from ``config.obs``

@@ -50,7 +50,7 @@ import json
 import sys
 from typing import Any, Sequence
 
-from repro.config import MILLISECOND, ClusterConfig, ObsConfig
+from repro.config import MILLISECOND, ClusterConfig, ConfigError, ObsConfig
 from repro.exps.parallel import Job, RunResult, run_jobs
 from repro.exps.presets import SCALE_NODE_COUNTS, scale_fig4, scale_fig5
 from repro.net.fabric import FABRIC_BACKENDS
@@ -195,7 +195,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", default=None, help="output JSON path")
     parser.add_argument(
         "--workers", type=int, default=None,
-        help="parallel runner processes (default: cpu count)",
+        help="parallel runner processes (default: REPRO_WORKERS, else "
+        "the CPUs this process may run on)",
     )
     parser.add_argument(
         "--classes", nargs="+", choices=sorted(CLASSES), default=None,
@@ -242,10 +243,13 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 0
 
-    doc = run_scale(
-        args.nodes, workers=args.workers,
-        classes=args.classes, backends=args.backends,
-    )
+    try:
+        doc = run_scale(
+            args.nodes, workers=args.workers,
+            classes=args.classes, backends=args.backends,
+        )
+    except ConfigError as exc:  # --workers or REPRO_WORKERS out of range
+        parser.error(str(exc))
     for name, run in doc["runs"].items():
         print(
             f"{name}: {run['time_ns'] / 1e9:.2f} s simulated, "

@@ -134,7 +134,8 @@ class Pager:
         if memory.full and page not in memory:
             return None
         frame = memory.install(page, data)
-        self.obs.gauge("frames.resident", len(memory))
+        if self.obs.enabled:
+            self.obs.gauge("frames.resident", len(memory))
         return frame
 
     def install(
@@ -145,7 +146,8 @@ class Pager:
         if memory.full and page not in memory:
             yield from self.ensure_frame(page)
         frame = memory.install(page, data)
-        self.obs.gauge("frames.resident", len(memory))
+        if self.obs.enabled:
+            self.obs.gauge("frames.resident", len(memory))
         return frame
 
     def page_out(self, page: int) -> Generator[Effect, Any, None]:

@@ -126,9 +126,6 @@ class Histogram:
     def summary(self) -> dict[str, float | int | None]:
         return _summary(self)
 
-    def values(self) -> list[float]:
-        return list(self._values)
-
 
 class LogBucketHistogram:
     """Bounded-memory histogram with logarithmic buckets.

@@ -218,8 +218,7 @@ def timeline_records(
                     "last": last, "peak": peak,
                 }
             )
-    for link in tl.links():
-        per = tl._links[link]
+    for link, per in sorted(tl.links.items()):
         for window, busy in sorted(per.items()):
             body.append(
                 {
@@ -433,11 +432,11 @@ def openmetrics(obs: "Observability", nnodes: int, total_ns: int) -> str:
             family(fam, "gauge", f"per-window count of {name}")
             for window, value in sorted(counts.items()):
                 out.append(f"{fam}{_om_labels(window=window)} {value}")
-        if tl.links():
+        if tl.links:
             family("repro_link_busy_ns", "gauge", "per-window link busy time")
             nwin = tl.nwindows(total_ns)
-            for link in tl.links():
-                for window, busy in sorted(tl._links[link].items()):
+            for link, per in sorted(tl.links.items()):
+                for window, busy in sorted(per.items()):
                     out.append(
                         f"repro_link_busy_ns{_om_labels(link=link, window=window)} "
                         f"{busy}"

@@ -147,7 +147,7 @@ class SloReport:
 def _window_value(tl: Timeline, spec: SloSpec, window: int) -> float | None:
     if spec.agg == "link_utilisation":
         util = tl.link_utilisation(window)
-        return util if util > 0.0 else (0.0 if tl.links() else None)
+        return util if util > 0.0 else (0.0 if tl.links else None)
     hist = tl.hist_window(spec.instrument, window)
     if hist is None:
         if spec.agg == "count":

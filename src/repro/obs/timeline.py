@@ -17,10 +17,10 @@ the ``logbucket`` histogram backend:
   duration at the window they closed in, so fault/serve/disk activity
   is visible per window even when head-based sampling drops the span
   record itself;
-- **link busy time** — fabric backends report every booked transmission
-  as ``link_busy(link, start, end)``, credited to each window the
-  interval crosses, making per-link utilisation a curve and "busiest
-  links over time" a report.
+- ``links`` — **link busy time**: fabric backends report every booked
+  transmission as ``link_busy(link, start, end)``, credited to each
+  window the interval crosses, making per-link utilisation a curve and
+  "busiest links over time" a report.
 
 Interval-shaped series are split at window edges by :func:`split`, the
 one window splitter (the profiler's per-window attribution uses it too).
@@ -34,7 +34,7 @@ the timeline on or off.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from repro.metrics.hist import AnyHistogram, make_histogram
 from repro.obs.span import UNSTAMPED
@@ -69,7 +69,7 @@ class Timeline:
         #: ``span.<name>.busy_ns`` -> window -> busy ns inside that window
         self.counters: dict[str, dict[int, int]] = {}
         #: link name -> window -> busy ns inside that window
-        self._links: dict[str, dict[int, int]] = {}
+        self.links: dict[str, dict[int, int]] = {}
         self._clock: Callable[[], int] | None = None
 
     def bind_clock(self, clock: Callable[[], int] | None) -> None:
@@ -120,7 +120,7 @@ class Timeline:
         """Credit a booked transmission on ``link`` to its windows."""
         if start == UNSTAMPED or end == UNSTAMPED or end <= start:
             return
-        self._credit(self._links, link, start, end)
+        self._credit(self.links, link, start, end)
 
     def span(self, name: str, start: int, end: int) -> None:
         """Credit a closed span: busy-ns per window it crosses, plus its
@@ -141,7 +141,7 @@ class Timeline:
 
     def max_window(self) -> int:
         """Largest window index holding any data (-1 when empty)."""
-        series = (self.histograms, self.gauges, self.counters, self._links)
+        series = (self.histograms, self.gauges, self.counters, self.links)
         return max(
             (max(per) for kind in series for per in kind.values() if per),
             default=-1,
@@ -151,17 +151,10 @@ class Timeline:
         per = self.histograms.get(name)
         return per.get(window) if per is not None else None
 
-    def links(self) -> list[str]:
-        return sorted(self._links)
-
-    def link_window(self, link: str, window: int) -> int:
-        per = self._links.get(link)
-        return per.get(window, 0) if per is not None else 0
-
     def link_utilisation(self, window: int) -> float:
         """Utilisation of the *busiest* link inside ``window`` (0..1)."""
         best = 0
-        for per in self._links.values():
+        for per in self.links.values():
             busy = per.get(window, 0)
             if busy > best:
                 best = busy
@@ -176,18 +169,9 @@ class Timeline:
         deterministic under ties.
         """
         rows: list[tuple[str, int, float]] = []
-        for link, per in self._links.items():
+        for link, per in self.links.items():
             busy = sum(per.values())
             peak = max(per.values()) / self.window_ns if per else 0.0
             rows.append((link, busy, peak))
         rows.sort(key=lambda r: (-r[1], r[0]))
         return rows[:limit]
-
-    def link_series(
-        self, links: Iterable[str], nwindows: int
-    ) -> dict[str, list[int]]:
-        """Busy-ns per window for each named link, dense over windows."""
-        return {
-            link: [self.link_window(link, w) for w in range(nwindows)]
-            for link in links
-        }

@@ -128,9 +128,10 @@ class NodeScheduler(Driver):
         if isinstance(effect, Compute):
             # The running process keeps the CPU; no dispatch.  Its CPU
             # time is the profiler's "compute" source.
-            self.obs.interval(
-                self.node_id, "compute", self.sim.now, self.sim.now + effect.ns
-            )
+            if self.obs.enabled:
+                self.obs.interval(
+                    self.node_id, "compute", self.sim.now, self.sim.now + effect.ns
+                )
             self.sim.schedule_nocancel(effect.ns, self._resume, task)
         elif isinstance(effect, Sleep):
             task.state = TaskState.BLOCKED
@@ -246,10 +247,11 @@ class NodeScheduler(Driver):
         self.current = pcb
         pcb.state = ProcState.RUNNING
         self.counters.inc("context_switches")
-        self.obs.interval(
-            self.node_id, "compute",
-            self.sim.now, self.sim.now + self.config.cpu.context_switch,
-        )
+        if self.obs.enabled:
+            self.obs.interval(
+                self.node_id, "compute",
+                self.sim.now, self.sim.now + self.config.cpu.context_switch,
+            )
         value, pcb.wake_value = pcb.wake_value, None
         self.sim.schedule_nocancel(
             self.config.cpu.context_switch, self._first_step, pcb, value

@@ -17,7 +17,6 @@ import json
 import multiprocessing
 import os
 import re
-import signal
 import threading
 from pathlib import Path
 
@@ -27,6 +26,7 @@ from repro.analysis import explore as ex
 from repro.analysis import explorebench as eb
 from repro.analysis.explore import Scenario
 from repro.config import ConfigError
+from repro.exps.parallel import WorkerError
 
 BASELINE = Path(__file__).resolve().parents[2] / "BENCH_explore.json"
 HINT_SWEEP = Scenario("dynamic", 3, 1, "chown", hint_period=1)  # 768 schedules
@@ -37,39 +37,6 @@ JOBS = (1, 2, 3)
 def sequential(scenario: Scenario) -> ex.ExplorationResult:
     """The complete one-process sweep everything here is compared with."""
     return ex.explore_dfs(scenario, max_schedules=50_000, jobs=1)
-
-
-@pytest.fixture
-def deadline():
-    """A hang fails the test instead of the suite."""
-
-    def expired(signum, frame):
-        raise TimeoutError("the exploration did not return")
-
-    previous = signal.signal(signal.SIGALRM, expired)
-    signal.alarm(60)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
-
-
-def assert_no_children():
-    assert multiprocessing.active_children() == []
-    with pytest.raises(ChildProcessError):  # nothing left to reap either
-        os.waitpid(-1, os.WNOHANG)
-
-
-def forks(monkeypatch) -> list[int]:
-    """Count the worker processes started from here on."""
-    started: list[int] = []
-    start = multiprocessing.process.BaseProcess.start
-
-    def counting(self):
-        started.append(1)
-        start(self)
-
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting)
-    return started
 
 
 # ----------------------------------------------------------------------
@@ -91,13 +58,12 @@ def test_every_ci_sweep_is_equal_for_any_worker_count(scenario):
         assert sequential(scenario) == two
 
 
-def test_a_sweep_too_small_to_fill_the_frontier_never_forks(monkeypatch):
-    started = forks(monkeypatch)
+def test_a_sweep_too_small_to_fill_the_frontier_never_forks(forks):
     small = Scenario("centralized", 3, 1, "mixed")
     assert ex.explore_dfs(small, jobs=2) == ex.explore_dfs(small, jobs=1)
-    assert started == [] and ex.explore_dfs(small, jobs=2).workers == 0
+    assert forks == [] and ex.explore_dfs(small, jobs=2).workers == 0
     big = ex.explore_dfs(HINT_SWEEP, jobs=3)
-    assert (big.schedules, big.workers, len(started)) == (768, 3, 3)
+    assert (big.schedules, big.workers, len(forks)) == (768, 3, 3)
     assert sequential(HINT_SWEEP).workers == 0  # and not part of equality
 
 
@@ -202,9 +168,47 @@ def test_cli_names_the_workers_it_used_and_the_pruned_children(capsys):
     # What ran, not what was asked for: this sweep never fills the frontier.
     assert main(["explore", "--nodes", "2", "--jobs", "2"]) == 0
     assert "schedules/s in-process," in capsys.readouterr().out
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as usage:
         main([*sweep, "--jobs", "0"])
-    assert "must be at least 1" in capsys.readouterr().err
+    assert usage.value.code == 2
+    assert "jobs must be an integer >= 1, got 0" in capsys.readouterr().err
+
+
+def test_a_truncated_cli_sweep_exits_one(capsys):
+    """A sweep cut at its cap proves nothing, as ``explore-bench``
+    already says: the CLI fails it like a violation."""
+    from repro.analysis.__main__ import main
+
+    assert main(["explore", "--nodes", "3", "--max-schedules", "5"]) == 1
+    out = capsys.readouterr().out
+    assert "5 schedules [ok=5] (truncated)" in out
+    assert out.splitlines()[-1] == "FAIL: truncated sweep proves nothing"
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--max-events", "0"], "max_events must be an integer >= 1, got 0"),
+        (["--max-schedules", "0"], "max_schedules must be an integer >= 1, got 0"),
+        (["--strategy", "delay", "--max-schedules", "0"],
+         "max_schedules must be an integer >= 1, got 0"),
+        (["--strategy", "pct", "--samples", "-1"], "samples must be an integer >= 0, got -1"),
+        (["--pages", "0"], "scenario.pages must be an integer >= 1, got 0"),
+        (["--hint-period", "-1"],
+         "svm.dynamic_broadcast_period must be an integer >= 0, got -1"),
+    ],
+    ids=["max-events", "max-schedules", "delay-max-schedules", "samples", "pages",
+         "hint-period"],
+)
+def test_an_explorer_input_out_of_range_is_a_usage_error(flags, message, capsys):
+    from repro.analysis.__main__ import main
+
+    with pytest.raises(SystemExit) as usage:
+        main(["explore", *flags])
+    assert usage.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # refused before the first schedule ran
+    assert captured.err.splitlines()[-1].endswith(f"error: {message}")
 
 
 def test_sleep_pruned_is_an_exact_field_of_the_bench_record():
@@ -239,7 +243,7 @@ def deepest_prefix(monkeypatch) -> tuple[int, ...]:
 
 
 @pytest.mark.parametrize("how", ["raises", "exits"])
-def test_a_failing_worker_is_a_located_error(how, monkeypatch, deadline):
+def test_a_failing_worker_is_a_located_error(how, monkeypatch, deadline, reaped):
     target = deepest_prefix(monkeypatch)
     real = ex.run_scenario
 
@@ -251,21 +255,23 @@ def test_a_failing_worker_is_a_located_error(how, monkeypatch, deadline):
         return real(scenario, choices=choices, **kwargs)
 
     monkeypatch.setattr(ex, "run_scenario", failing)
-    with pytest.raises(ex.ExploreWorkerError) as caught:
+    with pytest.raises(WorkerError) as caught:
         ex.explore_dfs(HINT_SWEEP, jobs=2)
     message = str(caught.value)
-    leaf = [int(c) for c in re.search(r"prefix \[([\d, ]*)\]", message).group(1).split(",")]
-    assert tuple(leaf) == target[: len(leaf)]  # the subtree it was in
+    # The item is the subtree's (prefix, sleep set) entry.
+    prefix = re.search(r"item \d+ \(\(\(([\d, ]*)\),", message).group(1)
+    leaf = tuple(int(c) for c in prefix.split(",") if c.strip())
+    assert leaf and leaf == target[: len(leaf)]  # the subtree it was in
     expected = "exited with status 3" if how == "exits" else "raised ValueError: boom"
     assert expected in message
-    assert_no_children()
+    reaped()
     # In this process the same failure is simply the exception.
     if how == "raises":
         with pytest.raises(ValueError, match="boom"):
             ex.explore_dfs(HINT_SWEEP, jobs=1)
 
 
-def test_an_interrupt_stops_and_reaps_every_worker(monkeypatch, deadline):
+def test_an_interrupt_stops_and_reaps_every_worker(monkeypatch, deadline, reaped):
     from multiprocessing import connection
 
     def interrupted(conns):
@@ -274,35 +280,18 @@ def test_an_interrupt_stops_and_reaps_every_worker(monkeypatch, deadline):
     monkeypatch.setattr(connection, "wait", interrupted)
     with pytest.raises(KeyboardInterrupt):
         ex.explore_dfs(HINT_SWEEP, jobs=2)
-    assert_no_children()
+    reaped()
 
 
-def test_a_complete_sweep_leaves_no_process_behind(deadline):
+def test_a_complete_sweep_leaves_no_process_behind(deadline, reaped):
     assert ex.explore_dfs(HINT_SWEEP, jobs=3).clean
     assert ex.explore_dfs(HINT_SWEEP, max_schedules=100, jobs=3).truncated
-    assert_no_children()
+    reaped()
 
 
-def test_an_inherited_iterator_leaves_its_workers_to_the_parent(deadline):
-    """A process forked while a hand-out is under way inherits the
-    iterator; finalizing the copy there (the collector will, some time)
-    must not stop workers that are not its children."""
-    entries = [((0,) * n, frozenset()) for n in range(40)]
-    depths = ex._in_order(lambda entry: len(entry[0]), entries, 2)
-    assert next(depths) == 0
-    pid = os.fork()
-    if pid == 0:
-        depths.close()
-        os._exit(0)
-    assert os.waitpid(pid, 0) == (pid, 0)
-    assert list(depths) == list(range(1, 40))
-    assert_no_children()
-
-
-def test_where_forking_is_unsafe_the_sweep_runs_in_process(monkeypatch):
+def test_where_forking_is_unsafe_the_sweep_runs_in_process(monkeypatch, forks):
     """A daemonic process may not have children, and a fork copies the
     locks of threads it does not copy: ``jobs`` is one in both."""
-    started = forks(monkeypatch)
     cut = ex.explore_dfs(HINT_SWEEP, max_schedules=200, jobs=1)
     with monkeypatch.context() as daemonic:
         daemonic.setattr(multiprocessing.current_process(), "_config", {"daemon": True})
@@ -315,9 +304,9 @@ def test_where_forking_is_unsafe_the_sweep_runs_in_process(monkeypatch):
     finally:
         release.set()
         other.join(timeout=10)
-    assert not other.is_alive() and started == []
+    assert not other.is_alive() and forks == []
     assert ex.explore_dfs(HINT_SWEEP, max_schedules=200, jobs=2) == cut
-    assert len(started) == 2
+    assert len(forks) == 2
 
 
 # ----------------------------------------------------------------------
@@ -334,11 +323,10 @@ def test_where_forking_is_unsafe_the_sweep_runs_in_process(monkeypatch):
     ],
 )
 def test_a_bad_scenario_is_a_config_error_with_a_suggestion(
-    attribute, value, field, suggestion, monkeypatch
+    attribute, value, field, suggestion, monkeypatch, forks
 ):
     base = Scenario("dynamic", 3, 1, "mutate-upgrade")
     scenario = dataclasses.replace(base, **{attribute: value})
-    started = forks(monkeypatch)
     if attribute != "fabric":  # that one the cluster's own fabric factory rejects
 
         def no_cluster(config):
@@ -350,4 +338,4 @@ def test_a_bad_scenario_is_a_config_error_with_a_suggestion(
             entry(scenario)
         error = caught.value
         assert (error.field, error.value, error.suggestion) == (field, value, suggestion)
-    assert started == []
+    assert forks == []

@@ -6,7 +6,7 @@ import pytest
 from repro.api.cluster import Cluster
 from repro.api.ivy import Ivy
 from repro.config import ClusterConfig, ConfigError, ObsConfig
-from repro.exps.parallel import resolve_workers
+from repro.exps.parallel import worker_count
 
 
 @pytest.mark.parametrize("manager_node", [9, -1])
@@ -92,10 +92,14 @@ def _refusal(build):
             ),
             "fabric.multicast_fanout must be an integer >= 1, got 0",
         ),
-        (lambda: resolve_workers(0, njobs=4), "workers must be an integer >= 1, got 0"),
+        (
+            lambda: Cluster(ClusterConfig(nodes=2).with_svm(dynamic_broadcast_period=-1)),
+            "svm.dynamic_broadcast_period must be an integer >= 0, got -1",
+        ),
+        (lambda: worker_count(0, items=4), "workers must be an integer >= 1, got 0"),
     ],
     ids=["nodes", "obs.timeline_window_ns", "obs.sample_every", "svm.manager_node",
-         "fabric.multicast_fanout", "workers"],
+         "fabric.multicast_fanout", "svm.dynamic_broadcast_period", "workers"],
 )
 def test_a_range_violation_reads_as_a_range(build, message):
     error = _refusal(build)
@@ -106,7 +110,7 @@ def test_a_range_violation_reads_as_a_range(build, message):
 
 def test_a_bad_repro_workers_reads_as_a_range(monkeypatch):
     monkeypatch.setenv("REPRO_WORKERS", "two")
-    error = _refusal(lambda: resolve_workers(None, njobs=4))
+    error = _refusal(lambda: worker_count(None, items=4))
     assert str(error) == "REPRO_WORKERS must be an integer >= 1, got 'two'"
     assert (error.field, error.value, error.known) == ("REPRO_WORKERS", "two", ("an integer >= 1",))
 

@@ -99,6 +99,26 @@ def test_timeline_mode_refuses_an_empty_window_or_sampling_rate(flag, tmp_path, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flag, env, message",
+    [
+        (["--workers", "0"], None, "workers must be an integer >= 1, got 0"),
+        ([], "two", "REPRO_WORKERS must be an integer >= 1, got 'two'"),
+    ],
+    ids=["workers", "REPRO_WORKERS"],
+)
+def test_a_bad_worker_count_is_a_usage_error(flag, env, message, monkeypatch, capsys):
+    # Used to die on a ConfigError traceback, exit 1.
+    if env is None:
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_WORKERS", env)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--nodes", "64", *flag])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(f"error: {message}")
+
+
 def test_committed_artifact_satisfies_the_acceptance_criteria():
     """BENCH_scale.json is the PR's evidence: a 256-node fig4-class run
     completes on the switched fabric, and switched events/s beats ring

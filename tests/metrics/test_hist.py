@@ -65,7 +65,7 @@ def test_out_of_order_observations_still_rank_correctly():
     # Observing after a percentile query re-sorts lazily.
     h.observe(5)
     assert h.percentile(0) == 5
-    assert h.values() == sorted(h.values())
+    assert [h.percentile(q) for q in (20, 40, 60, 80, 100)] == [5, 10, 20, 30, 40]
 
 
 def test_gauge_tracks_latest_and_peak():

@@ -396,20 +396,22 @@ def test_switched_broadcast_makes_no_python_call_per_station_booked():
 
 @pytest.mark.parametrize("backend", sorted(FABRIC_BACKENDS))
 def test_unobserved_run_makes_no_observe_call(backend, monkeypatch):
-    """With observation off a send asks nothing of the obs handle: an
+    """With observation off nothing asks the obs handle to record: an
     unobserved p=2 dot product (140 frames on the ring) makes no
-    ``Observability.observe`` call on either backend."""
+    ``Observability.observe``, ``interval`` (scheduler CPU time) or
+    ``gauge`` (pager residency) call on either backend."""
     from repro.exps.parallel import Job
     from repro.obs import Observability
 
-    observed = []
-    monkeypatch.setattr(
-        Observability, "observe", lambda self, name, value: observed.append(name)
-    )
+    calls = []
+    for method in ("observe", "interval", "gauge"):
+        monkeypatch.setattr(
+            Observability, method, lambda self, *args, method=method: calls.append(method)
+        )
     config = ClusterConfig().with_fabric(backend=backend)
     res = Job("dotprod", {"n": 8192}, nprocs=2, config=config).run()
     assert not res.obs and res.events_executed > 0
-    assert observed == []
+    assert calls == []
 
 
 # ----------------------------------------------------------------------

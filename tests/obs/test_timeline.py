@@ -1,4 +1,4 @@
-"""Timeline unit tests: window crediting, link series, utilisation."""
+"""Timeline unit tests: window crediting, link busy time, utilisation."""
 
 import pytest
 
@@ -14,12 +14,7 @@ def test_window_width_must_be_positive():
 def test_link_busy_splits_across_window_boundaries():
     tl = Timeline(100)
     tl.link_busy("medium", 50, 250)  # crosses two edges
-    assert tl.link_window("medium", 0) == 50
-    assert tl.link_window("medium", 1) == 100
-    assert tl.link_window("medium", 2) == 50
-    assert tl.link_window("medium", 3) == 0
-    # Total credited equals the interval length.
-    assert sum(tl._links["medium"].values()) == 200
+    assert tl.links == {"medium": {0: 50, 1: 100, 2: 50}}  # window 3: nothing
 
 
 def test_link_busy_ignores_unstamped_and_empty_intervals():
@@ -27,7 +22,7 @@ def test_link_busy_ignores_unstamped_and_empty_intervals():
     tl.link_busy("medium", UNSTAMPED, 50)
     tl.link_busy("medium", 10, UNSTAMPED)
     tl.link_busy("medium", 70, 70)
-    assert tl.links() == []
+    assert tl.links == {}
 
 
 def test_span_credits_busy_and_observes_duration_at_close():
@@ -80,12 +75,11 @@ def test_busiest_links_sorted_and_deterministic_under_ties():
     assert tl.busiest_links(300, limit=1) == rows[:1]
 
 
-def test_link_series_is_dense_over_requested_windows():
+def test_link_busy_accumulates_per_window():
     tl = Timeline(100)
     tl.link_busy("m", 50, 120)
-    series = tl.link_series(["m", "ghost"], nwindows=3)
-    assert series["m"] == [50, 20, 0]
-    assert series["ghost"] == [0, 0, 0]
+    tl.link_busy("m", 150, 160)
+    assert tl.links == {"m": {0: 50, 1: 30}}
 
 
 def test_clock_bound_recording_skips_until_bound():

@@ -97,7 +97,7 @@ def test_timeline_and_sampling_preserve_switched_schedule(app_name, manager, npr
 def test_switched_timeline_sees_port_links():
     # The windowed link series really is per-port on this backend.
     ivy = _ivy("dotprod", "dynamic", 2, obs=ObsConfig(timeline_window_ns=200_000_000))
-    links = ivy.obs.timeline.links()
+    links = ivy.obs.timeline.links
     assert any(name.startswith("tx[") for name in links)
     assert any(name.startswith("rx[") for name in links)
 
