@@ -110,7 +110,7 @@ class CentralAllocator:
     ) -> None:
         self.node = node
         self.manager_node = manager_node
-        self.page_size = node.cluster.config.svm.page_size
+        self.page_size = node.config.svm.page_size
         self.is_manager = node.node_id == manager_node
         #: The free list exists only on the manager (private memory).
         self.freelist: FreeList | None = (
@@ -160,7 +160,7 @@ class CentralAllocator:
     def _local_alloc(self, size: int) -> Generator[Effect, Any, int]:
         yield from self._lock.acquire()
         try:
-            yield Compute(self.node.cluster.config.cpu.ns_per_op * 50)
+            yield Compute(self.node.config.cpu.ns_per_op * 50)
             try:
                 return self.freelist.alloc(size)
             except OutOfSharedMemory:
@@ -171,7 +171,7 @@ class CentralAllocator:
     def _local_free(self, addr: int) -> Generator[Effect, Any, bool]:
         yield from self._lock.acquire()
         try:
-            yield Compute(self.node.cluster.config.cpu.ns_per_op * 50)
+            yield Compute(self.node.config.cpu.ns_per_op * 50)
             try:
                 self.freelist.free(addr)
                 return True

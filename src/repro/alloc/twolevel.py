@@ -34,9 +34,9 @@ class TwoLevelAllocator:
     def __init__(self, node: NodeContext, central: CentralAllocator) -> None:
         self.node = node
         self.central = central
-        self.page_size = node.cluster.config.svm.page_size
+        self.page_size = node.config.svm.page_size
         self.chunk_bytes = (
-            node.cluster.config.sched.alloc_chunk_pages * self.page_size
+            node.config.sched.alloc_chunk_pages * self.page_size
         )
         self._local = FreeList()  # starts empty; seeded by chunk refills
         self._lock = SimLock()
@@ -49,7 +49,7 @@ class TwoLevelAllocator:
         size = -(-nbytes // self.page_size) * self.page_size
         yield from self._lock.acquire()
         try:
-            yield Compute(self.node.cluster.config.cpu.ns_per_op * 50)
+            yield Compute(self.node.config.cpu.ns_per_op * 50)
             try:
                 addr = self._local.alloc(size)
                 self.node.counters.inc("local_allocations")
@@ -68,7 +68,7 @@ class TwoLevelAllocator:
     def release(self, addr: int) -> Generator[Effect, Any, None]:
         yield from self._lock.acquire()
         try:
-            yield Compute(self.node.cluster.config.cpu.ns_per_op * 50)
+            yield Compute(self.node.config.cpu.ns_per_op * 50)
             self._local.free(addr)
             self.node.counters.inc("local_frees")
         finally:

@@ -570,7 +570,10 @@ def run_scenario(
         time=cluster.sim.now,
         attempts=dropper.attempts,
     )
-    cluster.close()  # freed here, not piled up for the cycle collector
+    # A run stopped early (budget, violation, deadlock) leaves workload
+    # generators, whose closures hold the cluster, queued: close it here,
+    # or the cycle collector would be the one to free it.
+    cluster.close()
     return result
 
 
@@ -1120,6 +1123,7 @@ def minimize_schedule(
     frame losses one at a time.  The result is the schedule with the
     fewest non-default choices that still triggers the original failure.
     """
+    _check_limits(max_events)
     baseline = run_scenario(scenario, choices, drops, max_events)
     if baseline.status == "ok":
         raise ValueError("cannot minimize a schedule that does not fail")
@@ -1205,6 +1209,7 @@ def replay_artifact(
     """Re-execute every schedule in an artifact; pairs each recorded
     counterexample with the result its replay produced (a reproduction
     succeeds when status and rule match the recording)."""
+    _check_limits(max_events)
     scenario, schedules = load_artifact(path)
     return [
         (ce, run_scenario(scenario, ce.choices, ce.drops, max_events))

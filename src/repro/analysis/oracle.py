@@ -267,7 +267,10 @@ class CoherenceOracle:
     """
 
     def __init__(self, cluster: "Cluster") -> None:
-        self.cluster = cluster
+        # The nodes and the clock, not the cluster: every protocol holds
+        # this oracle, and nothing below a cluster may refer back to it.
+        self.nodes = cluster.nodes
+        self.sim = cluster.sim
         config = cluster.config
         self.update_policy = config.svm.write_policy == "update"
         self.shadow = ShadowMachine(
@@ -408,7 +411,7 @@ class CoherenceOracle:
             self._check_data_coherence(page, time, fields, entries)
 
     def _check_manager_tables(self, page: int, time: int, owner_id: int) -> None:
-        for node in self.cluster.nodes:
+        for node in self.nodes:
             believed = node.protocol.manager_owner_view(page)
             if believed is not None and believed != owner_id:
                 self._violation(
@@ -419,7 +422,7 @@ class CoherenceOracle:
                 )
 
     def _check_probowner_chains(self, page: int, time: int, owner_id: int) -> None:
-        nodes = self.cluster.nodes
+        nodes = self.nodes
         if getattr(nodes[0].protocol, "probable_owner_hop", None) is None:
             return
         hops = [node.protocol.probable_owner_hop(page) for node in nodes]
@@ -449,8 +452,8 @@ class CoherenceOracle:
         (the last write in coherence order lives in the owner's frame)."""
         reader = int(fields["node"])
         owner = int(fields["owner"])
-        owner_node = self.cluster.nodes[owner]
-        reader_node = self.cluster.nodes[reader]
+        owner_node = self.nodes[owner]
+        reader_node = self.nodes[reader]
         if not entries[owner].is_owner:
             return  # ownership moved on; the epoch check already re-faulted
         if page not in owner_node.memory or page not in reader_node.memory:
@@ -478,9 +481,9 @@ class CoherenceOracle:
                 self._violation(
                     "pending-at-quiescence",
                     f"{shadow.pending} fault(s) never completed",
-                    page, time=self.cluster.sim.now,
+                    page, time=self.sim.now,
                 )
-            self._check_page(page, self.cluster.sim.now, "quiescence", {"page": page})
+            self._check_page(page, self.sim.now, "quiescence", {"page": page})
 
     # ------------------------------------------------------------------
 
@@ -492,7 +495,7 @@ class CoherenceOracle:
             history=list(self.histories.get(page, ())),
             state={
                 n.node_id: n.table.entry(page).snapshot()
-                for n in self.cluster.nodes
+                for n in self.nodes
             },
         )
         self._record(violation, page)
@@ -501,12 +504,12 @@ class CoherenceOracle:
     def _raise(self, violation: InvariantViolation, page: int) -> None:
         violation.history = list(self.histories.get(page, ()))
         violation.state = {
-            n.node_id: n.table.entry(page).snapshot() for n in self.cluster.nodes
+            n.node_id: n.table.entry(page).snapshot() for n in self.nodes
         }
         self._record(violation, page)
         raise violation
 
     def _record(self, violation: InvariantViolation, page: int) -> None:
         node = violation.node if violation.node is not None else 0
-        counters = self.cluster.nodes[node].counters
+        counters = self.nodes[node].counters
         counters.inc(f"violation.{violation.rule}")

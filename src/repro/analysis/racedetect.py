@@ -127,7 +127,10 @@ class RaceDetector:
     """Cluster-wide happens-before tracker (one per checker-enabled run)."""
 
     def __init__(self, cluster: "Cluster") -> None:
-        self.cluster = cluster
+        # The nodes and the clock, not the cluster: every process holds
+        # this detector, and a spawn server the nodes hold hands it on.
+        self.nodes = cluster.nodes
+        self.sim = cluster.sim
         #: Labels the configuration accepts as benign (CheckerConfig).
         #: A bare-bool checker (and the unit-test stub clusters, which
         #: carry no config at all) allowlists nothing.
@@ -231,7 +234,7 @@ class RaceDetector:
 
     def note_sync_op(self, op: str, addr: int, pid: Pid) -> None:
         """Record a synchronisation call for race-report context."""
-        self.sync_log.append((self.cluster.sim.now, op, addr, pid))
+        self.sync_log.append((self.sim.now, op, addr, pid))
 
     def declare_benign_race(self, label: str, addr: int, nbytes: int) -> None:
         """Declare ``[addr, addr+nbytes)`` as racy by design under
@@ -427,7 +430,7 @@ class RaceDetector:
         report = RaceReport(
             kind=kind,
             addr=word,
-            time=self.cluster.sim.now,
+            time=self.sim.now,
             accessor=accessor,
             other=other,
             other_epoch=other_epoch,
@@ -437,10 +440,10 @@ class RaceDetector:
             # Declared and allowlisted: count it, keep it inspectable,
             # but out of the violation namespace.
             self.suppressed.append(report)
-            self.cluster.nodes[node_id].counters.inc("race.suppressed")
+            self.nodes[node_id].counters.inc("race.suppressed")
             return
         self.races.append(report)
-        self.cluster.nodes[node_id].counters.inc("violation.race")
+        self.nodes[node_id].counters.inc("violation.race")
 
 
 class TrackedMemory:

@@ -16,6 +16,7 @@ processes, synchronisation and allocation on top.
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Generator
 
 from repro.config import ClusterConfig, ConfigError
@@ -39,11 +40,17 @@ __all__ = ["Cluster", "NodeContext"]
 
 
 class NodeContext:
-    """Everything that lives on one simulated processor."""
+    """Everything that lives on one simulated processor.
+
+    It keeps the cluster's configuration, simulator and system-task
+    driver, never the :class:`Cluster` itself: the cluster must stay out
+    of every reference cycle (see :meth:`Cluster.close`)."""
 
     def __init__(self, cluster: "Cluster", node_id: int) -> None:
         config = cluster.config
-        self.cluster = cluster
+        self.config = config
+        self.sim = cluster.sim
+        self.driver = cluster.driver
         self.node_id = node_id
         self.counters = Counters()
         replacement = config.memory.replacement
@@ -132,6 +139,10 @@ class Cluster:
             self.oracle = CoherenceOracle(self)
             for node in self.nodes:
                 node.protocol.checker = self.oracle
+        self._dismantle = weakref.finalize(
+            self, _dismantle, self.nodes, self.fabric, self.sim
+        )
+        self._dismantle.atexit = False  # an exiting process frees it all anyway
 
     # ------------------------------------------------------------------
 
@@ -147,21 +158,10 @@ class Cluster:
         return self.sim.run(until=until)
 
     def close(self) -> None:
-        """Dismantle a cluster that will run no further event.
-
-        Each layer registers callbacks with the one below, and every
-        registration is a reference cycle; emptying the registries and
-        the event queue lets reference counting free the cluster at once.
-        Nothing a ``finally`` block reads is unset, so a generator left
-        suspended (budget, deadlock, violation) still finalises cleanly."""
-        for node in self.nodes:
-            node.transport.close()
-            node.remote.close()
-            node.pager.close()
-        self.nodes.clear()
-        self.fabric.close()
-        self.sim.close()
-        self.oracle = None  # it refers back here
+        """Dismantle the cluster now rather than when it becomes
+        unreachable: for a caller whose own tasks still refer to it
+        (a run stopped mid-way leaves their generators suspended)."""
+        self._dismantle()
 
     # ------------------------------------------------------------------
     # cluster-wide measurement
@@ -217,3 +217,26 @@ class Cluster:
             node.node_id: len(node.memory) * self.config.svm.page_size
             for node in self.nodes
         }
+
+
+def _dismantle(nodes: list[NodeContext], fabric: Fabric, sim: Simulator) -> None:
+    """Break the reference cycles below a cluster that runs no further
+    event; a ``weakref.finalize`` runs it once the cluster is unreachable.
+
+    Each layer registers upcalls with the one below, and the event queue
+    holds callbacks into all of them: every registration is a cycle, and
+    so is a scheduler's process registry (each task names its driver).
+    Emptying the registries, the node list (the oracle and the race
+    detector read it) and the queue lets reference counting free frames,
+    disk images and reply caches at once.  Nothing a ``finally`` block
+    reads is unset, so a generator left suspended still finalises
+    cleanly when the queue lets go of it."""
+    for node in nodes:
+        node.transport.close()
+        node.remote.close()
+        node.pager.close()
+        if node.sched is not None:
+            node.sched.close()
+    nodes.clear()
+    fabric.close()
+    sim.close()

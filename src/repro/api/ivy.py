@@ -22,7 +22,7 @@ for process migration.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator
+from typing import Any, Callable, Generator, NamedTuple
 
 from repro.alloc.firstfit import CentralAllocator
 from repro.alloc.twolevel import TwoLevelAllocator
@@ -66,8 +66,10 @@ class Ivy:
         manager = config.svm.manager_node
         heap_base = config.svm.shared_base
         heap_size = config.svm.shared_size
-        self._centrals: list[CentralAllocator] = []
         self.allocators: list[Any] = []
+        self._runtime = _Runtime(
+            self.cluster.nodes, self.races, self.allocators, self.migrations
+        )
         for node in self.cluster.nodes:
             sched = NodeScheduler(
                 self.cluster.sim, node.node_id, config, node.counters,
@@ -81,7 +83,6 @@ class Ivy:
             self.migrations.append(migration)
             self.balancers.append(LoadBalancer(node, sched, migration))
             central = CentralAllocator(node, manager, heap_base, heap_size)
-            self._centrals.append(central)
             if config.sched.allocator == "twolevel":
                 self.allocators.append(TwoLevelAllocator(node, central))
             elif config.sched.allocator == "central":
@@ -90,7 +91,7 @@ class Ivy:
                 raise ConfigError.unknown(
                     "sched.allocator", config.sched.allocator, ("central", "twolevel")
                 )
-            node.remote.register(OP_SPAWN, self._make_spawn_server(node))
+            node.remote.register(OP_SPAWN, _spawn_server(self._runtime, node))
 
     # ------------------------------------------------------------------
 
@@ -100,10 +101,11 @@ class Ivy:
     def run(self, main: Callable[..., Generator], *args: Any, on: int = 0) -> Any:
         """Run ``main(ctx, *args)`` as the initial process; returns its
         result once the whole program (simulation) quiesces."""
+        runtime, balancers = self._runtime, self.balancers
         pcb_holder: list[PCB] = []
 
         def body() -> Generator:
-            ctx = IvyProcessContext(self, pcb_holder[0])
+            ctx = IvyProcessContext(runtime, pcb_holder[0])
             result = yield from main(ctx, *args)
             return result
 
@@ -111,9 +113,9 @@ class Ivy:
         pcb = sched.spawn(body(), name="main", migratable=False)
         pcb_holder.append(pcb)
         if self.config.sched.load_balancing:
-            for balancer in self.balancers:
+            for balancer in balancers:
                 balancer.start()
-            pcb.task.on_done(lambda _t: [b.stop() for b in self.balancers])
+            pcb.task.on_done(lambda _t: [b.stop() for b in balancers])
         self.cluster.run()
         if pcb.task.error is not None:
             raise TaskFailure(f"main process failed") from pcb.task.error
@@ -127,66 +129,75 @@ class Ivy:
     def time_ns(self) -> int:
         return self.cluster.sim.now
 
-    # ------------------------------------------------------------------
-    # remote spawn (manual scheduling: "tell where a process goes")
 
-    def _make_spawn_server(self, node: NodeContext):
-        def serve_spawn(origin: int, payload: tuple) -> Generator:
-            fn, args, name, migratable, stack_addr, stack_pages, parent_clock = payload
-            pid = yield from self._spawn_here(
-                node.node_id, fn, args, name, migratable, stack_addr, stack_pages,
-                parent_clock=parent_clock,
-            )
-            return (pid.node, pid.serial)
+class _Runtime(NamedTuple):
+    """What a process reaches of its IVY system, per node where a list.
 
-        return serve_spawn
+    Never the :class:`Ivy` or the :class:`Cluster`: the spawn server that
+    creates a process for a remote parent is an upcall the nodes hold, so
+    what it hands a new process must not point back at either root (see
+    :meth:`Cluster.close`)."""
 
-    def _spawn_here(
-        self,
-        node_id: int,
-        fn: Callable[..., Generator],
-        args: tuple,
-        name: str,
-        migratable: bool,
-        stack_addr: int,
-        stack_pages: tuple[int, ...],
-        parent_clock: dict | None = None,
-    ) -> Generator[Effect, Any, Pid]:
-        node = self.cluster.node(node_id)
-        sched = self.schedulers[node_id]
-        yield Compute(self.config.cpu.process_create)
-        if stack_pages:
-            # Claim the first stack page here so the dispatcher never
-            # page-faults on it (see Figure 3 of the paper).
-            yield from node.protocol.ensure_write(stack_pages[0])
-        pcb_holder: list[PCB] = []
+    nodes: list[NodeContext]
+    races: Any
+    allocators: list[Any]
+    migrations: list[MigrationService]
 
-        def body() -> Generator:
-            ctx = IvyProcessContext(self, pcb_holder[0])
-            result = yield from fn(ctx, *args)
-            return result
 
-        pcb = sched.spawn(
-            body(), name=name, migratable=migratable,
-            stack_addr=stack_addr, stack_pages=stack_pages,
-        )
-        pcb_holder.append(pcb)
-        if self.races is not None and parent_clock is not None:
-            # The edge must be in place before the child's first access;
-            # a remotely spawned child can run before the spawn reply
-            # reaches the parent, which is why the clock rides in the
-            # spawn payload instead of being registered on return.
-            self.races.on_spawn(pcb.pid, parent_clock)
-        return pcb.pid
+# ----------------------------------------------------------------------
+# process creation (manual scheduling: "tell where a process goes")
+
+
+def _spawn_server(runtime: _Runtime, node: NodeContext):
+    def serve_spawn(origin: int, payload: tuple) -> Generator:
+        pid = yield from _spawn_here(runtime, node, payload)
+        return (pid.node, pid.serial)
+
+    return serve_spawn
+
+
+def _spawn_here(
+    runtime: _Runtime, node: NodeContext, spec: tuple
+) -> Generator[Effect, Any, Pid]:
+    """Create a process on ``node`` from ``spec`` = (fn, args, name,
+    migratable, stack address, stack pages, the parent's race clock)."""
+    fn, args, name, migratable, stack_addr, stack_pages, parent_clock = spec
+    yield Compute(node.config.cpu.process_create)
+    if stack_pages:
+        # Claim the first stack page here so the dispatcher never
+        # page-faults on it (see Figure 3 of the paper).
+        yield from node.protocol.ensure_write(stack_pages[0])
+    pcb_holder: list[PCB] = []
+
+    def body() -> Generator:
+        ctx = IvyProcessContext(runtime, pcb_holder[0])
+        result = yield from fn(ctx, *args)
+        return result
+
+    pcb = node.sched.spawn(
+        body(), name=name, migratable=migratable,
+        stack_addr=stack_addr, stack_pages=stack_pages,
+    )
+    pcb_holder.append(pcb)
+    races = runtime.races
+    if races is not None and parent_clock is not None:
+        # The edge must be in place before the child's first access;
+        # a remotely spawned child can run before the spawn reply
+        # reaches the parent, which is why the clock rides in the
+        # spawn payload instead of being registered on return.
+        races.on_spawn(pcb.pid, parent_clock)
+    return pcb.pid
 
 
 class IvyProcessContext:
     """A process's handle on the IVY system (follows the process around)."""
 
-    def __init__(self, ivy: Ivy, pcb: PCB) -> None:
-        self.ivy = ivy
+    def __init__(self, runtime: _Runtime, pcb: PCB) -> None:
+        self._runtime = runtime
+        self._nodes = runtime.nodes
+        self._races = runtime.races
         self.pcb = pcb
-        self._cpu = ivy.config.cpu
+        self._cpu = self._nodes[0].config.cpu
         #: Per-node TrackedMemory proxies (race detection only).
         self._tracked: dict[int, Any] = {}
 
@@ -200,12 +211,12 @@ class IvyProcessContext:
 
     @property
     def node(self) -> NodeContext:
-        return self.ivy.cluster.node(self.pcb.node)
+        return self._nodes[self.pcb.node]
 
     @property
     def mem(self):
         inner = self.node.mem
-        races = self.ivy.races
+        races = self._races
         if races is None:
             return inner
         node_id = self.pcb.node
@@ -220,7 +231,7 @@ class IvyProcessContext:
     @property
     def racedetect(self):
         """The cluster's race detector, or None when checking is off."""
-        return self.ivy.races
+        return self._races
 
     def declare_benign_race(self, label: str, addr: int, nbytes: int) -> None:
         """Declare ``[addr, addr+nbytes)`` as racy by design under
@@ -228,12 +239,12 @@ class IvyProcessContext:
         suppressed only when the run's ``CheckerConfig.known_races``
         also lists the label — the program locates, the config
         authorises."""
-        if self.ivy.races is not None:
-            self.ivy.races.declare_benign_race(label, addr, nbytes)
+        if self._races is not None:
+            self._races.declare_benign_race(label, addr, nbytes)
 
     @property
     def nnodes(self) -> int:
-        return self.ivy.config.nodes
+        return len(self._nodes)
 
     def self_pid(self) -> Pid:
         return self.pcb.pid
@@ -290,11 +301,11 @@ class IvyProcessContext:
     # memory allocation
 
     def malloc(self, nbytes: int) -> Generator[Effect, Any, int]:
-        addr = yield from self.ivy.allocators[self.pcb.node].allocate(nbytes)
+        addr = yield from self._runtime.allocators[self.pcb.node].allocate(nbytes)
         return addr
 
     def free(self, addr: int) -> Generator[Effect, Any, None]:
-        yield from self.ivy.allocators[self.pcb.node].release(addr)
+        yield from self._runtime.allocators[self.pcb.node].release(addr)
 
     # ------------------------------------------------------------------
     # process management
@@ -314,24 +325,19 @@ class IvyProcessContext:
         on the passive load balancer to spread work).
         """
         name = name or f"{getattr(fn, '__name__', 'proc')}"
-        stack_bytes = self.ivy.config.sched.stack_bytes
+        node = self.node
+        stack_bytes = node.config.sched.stack_bytes
         stack_addr = yield from self.malloc(stack_bytes)
-        layout = self.ivy.cluster.layout
-        stack_pages = tuple(layout.pages_spanned(stack_addr, stack_bytes))
+        stack_pages = tuple(node.mem.layout.pages_spanned(stack_addr, stack_bytes))
         target = self.pcb.node if on is None else on
-        races = self.ivy.races
+        races = self._races
         parent_clock = races.fork(self.pcb.pid) if races is not None else None
+        spec = (fn, args, name, migratable, stack_addr, stack_pages, parent_clock)
         if target == self.pcb.node:
-            pid = yield from self.ivy._spawn_here(
-                target, fn, args, name, migratable, stack_addr, stack_pages,
-                parent_clock=parent_clock,
-            )
+            pid = yield from _spawn_here(self._runtime, node, spec)
             return pid
-        raw = yield from self.node.remote.request(
-            target,
-            OP_SPAWN,
-            (fn, args, name, migratable, stack_addr, stack_pages, parent_clock),
-            nbytes=request_size(64 + 16 * len(args)),
+        raw = yield from node.remote.request(
+            target, OP_SPAWN, spec, nbytes=request_size(64 + 16 * len(args)),
         )
         return Pid(raw[0], raw[1])
 
@@ -343,7 +349,7 @@ class IvyProcessContext:
         """Manually migrate the calling process to processor ``dst``."""
         if dst == self.pcb.node:
             return
-        migration = self.ivy.migrations[self.pcb.node]
+        migration = self._runtime.migrations[self.pcb.node]
         pcb = self.pcb
 
         def shipper() -> Generator:
@@ -351,24 +357,24 @@ class IvyProcessContext:
             if not ok:  # pragma: no cover - destination never refuses
                 migration.sched.make_ready(pcb)
 
-        self.ivy.cluster.driver.spawn(shipper(), f"ship-{pcb.pid}")
+        self.node.driver.spawn(shipper(), f"ship-{pcb.pid}")
         # Park; the destination's adopt() makes us ready over there.
         yield Suspend()
 
     def park(self) -> Generator[Effect, Any, Any]:
         """Suspend until resumed (used by synchronisation primitives)."""
         value = yield Suspend()
-        if self.ivy.races is not None:
+        if self._races is not None:
             # Join the clocks every resume() aimed at us published: the
             # waker's history happened-before anything we do from here.
-            self.ivy.races.on_wake(self.pcb.pid)
+            self._races.on_wake(self.pcb.pid)
         return value
 
     def resume(self, pid: Pid, value: Any = None) -> Generator[Effect, Any, None]:
         """Remote notification: wake ``pid`` wherever it lives."""
-        if self.ivy.races is not None:
-            self.ivy.races.on_resume(self.pcb.pid, pid)
-        yield from self.ivy.migrations[self.pcb.node].resume_remote(pid, value)
+        if self._races is not None:
+            self._races.on_resume(self.pcb.pid, pid)
+        yield from self._runtime.migrations[self.pcb.node].resume_remote(pid, value)
 
     def resume_async(self, pid: Pid, value: Any = None) -> None:
         """Fire a remote notification without waiting for its ack.
@@ -377,14 +383,12 @@ class IvyProcessContext:
         reliable; the caller just does not sit on the round-trip.  Used by
         Advance(ec), which may have many waiters to wake.
         """
-        if self.ivy.races is not None:
+        if self._races is not None:
             # The edge is captured at send time — the notification's
             # content is exactly the sender's history up to this point.
-            self.ivy.races.on_resume(self.pcb.pid, pid)
-        migration = self.ivy.migrations[self.pcb.node]
-        self.ivy.cluster.driver.spawn(
-            migration.resume_remote(pid, value), f"resume-{pid}"
-        )
+            self._races.on_resume(self.pcb.pid, pid)
+        migration = self._runtime.migrations[self.pcb.node]
+        self.node.driver.spawn(migration.resume_remote(pid, value), f"resume-{pid}")
 
     # ------------------------------------------------------------------
     # synchronisation (eventcounts, locks, sequencers, barriers)

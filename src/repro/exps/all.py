@@ -22,6 +22,7 @@ import importlib
 import sys
 import time
 
+from repro.config import ConfigError
 from repro.exps.experiment import Experiment, compare, shape_failure
 
 #: The paper's experiments in report order; each module declares one.
@@ -51,7 +52,10 @@ def main(argv: list[str] | None = None) -> int:
     problems: list[str] = []
     for exp in EXPERIMENTS:
         started = time.time()
-        records = exp.run(args.full or args.check is not None)
+        try:
+            records = exp.run(args.full or args.check is not None)
+        except ConfigError as exc:  # REPRO_WORKERS out of range
+            parser.error(str(exc))
         chunk = f"=== {exp.name} ===\n{exp.render(records)}\n"
         chunks.append(chunk)
         print(chunk)

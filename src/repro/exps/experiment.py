@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.api.ivy import Ivy
-from repro.config import ClusterConfig
+from repro.config import ClusterConfig, ConfigError
 from repro.metrics.report import ascii_table
 
 #: One row of an experiment's result: typed numbers and labels by key.
@@ -137,4 +137,8 @@ def main(experiment: Experiment, argv: list[str] | None = None) -> None:
     )
     parser.add_argument("--full", action="store_true", help="paper-scale workloads")
     args = parser.parse_args(argv)
-    print(experiment.render(experiment.run(args.full)))
+    try:
+        records = experiment.run(args.full)
+    except ConfigError as exc:  # REPRO_WORKERS out of range
+        parser.error(str(exc))
+    print(experiment.render(records))

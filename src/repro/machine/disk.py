@@ -56,19 +56,26 @@ class Disk:
         yield from self._arm.acquire()
         # Span opens after the arm is won: disk time is the transfer
         # stall, not the queueing behind other transfers.
-        span = self.obs.span_begin("disk.write", node=self.node_id, page=page)
+        span = (
+            self.obs.span_begin("disk.write", node=self.node_id, page=page)
+            if self.obs.enabled else None
+        )
         try:
             yield self._busy(self.config.transfer_ns(self.page_size))
             self._store[page] = np.array(data, dtype=np.uint8, copy=True)
             self.counters.inc("disk_writes")
         finally:
-            self.obs.span_end(span)
+            if span is not None:
+                self.obs.span_end(span)
             self._arm.release()
 
     def read_page(self, page: int) -> Generator[Effect, Any, np.ndarray]:
         """Read a page image back (page-in); the image stays on disk."""
         yield from self._arm.acquire()
-        span = self.obs.span_begin("disk.read", node=self.node_id, page=page)
+        span = (
+            self.obs.span_begin("disk.read", node=self.node_id, page=page)
+            if self.obs.enabled else None
+        )
         try:
             if page not in self._store:
                 raise KeyError(f"page {page} not on disk")
@@ -76,7 +83,8 @@ class Disk:
             self.counters.inc("disk_reads")
             return self._store[page]
         finally:
-            self.obs.span_end(span)
+            if span is not None:
+                self.obs.span_end(span)
             self._arm.release()
 
     def discard(self, page: int) -> None:

@@ -38,7 +38,7 @@ class MessagePassing:
     """A port/mailbox service over every node of a booted Ivy system."""
 
     def __init__(self, ivy: Ivy) -> None:
-        self.ivy = ivy
+        # Not the Ivy: every node's delivery handler holds this service.
         self.cpu = ivy.config.cpu
         self._boxes: list[dict[int, _Mailbox]] = [
             {} for _ in range(ivy.config.nodes)

@@ -147,7 +147,7 @@ class PagePool:
 
     __slots__ = (
         "_free", "_refs", "allocated", "reused", "outstanding", "high_water",
-        "cow_copies",
+        "cow_copies", "__weakref__",
     )
 
     def __init__(self) -> None:

@@ -24,7 +24,7 @@ from typing import Any, Callable, Generator
 from repro.config import ClusterConfig
 from repro.net.packet import HEADER_BYTES, Message
 from repro.net.transport import Transport
-from repro.obs import NULL_OBS, NULL_SPAN, Observability, Span
+from repro.obs import NULL_OBS, Observability, Span
 from repro.sim.process import Compute, Effect, SimDriver
 
 __all__ = ["RemoteOp", "Reply", "Forward", "NO_REPLY"]
@@ -155,11 +155,11 @@ class RemoteOp:
         ``attr=value``) around a transport call, whose messages carry the
         span's id on the wire."""
         obs = self.obs
-        # A disabled tracer hands back NULL_SPAN; asking it would cost a
+        # Unobserved, no span: asking the disabled tracer would cost a
         # keyword-unpacking call on every remote operation.
-        hop = obs.span_begin(
-            f"rpc:{op}", parent=parent, node=self.node_id, **{attr: value}
-        ) if obs.enabled else NULL_SPAN
+        if not obs.enabled:
+            return (yield from call(*args))
+        hop = obs.span_begin(f"rpc:{op}", parent=parent, node=self.node_id, **{attr: value})
         try:
             return (yield from call(*args, span_id=hop.sid))
         finally:
@@ -178,12 +178,14 @@ class RemoteOp:
             raise RuntimeError(f"node {self.node_id}: no handler for {msg.op!r}")
         span = self.obs.span_begin(
             f"serve:{msg.op}", parent=msg.span, node=self.node_id, origin=msg.origin
-        )
+        ) if self.obs.enabled else None
         try:
             yield Compute(self.config.server_dispatch_cost)
             result = yield from handler(msg.origin, msg.payload)
             if isinstance(result, Forward):
-                yield from self.transport.forward(result.dst, msg, span_id=span.sid)
+                yield from self.transport.forward(
+                    result.dst, msg, span_id=span.sid if span is not None else 0
+                )
             elif result is NO_REPLY:
                 if msg.kind != "bcast":
                     raise RuntimeError(
@@ -204,4 +206,5 @@ class RemoteOp:
             # (negative id), but span_end still feeds its service time
             # to the profiler's network attribution and the timeline's
             # per-window series.
-            self.obs.span_end(span)
+            if span is not None:
+                self.obs.span_end(span)

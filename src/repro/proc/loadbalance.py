@@ -39,7 +39,7 @@ class LoadBalancer:
         self.node = node
         self.sched = sched
         self.migration = migration
-        self.config = node.cluster.config.sched
+        self.config = node.config.sched
         self.counters = node.counters
         self._timer: CancelHandle | None = None
         self._asking = False
@@ -65,7 +65,7 @@ class LoadBalancer:
     def _arm(self) -> None:
         if self._stopped:
             return
-        self._timer = self.node.cluster.sim.schedule(
+        self._timer = self.node.sim.schedule(
             self.config.null_timeout, self._tick
         )
 
@@ -79,7 +79,7 @@ class LoadBalancer:
             target = self._pick_target()
             self._asking = True
             if target is not None:
-                self.node.cluster.driver.spawn(
+                self.node.driver.spawn(
                     self._ask(target), f"lb-ask-{self.node.node_id}"
                 )
             else:
@@ -88,7 +88,7 @@ class LoadBalancer:
                 # ("broadcasting approximate information for process
                 # scheduling").  Busy peers ping back; the ping's
                 # piggybacked load byte seeds our hint table.
-                self.node.cluster.driver.spawn(
+                self.node.driver.spawn(
                     self._announce(), f"lb-announce-{self.node.node_id}"
                 )
         self._arm()

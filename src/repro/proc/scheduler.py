@@ -156,14 +156,17 @@ class NodeScheduler(Driver):
             raise TypeError(f"unknown effect {effect!r}")
 
     def wake(self, task: Task, value: Any = None) -> None:
-        pcb: PCB = task.pcb  # type: ignore[attr-defined]
-        if pcb.done:
+        if task.done:
             return
+        pcb: PCB = task.pcb  # type: ignore[attr-defined]
         pcb.wake_value = value
         self.make_ready(pcb)
 
     def finished(self, task: Task) -> None:
         pcb: PCB = task.pcb  # type: ignore[attr-defined]
+        # The PCB keeps the task (its result, its error); nothing asks a
+        # finished task for its PCB, and the pair would be a cycle.
+        del task.pcb  # type: ignore[attr-defined]
         pcb.state = ProcState.DONE
         self.sim.unwatch(task)
         # A process that finishes right after a migration is still in the
@@ -178,6 +181,11 @@ class NodeScheduler(Driver):
 
     def escalate(self, failure: BaseException) -> None:
         self.sim.report_failure(failure)
+
+    def close(self) -> None:
+        """Forget every process (each one's task names this scheduler
+        as its driver)."""
+        self.registry.clear()
 
     # ------------------------------------------------------------------
     # queue management

@@ -180,7 +180,7 @@ class CoherenceProtocol:
         #: pure observation: the oracle never yields effects, so it can
         #: run inside servers and fault handlers without perturbing
         #: simulated time.
-        self.checker = None
+        self.checker: Any = None
         #: Page buffers and image reference counts (repro.net.pool): the
         #: pool this node's frames come from, shared cluster-wide.  A read
         #: reply carries the owner's frame itself as a shared image; the
@@ -208,9 +208,9 @@ class CoherenceProtocol:
         pager.set_eviction_policy(self._evict)
 
     def _note(self, category: str, **fields: Any) -> None:
-        """Publish one protocol transition to the checker."""
-        if self.checker is not None:
-            self.checker.on_event(category, self.sim.now, fields)
+        """Publish one protocol transition to the checker.  Callers test
+        ``self.checker is not None`` first: the fields cost a dict."""
+        self.checker.on_event(category, self.sim.now, fields)
 
     def manager_owner_view(self, page: int) -> int | None:
         """The owner this node's *manager state* believes ``page`` has,
@@ -343,8 +343,12 @@ class CoherenceProtocol:
                 return
             started = self.sim.now
             self.counters.inc("read_faults")
-            self._note("svm.fault_begin", node=self.node_id, page=page, write=False)
-            span = self.obs.span_begin("fault.read", node=self.node_id, page=page)
+            if self.checker is not None:
+                self._note("svm.fault_begin", node=self.node_id, page=page, write=False)
+            span = (
+                self.obs.span_begin("fault.read", node=self.node_id, page=page)
+                if self.obs.enabled else None
+            )
             try:
                 yield Compute(self.config.svm.fault_handler_cost)
                 while True:
@@ -378,9 +382,13 @@ class CoherenceProtocol:
                 self.counters.inc("read_fault_ns", latency)
                 if self.obs.enabled:
                     self.obs.observe("fault.read_ns", latency)
-                self._note("svm.read_fault", node=self.node_id, page=page, owner=owner, ns=latency)
+                if self.checker is not None:
+                    self._note(
+                        "svm.read_fault", node=self.node_id, page=page, owner=owner, ns=latency
+                    )
             finally:
-                self.obs.span_end(span)
+                if span is not None:
+                    self.obs.span_end(span)
         finally:
             entry.lock.release()
 
@@ -435,11 +443,12 @@ class CoherenceProtocol:
             yield from self._materialize_owner(page, entry)
             if entry.copy_set and not self.update_policy:
                 self.counters.inc("write_faults")
-                self._note("svm.fault_begin", node=self.node_id, page=page, write=True)
+                if self.checker is not None:
+                    self._note("svm.fault_begin", node=self.node_id, page=page, write=True)
                 span = self.obs.span_begin(
                     "fault.write", node=self.node_id, page=page,
                     start=started, upgrade=True,
-                )
+                ) if self.obs.enabled else None
                 try:
                     yield Compute(self.config.svm.fault_handler_cost)
                     yield from self._invalidate(page, entry.copy_set, span=span)
@@ -450,19 +459,24 @@ class CoherenceProtocol:
                     if self.obs.enabled:
                         self.obs.observe("fault.write_ns", latency)
                     self._grant(page, entry, _WRITE)
-                    self._note(
-                        "svm.write_upgrade",
-                        node=self.node_id, page=page, invalidated=invalidated,
-                        ns=latency,
-                    )
+                    if self.checker is not None:
+                        self._note(
+                            "svm.write_upgrade",
+                            node=self.node_id, page=page, invalidated=invalidated,
+                            ns=latency,
+                        )
                     return
                 finally:
-                    self.obs.span_end(span)
+                    if span is not None:
+                        self.obs.span_end(span)
             self._grant(page, entry, _WRITE)
             return
         self.counters.inc("write_faults")
-        self._note("svm.fault_begin", node=self.node_id, page=page, write=True)
-        span = self.obs.span_begin("fault.write", node=self.node_id, page=page, start=started)
+        if self.checker is not None:
+            self._note("svm.fault_begin", node=self.node_id, page=page, write=True)
+        span = self.obs.span_begin(
+            "fault.write", node=self.node_id, page=page, start=started
+        ) if self.obs.enabled else None
         try:
             yield Compute(self.config.svm.fault_handler_cost)
             data, copy_set, xfer = yield from self._locate_request(
@@ -491,13 +505,15 @@ class CoherenceProtocol:
             if self.obs.enabled:
                 self.obs.observe("fault.write_ns", latency)
         finally:
-            self.obs.span_end(span)
+            if span is not None:
+                self.obs.span_end(span)
         self.on_became_owner(page, entry)
-        self._note(
-            "svm.write_fault", node=self.node_id, page=page,
-            invalidated=sorted(holders),
-            ns=latency,
-        )
+        if self.checker is not None:
+            self._note(
+                "svm.write_fault", node=self.node_id, page=page,
+                invalidated=sorted(holders),
+                ns=latency,
+            )
 
     # ------------------------------------------------------------------
     # owner-side helpers
@@ -539,19 +555,21 @@ class CoherenceProtocol:
         (the broadcast "replies from all" scheme of the paper)."""
         targets = tuple(sorted(holders))
         self.counters.inc("invalidations_sent", len(targets))
-        self._note("svm.invalidate", node=self.node_id, page=page, targets=targets)
+        if self.checker is not None:
+            self._note("svm.invalidate", node=self.node_id, page=page, targets=targets)
         if self.obs.enabled:
             self.obs.observe("inv.fanout", len(targets))
         ispan = self.obs.span_begin(
             "inv", parent=span, node=self.node_id, page=page, fanout=len(targets)
-        )
+        ) if self.obs.enabled else None
         try:
             yield from self.remote.multicast(
                 targets, OP_INV, (page, self.node_id), nbytes=request_size(16),
                 span=ispan,
             )
         finally:
-            self.obs.span_end(ispan)
+            if ispan is not None:
+                self.obs.span_end(ispan)
 
     # ------------------------------------------------------------------
     # servers (run as interrupt-level tasks on the serving node)
@@ -585,10 +603,11 @@ class CoherenceProtocol:
                 entry.copy_set.add(origin)
                 entry.access = Access.READ if entry.access is not Access.NIL else entry.access
                 self.counters.inc("zero_grants")
-                self._note(
-                    "svm.grant", node=self.node_id, page=page, to=origin,
-                    write=False, zero=True,
-                )
+                if self.checker is not None:
+                    self._note(
+                        "svm.grant", node=self.node_id, page=page, to=origin,
+                        write=False, zero=True,
+                    )
                 return Reply((None, self.node_id), nbytes=48)
             yield from self._materialize_owner(page, entry)
             entry.copy_set.add(origin)
@@ -600,10 +619,11 @@ class CoherenceProtocol:
             data = self.memory.share(page)
             yield Compute(self.page_size * self.config.cpu.ns_per_byte_copy)
             self.counters.inc("page_copies_sent")
-            self._note(
-                "svm.grant", node=self.node_id, page=page, to=origin,
-                write=False, zero=False,
-            )
+            if self.checker is not None:
+                self._note(
+                    "svm.grant", node=self.node_id, page=page, to=origin,
+                    write=False, zero=False,
+                )
             return Reply((data, self.node_id), nbytes=self.page_size + 48)
         finally:
             entry.lock.release()
@@ -650,10 +670,11 @@ class CoherenceProtocol:
                 if page in self.memory:
                     self.memory.drop(page)
             self.on_write_served(page, origin)
-            self._note(
-                "svm.grant", node=self.node_id, page=page, to=origin,
-                write=True, zero=data is None, copy_set=list(copy_set),
-            )
+            if self.checker is not None:
+                self._note(
+                    "svm.grant", node=self.node_id, page=page, to=origin,
+                    write=True, zero=data is None, copy_set=list(copy_set),
+                )
             if data is not None:
                 yield Compute(self.page_size * self.config.cpu.ns_per_byte_copy)
             self.counters.inc("page_transfers_sent")
@@ -684,9 +705,13 @@ class CoherenceProtocol:
                     entry.copy_set = set()
                 self._grant(page, entry, entry.owner_access())
                 return
-            self._note("svm.fault_begin", node=self.node_id, page=page, write=True)
+            if self.checker is not None:
+                self._note("svm.fault_begin", node=self.node_id, page=page, write=True)
             started = self.sim.now
-            span = self.obs.span_begin("fault.chown", node=self.node_id, page=page)
+            span = (
+                self.obs.span_begin("fault.chown", node=self.node_id, page=page)
+                if self.obs.enabled else None
+            )
             try:
                 copy_set, xfer = yield from self._locate_request(
                     page, entry, OP_CHOWN, write=True, span=span
@@ -704,9 +729,11 @@ class CoherenceProtocol:
                 if self.obs.enabled:
                     self.obs.observe("fault.chown_ns", self.sim.now - started)
             finally:
-                self.obs.span_end(span)
+                if span is not None:
+                    self.obs.span_end(span)
             self.on_became_owner(page, entry)
-            self._note("svm.chown", node=self.node_id, page=page)
+            if self.checker is not None:
+                self._note("svm.chown", node=self.node_id, page=page)
         finally:
             entry.lock.release()
 
@@ -732,10 +759,11 @@ class CoherenceProtocol:
             if page in self.memory:
                 self.memory.drop(page)
             self.on_write_served(page, origin)
-            self._note(
-                "svm.grant", node=self.node_id, page=page, to=origin,
-                write=True, zero=True, copy_set=list(copy_set),
-            )
+            if self.checker is not None:
+                self._note(
+                    "svm.grant", node=self.node_id, page=page, to=origin,
+                    write=True, zero=True, copy_set=list(copy_set),
+                )
             return Reply((copy_set, xfer), nbytes=48 + 8 * len(copy_set))
         finally:
             entry.lock.release()
@@ -802,10 +830,11 @@ class CoherenceProtocol:
             entry.inv_epoch += 1
         entry.prob_owner = origin
         self.counters.inc("updates_received")
-        self._note(
-            "svm.update_recv", node=self.node_id, page=page,
-            applied=page in self.memory and entry.access >= _READ,
-        )
+        if self.checker is not None:
+            self._note(
+                "svm.update_recv", node=self.node_id, page=page,
+                applied=page in self.memory and entry.access >= _READ,
+            )
         yield Compute(self.page_size * self.config.cpu.ns_per_byte_copy)
         return True
 
@@ -823,10 +852,11 @@ class CoherenceProtocol:
         if page in self.memory and not self.memory.pinned(page):
             self.memory.drop(page)
         self.counters.inc("invalidations_received")
-        self._note(
-            "svm.inv_recv", node=self.node_id, page=page,
-            owner=new_owner, epoch=entry.inv_epoch,
-        )
+        if self.checker is not None:
+            self._note(
+                "svm.inv_recv", node=self.node_id, page=page,
+                owner=new_owner, epoch=entry.inv_epoch,
+            )
         yield Compute(self.config.cpu.ns_per_op * 20)
         return True
 
@@ -847,14 +877,16 @@ class CoherenceProtocol:
                 entry.on_disk = True
                 entry.access = Access.NIL
                 self.counters.inc("owner_pageouts")
-                self._note("svm.drop", node=self.node_id, page=page, pageout=True)
+                if self.checker is not None:
+                    self._note("svm.drop", node=self.node_id, page=page, pageout=True)
             else:
                 # A read copy can be dropped silently: the owner keeps the
                 # data, and a later invalidation to a non-holder is a no-op.
                 self.memory.drop(page)
                 entry.access = Access.NIL
                 self.counters.inc("copy_drops")
-                self._note("svm.drop", node=self.node_id, page=page, pageout=False)
+                if self.checker is not None:
+                    self._note("svm.drop", node=self.node_id, page=page, pageout=False)
             return True
         finally:
             entry.lock.release()

@@ -211,6 +211,27 @@ def test_an_explorer_input_out_of_range_is_a_usage_error(flags, message, capsys)
     assert captured.err.splitlines()[-1].endswith(f"error: {message}")
 
 
+@pytest.mark.parametrize("command", ["replay-schedule", "minimize"])
+def test_an_artifact_command_refuses_an_event_limit_out_of_range(command, tmp_path, capsys):
+    """Replaying or shrinking a saved counterexample checks its limit as
+    the strategies do: a usage error naming it, before any run."""
+    from repro.analysis.__main__ import main
+
+    artifact = str(tmp_path / "ce.jsonl")
+    sweep = ["explore", "--nodes", "3", "--workload", "mutate-upgrade",
+             "--mutation", "ghost-copyset", "--out", artifact]
+    assert main(sweep) == 1
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as usage:
+        main([command, artifact, "--max-events", "0"])
+    assert usage.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(
+        "error: max_events must be an integer >= 1, got 0"
+    )
+
+
 def test_sleep_pruned_is_an_exact_field_of_the_bench_record():
     sweeps = (Scenario("fixed", 3, 1, "chown"),)
     bench = eb.run_bench(sweeps, jobs=2)

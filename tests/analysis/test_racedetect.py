@@ -390,7 +390,7 @@ def _assert_same_shadow(det, ref, since=(0, 0)):
     assert _report_keys(det.suppressed[since[1]:]) == _report_keys(
         ref.suppressed[since[1]:]
     )
-    for mine, theirs in zip(det.cluster.nodes, ref.cluster.nodes):
+    for mine, theirs in zip(det.nodes, ref.nodes):
         assert mine.counters.snapshot() == theirs.counters.snapshot()
     writes, reads = _expand(det)
     assert writes == ref.write_shadow
@@ -422,8 +422,8 @@ class _Pair:
         return both
 
     def tick(self):
-        self.det.cluster.sim.now += 7
-        self.ref.cluster.sim.now += 7
+        self.det.sim.now += 7
+        self.ref.sim.now += 7
 
     def access(self, pid, addr, nbytes, write):
         self.on_access(pid, addr, nbytes, write=write, node_id=pid.node)

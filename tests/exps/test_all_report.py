@@ -120,3 +120,20 @@ def test_a_broken_shape_exits_1_naming_the_experiment_and_the_assertion(
     out = capsys.readouterr().out
     assert 'fig_a: shape fails: assert two["time_ns"] > one["time_ns"]' in out
     assert "report matches" not in out
+
+
+def test_a_bad_worker_count_is_a_usage_error(monkeypatch, capsys):
+    """``REPRO_WORKERS`` out of range stops one experiment and the whole
+    battery with a usage error (exit 2) before anything is simulated."""
+    from repro.exps import fig6
+    from repro.exps.experiment import main as experiment_main
+
+    monkeypatch.setenv("REPRO_WORKERS", "zero")
+    message = "error: REPRO_WORKERS must be an integer >= 1, got 'zero'"
+    for run in (lambda: experiment_main(fig6.EXPERIMENT, []), lambda: battery.main([])):
+        with pytest.raises(SystemExit) as usage:
+            run()
+        assert usage.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage:")
+        assert captured.err.splitlines()[-1].endswith(message)

@@ -398,16 +398,23 @@ def test_switched_broadcast_makes_no_python_call_per_station_booked():
 def test_unobserved_run_makes_no_observe_call(backend, monkeypatch):
     """With observation off nothing asks the obs handle to record: an
     unobserved p=2 dot product (140 frames on the ring) makes no
-    ``Observability.observe``, ``interval`` (scheduler CPU time) or
-    ``gauge`` (pager residency) call on either backend."""
+    ``Observability.observe``, ``interval`` (scheduler CPU time),
+    ``gauge`` (pager residency), ``span_begin`` or ``span_end`` call on
+    either backend; with the checker off the protocol publishes no
+    transition (``CoherenceProtocol._note``)."""
     from repro.exps.parallel import Job
     from repro.obs import Observability
+    from repro.svm.protocol import CoherenceProtocol
 
     calls = []
-    for method in ("observe", "interval", "gauge"):
+    for method in ("observe", "interval", "gauge", "span_begin", "span_end"):
         monkeypatch.setattr(
-            Observability, method, lambda self, *args, method=method: calls.append(method)
+            Observability, method,
+            lambda self, *args, method=method, **kw: calls.append(method),
         )
+    monkeypatch.setattr(
+        CoherenceProtocol, "_note", lambda self, *args, **kw: calls.append("_note")
+    )
     config = ClusterConfig().with_fabric(backend=backend)
     res = Job("dotprod", {"n": 8192}, nprocs=2, config=config).run()
     assert not res.obs and res.events_executed > 0

@@ -195,7 +195,7 @@ def test_lock_waiter_overflow_is_loud():
     def main(ctx):
         lock = yield from ctx.malloc(32)  # room for one waiter only
         # Geometry: (32/8 - 2) // 2 = 1 waiter slot. Place at page end.
-        page_size = ctx.ivy.config.svm.page_size
+        page_size = ctx.node.config.svm.page_size
         lock_addr = lock + page_size - 32
         yield from ctx.lock_init(lock_addr)
 
