@@ -537,19 +537,11 @@ def run_scenario(
         if not all(task.done for task in tasks):
             status = "budget"
             detail = f"stopped after {max_events} events"
-    except InvariantViolation as violation:
-        status, rule, detail = "violation", violation.rule, str(violation)
-    except TaskFailure as failure:
-        cause = failure.__cause__
-        if isinstance(cause, InvariantViolation):
-            status, rule, detail = "violation", cause.rule, str(cause)
-        else:
-            status, rule = "error", type(cause).__name__ if cause else "TaskFailure"
-            detail = str(failure)
-    except DeadlockError as deadlock:
-        status, detail = "deadlock", str(deadlock)
-    except (ProtocolError, TransportError, AssertionError) as exc:
-        status, rule, detail = "error", type(exc).__name__, str(exc)
+    except (TaskFailure, DeadlockError, ProtocolError, TransportError, AssertionError) as exc:
+        status, rule, detail = _classify(exc)
+        # The oracle, the simulator and the failed task keep the
+        # exception, and its frames keep the cluster: drop the frames.
+        _drop_frames(exc)
 
     if status == "ok":
         try:
@@ -557,6 +549,7 @@ def run_scenario(
             cluster.check_coherence_invariants()
         except InvariantViolation as violation:
             status, rule, detail = "violation", violation.rule, str(violation)
+            _drop_frames(violation)
         except AssertionError as exc:
             status, rule, detail = "violation", "final-state", str(exc)
 
@@ -575,6 +568,23 @@ def run_scenario(
     # or the cycle collector would be the one to free it.
     cluster.close()
     return result
+
+
+def _classify(exc: BaseException) -> tuple[str, str | None, str]:
+    """``(status, rule, detail)`` of a run that raised ``exc``."""
+    cause = exc.__cause__ if isinstance(exc, TaskFailure) else exc
+    if isinstance(cause, InvariantViolation):
+        return "violation", cause.rule, str(cause)
+    if isinstance(exc, DeadlockError):
+        return "deadlock", None, str(exc)
+    return "error", type(cause).__name__ if cause else "TaskFailure", str(exc)
+
+
+def _drop_frames(exc: BaseException | None) -> None:
+    """Forget the tracebacks of ``exc`` and of the exceptions it chains."""
+    while exc is not None and exc.__traceback__ is not None:
+        exc.__traceback__ = None
+        exc = exc.__cause__ or exc.__context__
 
 
 # ----------------------------------------------------------------------

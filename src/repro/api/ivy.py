@@ -101,17 +101,10 @@ class Ivy:
     def run(self, main: Callable[..., Generator], *args: Any, on: int = 0) -> Any:
         """Run ``main(ctx, *args)`` as the initial process; returns its
         result once the whole program (simulation) quiesces."""
-        runtime, balancers = self._runtime, self.balancers
-        pcb_holder: list[PCB] = []
-
-        def body() -> Generator:
-            ctx = IvyProcessContext(runtime, pcb_holder[0])
-            result = yield from main(ctx, *args)
-            return result
-
+        balancers = self.balancers
+        ctx = IvyProcessContext(self._runtime)
         sched = self.schedulers[on]
-        pcb = sched.spawn(body(), name="main", migratable=False)
-        pcb_holder.append(pcb)
+        pcb = ctx.pcb = sched.spawn(main(ctx, *args), name="main", migratable=False)
         if self.config.sched.load_balancing:
             for balancer in balancers:
                 balancer.start()
@@ -167,18 +160,11 @@ def _spawn_here(
         # Claim the first stack page here so the dispatcher never
         # page-faults on it (see Figure 3 of the paper).
         yield from node.protocol.ensure_write(stack_pages[0])
-    pcb_holder: list[PCB] = []
-
-    def body() -> Generator:
-        ctx = IvyProcessContext(runtime, pcb_holder[0])
-        result = yield from fn(ctx, *args)
-        return result
-
-    pcb = node.sched.spawn(
-        body(), name=name, migratable=migratable,
+    ctx = IvyProcessContext(runtime)
+    pcb = ctx.pcb = node.sched.spawn(
+        fn(ctx, *args), name=name, migratable=migratable,
         stack_addr=stack_addr, stack_pages=stack_pages,
     )
-    pcb_holder.append(pcb)
     races = runtime.races
     if races is not None and parent_clock is not None:
         # The edge must be in place before the child's first access;
@@ -192,11 +178,13 @@ def _spawn_here(
 class IvyProcessContext:
     """A process's handle on the IVY system (follows the process around)."""
 
-    def __init__(self, runtime: _Runtime, pcb: PCB) -> None:
+    def __init__(self, runtime: _Runtime) -> None:
         self._runtime = runtime
         self._nodes = runtime.nodes
         self._races = runtime.races
-        self.pcb = pcb
+        #: Set by the spawner once the process exists: its generator is
+        #: built with this context before the scheduler makes its PCB.
+        self.pcb: PCB = None  # type: ignore[assignment]
         self._cpu = self._nodes[0].config.cpu
         #: Per-node TrackedMemory proxies (race detection only).
         self._tracked: dict[int, Any] = {}

@@ -71,6 +71,7 @@ class RemoteOp:
         self.transport = transport
         self.driver = driver
         self.config = config
+        self._dispatch_cpu = Compute(config.server_dispatch_cost)
         self.obs = obs
         self.node_id = transport.node_id
         self._handlers: dict[str, Callable[[int, Any], Generator[Effect, Any, Any]]] = {}
@@ -180,7 +181,7 @@ class RemoteOp:
             f"serve:{msg.op}", parent=msg.span, node=self.node_id, origin=msg.origin
         ) if self.obs.enabled else None
         try:
-            yield Compute(self.config.server_dispatch_cost)
+            yield self._dispatch_cpu
             result = yield from handler(msg.origin, msg.payload)
             if isinstance(result, Forward):
                 yield from self.transport.forward(

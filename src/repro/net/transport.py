@@ -129,6 +129,8 @@ class Transport:
         self.fabric = fabric
         self.node_id = node_id
         self.config = config
+        #: The software send cost, one effect for every send.
+        self._send_cpu = Compute(config.transport_cpu)
         self.stats = TransportStats()
         self._next_id = 0
         self._pending: dict[int, _Pending] = {}
@@ -240,7 +242,7 @@ class Transport:
         else:
             want = len(targets) if targets else self.fabric.nnodes - 1
             self.stats.broadcasts_sent += 1
-        yield Compute(self.config.transport_cpu)
+        yield self._send_cpu
         if want == 0:
             if scheme == "any":
                 raise TransportError("broadcast 'any' with no other stations")
@@ -265,7 +267,7 @@ class Transport:
         """Reply to ``msg``'s origin and cache the reply for duplicates."""
         self._reply_cache[(msg.origin, msg.msg_id)] = ("done", value, nbytes)
         self.stats.replies_sent += 1
-        yield Compute(self.config.transport_cpu)
+        yield self._send_cpu
         self._transmit(Message(
             self.node_id, msg.origin, "rep", msg.op, msg.origin,
             msg.msg_id, value, nbytes, span=msg.span,
@@ -290,7 +292,7 @@ class Transport:
             msg.payload, msg.nbytes, span=span_id,
         )
         self._reply_cache[(msg.origin, msg.msg_id)] = ("forwarded", forwarded)
-        yield Compute(self.config.transport_cpu)
+        yield self._send_cpu
         self._transmit(forwarded)
 
     def mark_no_reply(self, msg: Message) -> None:

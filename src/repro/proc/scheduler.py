@@ -9,7 +9,8 @@ lightweight processes yield the same effects as system tasks, but here
 ``Compute`` keeps the node's CPU busy (one running process per node, no
 preemption), while ``Sleep``/``Suspend`` hand the CPU to the next ready
 process — that hand-off during page-fault waits is how IVY overlaps
-communication with computation.
+communication with computation.  The end of a ``Compute`` and a
+dispatch both resume the task directly (:meth:`Task.resume`).
 
 The null process is represented by its two observable duties rather than
 a spinning task: retransmission checking lives in the transport's
@@ -39,6 +40,11 @@ from repro.sim.process import (
 )
 
 __all__ = ["NodeScheduler"]
+
+#: Hoisted members (a module global load, not an enum lookup, per event).
+_READY, _RUNNING, _BLOCKED = ProcState.READY, ProcState.RUNNING, ProcState.BLOCKED
+_DONE = ProcState.DONE
+_TASK_READY, _TASK_BLOCKED = TaskState.READY, TaskState.BLOCKED
 
 
 class NodeScheduler(Driver):
@@ -115,7 +121,7 @@ class NodeScheduler(Driver):
 
     def load_byte(self) -> int:
         """The load hint piggybacked on every outgoing message."""
-        return min(255, self.process_count())
+        return min(255, self._live)
 
     def note_hint(self, src: int, load: int) -> None:
         self.load_hints[src] = load
@@ -124,7 +130,6 @@ class NodeScheduler(Driver):
     # driver protocol
 
     def handle(self, task: Task, effect: Effect) -> None:
-        pcb: PCB = task.pcb  # type: ignore[attr-defined]
         if isinstance(effect, Compute):
             # The running process keeps the CPU; no dispatch.  Its CPU
             # time is the profiler's "compute" source.
@@ -132,23 +137,25 @@ class NodeScheduler(Driver):
                 self.obs.interval(
                     self.node_id, "compute", self.sim.now, self.sim.now + effect.ns
                 )
-            self.sim.schedule_nocancel(effect.ns, self._resume, task)
-        elif isinstance(effect, Sleep):
-            task.state = TaskState.BLOCKED
-            pcb.state = ProcState.BLOCKED
+            self.sim.schedule_nocancel(effect.ns, task.resume)
+            return
+        pcb: PCB = task.pcb  # type: ignore[attr-defined]
+        if isinstance(effect, Sleep):
+            task.state = _TASK_BLOCKED
+            pcb.state = _BLOCKED
             self.current = None
             self.sim.schedule_nocancel(effect.ns, self.make_ready, pcb)
             self._schedule_dispatch()
         elif isinstance(effect, Suspend):
-            task.state = TaskState.BLOCKED
-            pcb.state = ProcState.BLOCKED
+            task.state = _TASK_BLOCKED
+            pcb.state = _BLOCKED
             self.current = None
             if effect.register is not None:
                 effect.register(task)
             self._schedule_dispatch()
         elif isinstance(effect, YieldCpu):
-            task.state = TaskState.READY
-            pcb.state = ProcState.READY
+            task.state = _TASK_READY
+            pcb.state = _READY
             self.current = None
             self.ready.append(pcb)  # back of the queue: give others a turn
             self._schedule_dispatch()
@@ -167,7 +174,7 @@ class NodeScheduler(Driver):
         # The PCB keeps the task (its result, its error); nothing asks a
         # finished task for its PCB, and the pair would be a cycle.
         del task.pcb  # type: ignore[attr-defined]
-        pcb.state = ProcState.DONE
+        pcb.state = _DONE
         self.sim.unwatch(task)
         # A process that finishes right after a migration is still in the
         # source's registry until the hand-off reply gets there.
@@ -196,10 +203,11 @@ class NodeScheduler(Driver):
         Idempotent against spurious wake-ups: a process that is already
         READY or RUNNING is left alone.
         """
-        if pcb.done or pcb.state in (ProcState.READY, ProcState.RUNNING):
+        state = pcb.state
+        if state is _READY or state is _RUNNING or state is _DONE:
             return
-        pcb.state = ProcState.READY
-        pcb.task.state = TaskState.READY
+        pcb.state = _READY
+        pcb.task.state = _TASK_READY
         self.ready.appendleft(pcb)
         self._schedule_dispatch()
 
@@ -253,7 +261,7 @@ class NodeScheduler(Driver):
             return
         pcb = self.ready.popleft()
         self.current = pcb
-        pcb.state = ProcState.RUNNING
+        pcb.state = _RUNNING
         self.counters.inc("context_switches")
         if self.obs.enabled:
             self.obs.interval(
@@ -261,14 +269,4 @@ class NodeScheduler(Driver):
                 self.sim.now, self.sim.now + self.config.cpu.context_switch,
             )
         value, pcb.wake_value = pcb.wake_value, None
-        self.sim.schedule_nocancel(
-            self.config.cpu.context_switch, self._first_step, pcb, value
-        )
-
-    def _first_step(self, pcb: PCB, value: Any) -> None:
-        if not pcb.task.done:
-            pcb.task.step(value)
-
-    def _resume(self, task: Task) -> None:
-        if not task.done:
-            task.step(None)
+        self.sim.schedule_nocancel(self.config.cpu.context_switch, pcb.task.resume, value)

@@ -19,9 +19,14 @@ describing what it wants from its scheduler:
 ``YieldCpu()``
     Voluntarily reschedule (cooperative multitasking).
 
+Effects are read-only values: a constant charge is built once, by its
+owner, and yielded by every use.
+
 Sub-operations compose with ``yield from``; a helper generator that never
 yields costs only a cheap delegation, which keeps the non-faulting
-memory-access fast path fast.
+memory-access fast path fast.  An event that continues a task calls
+:meth:`Task.resume` itself (:meth:`Task.step` for a system task's first
+step): no driver method sits between the kernel and the generator.
 """
 
 from __future__ import annotations
@@ -113,6 +118,13 @@ class TaskState(enum.Enum):
     FAILED = "failed"
 
 
+#: Hoisted members: a module global is one dict load, an enum member a
+#: class attribute lookup through the metaclass, on every event.
+_READY = TaskState.READY
+_RUNNING = TaskState.RUNNING
+_BLOCKED = TaskState.BLOCKED
+
+
 class TaskFailure(RuntimeError):
     """A task raised an unhandled exception (chained as __cause__)."""
 
@@ -146,7 +158,7 @@ class Task:
         self.gen = gen
         self.driver = driver
         self.name = name or f"task-{self.tid}"
-        self.state = TaskState.READY
+        self.state = _READY
         #: True once the task finished or failed.  A plain attribute
         #: (kept in sync by _finish/_fail) rather than a property derived
         #: from ``state``: it is checked on every step and wake.
@@ -159,7 +171,7 @@ class Task:
 
     @property
     def is_blocked(self) -> bool:
-        return self.state is TaskState.BLOCKED
+        return self.state is _BLOCKED
 
     def __repr__(self) -> str:
         return f"<Task {self.name} {self.state.value}>"
@@ -167,10 +179,19 @@ class Task:
     # -- stepping ---------------------------------------------------------
 
     def step(self, value: Any = None) -> None:
-        """Advance the generator by one effect; route it to the driver."""
+        """Advance the generator by one effect; route it to the driver.
+        Stepping a finished task is a bug of the caller."""
         if self.done:
             raise RuntimeError(f"stepping finished task {self!r}")
-        self.state = TaskState.RUNNING
+        self.resume(value)
+
+    def resume(self, value: Any = None) -> None:
+        """:meth:`step`, except that a finished task is left alone: the
+        callback of every event that continues a task, which may land
+        after the task ended (a late wake)."""
+        if self.done:
+            return
+        self.state = _RUNNING
         try:
             effect = self.gen.send(value)
         except StopIteration as stop:
@@ -252,29 +273,25 @@ class SimDriver(Driver):
 
     def handle(self, task: Task, effect: Effect) -> None:
         if isinstance(effect, (Compute, Sleep)):
-            task.state = TaskState.BLOCKED
+            task.state = _BLOCKED
             self.sim.schedule_nocancel(
-                effect.ns, self._resume, task, None, label=(_STEP, task.name)
+                effect.ns, task.resume, None, label=(_STEP, task.name)
             )
         elif isinstance(effect, Suspend):
-            task.state = TaskState.BLOCKED
+            task.state = _BLOCKED
             if effect.register is not None:
                 effect.register(task)
         elif isinstance(effect, YieldCpu):
-            task.state = TaskState.READY
-            self.sim.schedule_nocancel(0, self._resume, task, None, label=(_STEP, task.name))
+            task.state = _READY
+            self.sim.schedule_nocancel(0, task.resume, None, label=(_STEP, task.name))
         else:  # pragma: no cover - Effect subclasses are closed
             raise TypeError(f"unknown effect {effect!r}")
 
     def wake(self, task: Task, value: Any = None) -> None:
         if task.done:
             return
-        task.state = TaskState.READY
-        self.sim.schedule_nocancel(0, self._resume, task, value, label=(_WAKE, task.name))
-
-    def _resume(self, task: Task, value: Any) -> None:
-        if not task.done:
-            task.step(value)
+        task.state = _READY
+        self.sim.schedule_nocancel(0, task.resume, value, label=(_WAKE, task.name))
 
     def finished(self, task: Task) -> None:
         self.sim.unwatch(task)

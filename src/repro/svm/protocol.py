@@ -167,14 +167,22 @@ class CoherenceProtocol:
         self.layout = layout
         self.table = table
         self.memory = memory
-        #: The live page->frame mapping (read-only here), for _grant.
+        #: The live page->entry and page->frame mappings and recency order
+        #: (read-only here), for _grant and the client fast paths: a page
+        #: with no entry yet goes through ``table.entry``, which makes one.
+        self._entries = table.raw_entries()
         self._frames = memory.raw_frames()
+        self._touch = memory.raw_recency().move_to_end
         self.pager = pager
         self.remote = remote
         self.config = config
         self.counters = counters
         self.obs = obs
         self.page_size = layout.page_size
+        #: Constant CPU charges, each one effect yielded by every use.
+        self._fault_cpu = Compute(config.svm.fault_handler_cost)
+        self._copy_cpu = Compute(self.page_size * config.cpu.ns_per_byte_copy)
+        self._inv_cpu = Compute(config.cpu.ns_per_op * 20)
         #: Online coherence oracle (repro.analysis), attached by the
         #: cluster when ``ClusterConfig.checker`` is set.  Checking is
         #: pure observation: the oracle never yields effects, so it can
@@ -319,17 +327,17 @@ class CoherenceProtocol:
 
         Pure (no touch, no lock): the data-plane fast path probes every
         spanned page with this before copying anything."""
-        entry = self.table.entry(page)
+        entry = self._entries.get(page) or self.table.entry(page)
         # Access is an IntEnum: comparing against WRITE/READ directly is
         # the permits_* predicates without the method dispatch.
-        needed = entry.access >= (Access.WRITE if write else Access.READ)
-        return needed and page in self.memory
+        needed = entry.access >= (_WRITE if write else _READ)
+        return needed and page in self._frames
 
     def ensure_read(self, page: int) -> Generator[Effect, Any, None]:
         """Make ``page`` readable locally, faulting if necessary."""
-        entry = self.table.entry(page)
-        if entry.access >= _READ and page in self.memory:
-            self.memory.touch(page)
+        entry = self._entries.get(page) or self.table.entry(page)
+        if entry.access >= _READ and page in self._frames:
+            self._touch(page)
             return
         if not entry.lock.try_acquire():
             yield from entry.lock.acquire()
@@ -350,7 +358,7 @@ class CoherenceProtocol:
                 if self.obs.enabled else None
             )
             try:
-                yield Compute(self.config.svm.fault_handler_cost)
+                yield self._fault_cpu
                 while True:
                     epoch = entry.inv_epoch
                     data, owner = yield from self._locate_request(
@@ -394,9 +402,9 @@ class CoherenceProtocol:
 
     def ensure_write(self, page: int) -> Generator[Effect, Any, None]:
         """Make ``page`` writable locally (sole copy), faulting if needed."""
-        entry = self.table.entry(page)
-        if entry.access >= _WRITE and page in self.memory:
-            self.memory.touch(page)
+        entry = self._entries.get(page) or self.table.entry(page)
+        if entry.access >= _WRITE and page in self._frames:
+            self._touch(page)
             return
         if not entry.lock.try_acquire():
             yield from entry.lock.acquire()
@@ -434,8 +442,8 @@ class CoherenceProtocol:
         self, page: int, entry: PageTableEntry
     ) -> Generator[Effect, Any, None]:
         """Write-fault body; caller holds ``entry.lock``."""
-        if entry.access >= _WRITE and page in self.memory:
-            self.memory.touch(page)
+        if entry.access >= _WRITE and page in self._frames:
+            self._touch(page)
             return
         started = self.sim.now
         if entry.is_owner:
@@ -450,7 +458,7 @@ class CoherenceProtocol:
                     start=started, upgrade=True,
                 ) if self.obs.enabled else None
                 try:
-                    yield Compute(self.config.svm.fault_handler_cost)
+                    yield self._fault_cpu
                     yield from self._invalidate(page, entry.copy_set, span=span)
                     invalidated = sorted(entry.copy_set)
                     entry.copy_set = set()
@@ -478,7 +486,7 @@ class CoherenceProtocol:
             "fault.write", node=self.node_id, page=page, start=started
         ) if self.obs.enabled else None
         try:
-            yield Compute(self.config.svm.fault_handler_cost)
+            yield self._fault_cpu
             data, copy_set, xfer = yield from self._locate_request(
                 page, entry, OP_WRITE, write=True, span=span
             )
@@ -617,7 +625,7 @@ class CoherenceProtocol:
             # bytes in flight stay the serve-time bytes.  The Compute
             # still charges the copy the real machine makes.
             data = self.memory.share(page)
-            yield Compute(self.page_size * self.config.cpu.ns_per_byte_copy)
+            yield self._copy_cpu
             self.counters.inc("page_copies_sent")
             if self.checker is not None:
                 self._note(
@@ -676,7 +684,7 @@ class CoherenceProtocol:
                     write=True, zero=data is None, copy_set=list(copy_set),
                 )
             if data is not None:
-                yield Compute(self.page_size * self.config.cpu.ns_per_byte_copy)
+                yield self._copy_cpu
             self.counters.inc("page_transfers_sent")
             return Reply((data, copy_set, xfer), nbytes=nbytes + 8 * len(copy_set))
         finally:
@@ -780,7 +788,7 @@ class CoherenceProtocol:
         # One pooled snapshot for every receiver: each one that applies
         # it shares it as its frame; ours is released once all acked.
         data = self._pages.copy_of(self.memory.data(page))
-        yield Compute(self.page_size * self.config.cpu.ns_per_byte_copy)
+        yield self._copy_cpu
         self.counters.inc("updates_sent", len(entry.copy_set))
         if self.obs.enabled:
             self.obs.observe("update.fanout", len(entry.copy_set))
@@ -835,7 +843,7 @@ class CoherenceProtocol:
                 "svm.update_recv", node=self.node_id, page=page,
                 applied=page in self.memory and entry.access >= _READ,
             )
-        yield Compute(self.page_size * self.config.cpu.ns_per_byte_copy)
+        yield self._copy_cpu
         return True
 
     def _serve_inv(self, origin: int, payload: tuple[int, int]) -> Generator[Effect, Any, bool]:
@@ -857,7 +865,7 @@ class CoherenceProtocol:
                 "svm.inv_recv", node=self.node_id, page=page,
                 owner=new_owner, epoch=entry.inv_epoch,
             )
-        yield Compute(self.config.cpu.ns_per_op * 20)
+        yield self._inv_cpu
         return True
 
     # ------------------------------------------------------------------

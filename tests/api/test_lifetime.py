@@ -129,3 +129,26 @@ def test_close_dismantles_once():
     cluster.close()
     cluster.close()
     assert cluster.nodes == []
+
+
+def test_violating_schedule_frees_its_cluster_at_once(monkeypatch):
+    """A run the oracle stops keeps its exception in the oracle, the
+    simulator and the failed task; the exception's frames must not keep
+    the cluster alive once the run is classified."""
+    from repro.analysis import explore
+
+    watched: list[dict[str, weakref.ref]] = []
+    build = explore._build_cluster
+
+    def watched_build(scenario):
+        cluster = build(scenario)
+        watched.append(_watch(cluster))
+        return cluster
+
+    monkeypatch.setattr(explore, "_build_cluster", watched_build)
+    scenario = explore.Scenario(
+        "dynamic", 3, 1, "mutate-upgrade", 7, mutation="ghost-copyset"
+    )
+    result = explore.run_scenario(scenario)
+    assert result.status == "violation"
+    assert _alive(watched[0]) == []

@@ -204,3 +204,62 @@ def test_deadlock_names_blocked_tasks_in_spawn_order_after_others_finished():
     with pytest.raises(DeadlockError) as excinfo:
         sim.run()
     assert excinfo.value.blocked == [tasks[0], tasks[2], tasks[5]]
+
+
+def test_step_on_a_finished_task_raises():
+    sim, driver = make()
+
+    def job():
+        yield Compute(1)
+
+    task = driver.spawn(job(), "once")
+    sim.run()
+    with pytest.raises(RuntimeError, match="stepping finished task"):
+        task.step()
+
+
+def test_resume_on_a_finished_task_is_a_no_op():
+    """A wake that lands after the task ended (here: a second resume
+    event queued for the same tick) leaves it alone."""
+    sim, driver = make()
+
+    def job():
+        yield Suspend()
+        return "first"
+
+    task = driver.spawn(job(), "woken-twice")
+    sim.schedule(5, task.resume, "first")
+    sim.schedule(5, task.resume, "late")
+    sim.run()
+    assert task.done and task.result == "first"
+    task.resume("later still")
+    assert task.state is TaskState.DONE and task.error is None
+
+
+def test_task_events_call_the_task_directly(monkeypatch):
+    """Every event that continues a task calls ``Task.step`` (a system
+    task's first step) or ``Task.resume``: no driver method sits between
+    the kernel and the generator.  The scheduler's own events are the
+    ready-queue ones (``make_ready`` after a sleep, ``_dispatch``)."""
+    from repro.api.ivy import Ivy
+    from repro.apps.dotprod import DotProductApp
+    from repro.config import ClusterConfig
+    from repro.proc.scheduler import NodeScheduler
+
+    fired = set()
+    for name in ("schedule", "schedule_nocancel", "schedule_at", "schedule_at_nocancel"):
+        original = getattr(Simulator, name)
+
+        def spy(self, when, fn, *args, original=original, **kw):
+            fired.add(getattr(fn, "__qualname__", ""))
+            return original(self, when, fn, *args, **kw)
+
+        monkeypatch.setattr(Simulator, name, spy)
+    app = DotProductApp(2, n=4096, seed=7)
+    app.check(Ivy(ClusterConfig(nodes=2)).run(app.main))
+    drivers = {"Task", "SimDriver", "NodeScheduler", "Driver"}
+    assert {name for name in fired if name.split(".")[0] in drivers} == {
+        "Task.step", "Task.resume", "NodeScheduler._dispatch",
+    }
+    for cls in (SimDriver, NodeScheduler):
+        assert not hasattr(cls, "_resume") and not hasattr(cls, "_first_step")
