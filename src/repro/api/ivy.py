@@ -77,7 +77,7 @@ class Ivy:
             )
             node.sched = sched
             node.transport.load_provider = sched.load_byte
-            node.transport.hint_sink = sched.note_hint
+            sched.load_hints = node.transport.load_hints
             self.schedulers.append(sched)
             migration = MigrationService(node, sched)
             self.migrations.append(migration)

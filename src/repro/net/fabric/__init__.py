@@ -5,10 +5,11 @@ operation layer, the coherence protocols — speaks to the network
 through the :class:`Fabric` interface: ``attach`` a delivery callback
 per station, ``send`` a :class:`repro.net.packet.Message`, read
 :class:`FabricStats` (flat counters and per-link :class:`LinkStats`,
-one shape on every backend).  ``Fabric.send`` is the one send path:
-it checks addressing, counts the frame, lists the stations it passes,
-asks the backend's ``_book`` for their arrival times and hands them to
-the shared drop/deliver loop.  What the medium *is* is a backend choice
+one shape on every backend).  ``Fabric.send`` is the one send path,
+one call per frame: it checks addressing, counts the frame, lists the
+stations it passes, asks the backend's ``_book`` for their arrival
+times and drops or delivers per station, scheduling each receiver
+callback itself.  What the medium *is* is a backend choice
 (``ClusterConfig.fabric.backend``, one of :data:`FABRIC_BACKENDS`):
 
 - ``"ring"`` — :class:`repro.net.fabric.ring.TokenRing`, the Apollo
@@ -143,10 +144,11 @@ class Fabric:
     Subclasses implement :meth:`_book` — book the medium for the
     stations a frame passes and return their arrival times — and set
     :attr:`stats` and the two link parameters :meth:`occupancy_ns`
-    reads; station attachment, address validation, counting, the
-    per-station drop/deliver loop and delivery dispatch are shared here
-    so the transport — and the schedule explorer — see identical
-    behaviour on every backend.
+    reads; station attachment and the one :meth:`send` body (address
+    validation, counting, the per-station drop/deliver loop that
+    schedules each receiver directly) are shared here so the transport
+    — and the schedule explorer — see identical behaviour on every
+    backend.
     """
 
     #: Backend name (the ``ClusterConfig.fabric.backend`` key).
@@ -188,6 +190,10 @@ class Fabric:
         #: servers ship (repro.net.pool).
         self.pages = PagePool()
         self._receivers: dict[int, Callable[[Message], None]] = {}
+        #: nbytes -> :meth:`occupancy_ns`, filled by the backend's
+        #: ``_book`` the first time it sees a size: a run sends a handful
+        #: of distinct sizes, so booking a frame makes no formula call.
+        self._occupancy: dict[int, int] = {}
         #: Deterministic drop hook for the schedule explorer's delay-
         #: injection strategy: consulted once per (msg, station) for
         #: every station the frame passes, *before* any random loss
@@ -215,18 +221,43 @@ class Fabric:
 
         Returns immediately (the sending *software* cost is charged by
         the transport layer, not here — the medium only models wire
-        time)."""
-        self._check_addressing(msg)
+        time).  Each station the frame reaches gets its receiver
+        scheduled directly, as the module docstring's contract says."""
+        dst = msg.dst
+        named = msg.targets
+        if named is not None or (
+            dst != BROADCAST and (dst == msg.src or not 0 <= dst < self.nnodes)
+        ):
+            self._check_addressing(msg)
         stats = self.stats
         stats.messages += 1
-        if msg.dst == BROADCAST:
+        if dst == BROADCAST:
             stats.broadcasts += 1
             # Every broadcast frame passes every other station, whoever
-            # it names: only the named ones are woken (see _fan_out).
+            # it names: only the named ones are woken.
             stations = [n for n in range(self.nnodes) if n != msg.src]
         else:
-            stations = [msg.dst]
-        self._fan_out(msg, stations, self._book(msg, stations))
+            stations = [dst]
+        arrivals = self._book(msg, stations)
+        drop_policy = self.drop_policy
+        lossy = self._lossy
+        receivers = self._receivers
+        now = self.sim.now
+        schedule = self.sim.schedule_nocancel
+        for station, arrival in zip(stations, arrivals):
+            if (drop_policy is not None and drop_policy(msg, station)) or (
+                lossy and self._drop()
+            ):
+                stats.lost_frames += 1
+            elif named is None or station in named:
+                receiver = receivers.get(station)
+                if receiver is None:
+                    raise RuntimeError(
+                        f"{msg.describe()}: no receiver attached at station {station}"
+                    )
+                schedule(
+                    arrival - now, receiver, msg, label=(delivery_label, station, msg)
+                )
 
     def occupancy_ns(self, nbytes: int) -> int:
         """Medium time one message of ``nbytes`` occupies one link for:
@@ -262,37 +293,8 @@ class Fabric:
                     f"(stations are 0..{self.nnodes - 1}, sender excluded)"
                 )
 
-    def _fan_out(
-        self, msg: Message, stations: Iterable[int], arrivals: Iterable[int]
-    ) -> None:
-        """The one per-station drop/deliver loop, shared by every medium:
-        ``stations`` (ascending, already booked) paired with their
-        absolute arrival times, dropped and delivered as the module
-        docstring's contract says."""
-        drop_policy = self.drop_policy
-        lossy = self._lossy
-        named = msg.targets
-        now = self.sim.now
-        schedule = self.sim.schedule_nocancel
-        deliver = self._deliver
-        for station, arrival in zip(stations, arrivals):
-            forced = drop_policy is not None and drop_policy(msg, station)
-            if forced or (lossy and self._drop()):
-                self.stats.lost_frames += 1
-            elif named is None or station in named:
-                schedule(
-                    arrival - now, deliver, station, msg,
-                    label=(delivery_label, station, msg),
-                )
-
     def _drop(self) -> bool:
         return bool(self.rng.random() < self.config.loss_rate)
-
-    def _deliver(self, target: int, msg: Message) -> None:
-        receiver = self._receivers.get(target)
-        if receiver is None:
-            raise RuntimeError(f"no receiver attached at station {target}")
-        receiver(msg)
 
 
 # The backends subclass Fabric, so they are imported once it exists.

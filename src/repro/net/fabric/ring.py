@@ -72,7 +72,10 @@ class TokenRing(Fabric):
             # Queueing delay behind the shared medium — the contention
             # that caps dot-product's speedup (histogrammed in ns).
             self.obs.observe("ring.queue_ns", backlog)
-        occupancy = self.occupancy_ns(msg.nbytes)
+        nbytes = msg.nbytes
+        occupancy = self._occupancy.get(nbytes)
+        if occupancy is None:
+            occupancy = self._occupancy[nbytes] = self.occupancy_ns(nbytes)
         self._free_at = free_at = start + occupancy
         if self._timeline is not None:
             # Windowed busy accounting for the single shared link; the
@@ -83,5 +86,5 @@ class TokenRing(Fabric):
         medium.busy_ns += occupancy
         if backlog > medium.peak_backlog_ns:
             medium.peak_backlog_ns = backlog
-        self.stats.bytes_sent += msg.nbytes
+        self.stats.bytes_sent += nbytes
         return repeat(free_at + self.config.delivery_latency)

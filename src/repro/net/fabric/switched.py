@@ -107,7 +107,10 @@ class SwitchedFabric(Fabric):
         read once and the aggregate counters are added once per call.
         """
         now = self.sim.now
-        occupancy = self.occupancy_ns(msg.nbytes)
+        nbytes = msg.nbytes
+        occupancy = self._occupancy.get(nbytes)
+        if occupancy is None:
+            occupancy = self._occupancy[nbytes] = self.occupancy_ns(nbytes)
         cfg = self.config
         k = cfg.multicast_fanout
         relay_cost = cfg.relay_cost
@@ -168,7 +171,7 @@ class SwitchedFabric(Fabric):
             arrivals.append(end_rx + delivery_latency)
 
         hops = len(arrivals)
-        stats.bytes_sent += hops * msg.nbytes
+        stats.bytes_sent += hops * nbytes
         if hops > k:
             stats.relays += hops - k
         return arrivals

@@ -114,6 +114,8 @@ class RemoteOp:
         span: Span | int | None = None,
     ) -> Generator[Effect, Any, Any]:
         """Perform a remote operation and return its reply value."""
+        if not self.obs.enabled:
+            return self.transport.request(dst, op, payload, nbytes)
         return self._rpc(op, span, "dst", dst, self.transport.request, (dst, op, payload, nbytes))
 
     def broadcast(
@@ -125,6 +127,8 @@ class RemoteOp:
         span: Span | int | None = None,
     ) -> Generator[Effect, Any, Any]:
         """Broadcast ``op``; reply handling per the paper's three schemes."""
+        if not self.obs.enabled:
+            return self.transport.broadcast(op, payload, nbytes, scheme)
         return self._rpc(
             op, span, "scheme", scheme, self.transport.broadcast, (op, payload, nbytes, scheme)
         )
@@ -138,6 +142,8 @@ class RemoteOp:
         span: Span | int | None = None,
     ) -> Generator[Effect, Any, dict[int, Any]]:
         """Multicast ``op`` to ``targets``; one reply per target."""
+        if not self.obs.enabled:
+            return self.transport.multicast(targets, op, payload, nbytes)
         return self._rpc(
             op, span, "fanout", len(targets), self.transport.multicast,
             (targets, op, payload, nbytes),
@@ -154,12 +160,10 @@ class RemoteOp:
     ) -> Generator[Effect, Any, Any]:
         """The one ``rpc:<op>`` span (its one call-specific attribute is
         ``attr=value``) around a transport call, whose messages carry the
-        span's id on the wire."""
+        span's id on the wire.  Observed runs only: unobserved, the
+        callers return the transport's generator itself, so a remote
+        operation adds no generator frame of its own."""
         obs = self.obs
-        # Unobserved, no span: asking the disabled tracer would cost a
-        # keyword-unpacking call on every remote operation.
-        if not obs.enabled:
-            return (yield from call(*args))
         hop = obs.span_begin(f"rpc:{op}", parent=parent, node=self.node_id, **{attr: value})
         try:
             return (yield from call(*args, span_id=hop.sid))

@@ -25,7 +25,8 @@ needs that ordinary RPC lacks:
   ``"all"`` (collect one reply per other station), ``"none"`` (fire and
   forget).
 - **Load hints**: every outgoing message carries the sender's current
-  process count; receivers feed it to the scheduler's hint table.
+  process count; receivers store it in ``load_hints``, the table the
+  node's scheduler reads.
 
 Requests made to the local node bypass the fabric with a small local
 delivery delay, so protocol code treats all destinations uniformly
@@ -41,8 +42,7 @@ from repro.config import MICROSECOND, ClusterConfig
 from repro.net.fabric import Fabric
 from repro.net.packet import BROADCAST, HEADER_BYTES, Message, delivery_label, op_page
 from repro.sim.kernel import CancelHandle, Simulator
-from repro.sim.process import Compute, Effect, SimDriver
-from repro.sim.sync import Gate
+from repro.sim.process import Compute, Effect, SimDriver, Suspend, Task
 
 __all__ = ["Transport", "TransportError", "TransportStats"]
 
@@ -84,19 +84,43 @@ class TransportStats:
 
 
 class _Pending:
-    """Book-keeping for one outstanding request or broadcast."""
+    """Book-keeping for one outstanding request or broadcast, and its
+    one-shot reply slot: the requester parks on it with
+    ``yield Suspend(pending.park)``; the delivery event (or the give-up
+    timer) posts the value, which wakes it."""
 
-    __slots__ = ("msg", "gate", "timer", "retries", "want", "replies")
+    __slots__ = ("msg", "timer", "retries", "want", "replies", "posted", "value", "waiter")
 
     def __init__(self, msg: Message, want: int) -> None:
         self.msg = msg
-        self.gate = Gate()
         self.timer: CancelHandle | None = None
         self.retries = 0
         #: Number of replies still needed (1 for unicast/any, N-1 for all).
         self.want = want
         #: src -> value, for broadcast-all.
         self.replies: dict[int, Any] = {}
+        self.posted = False
+        self.value: Any = None
+        self.waiter: Task | None = None
+
+    def park(self, task: Task) -> None:
+        """The ``Suspend`` registration: remember the parked requester,
+        or wake it at once if the value is already posted."""
+        if self.posted:
+            task.wake(self.value)
+        else:
+            self.waiter = task
+
+    def post(self, value: Any) -> None:
+        """Post the reply value, waking the parked requester.  A second
+        post is a protocol bug."""
+        if self.posted:
+            raise RuntimeError(f"reply to {self.msg.describe()} posted twice")
+        self.posted = True
+        self.value = value
+        if self.waiter is not None:
+            waiter, self.waiter = self.waiter, None
+            waiter.wake(value)
 
 
 # Reply-cache states (dedup table).
@@ -146,8 +170,10 @@ class Transport:
         self.duplicate_probe: Callable[[Message], bool] = lambda msg: False
         #: Provides this node's load byte, piggybacked on every message.
         self.load_provider: Callable[[], int] = lambda: 0
-        #: Consumes load hints observed on incoming messages.
-        self.hint_sink: Callable[[int, int], None] = lambda src, load: None
+        #: Load hints observed on incoming messages: station -> the load
+        #: byte it last piggybacked.  The node's scheduler shares this
+        #: dict (``Ivy`` wires it).
+        self.load_hints: dict[int, int] = {}
         fabric.attach(node_id, self._on_message)
 
     def close(self) -> None:
@@ -253,7 +279,7 @@ class Transport:
         pending = _Pending(msg, want=1 if scheme == "any" else want)
         self._pending[msg.msg_id] = pending
         self._arm_timer(pending)
-        value = yield from pending.gate.wait()
+        value = yield Suspend(pending.park)
         if isinstance(value, TransportError):
             raise value
         return value
@@ -336,7 +362,7 @@ class Transport:
         )
 
     def _retransmit(self, pending: _Pending) -> None:
-        if pending.gate.posted or pending.msg.msg_id not in self._pending:
+        if pending.posted or pending.msg.msg_id not in self._pending:
             return
         pending.retries += 1
         if pending.retries > self.config.max_retransmits:
@@ -345,7 +371,7 @@ class Transport:
                 f"request {pending.msg.op} from {self.node_id} to "
                 f"{pending.msg.dst} gave up after {pending.retries - 1} retransmits"
             )
-            pending.gate.post(error)
+            pending.post(error)
             return
         self.stats.retransmits += 1
         self._transmit(pending.msg)
@@ -355,7 +381,7 @@ class Transport:
         # The fabric hands a station only frames addressed to it (a
         # multicast naming other stations never gets here), so every
         # message is processed — and its load byte recorded.
-        self.hint_sink(msg.src, msg.load_hint)
+        self.load_hints[msg.src] = msg.load_hint
         if msg.kind == "rep":
             self._on_reply(msg)
         else:
@@ -363,7 +389,7 @@ class Transport:
 
     def _on_reply(self, msg: Message) -> None:
         pending = self._pending.get(msg.msg_id)
-        if pending is None or pending.gate.posted:
+        if pending is None or pending.posted:
             return  # stale or duplicate reply — ignore
         if pending.msg.kind == "bcast" and pending.msg.reply_scheme == "all":
             if msg.src in pending.replies:
@@ -377,7 +403,7 @@ class Transport:
         del self._pending[msg.msg_id]
         if pending.timer is not None:
             pending.timer.cancel()
-        pending.gate.post(result)
+        pending.post(result)
 
     def _on_request(self, msg: Message) -> None:
         key = (msg.origin, msg.msg_id)

@@ -73,7 +73,8 @@ class NodeScheduler(Driver):
         self._live = 0
         #: Forwarding pointers of migrated-away processes.
         self.forwards: dict[Pid, int] = {}
-        #: Load hints gleaned from message piggybacks: node -> process count.
+        #: Load hints gleaned from message piggybacks: node -> process
+        #: count (``Ivy`` shares the transport's ``load_hints`` here).
         self.load_hints: dict[int, int] = {}
         self._dispatch_pending = False
 
@@ -122,9 +123,6 @@ class NodeScheduler(Driver):
     def load_byte(self) -> int:
         """The load hint piggybacked on every outgoing message."""
         return min(255, self._live)
-
-    def note_hint(self, src: int, load: int) -> None:
-        self.load_hints[src] = load
 
     # ------------------------------------------------------------------
     # driver protocol

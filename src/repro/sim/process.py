@@ -25,8 +25,8 @@ owner, and yielded by every use.
 Sub-operations compose with ``yield from``; a helper generator that never
 yields costs only a cheap delegation, which keeps the non-faulting
 memory-access fast path fast.  An event that continues a task calls
-:meth:`Task.resume` itself (:meth:`Task.step` for a system task's first
-step): no driver method sits between the kernel and the generator.
+:meth:`Task.resume` itself, a system task's first step included: no
+driver method sits between the kernel and the generator.
 """
 
 from __future__ import annotations
@@ -178,17 +178,11 @@ class Task:
 
     # -- stepping ---------------------------------------------------------
 
-    def step(self, value: Any = None) -> None:
-        """Advance the generator by one effect; route it to the driver.
-        Stepping a finished task is a bug of the caller."""
-        if self.done:
-            raise RuntimeError(f"stepping finished task {self!r}")
-        self.resume(value)
-
     def resume(self, value: Any = None) -> None:
-        """:meth:`step`, except that a finished task is left alone: the
-        callback of every event that continues a task, which may land
-        after the task ended (a late wake)."""
+        """Advance the generator by one effect and route it to the
+        driver.  The callback of every event that continues a task,
+        which may land after the task ended (a late wake): a finished
+        task is left alone."""
         if self.done:
             return
         self.state = _RUNNING
@@ -268,7 +262,7 @@ class SimDriver(Driver):
         """Create a task and schedule its first step at the current time."""
         task = Task(gen, self, name)
         self.sim.watch(task)
-        self.sim.schedule_nocancel(0, task.step, None, label=(_STEP, task.name))
+        self.sim.schedule_nocancel(0, task.resume, None, label=(_STEP, task.name))
         return task
 
     def handle(self, task: Task, effect: Effect) -> None:

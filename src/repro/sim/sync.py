@@ -1,13 +1,15 @@
-"""Simulation-level synchronisation primitives.
+"""Simulation-level synchronisation: the FIFO task lock.
 
-These are *kernel-internal* primitives used by protocol code running
-inside the simulated machines (page-table locks, reply gates).  They are
-distinct from `repro.sync`, which implements IVY's *client-visible*
-synchronisation (eventcounts, binary locks) on top of the shared virtual
-memory itself, exactly as the paper does.
+:class:`SimLock` is a *kernel-internal* primitive used by protocol code
+running inside the simulated machines (the page-table lock; the
+transport's reply slot is its own ``_Pending`` record, see
+:mod:`repro.net.transport`).  It is distinct from `repro.sync`, which
+implements IVY's *client-visible* synchronisation (eventcounts, binary
+locks) on top of the shared virtual memory itself, exactly as the paper
+does.
 
-All primitives are generator-style: callers use ``yield from
-lock.acquire()`` and compose under any :class:`repro.sim.process.Driver`.
+The lock is generator-style: callers use ``yield from lock.acquire()``
+and compose under any :class:`repro.sim.process.Driver`.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Any, Generator
 
 from repro.sim.process import Effect, Suspend, Task
 
-__all__ = ["SimLock", "Gate"]
+__all__ = ["SimLock"]
 
 
 class SimLock:
@@ -67,46 +69,3 @@ class SimLock:
             waiter.wake()
         else:
             self._held = False
-
-
-class Gate:
-    """A one-shot value gate: one task waits, another posts a value.
-
-    This is the reply slot of the request/reply transport: the requester
-    waits on the gate; the delivery event posts the reply payload.
-    """
-
-    __slots__ = ("_posted", "_value", "_waiter")
-
-    def __init__(self) -> None:
-        self._posted = False
-        self._value: Any = None
-        self._waiter: Task | None = None
-
-    @property
-    def posted(self) -> bool:
-        return self._posted
-
-    def wait(self) -> Generator[Effect, Any, Any]:
-        """Wait for the value (returns immediately if already posted)."""
-        if self._posted:
-            return self._value
-        if self._waiter is not None:
-            raise RuntimeError("Gate already has a waiter")
-
-        def register(task: Task) -> None:
-            self._waiter = task
-
-        value = yield Suspend(register)
-        return value
-
-    def post(self, value: Any = None) -> None:
-        """Post the value, waking the waiter if present.  Idempotent posts
-        are rejected — a double post indicates a protocol bug."""
-        if self._posted:
-            raise RuntimeError("Gate posted twice")
-        self._posted = True
-        self._value = value
-        if self._waiter is not None:
-            waiter, self._waiter = self._waiter, None
-            waiter.wake(value)

@@ -273,9 +273,21 @@ class CoherenceProtocol:
         write: bool,
         span: Span | None = None,
     ) -> Generator[Effect, Any, Any]:
-        """Send one fault request to wherever the owner can be found.
+        """The fault request's generator: one remote request to where
+        :meth:`fault_target` says the owner is, or, under the broadcast
+        manager, :meth:`_locate_by_broadcast`.  A plain call, so the
+        fault waits in the transport's own frame."""
+        if self.locates_by_broadcast:
+            return self._locate_by_broadcast(page, op, span)
+        return self.remote.request(
+            self.fault_target(page, entry, write=write), op, page,
+            nbytes=FAULT_REQUEST_BYTES, span=span,
+        )
 
-        Under the broadcast manager the request is two-phase: a pure
+    def _locate_by_broadcast(
+        self, page: int, op: str, span: Span | None
+    ) -> Generator[Effect, Any, Any]:
+        """The broadcast manager's two-phase fault request: a pure
         location broadcast (no side effects anywhere — non-owners stay
         silent, the owner replies with its identity *without* acting),
         then a point-to-point transfer to the located owner.  The split
@@ -286,24 +298,18 @@ class CoherenceProtocol:
         If ownership moved between the phases, the unicast is answered
         with RETRY and the location starts over.
         """
-        if self.locates_by_broadcast:
-            while True:
-                owner = yield from self.remote.broadcast(
-                    OP_LOCATE, page, nbytes=FAULT_REQUEST_BYTES, scheme="any",
-                    span=span,
-                )
-                value = yield from self.remote.request(
-                    owner, op, page, nbytes=FAULT_REQUEST_BYTES, span=span
-                )
-                if value == RETRY:
-                    self.counters.inc("locate_retries")
-                    continue
-                return value
-        target = self.fault_target(page, entry, write=write)
-        value = yield from self.remote.request(
-            target, op, page, nbytes=FAULT_REQUEST_BYTES, span=span
-        )
-        return value
+        while True:
+            owner = yield from self.remote.broadcast(
+                OP_LOCATE, page, nbytes=FAULT_REQUEST_BYTES, scheme="any",
+                span=span,
+            )
+            value = yield from self.remote.request(
+                owner, op, page, nbytes=FAULT_REQUEST_BYTES, span=span
+            )
+            if value == RETRY:
+                self.counters.inc("locate_retries")
+                continue
+            return value
 
     def _serve_locate(self, origin: int, page: int) -> Generator[Effect, Any, Any]:
         """Owner-location broadcast: reply with our identity if and only

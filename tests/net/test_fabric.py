@@ -1,7 +1,9 @@
 """The fabric abstraction: backend registry, switched medium model,
 per-link stats, and ring/switched behavioural parity at the interface."""
 
+import inspect
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from repro.config import ClusterConfig, ConfigError, FabricConfig
 from repro.net.fabric import FABRIC_BACKENDS, Fabric, make_fabric
 from repro.net.fabric.switched import SwitchedFabric
 from repro.net.packet import BROADCAST, Message
+from repro.net.remoteop import RemoteOp
+from repro.net.transport import Transport, _Pending
 from repro.net.fabric.ring import TokenRing
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngStreams
@@ -392,6 +396,116 @@ def test_switched_broadcast_makes_no_python_call_per_station_booked():
     assert targeted <= len(named) + 32
     plain = _python_calls(lambda: fabric.send(msg(0, BROADCAST)))
     assert plain <= 255 + 32
+
+
+def _frames_entered(fn, *classes):
+    """``fn()``'s entered Python frames whose code is a method of one of
+    ``classes``, by qualified name; with the names of the generator
+    methods among them (a resume enters a frame again, and how often
+    differs across CPython versions, so only their names are exact)."""
+    names = {
+        method.__code__: f"{cls.__name__}.{name}"
+        for cls in classes
+        for name, method in vars(cls).items()
+        if inspect.isfunction(method)
+    }
+    plain = Counter()
+    generators = set()
+
+    def count(frame, event, arg):
+        name = names.get(frame.f_code)
+        if event == "call" and name is not None:
+            if frame.f_code.co_flags & inspect.CO_GENERATOR:
+                generators.add(name)
+            else:
+                plain[name] += 1
+
+    sys.setprofile(count)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return dict(plain), generators
+
+
+@pytest.mark.parametrize("backend", sorted(FABRIC_BACKENDS))
+def test_a_round_trip_pays_one_call_per_layer_per_frame(backend):
+    """Exact call gate for the message path: an unobserved request and
+    its reply on two stations are two frames, and each frame enters
+    ``Transport._transmit``, ``Message.__init__``, ``Fabric.send``, the
+    backend's ``_book`` and the receiving ``Transport._on_message`` once
+    apiece — nothing else in ``repro.net`` runs per frame.  The rest is
+    paid once per request, and the requester waits in the transport's
+    own generator, not in a remote-op or reply-gate frame."""
+    from tests.net.conftest import NetRig
+
+    rig = NetRig(nnodes=2, backend=backend)
+    for transport in rig.transports:
+        transport.load_provider = int  # a builtin: the load byte enters no frame
+
+    def echo(origin, payload):
+        return payload
+        yield  # a handler is a generator
+
+    rig.ops[1].register("op", echo)
+
+    def round_trip():
+        task = rig.spawn(rig.ops[0].request(1, "op", 5))
+        rig.run()
+        assert task.result == 5
+
+    round_trip()  # the occupancy cache learns the header size
+    book = f"{type(rig.ring).__name__}._book"
+    plain, generators = _frames_entered(
+        round_trip, Message, Fabric, type(rig.ring), Transport, _Pending, RemoteOp
+    )
+    per_frame = ("Transport._transmit", "Message.__init__", "Fabric.send", book,
+                 "Transport._on_message")
+    assert {name: plain.pop(name, 0) for name in per_frame} == dict.fromkeys(per_frame, 2)
+    assert plain == {
+        "RemoteOp.request": 1, "Transport.request": 1, "_Pending.__init__": 1,
+        "Transport._arm_timer": 1, "_Pending.park": 1,
+        "Transport._on_request": 1, "RemoteOp._dispatch": 1,
+        "Transport._on_reply": 1, "_Pending.post": 1,
+    }
+    assert generators == {
+        "Transport._send_and_wait", "RemoteOp._serve", "Transport.send_reply",
+    }
+
+
+def test_an_unobserved_fault_waits_in_the_transport_frame():
+    """A read fault's request is the transport's generator itself: the
+    protocol's ``_locate_request`` is one plain call that hands it back,
+    the remote-op layer adds no ``_rpc`` frame, and there is no reply-gate
+    generator (the ``_Pending`` record is what the requester parks on)."""
+    import repro.sim.sync
+    from repro.svm.protocol import CoherenceProtocol
+
+    from tests.svm.conftest import make_cluster, run_task
+
+    cluster = make_cluster(nodes=2)
+    address = cluster.config.svm.shared_base
+
+    def read():
+        return (yield from cluster.node(1).mem.read_i64(address))
+
+    plain, generators = _frames_entered(
+        lambda: run_task(cluster, read()), CoherenceProtocol, RemoteOp, Transport
+    )
+    assert cluster.node(1).counters["read_faults"] == 1
+    assert plain["CoherenceProtocol._locate_request"] == 1
+    assert "CoherenceProtocol._locate_request" not in generators
+    assert "RemoteOp._rpc" not in generators
+    assert "Transport._send_and_wait" in generators
+    assert not hasattr(repro.sim.sync, "Gate")
+
+
+def test_a_frame_for_an_unattached_station_fails_at_send():
+    fabric = _mk(ClusterConfig(nodes=3))
+    for station in (0, 1):
+        fabric.attach(station, lambda m: None)
+    with pytest.raises(RuntimeError, match="no receiver attached at station 2"):
+        fabric.send(msg(0, 2))
 
 
 @pytest.mark.parametrize("backend", sorted(FABRIC_BACKENDS))

@@ -9,12 +9,24 @@ from repro.sim.process import Compute
 from tests.net.conftest import NetRig
 
 
+class Heard(dict):
+    """A transport's ``load_hints`` that also logs every sender it
+    stores a load byte for, in arrival order."""
+
+    def __init__(self):
+        super().__init__()
+        self.srcs = []
+
+    def __setitem__(self, src, load):
+        self.srcs.append(src)
+        super().__setitem__(src, load)
+
+
 def test_multicast_reaches_only_targets(backend="ring"):
     rig = NetRig(nnodes=5, backend=backend)
     seen = []
-    heard = {n: [] for n in range(5)}
-    for n, transport in enumerate(rig.transports):
-        transport.hint_sink = lambda src, load, n=n: heard[n].append(src)
+    for transport in rig.transports:
+        transport.load_hints = Heard()
 
     def handler(n):
         def h(origin, payload):
@@ -37,6 +49,7 @@ def test_multicast_reaches_only_targets(backend="ring"):
     assert sorted(seen) == [1, 3]
     # The fabric filtered the frame for 2 and 4: their transports were
     # never called, so they recorded no load byte from it either.
+    heard = {n: transport.load_hints.srcs for n, transport in enumerate(rig.transports)}
     assert heard == {0: [1, 3], 1: [0], 2: [], 3: [0], 4: []}
     # One transmission on the ring, not one per target.
     assert rig.ring.stats.broadcasts == 1

@@ -248,9 +248,7 @@ def test_unreachable_peer_gives_up_with_transport_error():
 
 def test_load_hints_piggyback_on_every_message():
     rig = NetRig(nnodes=2)
-    hints = {}
     rig.transports[0].load_provider = lambda: 7
-    rig.transports[1].hint_sink = lambda src, load: hints.update({src: load})
     rig.ops[1].register("op", echo_handler)
 
     def client():
@@ -258,7 +256,7 @@ def test_load_hints_piggyback_on_every_message():
 
     rig.spawn(client())
     rig.run()
-    assert hints == {0: 7}
+    assert rig.transports[1].load_hints == {0: 7}
 
 
 def test_duplicate_request_not_reexecuted():

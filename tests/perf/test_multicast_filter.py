@@ -32,24 +32,33 @@ from repro.apps.pde3d import Pde3dApp
 from repro.apps.tsp import TspApp
 from repro.config import ClusterConfig
 from repro.net.fabric.switched import SwitchedFabric
-from repro.net.packet import Message, delivery_label
+from repro.net.packet import BROADCAST, Message, delivery_label
 from repro.net.fabric.ring import TokenRing
 
 
 class ReferenceFabric:
-    """Mix-in restoring the pre-filter delivery path: same per-station
-    drop decisions, but every surviving station gets a delivery event
-    and filters the frame when it lands (after recording the sender's
-    load byte, as the transport did)."""
+    """Mix-in restoring the pre-filter send path: same addressing,
+    counting, booking and per-station drop decisions, but every
+    surviving station gets a delivery event and filters the frame when
+    it lands (after recording the sender's load byte, as the transport
+    did)."""
 
     filtered = 0
 
-    def _fan_out(self, msg, stations, arrivals):
+    def send(self, msg):
+        self._check_addressing(msg)
+        stats = self.stats
+        stats.messages += 1
+        if msg.dst == BROADCAST:
+            stats.broadcasts += 1
+            stations = [n for n in range(self.nnodes) if n != msg.src]
+        else:
+            stations = [msg.dst]
         drop_policy = self.drop_policy
-        for station, arrival in zip(stations, arrivals):
+        for station, arrival in zip(stations, self._book(msg, stations)):
             forced = drop_policy is not None and drop_policy(msg, station)
             if forced or (self._lossy and self._drop()):
-                self.stats.lost_frames += 1
+                stats.lost_frames += 1
                 continue
             self.sim.schedule_at_nocancel(
                 arrival, self._deliver, station, msg,
@@ -57,12 +66,12 @@ class ReferenceFabric:
             )
 
     def _deliver(self, target, msg):
+        receiver = self._receivers[target]
         if msg.targets is not None and target not in msg.targets:
             self.filtered += 1
-            transport = self._receivers[target].__self__
-            transport.hint_sink(msg.src, msg.load_hint)
+            receiver.__self__.load_hints[msg.src] = msg.load_hint
             return
-        super()._deliver(target, msg)
+        receiver(msg)
 
 
 class ReferenceRing(ReferenceFabric, TokenRing):

@@ -173,7 +173,7 @@ def test_stale_hint_leads_to_rejected_work_request():
 
     def main(ctx):
         # Seed node 1 with a stale belief that node 0 is very busy.
-        ivy.schedulers[1].note_hint(0, 10)
+        ivy.schedulers[1].load_hints[0] = 10
         return True
         yield  # pragma: no cover
 

@@ -10,6 +10,7 @@ from repro.sim.process import (
     Sleep,
     Suspend,
     SimDriver,
+    Task,
     TaskFailure,
     TaskState,
     YieldCpu,
@@ -206,18 +207,6 @@ def test_deadlock_names_blocked_tasks_in_spawn_order_after_others_finished():
     assert excinfo.value.blocked == [tasks[0], tasks[2], tasks[5]]
 
 
-def test_step_on_a_finished_task_raises():
-    sim, driver = make()
-
-    def job():
-        yield Compute(1)
-
-    task = driver.spawn(job(), "once")
-    sim.run()
-    with pytest.raises(RuntimeError, match="stepping finished task"):
-        task.step()
-
-
 def test_resume_on_a_finished_task_is_a_no_op():
     """A wake that lands after the task ended (here: a second resume
     event queued for the same tick) leaves it alone."""
@@ -237,9 +226,9 @@ def test_resume_on_a_finished_task_is_a_no_op():
 
 
 def test_task_events_call_the_task_directly(monkeypatch):
-    """Every event that continues a task calls ``Task.step`` (a system
-    task's first step) or ``Task.resume``: no driver method sits between
-    the kernel and the generator.  The scheduler's own events are the
+    """Every event that continues a task calls ``Task.resume``, a system
+    task's first step included: no driver method sits between the
+    kernel and the generator.  The scheduler's own events are the
     ready-queue ones (``make_ready`` after a sleep, ``_dispatch``)."""
     from repro.api.ivy import Ivy
     from repro.apps.dotprod import DotProductApp
@@ -259,7 +248,8 @@ def test_task_events_call_the_task_directly(monkeypatch):
     app.check(Ivy(ClusterConfig(nodes=2)).run(app.main))
     drivers = {"Task", "SimDriver", "NodeScheduler", "Driver"}
     assert {name for name in fired if name.split(".")[0] in drivers} == {
-        "Task.step", "Task.resume", "NodeScheduler._dispatch",
+        "Task.resume", "NodeScheduler._dispatch",
     }
+    assert not hasattr(Task, "step")
     for cls in (SimDriver, NodeScheduler):
         assert not hasattr(cls, "_resume") and not hasattr(cls, "_first_step")

@@ -1,12 +1,15 @@
-"""Unit tests for simulation-level locks and gates."""
+"""Unit tests for simulation-level locks and the transport's reply gate
+(the ``_Pending`` record a requester parks on)."""
 
 import inspect
 
 import pytest
 
 from repro.sim.kernel import Simulator
-from repro.sim.process import Compute, SimDriver
-from repro.sim.sync import Gate, SimLock
+from repro.net.packet import Message
+from repro.net.transport import _Pending
+from repro.sim.process import Compute, SimDriver, Suspend
+from repro.sim.sync import SimLock
 from repro.svm.page import PageTableEntry
 
 
@@ -77,12 +80,16 @@ def test_release_of_unheld_lock_raises():
         SimLock().release()
 
 
+def reply_gate():
+    return _Pending(Message(0, 1, "req", "op", 0, 1, None, 32), want=1)
+
+
 def test_gate_wait_then_post():
     sim, driver = make()
-    gate = Gate()
+    gate = reply_gate()
 
     def waiter():
-        value = yield from gate.wait()
+        value = yield Suspend(gate.park)
         return value
 
     task = driver.spawn(waiter(), "w")
@@ -93,11 +100,11 @@ def test_gate_wait_then_post():
 
 def test_gate_post_before_wait_returns_immediately():
     sim, driver = make()
-    gate = Gate()
+    gate = reply_gate()
     gate.post(99)
 
     def waiter():
-        value = yield from gate.wait()
+        value = yield Suspend(gate.park)
         return value
 
     task = driver.spawn(waiter(), "w")
@@ -107,7 +114,7 @@ def test_gate_post_before_wait_returns_immediately():
 
 
 def test_gate_double_post_rejected():
-    gate = Gate()
+    gate = reply_gate()
     gate.post(1)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="posted twice"):
         gate.post(2)
