@@ -39,6 +39,7 @@ from typing import TYPE_CHECKING, Any
 from repro.analysis.violation import InvariantViolation
 from repro.machine.mmu import Access
 from repro.svm.page import PageTableEntry
+from repro.svm.protocol import CoherenceProtocol
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.api.cluster import Cluster
@@ -142,17 +143,17 @@ class ShadowMachine:
 
     # ------------------------------------------------------------------
 
-    def apply(self, category: str, time: int, fields: dict[str, Any]) -> None:
+    def apply(self, category: str, time: int, fields: dict[str, Any]) -> PageShadow | None:
         """Advance the shadow state by one protocol event, checking the
-        stream-decidable invariants as it goes."""
+        stream-decidable invariants as it goes; returns the page's shadow."""
         self.events_seen += 1
         if category == "cluster.boot":
             self.nnodes = int(fields.get("nodes", self.nnodes))
             self.manager_node = int(fields.get("manager", self.manager_node))
             self.update_policy = fields.get("write_policy") == "update"
-            return
+            return None
         if "page" not in fields:
-            return
+            return None
         page = int(fields["page"])
         shadow = self.shadow(page)
         node = int(fields.get("node", -1))
@@ -214,6 +215,7 @@ class ShadowMachine:
             shadow.access[node] = "NIL"
         # svm.update_recv: a pushed image applied to a live copy — no
         # shadow transition (membership was established at grant time).
+        return shadow
 
     def _apply_grant(
         self, shadow: PageShadow, time: int, page: int, node: int,
@@ -281,10 +283,12 @@ class CoherenceOracle:
         )
         self.histories: dict[int, deque[tuple[int, str, dict[str, Any]]]] = {}
         self.checks_run = 0
-        #: Pages any node has ever materialised an entry for.
+        #: Pages any node has ever materialised an entry for (the tables'
+        #: observer holds this set, not the oracle, which holds protocols).
         self.touched_pages: set[int] = set()
+        touched = self.touched_pages
         for node in cluster.nodes:
-            node.table.attach_observer(self._on_entry)
+            node.table.attach_observer(lambda node_id, page, entry: touched.add(page))
         #: Live page->entry maps, read without materialising entries: a
         #: page a node never touched reads as the entry its table would
         #: create lazily (one shared, never-mutated stand-in each for the
@@ -295,13 +299,16 @@ class CoherenceOracle:
             PageTableEntry(False, self._manager),
             PageTableEntry(True, self._manager),
         )
+        # The checker hooks, bound once; a manager view only where the
+        # protocol overrides the base one (which has no authority).
+        base_view = CoherenceProtocol.manager_owner_view
+        self._owner_views = [(n.node_id, n.protocol.manager_owner_view) for n in cluster.nodes
+                             if type(n.protocol).manager_owner_view is not base_view]
+        hops = [getattr(n.protocol, "probable_owner_hop", None) for n in cluster.nodes]
+        self._hops: list[Any] = [] if None in hops else hops
 
     # ------------------------------------------------------------------
     # hooks
-
-    def _on_entry(self, node_id: int, page: int, entry: Any) -> None:
-        """Page-table observer: start shadowing a page on first touch."""
-        self.touched_pages.add(page)
 
     def on_event(self, category: str, time: int, fields: dict[str, Any]) -> None:
         """Receive one protocol transition from a node's protocol."""
@@ -314,34 +321,34 @@ class CoherenceOracle:
             self.histories[page] = history
         history.append((time, category, dict(fields)))
 
-        self.shadow.apply(category, time, fields)
+        shadow = self.shadow.apply(category, time, fields)
         if self.shadow.violations:
             self._raise(self.shadow.violations.pop(), page)
+        assert shadow is not None  # the event names a page
 
-        self._check_page(page, time, category, fields)
+        self._check_page(page, time, category, fields, shadow)
 
     # ------------------------------------------------------------------
     # live cross-examination of the real page tables
 
     def _check_page(
-        self, page: int, time: int, category: str, fields: dict[str, Any]
+        self, page: int, time: int, category: str, fields: dict[str, Any],
+        shadow: PageShadow,
     ) -> None:
         self.checks_run += 1
-        shadow = self.shadow.shadow(page)
         # One pass over the entries (index == node id) collects what
         # every rule below reads.
         manager = self._manager
         untouched = self._untouched
-        entries = [
-            table.get(page) or untouched[nid == manager]
-            for nid, table in enumerate(self._tables)
-        ]
         epochs = shadow.epochs
+        entries: list[PageTableEntry] = []
         owners: list[int] = []
         writers: list[int] = []
         can_read: list[int] = []
         moved: list[int] = []  # live epoch differs from the shadow's
-        for nid, entry in enumerate(entries):
+        for nid, table in enumerate(self._tables):
+            entry = table.get(page) or untouched[nid == manager]
+            entries.append(entry)
             if entry.is_owner:
                 owners.append(nid)
             access = entry.access
@@ -392,7 +399,7 @@ class CoherenceOracle:
         if len(owners) == 1:
             owner_id = owners[0]
             owner_entry = entries[owner_id]
-            readers = {nid for nid in can_read if nid != owner_id}
+            readers = set(can_read) - {owner_id}
             if not readers <= owner_entry.copy_set:
                 if not shadow.pending:
                     self._violation(
@@ -411,38 +418,37 @@ class CoherenceOracle:
             self._check_data_coherence(page, time, fields, entries)
 
     def _check_manager_tables(self, page: int, time: int, owner_id: int) -> None:
-        for node in self.nodes:
-            believed = node.protocol.manager_owner_view(page)
+        for nid, view in self._owner_views:
+            believed = view(page)
             if believed is not None and believed != owner_id:
                 self._violation(
                     "manager-table",
-                    f"manager {node.node_id} believes node {believed} owns "
+                    f"manager {nid} believes node {believed} owns "
                     f"the page but node {owner_id} does",
-                    page, time, node=node.node_id,
+                    page, time, node=nid,
                 )
 
     def _check_probowner_chains(self, page: int, time: int, owner_id: int) -> None:
-        nodes = self.nodes
-        if getattr(nodes[0].protocol, "probable_owner_hop", None) is None:
+        if not self._hops:
             return
-        hops = [node.protocol.probable_owner_hop(page) for node in nodes]
+        hops = [hop(page) for hop in self._hops]
         if _all_chains_reach(hops, owner_id):
             return
         # Some chain fails: walk them one by one, as the rule is stated,
         # to name the first broken one and where it ends.
-        for start in nodes:
-            current = start.node_id
-            for _ in range(len(nodes) + 1):
-                nxt = nodes[current].protocol.probable_owner_hop(page)
+        for start in range(len(hops)):
+            current = start
+            for _ in range(len(hops) + 1):
+                nxt = hops[current]
                 if nxt is None:
                     break
                 current = nxt
             if current != owner_id:
                 self._violation(
                     "probowner-chain",
-                    f"probOwner chain from node {start.node_id} ends at "
+                    f"probOwner chain from node {start} ends at "
                     f"{current}, not the owner {owner_id}",
-                    page, time, node=start.node_id,
+                    page, time, node=start,
                 )
 
     def _check_data_coherence(
@@ -460,7 +466,7 @@ class CoherenceOracle:
             return
         golden = owner_node.memory.data(page)
         copy = reader_node.memory.data(page)
-        if not (golden == copy).all():
+        if golden.tobytes() != copy.tobytes():
             diff = int((golden != copy).sum())
             self._violation(
                 "data-stale",
@@ -483,7 +489,7 @@ class CoherenceOracle:
                     f"{shadow.pending} fault(s) never completed",
                     page, time=self.sim.now,
                 )
-            self._check_page(page, self.sim.now, "quiescence", {"page": page})
+            self._check_page(page, self.sim.now, "quiescence", {"page": page}, shadow)
 
     # ------------------------------------------------------------------
 

@@ -227,14 +227,16 @@ def _dismantle(nodes: list[NodeContext], fabric: Fabric, sim: Simulator) -> None
     holds callbacks into all of them: every registration is a cycle, and
     so is a scheduler's process registry (each task names its driver).
     Emptying the registries, the node list (the oracle and the race
-    detector read it) and the queue lets reference counting free frames,
-    disk images and reply caches at once.  Nothing a ``finally`` block
-    reads is unset, so a generator left suspended still finalises
-    cleanly when the queue lets go of it."""
+    detector read it), each protocol's checker (the oracle holds its
+    hooks) and the queue lets reference counting free frames, disk
+    images and reply caches at once.  Nothing a ``finally`` block reads
+    is unset, so a generator left suspended still finalises cleanly
+    when the queue lets go of it."""
     for node in nodes:
         node.transport.close()
         node.remote.close()
         node.pager.close()
+        node.protocol.checker = None
         if node.sched is not None:
             node.sched.close()
     nodes.clear()

@@ -85,10 +85,12 @@ class Histogram:
         self._values: list[float] = []
         self._sorted = True
 
-    def observe(self, value: float) -> None:
+    def observe(self, value: float, key: int | None = None) -> int | None:
+        """Record ``value``; ``key`` (a log bucket) is handed back unused."""
         if self._values and value < self._values[-1]:
             self._sorted = False
         self._values.append(value)
+        return key
 
     @property
     def count(self) -> int:
@@ -153,23 +155,26 @@ class LogBucketHistogram:
         self._max: float | None = None
 
     @staticmethod
-    def _key(value: float) -> int:
-        return math.ceil(math.log(value) / _LOG_GAMMA)
-
-    @staticmethod
     def _representative(key: int) -> float:
         return 2.0 * _GAMMA**key / (_GAMMA + 1.0)
 
-    def observe(self, value: float) -> None:
+    def observe(self, value: float, key: int | None = None) -> int | None:
+        """Record ``value``; returns its bucket (None for zero), which the
+        same sample's record in another histogram may pass as ``key``."""
         if value <= 0.0:
             self._zero += 1
         else:
-            key = self._key(value)
+            if key is None:
+                key = math.ceil(math.log(value) / _LOG_GAMMA)
             self._buckets[key] = self._buckets.get(key, 0) + 1
         self._count += 1
         self._total += value
-        self._min = value if self._min is None else min(self._min, value)
-        self._max = value if self._max is None else max(self._max, value)
+        # On a tie the first-seen sample stays, as min()/max() keep it.
+        if self._min is None or value < self._min:
+            self._min = value
+        if self._max is None or value > self._max:
+            self._max = value
+        return key
 
     @property
     def count(self) -> int:

@@ -43,12 +43,13 @@ loadable in Perfetto; timeline JSONL; OpenMetrics text) and the CLI in
 from __future__ import annotations
 
 import copy
+import functools
 from typing import Any, Callable
 
 from repro.config import ConfigError, ObsConfig
 from repro.metrics.hist import Metrics
 from repro.obs.profiler import CATEGORIES, PRECEDENCE, SimProfiler
-from repro.obs.span import NULL_SPAN, UNSTAMPED, Span, SpanTracer, span_kind
+from repro.obs.span import NULL_SPAN, UNSTAMPED, Span, SpanTracer, span_kind, unbound_clock
 from repro.obs.timeline import Timeline
 
 __all__ = [
@@ -73,6 +74,7 @@ __all__ = [
 SPAN_CATEGORIES = {"fault": "fault", "serve": "network", "disk": "disk"}
 
 
+@functools.cache  # once per span name; a hit enters no Python frame
 def _span_category(name: str) -> str | None:
     return SPAN_CATEGORIES.get(span_kind(name))
 
@@ -100,11 +102,18 @@ class Observability:
             if self.enabled and window_ns > 0
             else None
         )
+        self._clock: Callable[[], int] = unbound_clock
+        if self.enabled:
+            # One call per record: on, opening a span and crediting an
+            # interval are the stores' own methods, not a facade over them.
+            self.span_begin = self.spans.span_begin  # type: ignore[method-assign]
+            self.interval = self.profiler.interval  # type: ignore[method-assign]
 
     def __bool__(self) -> bool:
         return self.enabled
 
     def bind_clock(self, clock: Callable[[], int] | None) -> None:
+        self._clock = unbound_clock if clock is None else clock
         self.spans.bind_clock(clock)
         if self.timeline is not None:
             self.timeline.bind_clock(clock)
@@ -120,27 +129,17 @@ class Observability:
         start: int | None = None,
         **attrs: Any,
     ) -> Span:
-        if not self.enabled:
-            return NULL_SPAN
-        return self.spans.span_begin(name, parent=parent, node=node, start=start, **attrs)
+        return NULL_SPAN  # disabled: on, the tracer's own is bound over this
 
     def span_end(self, span: Span, end: int | None = None) -> None:
-        """Close a span and fold its interval into the aggregates — also
-        a sampled-out (negative-id) one, whose time still belongs to the
-        profiler's attribution and the timeline's per-window series.
+        """Close a span and fold its interval into the profiler and the
+        timeline — also a sampled-out (negative-id) one, so whole-run and
+        windowed attribution stay complete at any sampling rate.
         :data:`NULL_SPAN`, all a disabled handle hands out, returns here."""
         if span.sid == 0:
             return
-        self.spans.span_end(span, end=end)
-        self._account(span)
-
-    def _account(self, span: Span) -> None:
-        """Fold one just-closed span into the profiler and the timeline.
-
-        Kept and dropped (negative-id) spans alike, so whole-run and
-        windowed attribution stay complete at any sampling rate.
-        """
-        start, end = span.start, span.end
+        span.end = end = self._clock() if end is None else end
+        start = span.start
         if start == UNSTAMPED or end == UNSTAMPED or end <= start:
             return
         category = _span_category(span.name)
@@ -154,9 +153,13 @@ class Observability:
 
     def observe(self, name: str, value: float) -> None:
         if self.enabled:
-            self.metrics.observe(name, value)
+            # The window's histogram reuses the log bucket the run's found.
+            hist = self.metrics.histograms.get(name)
+            if hist is None:
+                hist = self.metrics.histogram(name)
+            key = hist.observe(value)
             if self.timeline is not None:
-                self.timeline.observe(name, value)
+                self.timeline.observe(name, value, key=key)
 
     def gauge(self, name: str, value: float) -> None:
         if self.enabled:
@@ -168,8 +171,7 @@ class Observability:
     # profiler
 
     def interval(self, node: int, category: str, start: int, end: int) -> None:
-        if self.enabled:
-            self.profiler.interval(node, category, start, end)
+        """Disabled, a no-op: on, the profiler's own is bound over this."""
 
     def _profile(self, total_ns: int) -> SimProfiler:
         """The recorded intervals plus the categorised spans still open,

@@ -48,11 +48,16 @@ from repro.config import ConfigError
 from repro.obs.jsonl import read_jsonl, write_jsonl
 from repro.obs.sample import keep_root
 
-__all__ = ["Span", "SpanTracer", "NULL_SPAN", "UNSTAMPED", "span_kind"]
+__all__ = ["Span", "SpanTracer", "NULL_SPAN", "UNSTAMPED", "unbound_clock", "span_kind"]
 
 #: Time of a record made before a clock was bound: a span or timeline
 #: sample taken before cluster boot is marked rather than claiming time 0.
 UNSTAMPED = -1
+
+
+def unbound_clock() -> int:
+    """The clock of a store no simulator is bound to."""
+    return UNSTAMPED
 
 
 def span_kind(name: str) -> str:
@@ -119,15 +124,12 @@ class SpanTracer:
         self.dropped = 0
         self._by_sid: dict[int, Span] = {}
         self._next_sid = 0
-        self._clock: Callable[[], int] | None = None
+        self._clock: Callable[[], int] = unbound_clock
 
     def bind_clock(self, clock: Callable[[], int] | None) -> None:
         """Attach the simulator clock; called by the cluster at boot
         (``None`` detaches it once the run is over)."""
-        self._clock = clock
-
-    def _now(self) -> int:
-        return self._clock() if self._clock is not None else UNSTAMPED
+        self._clock = unbound_clock if clock is None else clock
 
     # ------------------------------------------------------------------
     # recording
@@ -152,7 +154,7 @@ class SpanTracer:
         pid = parent.sid if isinstance(parent, Span) else int(parent or 0)
         self._next_sid += 1
         sid = self._next_sid
-        at = self._now() if start is None else start
+        at = self._clock() if start is None else start
         if pid < 0 or (
             pid == 0
             and self.sample_every > 1
@@ -178,7 +180,7 @@ class SpanTracer:
         """
         if span.sid == 0:
             return
-        span.end = self._now() if end is None else end
+        span.end = self._clock() if end is None else end
 
     # ------------------------------------------------------------------
     # queries

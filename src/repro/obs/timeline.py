@@ -34,12 +34,19 @@ the timeline on or off.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Iterator
 
 from repro.metrics.hist import AnyHistogram, make_histogram
-from repro.obs.span import UNSTAMPED
+from repro.obs.span import UNSTAMPED, unbound_clock
 
 __all__ = ["Timeline", "split"]
+
+
+@functools.cache  # once per span name; a hit enters no Python frame
+def _span_series(name: str) -> tuple[str, str]:
+    """A span name's busy-time and duration series."""
+    return f"span.{name}.busy_ns", f"span.{name}.ns"
 
 
 def split(start: int, end: int, window_ns: int) -> Iterator[tuple[int, int]]:
@@ -70,37 +77,35 @@ class Timeline:
         self.counters: dict[str, dict[int, int]] = {}
         #: link name -> window -> busy ns inside that window
         self.links: dict[str, dict[int, int]] = {}
-        self._clock: Callable[[], int] | None = None
+        self._clock: Callable[[], int] = unbound_clock
 
     def bind_clock(self, clock: Callable[[], int] | None) -> None:
-        self._clock = clock
-
-    def _window(self, t: int | None) -> int | None:
-        """The window of ``t`` (of now when None); None for a time
-        that is not stamped, such as any before the clock is bound."""
-        if t is None:
-            t = self._clock() if self._clock is not None else UNSTAMPED
-        return None if t == UNSTAMPED else t // self.window_ns
+        self._clock = unbound_clock if clock is None else clock
 
     # ------------------------------------------------------------------
-    # recording
+    # recording: a sample at ``t`` (now when None) lands in window
+    # ``t // window_ns``; an unstamped one (no clock bound) is dropped.
 
-    def observe(self, name: str, value: float, t: int | None = None) -> None:
-        win = self._window(t)
-        if win is None:
+    def observe(self, name: str, value: float, t: int | None = None,
+                key: int | None = None) -> None:
+        """Record ``value`` (whose log bucket is ``key``, when known)."""
+        t = self._clock() if t is None else t
+        if t == UNSTAMPED:
             return
+        win = t // self.window_ns
         per = self.histograms.get(name)
         if per is None:
             per = self.histograms[name] = {}
         hist = per.get(win)
         if hist is None:
             hist = per[win] = make_histogram(name, self.hist_backend)
-        hist.observe(value)
+        hist.observe(value, key)
 
     def gauge(self, name: str, value: float, t: int | None = None) -> None:
-        win = self._window(t)
-        if win is None:
+        t = self._clock() if t is None else t
+        if t == UNSTAMPED:
             return
+        win = t // self.window_ns
         per = self.gauges.get(name)
         if per is None:
             per = self.gauges[name] = {}
@@ -113,6 +118,10 @@ class Timeline:
         per = series.get(name)
         if per is None:
             per = series[name] = {}
+        win = start // self.window_ns
+        if start < end <= (win + 1) * self.window_ns:
+            per[win] = per.get(win, 0) + end - start  # inside one window
+            return
         for win, ns in split(start, end, self.window_ns):
             per[win] = per.get(win, 0) + ns
 
@@ -127,8 +136,9 @@ class Timeline:
         duration observed at the window it closed in."""
         if start == UNSTAMPED or end == UNSTAMPED or end < start:
             return
-        self._credit(self.counters, f"span.{name}.busy_ns", start, end)
-        self.observe(f"span.{name}.ns", end - start, t=end)
+        busy, duration = _span_series(name)
+        self._credit(self.counters, busy, start, end)
+        self.observe(duration, end - start, t=end)
 
     # ------------------------------------------------------------------
     # queries

@@ -67,6 +67,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from functools import partial
 from typing import Any, Callable, Iterable, Sequence
 
 __all__ = [
@@ -188,9 +189,10 @@ class Simulator:
 
         Observability layers (span tracers, timelines) bind this
         rather than holding the simulator, so they can stamp records
-        without any ability to perturb the schedule.
+        without any ability to perturb the schedule.  It is a partial of
+        the builtin ``getattr``, so a stamp enters no Python frame.
         """
-        return lambda: self.now
+        return partial(getattr, self, "now")
 
     # ------------------------------------------------------------------
     # scheduling

@@ -94,7 +94,7 @@ class DynamicDistributedProtocol(CoherenceProtocol):
         Reads the table without materialising an entry: a page this node
         never touched answers as its lazy default entry would.
         """
-        entry = self.table.raw_entries().get(page)
+        entry = self._entries.get(page)
         if entry is None:
             owner = self.table.default_owner
             return None if owner == self.node_id else owner

@@ -155,6 +155,8 @@ def test_chain_resolution_agrees_with_walking_every_chain():
 
 
 def test_clean_chain_check_asks_each_node_for_one_hop():
+    from repro.analysis.oracle import CoherenceOracle
+
     cluster, page, addr = checked_cluster()
     calls = []
     for node in cluster.nodes:
@@ -162,5 +164,7 @@ def test_clean_chain_check_asks_each_node_for_one_hop():
         node.protocol.probable_owner_hop = (
             lambda p, hop=hop, nid=node.node_id: calls.append(nid) or hop(p)
         )
-    cluster.oracle._check_probowner_chains(page, 0, owner_id=0)
+    # The oracle binds each node's hook once, when it is built: the spies
+    # are seen by an oracle built after they are in place.
+    CoherenceOracle(cluster)._check_probowner_chains(page, 0, owner_id=0)
     assert sorted(calls) == [0, 1, 2]

@@ -398,17 +398,30 @@ def test_switched_broadcast_makes_no_python_call_per_station_booked():
     assert plain <= 255 + 32
 
 
-def _frames_entered(fn, *classes):
+def _frames_entered(fn, *owners):
     """``fn()``'s entered Python frames whose code is a method of one of
-    ``classes``, by qualified name; with the names of the generator
+    ``owners`` (a class, or each class a module defines) or a function a
+    module defines, by qualified name; with the names of the generator
     methods among them (a resume enters a frame again, and how often
-    differs across CPython versions, so only their names are exact)."""
-    names = {
-        method.__code__: f"{cls.__name__}.{name}"
-        for cls in classes
-        for name, method in vars(cls).items()
-        if inspect.isfunction(method)
-    }
+    differs across CPython versions, so only their names are exact).
+    Nested code (comprehensions, lambdas) is not named: CPython 3.12
+    inlines comprehensions, so only named functions count alike."""
+    names = {}
+    for owner in owners:
+        classes = [owner]
+        if inspect.ismodule(owner):
+            mine = {k: v for k, v in vars(owner).items()
+                    if getattr(v, "__module__", None) == owner.__name__}
+            classes = [v for v in mine.values() if inspect.isclass(v)]
+            for name, function in mine.items():
+                function = getattr(function, "__wrapped__", function)  # functools.cache
+                if inspect.isfunction(function):
+                    names[function.__code__] = name
+        for cls in classes:
+            for name, method in vars(cls).items():
+                method = getattr(method, "__func__", method)  # staticmethod
+                if inspect.isfunction(method):
+                    names[method.__code__] = f"{cls.__name__}.{name}"
     plain = Counter()
     generators = set()
 

@@ -191,6 +191,32 @@ def test_the_handle_follows_the_value_of_cluster_config_obs():
     assert excinfo.value.field == "obs.timeline_window_ns"
 
 
+@pytest.mark.parametrize("clone", ["deepcopy", "pickle"])
+def test_a_copied_handle_records_into_its_own_stores(clone):
+    """An enabled handle's ``span_begin`` and ``interval`` are its
+    tracer's and profiler's own methods: a deep copy, or a finished
+    result pickled back from a worker, records into the copy's stores."""
+    import copy
+    import pickle
+
+    from repro.config import ObsConfig
+    from repro.exps.parallel import Job
+
+    config = ClusterConfig(obs=ObsConfig(timeline_window_ns=1_000_000))
+    obs = Job("dotprod", {"n": 2048}, nprocs=NPROCS, config=config).run().obs
+    copied = copy.deepcopy(obs) if clone == "deepcopy" else pickle.loads(pickle.dumps(obs))
+    spans, intervals = len(obs.spans), obs.breakdown(NPROCS, 10**12)
+    span = copied.span_begin("fault.read", node=0, start=10**12)
+    copied.span_end(span, end=2 * 10**12)
+    copied.interval(1, "compute", 10**12, 2 * 10**12)
+    assert len(copied.spans) == spans + 1 and len(obs.spans) == spans
+    assert obs.breakdown(NPROCS, 10**12) == intervals
+    assert copied.breakdown(NPROCS, 2 * 10**12)[1]["compute"] > intervals[1]["compute"]
+    window = 10**12 // 1_000_000
+    assert copied.timeline.counters["span.fault.read.busy_ns"][window] == 1_000_000
+    assert window not in obs.timeline.counters["span.fault.read.busy_ns"]
+
+
 @pytest.mark.parametrize(
     "argv,field",
     [
